@@ -33,26 +33,13 @@ from .errors import (
     SelectionError,
     SingularityError,
 )
-from .estimation import (
-    GaConfig,
-    LmConfig,
-    TrainConfig,
-    fit_ga_legacy,
-    fit_ols,
-    fit_weighted_lm,
-    fit_wls,
-    write_trace_csv,
-)
+from .estimation import GaConfig, LmConfig, TrainConfig, write_trace_csv
 from .models import (
-    EvalCounter,
-    MlpModel,
-    PolynomialModel,
     build_regression_matrix,
     example_structure,
     free_run_on_dataset,
     load_model,
     model_from_json,
-    model_to_json,
     save_model,
 )
 from .steady_state import (
@@ -66,6 +53,7 @@ from .sweep import (
     LambdaGrid,
     decide_min_corr,
     decide_min_rmse_zt,
+    fit,
     pareto_front,
     rmse,
     run_sweep,
@@ -202,39 +190,6 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _fit_single(structure, zd, zs, train: TrainConfig, fp_config):
-    """One training run; returns (model, trace or None, static trace label)."""
-    counter = EvalCounter()
-    if train.algorithm == "ols":
-        if not isinstance(structure, PolynomialModel):
-            raise ConfigError("ols needs a polynomial structure")
-        return fit_ols(structure, zd), None, "j_s_hat"
-    if train.algorithm == "wls":
-        if not isinstance(structure, PolynomialModel):
-            raise ConfigError("wls needs a polynomial structure")
-        return fit_wls(structure, zd, zs, train.lam), None, "j_s_hat"
-    if train.algorithm == "weighted_lm":
-        if not isinstance(structure, MlpModel):
-            raise ConfigError("weighted_lm needs an mlp structure")
-        model, trace = fit_weighted_lm(
-            structure, zd, zs, train.lam, train.lm, init_seed=train.init_seed,
-            counter=counter,
-        )
-        return model, trace, "j_s_hat"
-    if zs is None:
-        raise ConfigError("ga_legacy needs steady-state data")
-    if isinstance(structure, MlpModel):
-        seed_model, _ = fit_weighted_lm(
-            structure, zd, None, 0.0, train.lm, init_seed=train.init_seed
-        )
-    else:
-        seed_model = fit_ols(structure, zd)
-    model, trace = fit_ga_legacy(
-        seed_model, zd, zs, train.lam, train.ga, fp_config, counter=counter
-    )
-    return model, trace, "j_s_legacy"
-
-
 def cmd_train(args) -> int:
     cfg = _load_config(args.config) if args.config else {}
     out = _out_dir(args, cfg)
@@ -245,13 +200,12 @@ def cmd_train(args) -> int:
     if zd is None:
         raise ConfigError("training needs a dynamical record 'zd'")
     train = _train_config(cfg, args)
-    if zs is None and (train.lam > 0 or train.algorithm == "ga_legacy"):
-        raise ConfigError("lambda > 0 needs steady-state data 'zs'")
     fp_config = _fp_config(cfg)
-    model, trace, static_label = _fit_single(structure, zd, zs, train, fp_config)
+    model, trace = fit(structure, zd, zs, train, fp_config)
     save_model(out / "model.json", model)
     outputs = {"model": "model.json"}
     if trace is not None:
+        static_label = "j_s_legacy" if train.algorithm == "ga_legacy" else "j_s_hat"
         write_trace_csv(out / "trace.csv", trace, static_label)
         outputs["trace"] = "trace.csv"
     j_d = cost_jd(model, zd)

@@ -113,32 +113,6 @@ class StackedSystem:
     n_dynamic: int
     n_static: int
 
-    def weight_matrix(self) -> np.ndarray:
-        return np.diag(self.weights)
-
-
-@dataclass(frozen=True)
-class ErrorVector:
-    """Stacked weighted residuals: dynamic block then static block."""
-
-    e: np.ndarray
-    n_dynamic: int
-    n_static: int
-
-    @property
-    def dynamic(self) -> np.ndarray:
-        return self.e[: self.n_dynamic]
-
-    @property
-    def static(self) -> np.ndarray:
-        return self.e[self.n_dynamic :]
-
-
-def _design_rows(model: Model, psi_rows: np.ndarray) -> np.ndarray:
-    if isinstance(model, PolynomialModel):
-        return model.design_matrix(psi_rows)
-    return psi_rows
-
 
 def _split_data(model: Model, zd: DynDataset, zs: SteadyDataset | None, lam: float = 0.0):
     psi_d, y_d = build_regression_matrix(model.spec, zd)
@@ -172,25 +146,6 @@ def build_stacked_system(
     )
 
 
-def build_error_vector(
-    model: Model,
-    zd: DynDataset,
-    zs: SteadyDataset | None,
-    lam: float,
-    counter: EvalCounter | None = None,
-) -> ErrorVector:
-    """Stacked weighted residual vector; one model evaluation per row."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must lie in [0, 1], got {lam}")
-    psi_d, y_d, psi_s, y_s = _split_data(model, zd, zs, lam)
-    r_d = y_d - model.predict(psi_d)
-    r_s = y_s - model.predict(psi_s) if psi_s.shape[0] else np.empty(0)
-    if counter is not None:
-        counter.add(psi_d.shape[0] + psi_s.shape[0])
-    e = np.concatenate([(1.0 - lam) * r_d, lam * r_s])
-    return ErrorVector(e=e, n_dynamic=psi_d.shape[0], n_static=psi_s.shape[0])
-
-
 def _solve_weighted(phi: np.ndarray, y: np.ndarray, weights: np.ndarray) -> np.ndarray:
     sw = np.sqrt(weights)
     a = phi * sw[:, None]
@@ -208,18 +163,29 @@ def _solve_weighted(phi: np.ndarray, y: np.ndarray, weights: np.ndarray) -> np.n
     return theta
 
 
-def fit_ols(model: PolynomialModel, zd: DynDataset) -> PolynomialModel:
-    """Ordinary least squares on the dynamic record alone."""
+def fit_ols(
+    model: PolynomialModel, zd: DynDataset, counter: EvalCounter | None = None
+) -> PolynomialModel:
+    """Ordinary least squares on the dynamic record alone.
+
+    ``counter`` gets one model evaluation per row once the solve succeeds.
+    """
     if not isinstance(model, PolynomialModel):
         raise TypeError("closed-form least squares needs a linear-in-parameters model")
     psi_d, y_d = build_regression_matrix(model.spec, zd)
     phi = model.design_matrix(psi_d)
     theta = _solve_weighted(phi, y_d, np.ones(phi.shape[0]))
+    if counter is not None:
+        counter.add(phi.shape[0])
     return model.with_theta(theta)
 
 
 def fit_wls(
-    model: PolynomialModel, zd: DynDataset, zs: SteadyDataset | None, lam: float
+    model: PolynomialModel,
+    zd: DynDataset,
+    zs: SteadyDataset | None,
+    lam: float,
+    counter: EvalCounter | None = None,
 ) -> PolynomialModel:
     """Weighted least squares over dynamic rows and static pseudo-samples.
 
@@ -227,12 +193,15 @@ def fit_wls(
     equivalently an ordinary LS fit on rows scaled by the square roots of
     the weights.  Raises SingularityError (with the condition number) when
     the weighted system is numerically rank deficient, e.g. at lam = 1 for
-    structures whose static columns collapse.
+    structures whose static columns collapse.  ``counter`` gets one model
+    evaluation per row, dynamic and static, once the solve succeeds.
     """
     if not isinstance(model, PolynomialModel):
         raise TypeError("closed-form least squares needs a linear-in-parameters model")
     stacked = build_stacked_system(model, zd, zs, lam)
     theta = _solve_weighted(stacked.psi, stacked.y, stacked.weights)
+    if counter is not None:
+        counter.add(stacked.psi.shape[0])
     return model.with_theta(theta)
 
 
@@ -285,7 +254,6 @@ class TraceRecord:
     cost: float
     wall_time_ms: float
     model_evaluations: int
-    damping: float | None = None
 
 
 def write_trace_csv(path, trace: list[TraceRecord], static_label: str = "j_s_hat") -> None:
@@ -351,7 +319,7 @@ def fit_weighted_lm(
             blocks.append(-lam * model_jacobian(cand, psi_s))
         return np.vstack(blocks)
 
-    def record(iteration, rd, rs, cost, mu):
+    def record(iteration, rd, rs, cost):
         j_d = float(np.mean(rd**2)) if n_d else 0.0
         j_s = float(np.mean(rs**2)) if n_s else 0.0
         return TraceRecord(
@@ -362,7 +330,6 @@ def fit_weighted_lm(
             cost=cost,
             wall_time_ms=(time.perf_counter() - t0) * 1e3,
             model_evaluations=evals,
-            damping=mu,
         )
 
     def minimize_from(theta_start):
@@ -371,7 +338,7 @@ def fit_weighted_lm(
         cost = float(e @ e)
         if not math.isfinite(cost):
             raise DivergenceError("non-finite cost at the initial parameters", index=0)
-        trace = [record(0, r_d, r_s, cost, config.initial_damping)]
+        trace = [record(0, r_d, r_s, cost)]
         mu = config.initial_damping
         accepted = 0
         jac = None
@@ -405,7 +372,7 @@ def fit_weighted_lm(
                 theta, e, r_d, r_s, cost = trial, e_t, rd_t, rs_t, cost_t
                 mu = max(mu / config.damping_decrease, 1e-15)
                 accepted += 1
-                trace.append(record(accepted, r_d, r_s, cost, mu))
+                trace.append(record(accepted, r_d, r_s, cost))
                 jac = None
             else:
                 mu *= config.damping_increase

@@ -181,31 +181,6 @@ def cost_js_legacy(
     return total / zs.n_pairs
 
 
-def cost_jsd_hat(
-    model: Model,
-    zd: DynDataset,
-    zs: SteadyDataset,
-    lam: float,
-    counter: EvalCounter | None = None,
-) -> float:
-    """Convex combination (1-lam)*J_d + lam*J_s_hat."""
-    return (1.0 - lam) * cost_jd(model, zd, counter) + lam * cost_js_hat(model, zs, counter)
-
-
-def cost_jsd_legacy(
-    model: Model,
-    zd: DynDataset,
-    zs: SteadyDataset,
-    lam: float,
-    config: FixedPointConfig | None = None,
-    counter: EvalCounter | None = None,
-) -> float:
-    """Convex combination (1-lam)*J_d + lam*J_s_legacy."""
-    return (1.0 - lam) * cost_jd(model, zd, counter) + lam * cost_js_legacy(
-        model, zs, config, counter
-    )
-
-
 def cost_report(
     model: Model,
     zd: DynDataset,

@@ -1,25 +1,26 @@
-"""Lambda sweeps, free-run scoring, and decision makers.
+"""Training, lambda sweeps, free-run scoring, and decision makers.
 
-A sweep trains one model per lambda on the grid, scores each on free-run
-metrics, and hands the resulting points to a decision maker: smallest
-absolute correlation between free-run error and measured output, or
-smallest free-run RMSE over the test record.  Ties break toward the
-smaller lambda; diverged or failed points never win.
+:func:`fit` is the single training entry point: it checks that the
+algorithm suits the structure and dispatches to the estimator.  A sweep
+trains one model per lambda on the grid, scores each on free-run metrics,
+and hands the resulting points to a decision maker: smallest absolute
+correlation between free-run error and measured output, or smallest
+free-run RMSE over the test record.  Ties break toward the smaller lambda;
+diverged or failed points never win.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import DynDataset, SteadyDataset, write_table
-from .errors import GreyboxError, SelectionError
+from .errors import ConfigError, GreyboxError, SelectionError
 from .estimation import (
+    TraceRecord,
     TrainConfig,
     fit_ga_legacy,
     fit_ols,
@@ -143,16 +144,65 @@ def score_free_run(model: Model, data: DynDataset, cap: float = RMSE_CAP):
     return rmse(predicted, measured, cap), False, corr
 
 
-def _resolve_jobs(n_jobs: int | None) -> int:
-    if n_jobs is not None:
-        return max(1, int(n_jobs))
-    env = os.environ.get("GREYBOX_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"GREYBOX_THREADS must be an integer, got {env!r}") from None
-    return 1
+# structure kind each closed-form or gradient algorithm needs; the GA takes any
+_STRUCTURE_FOR = {"ols": PolynomialModel, "wls": PolynomialModel, "weighted_lm": MlpModel}
+
+
+def _check_trainable(
+    structure: Model, zs: SteadyDataset | None, algorithm: str, lam: float
+) -> None:
+    need = _STRUCTURE_FOR.get(algorithm)
+    if need is not None and not isinstance(structure, need):
+        kind = "polynomial" if need is PolynomialModel else "mlp"
+        raise ConfigError(
+            f"{algorithm} needs a {kind} structure, got {type(structure).__name__}"
+        )
+    if zs is None and (lam > 0 or algorithm == "ga_legacy"):
+        raise ConfigError(f"{algorithm} at lambda {lam} needs steady-state data 'zs'")
+
+
+def _ga_seed_model(structure: Model, zd: DynDataset, train: TrainConfig) -> Model:
+    """The lambda = 0 black-box fit that seeds the GA baseline's population."""
+    if isinstance(structure, MlpModel):
+        model, _ = fit_weighted_lm(
+            structure, zd, None, 0.0, train.lm, init_seed=train.init_seed
+        )
+        return model
+    return fit_ols(structure, zd)
+
+
+def fit(
+    structure: Model,
+    zd: DynDataset,
+    zs: SteadyDataset | None,
+    train: TrainConfig,
+    fp_config: FixedPointConfig | None = None,
+    counter: EvalCounter | None = None,
+    seed_model: Model | None = None,
+) -> tuple[Model, list[TraceRecord] | None]:
+    """Train one model at ``train.lam`` with ``train.algorithm``.
+
+    Returns the fitted model and the solver trace (None for the closed-form
+    ``ols`` and ``wls``).  ``counter`` receives every model evaluation of the
+    fit itself.  ``ga_legacy`` starts from ``seed_model``, the lambda = 0
+    black-box fit, which is made here when not given.  Raises ConfigError when the
+    algorithm does not suit the structure or steady-state data is missing.
+    """
+    _check_trainable(structure, zs, train.algorithm, train.lam)
+    if train.algorithm == "ols":
+        return fit_ols(structure, zd, counter=counter), None
+    if train.algorithm == "wls":
+        return fit_wls(structure, zd, zs, train.lam, counter=counter), None
+    if train.algorithm == "weighted_lm":
+        return fit_weighted_lm(
+            structure, zd, zs, train.lam, train.lm, init_seed=train.init_seed,
+            counter=counter,
+        )
+    if seed_model is None:
+        seed_model = _ga_seed_model(structure, zd, train)
+    return fit_ga_legacy(
+        seed_model, zd, zs, train.lam, train.ga, fp_config, counter=counter
+    )
 
 
 def run_sweep(
@@ -164,63 +214,41 @@ def run_sweep(
     train: TrainConfig,
     zv: DynDataset | None = None,
     fp_config: FixedPointConfig | None = None,
-    n_jobs: int | None = None,
 ) -> list[ParetoPoint]:
-    """Train one model per lambda and score it; failures become points too.
+    """Train one model per lambda with :func:`fit` and score it.
 
     Lambdas are independent runs from identical seeded initial conditions
-    (no warm starting), so the sweep parallelizes across a thread pool when
-    ``n_jobs`` or the GREYBOX_THREADS environment variable asks for it.  A
-    per-lambda SingularityError or DivergenceError is recorded on the point
-    instead of aborting the sweep.  For the GA baseline the black-box seed
-    model is trained once up front and shared.
+    (no warm starting).  A per-lambda SingularityError or DivergenceError is
+    recorded on the point instead of aborting the sweep; a structure or
+    dataset the algorithm cannot use raises ConfigError before any fit.  For
+    the GA baseline the black-box seed model is trained once up front and
+    shared, and each lambda gets its own GA stream.
     """
-    jobs = _resolve_jobs(n_jobs)
-    ga_seed_model = None
+    _check_trainable(structure, zs, train.algorithm, max(grid))
+    seed_model = None
     if train.algorithm == "ga_legacy":
-        if isinstance(structure, MlpModel):
-            ga_seed_model, _ = fit_weighted_lm(
-                structure, zd, None, 0.0, train.lm, init_seed=train.init_seed
-            )
-        else:
-            ga_seed_model = fit_ols(structure, zd)
-    # one independent GA stream per lambda, fixed ahead of any threading
-    ga_seeds = {
-        lam: int(np.random.SeedSequence((train.ga.seed, i)).generate_state(1, np.uint64)[0])
-        for i, lam in enumerate(grid)
-    }
-
-    def fit_one(lam: float) -> ParetoPoint:
+        seed_model = _ga_seed_model(structure, zd, train)
+    points = []
+    for i, lam in enumerate(grid):
+        ga_seed = int(
+            np.random.SeedSequence((train.ga.seed, i)).generate_state(1, np.uint64)[0]
+        )
+        point_train = replace(train, lam=lam, ga=replace(train.ga, seed=ga_seed))
         counter = EvalCounter()
         start = time.perf_counter()
         try:
-            if train.algorithm == "ols":
-                if not isinstance(structure, PolynomialModel):
-                    raise TypeError("ols needs a polynomial structure")
-                fitted = fit_ols(structure, zd)
-                counter.add(zd.sample_count - structure.spec.max_lag)
-            elif train.algorithm == "wls":
-                if not isinstance(structure, PolynomialModel):
-                    raise TypeError("wls needs a polynomial structure")
-                fitted = fit_wls(structure, zd, zs, lam)
-                counter.add(zd.sample_count - structure.spec.max_lag + zs.n_pairs)
-            elif train.algorithm == "weighted_lm":
-                fitted, _ = fit_weighted_lm(
-                    structure, zd, zs, lam, train.lm, init_seed=train.init_seed,
-                    counter=counter,
-                )
-            else:
-                ga_cfg = replace(train.ga, seed=ga_seeds[lam])
-                fitted, _ = fit_ga_legacy(
-                    ga_seed_model, zd, zs, lam, ga_cfg, fp_config, counter=counter
-                )
-        except (GreyboxError, TypeError) as exc:
-            return ParetoPoint(
+            fitted, _ = fit(
+                structure, zd, zs, point_train, fp_config, counter=counter,
+                seed_model=seed_model,
+            )
+        except GreyboxError as exc:
+            points.append(ParetoPoint(
                 lam=lam,
                 error=f"{type(exc).__name__}: {exc}",
                 train_time_ms=int(round((time.perf_counter() - start) * 1e3)),
                 eval_count=counter.count,
-            )
+            ))
+            continue
         elapsed_ms = int(round((time.perf_counter() - start) * 1e3))
         point = ParetoPoint(
             lam=lam,
@@ -235,14 +263,7 @@ def run_sweep(
             point.rmse_zt, point.diverged_zt, _ = score_free_run(fitted, zt)
         if zv is not None:
             point.rmse_zv, point.diverged_zv, _ = score_free_run(fitted, zv)
-        return point
-
-    lams = list(grid)
-    if jobs > 1 and len(lams) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            points = list(pool.map(fit_one, lams))
-    else:
-        points = [fit_one(lam) for lam in lams]
+        points.append(point)
     return points
 
 

@@ -116,7 +116,6 @@ def test_criterion_3_eval_accounting_and_speedup():
         gb.TrainConfig(
             algorithm="weighted_lm", lm=gb.LmConfig(max_iterations=60, n_starts=3)
         ),
-        n_jobs=1,
     )
     lm_wall = time.perf_counter() - t_lm
     t_ga = time.perf_counter()
@@ -124,7 +123,6 @@ def test_criterion_3_eval_accounting_and_speedup():
         structure, zd, None, zs, grid,
         gb.TrainConfig(algorithm="ga_legacy", ga=gb.GaConfig()),
         fp_config=gb.FixedPointConfig(fixed_horizon=horizon),
-        n_jobs=1,
     )
     ga_wall = time.perf_counter() - t_ga
 

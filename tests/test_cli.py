@@ -327,3 +327,36 @@ class TestSweep:
         proc = run_cli("sweep", "--config", str(path), "--out", str(tmp_path))
         assert proc.returncode == 2
         assert "steady-state" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+@pytest.mark.parametrize(
+    "algorithm,example",
+    [("weighted_lm", "example1"), ("wls", "example2"), ("ols", "example2")],
+)
+def test_structure_algorithm_mismatch_exits_2(command, algorithm, example, tmp_path):
+    config = {
+        "structure": {"builtin": example},
+        "datasets": {"generator": example, "seed": 0},
+        "algorithm": algorithm,
+        "lambda": 0.3,
+        "grid": [0.3, 0.6],
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    proc = run_cli(command, "--config", str(path), "--out", str(tmp_path))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"{algorithm} needs a" in proc.stderr
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_import_does_not_load_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, greybox; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
