@@ -25,14 +25,7 @@ from .data import (
     write_csv,
     write_table,
 )
-from .errors import (
-    ConfigError,
-    CsvFormatError,
-    DivergenceError,
-    GreyboxError,
-    SelectionError,
-    SingularityError,
-)
+from .errors import ConfigError, CsvFormatError, GreyboxError, SelectionError
 from .estimation import GaConfig, LmConfig, TrainConfig, write_trace_csv
 from .models import (
     build_regression_matrix,
@@ -159,6 +152,17 @@ def _fp_config(cfg: dict) -> FixedPointConfig | None:
     return _subconfig(FixedPointConfig, doc, "fixed_point")
 
 
+def _train_manifest(train: TrainConfig, fp_config: FixedPointConfig | None) -> dict:
+    """The manifest's ``train`` block, less the lambda a sweep does not fix."""
+    return {
+        "algorithm": train.algorithm,
+        "init_seed": train.init_seed,
+        "lm": asdict(train.lm),
+        "ga": asdict(train.ga),
+        "fixed_point": None if fp_config is None else asdict(fp_config),
+    }
+
+
 def _out_dir(args, cfg=None) -> Path:
     out = args.out or (cfg or {}).get("out")
     if not out:
@@ -218,14 +222,7 @@ def cmd_train(args) -> int:
             "command": "train",
             "structure": cfg["structure"],
             "datasets": cfg.get("datasets", {}),
-            "train": {
-                "lambda": train.lam,
-                "algorithm": train.algorithm,
-                "init_seed": train.init_seed,
-                "lm": asdict(train.lm),
-                "ga": asdict(train.ga),
-                "fixed_point": None if fp_config is None else asdict(fp_config),
-            },
+            "train": {"lambda": train.lam, **_train_manifest(train, fp_config)},
             "outputs": outputs,
             "summary": summary,
         },
@@ -299,13 +296,7 @@ def cmd_sweep(args) -> int:
             "structure": cfg.get("structure"),
             "datasets": cfg.get("datasets", {}),
             "grid": list(grid),
-            "train": {
-                "algorithm": train.algorithm,
-                "init_seed": train.init_seed,
-                "lm": asdict(train.lm),
-                "ga": asdict(train.ga),
-                "fixed_point": None if fp_config is None else asdict(fp_config),
-            },
+            "train": _train_manifest(train, fp_config),
             "outputs": outputs,
             "selections": selections,
         },
@@ -433,9 +424,6 @@ def main(argv=None) -> int:
     except (ConfigError, CsvFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SingularityError, DivergenceError, SelectionError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
     except GreyboxError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

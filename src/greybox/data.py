@@ -16,7 +16,7 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -49,9 +49,9 @@ def _as_float_vector(values, name: str) -> np.ndarray:
 class DynDataset:
     """Sampled dynamical record: one or more input channels plus an output.
 
-    All channels share the same length.  Input channels are stored as a tuple
-    of 1-D arrays so multi-input systems and the single-input benchmarks use
-    the same container.
+    All channels share the same length and hold finite values.  Inputs are a
+    tuple of 1-D arrays so multi-input systems and the single-input
+    benchmarks use the same container.
     """
 
     inputs: tuple[np.ndarray, ...]
@@ -69,6 +69,8 @@ class DynDataset:
                 raise ValueError(
                     f"input channel {i + 1} has {u.size} samples, output has {output.size}"
                 )
+        if not all(np.all(np.isfinite(c)) for c in (*channels, output)):
+            raise ValueError("dynamical record must be finite")
         object.__setattr__(self, "inputs", channels)
         object.__setattr__(self, "output", output)
 
@@ -117,10 +119,6 @@ class SteadyDataset:
     @property
     def n_inputs(self) -> int:
         return self.u_bar.shape[1]
-
-    def pairs(self) -> Iterator[tuple[np.ndarray, float]]:
-        for j in range(self.n_pairs):
-            yield self.u_bar[j], float(self.y_bar[j])
 
 
 @dataclass(frozen=True)
@@ -448,7 +446,7 @@ def read_csv(path) -> DynDataset | SteadyDataset:
     """Parse a dataset CSV written by :func:`write_csv`.
 
     Raises CsvFormatError for a missing header, an unrecognized header, a
-    ragged row, or a non-numeric cell, naming the offending location.
+    ragged row, or a non-numeric or non-finite cell, naming its location.
     """
     path = Path(path)
     with open(path, newline="") as fh:
@@ -472,11 +470,16 @@ def read_csv(path) -> DynDataset | SteadyDataset:
         values = []
         for name, cell in zip(header, row):
             try:
-                values.append(float(cell))
+                value = float(cell)
             except ValueError:
                 raise CsvFormatError(
                     f"{path.name}: non-numeric cell {cell!r}", row=line_no, column=name
                 ) from None
+            if not math.isfinite(value):
+                raise CsvFormatError(
+                    f"{path.name}: non-finite cell {cell!r}", row=line_no, column=name
+                )
+            values.append(value)
         parsed.append(values)
     if parsed:
         data = np.array(parsed)

@@ -150,7 +150,10 @@ def _solve_weighted(phi: np.ndarray, y: np.ndarray, weights: np.ndarray) -> np.n
     sw = np.sqrt(weights)
     a = phi * sw[:, None]
     b = y * sw
-    theta, _, rank, sv = np.linalg.lstsq(a, b, rcond=None)
+    try:
+        theta, _, rank, sv = np.linalg.lstsq(a, b, rcond=None)
+    except np.linalg.LinAlgError as exc:  # e.g. a design matrix overflowed to inf
+        raise SingularityError(f"least squares failed: {exc}", cond=math.inf) from None
     q = phi.shape[1]
     if rank < q:
         if sv.size and sv[-1] > 0:
@@ -193,8 +196,9 @@ def fit_wls(
     equivalently an ordinary LS fit on rows scaled by the square roots of
     the weights.  Raises SingularityError (with the condition number) when
     the weighted system is numerically rank deficient, e.g. at lam = 1 for
-    structures whose static columns collapse.  ``counter`` gets one model
-    evaluation per row, dynamic and static, once the solve succeeds.
+    structures whose static columns collapse, and with an infinite one when
+    the solve itself fails.  ``counter`` gets one model evaluation per row,
+    dynamic and static, once the solve succeeds.
     """
     if not isinstance(model, PolynomialModel):
         raise TypeError("closed-form least squares needs a linear-in-parameters model")

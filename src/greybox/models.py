@@ -206,7 +206,7 @@ class PolynomialModel:
         return self.design_matrix(psi_rows) @ self.theta
 
     def _predict_psi(self, psi) -> float:
-        # scalar hot path used by free_run and fixed-point iteration
+        # scalar hot path of the recurrence kernel
         acc = 0.0
         for weight, term in zip(self.theta, self.terms):
             p = weight
@@ -341,20 +341,31 @@ def free_run(
             raise ValueError(f"init has {head.size} values, max lag is {k0}")
         if head.size:
             y[k0 - head.size : k0] = head
-    psi = np.empty(len(spec))
-    if spec.include_constant:
-        psi[0] = 1.0
-    gather = spec._gather
-    predict = model._predict_psi
-    for k in range(k0, n):
-        for pos, ch, lag in gather:
-            psi[pos] = y[k - lag] if ch < 0 else channels[ch][k - lag]
-        value = predict(psi)
+    for k, value in _recurrence(model, y, channels, k0):
         if not (-bound <= value <= bound):  # also catches NaN
             y[k:] = np.nan
             return FreeRunResult(y=y, diverged=True, diverged_at=k)
         y[k] = value
     return FreeRunResult(y=y, diverged=False)
+
+
+def _recurrence(model: Model, y: np.ndarray, channels, start: int):
+    """The one loop that runs a model through time, for free runs and fixed points.
+
+    Yields ``(k, F(psi(k-1)))`` for k = start, ..., len(y) - 1, gathering
+    psi(k-1) from the output buffer ``y`` and the input ``channels``.  The
+    caller stores y(k) before asking for the next step, or stops early.
+    """
+    spec = model.spec
+    psi = np.empty(len(spec))
+    if spec.include_constant:
+        psi[0] = 1.0
+    gather = spec._gather
+    predict = model._predict_psi
+    for k in range(start, y.size):
+        for pos, ch, lag in gather:
+            psi[pos] = y[k - lag] if ch < 0 else channels[ch][k - lag]
+        yield k, predict(psi)
 
 
 def free_run_on_dataset(model: Model, data: DynDataset, bound: float = 1e6) -> FreeRunResult:

@@ -1,13 +1,13 @@
-"""Fixed points of NARX models and the static/dynamic cost functions.
+"""Steady states of NARX models and the static/dynamic cost functions.
 
 A model's steady state at constant input u_bar solves y = F(psi_bar(u_bar, y)).
-Two routes to a static cost coexist here:
-
-- the legacy route iterates the map numerically per operating point
-  (:func:`fixed_point_iterate`), paying one model evaluation per iteration;
-- the substituted route plugs the measured pair straight into the one-step
-  predictor (:func:`cost_js_hat`), paying a single evaluation per point, and
-  is zero exactly where the legacy cost is zero.
+The identification method never solves it: :func:`cost_js_hat` plugs each
+measured pair into the one-step predictor, one evaluation per pair, and is
+zero exactly where the iterated static residual is zero.  Fixed points serve
+only the GA baseline's :func:`cost_js_legacy` and the static-curve check
+:func:`model_static_curve`; :func:`fixed_point_iterate` finds them as a free
+run at constant input, on the same recurrence kernel as
+:func:`~greybox.models.free_run`.
 
 Every cost helper accepts an optional :class:`~greybox.models.EvalCounter`
 so callers can account model evaluations precisely.
@@ -15,7 +15,9 @@ so callers can account model evaluations precisely.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,26 +26,31 @@ from .data import DynDataset, SteadyDataset
 from .models import (
     EvalCounter,
     Model,
+    _recurrence,
     build_regression_matrix,
     build_static_regressors,
 )
 
 
+_WINDOW = 1024  # free-run samples held at once, whatever the step budget
+
+
 @dataclass(frozen=True)
 class FixedPointConfig:
-    """Controls for numeric fixed-point iteration.
+    """Stopping rules for a fixed point found as a free run at constant input.
 
-    When ``fixed_horizon`` is set the iteration runs exactly that many steps
-    (tolerance-based stopping is disabled), mirroring schemes that budget a
-    constant number of steps per operating point.  ``init_at_target`` starts
-    the iteration at the measured y_bar instead of zero.
+    The run converges once the last ``len(output_lags)`` successive
+    differences fall below ``tolerance``, fails after ``max_iterations``
+    steps, and diverges as soon as a value leaves ``[-divergence_bound,
+    divergence_bound]``.  With ``fixed_horizon`` set it takes exactly that
+    many steps, ignoring the tolerance as schemes that budget a constant
+    number of steps per operating point do, and converges unless it diverged.
     """
 
     max_iterations: int = 500
     fixed_horizon: int | None = None
     tolerance: float = 1e-10
     divergence_bound: float = 1e6
-    init_at_target: bool = False
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -81,14 +88,12 @@ def fixed_point_iterate(
     y0: float | None = None,
     counter: EvalCounter | None = None,
 ) -> FixedPointResult:
-    """Iterate the model at constant input until the output settles.
+    """Free-run the model at constant input until the output settles.
 
     ``u_bar`` is a scalar for single-input models or one value per channel.
-    The iteration starts from ``y0`` (default 0) replicated across the output
-    lags and stops when the last ``len(output_lags)`` successive differences
-    all fall below the tolerance, when the budget runs out, or when the
-    value leaves the divergence bound.  With ``fixed_horizon`` set it runs
-    exactly that many steps and reports converged unless it diverged.
+    Every output lag starts at ``y0`` (default 0), and the run stops as
+    :class:`FixedPointConfig` describes.  ``y_bar`` is the last value
+    computed, also when the run diverged.
     """
     config = config or FixedPointConfig()
     spec = model.spec
@@ -96,41 +101,32 @@ def fixed_point_iterate(
     if u.size != spec.n_inputs:
         raise ValueError(f"u_bar has {u.size} channels, spec needs {spec.n_inputs}")
 
-    psi = np.empty(len(spec))
-    if spec.include_constant:
-        psi[0] = 1.0
-    y_slots = []
-    for pos, ch, lag in spec._gather:
-        if ch < 0:
-            y_slots.append((pos, lag))
-        else:
-            psi[pos] = u[ch]
-
+    horizon = config.fixed_horizon
+    budget = horizon if horizon is not None else config.max_iterations
+    k0 = max(1, spec.max_lag)
+    y = np.empty(k0 + min(budget, _WINDOW))
+    y[:k0] = 0.0 if y0 is None else float(y0)
+    channels = [np.broadcast_to(level, y.shape) for level in u]
     n_lags = max(1, len(spec.output_lags))
-    hist = np.full(max(1, spec.max_output_lag), 0.0 if y0 is None else float(y0))
-    recent = [math.inf] * n_lags
     bound = config.divergence_bound
-    budget = config.fixed_horizon if config.fixed_horizon is not None else config.max_iterations
-    predict = model._predict_psi
-
-    value = float(hist[0])
-    for it in range(1, budget + 1):
-        for pos, lag in y_slots:
-            psi[pos] = hist[lag - 1]
-        value = predict(psi)
-        if counter is not None:
-            counter.add(1)
-        if not (-bound <= value <= bound):  # also catches NaN
-            return FixedPointResult(y_bar=value, iterations=it, converged=False)
-        recent[it % n_lags] = abs(value - hist[0])
-        if spec.max_output_lag > 1:
-            hist[1:] = hist[:-1]
-        hist[0] = value
-        if config.fixed_horizon is None and all(d < config.tolerance for d in recent):
-            return FixedPointResult(y_bar=value, iterations=it, converged=True)
-    return FixedPointResult(
-        y_bar=value, iterations=budget, converged=config.fixed_horizon is not None
-    )
+    settled = iterations = 0
+    converged = None
+    while converged is None:
+        for k, value in _recurrence(model, y, channels, k0):
+            iterations += 1
+            if not (-bound <= value <= bound):  # also catches NaN
+                converged = False
+                break
+            settled = settled + 1 if abs(value - y[k - 1]) < config.tolerance else 0
+            y[k] = value
+            if (horizon is None and settled == n_lags) or iterations == budget:
+                converged = horizon is not None or settled == n_lags
+                break
+        else:  # the window is full: keep the lagged outputs and run on
+            y[:k0] = y[-k0:]
+    if counter is not None:
+        counter.add(iterations)
+    return FixedPointResult(y_bar=value, iterations=iterations, converged=converged)
 
 
 def cost_jd(model: Model, zd: DynDataset, counter: EvalCounter | None = None) -> float:
@@ -164,21 +160,22 @@ def cost_js_legacy(
 ) -> float:
     """Mean squared static residual via numeric fixed-point iteration.
 
-    Each pair costs as many model evaluations as the iteration takes.
-    Non-converged or diverged points contribute the divergence bound
-    squared; converged residuals are capped at the same value.
+    The model's static curve at the pairs' inputs, each point costing as
+    many model evaluations as its iteration takes.  Non-converged or
+    diverged points contribute the divergence bound squared; converged
+    residuals are capped at the same value.
     """
     config = config or FixedPointConfig()
+    curve = model_static_curve(model, zs.u_bar, config, counter)
     cap = config.divergence_bound**2
-    total = 0.0
-    for u_row, y_meas in zs.pairs():
-        y0 = y_meas if config.init_at_target else None
-        res = fixed_point_iterate(model, u_row, config, y0=y0, counter=counter)
-        if res.converged and math.isfinite(res.y_bar):
-            total += min((y_meas - res.y_bar) ** 2, cap)
-        else:
-            total += cap
-    return total / zs.n_pairs
+    terms = [
+        min((y_meas - y_fp) ** 2, cap) if ok else cap
+        for y_meas, y_fp, ok in zip(
+            zs.y_bar.tolist(), curve.y_bar.tolist(), curve.converged.tolist()
+        )
+    ]
+    # summed in pair order: np.mean's pairwise sum would change the last bits
+    return functools.reduce(operator.add, terms, 0.0) / zs.n_pairs
 
 
 def cost_report(

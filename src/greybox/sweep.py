@@ -271,50 +271,36 @@ def _admissible(points: list[ParetoPoint]) -> list[ParetoPoint]:
     return [p for p in points if p.error is None and p.model is not None]
 
 
-def decide_min_corr(points: list[ParetoPoint], zd: DynDataset | None = None) -> ParetoPoint:
+def _smallest(points: list[ParetoPoint], field: str, diverged: str, what: str) -> ParetoPoint:
+    """Admissible point with the smallest finite ``field``, skipping points
+    flagged ``diverged``; ties break toward the smaller lambda."""
+    candidates = [
+        p
+        for p in _admissible(points)
+        if getattr(p, field) is not None
+        and not getattr(p, diverged)
+        and math.isfinite(getattr(p, field))
+    ]
+    if not candidates:
+        raise SelectionError(f"no candidate with a finite {what}")
+    return min(candidates, key=lambda p: (getattr(p, field), p.lam))
+
+
+def decide_min_corr(points: list[ParetoPoint]) -> ParetoPoint:
     """Point whose free-run error correlates least with the measured output.
 
     Candidates whose free-run over the identification record diverged are
-    excluded.  ``zd`` lets the statistic be recomputed when a point does not
-    carry it.  Ties break toward the smaller lambda.
+    excluded.  Ties break toward the smaller lambda.
     """
-    best = None
-    for p in _admissible(points):
-        corr = p.corr_dm
-        if corr is None and not p.diverged_zd and zd is not None:
-            _, diverged, corr = score_free_run(p.fitted_model(), zd)
-            if diverged:
-                corr = None
-        if corr is None or p.diverged_zd or not math.isfinite(corr):
-            continue
-        key = (corr, p.lam)
-        if best is None or key < best[0]:
-            best = (key, p)
-    if best is None:
-        raise SelectionError("no candidate with a finite error correlation")
-    return best[1]
+    return _smallest(points, "corr_dm", "diverged_zd", "error correlation")
 
 
-def decide_min_rmse_zt(points: list[ParetoPoint], zt: DynDataset | None = None) -> ParetoPoint:
+def decide_min_rmse_zt(points: list[ParetoPoint]) -> ParetoPoint:
     """Point with the smallest free-run RMSE over the test record.
 
     Diverged candidates are excluded; ties break toward the smaller lambda.
     """
-    best = None
-    for p in _admissible(points):
-        value = p.rmse_zt
-        if value is None and zt is not None:
-            value, diverged, _ = score_free_run(p.fitted_model(), zt)
-            if diverged:
-                value = None
-        if value is None or p.diverged_zt or not math.isfinite(value):
-            continue
-        key = (value, p.lam)
-        if best is None or key < best[0]:
-            best = (key, p)
-    if best is None:
-        raise SelectionError("no candidate with a finite test RMSE")
-    return best[1]
+    return _smallest(points, "rmse_zt", "diverged_zt", "test RMSE")
 
 
 def pareto_front(points: list[ParetoPoint]) -> list[ParetoPoint]:

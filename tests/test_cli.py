@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -349,6 +350,44 @@ def test_structure_algorithm_mismatch_exits_2(command, algorithm, example, tmp_p
     assert "Traceback" not in proc.stderr
     assert f"{algorithm} needs a" in proc.stderr
     assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+@pytest.mark.parametrize(
+    "name,row,column,cell", [("zd", 5, "y", "nan"), ("zs", 3, "y_bar", "inf")]
+)
+def test_non_finite_cell_exits_2(command, name, row, column, cell, datadir, tmp_path):
+    lines = (datadir / f"{name}.csv").read_text().splitlines()
+    cells = lines[row - 1].split(",")
+    cells[lines[0].split(",").index(column)] = cell
+    lines[row - 1] = ",".join(cells)
+    (tmp_path / f"{name}.csv").write_text("\n".join(lines) + "\n")
+    datasets = {key: str(datadir / f"{key}.csv") for key in ("zd", "zs")}
+    datasets[name] = str(tmp_path / f"{name}.csv")
+    config = {
+        "structure": {"builtin": "example1"},
+        "datasets": datasets,
+        "algorithm": "wls",
+        "lambda": 0.3,
+        "grid": [0.3],
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    proc = run_cli(command, "--config", str(path), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"non-finite cell {cell!r}, row {row}, column {column}" in proc.stderr
+
+
+def test_example1_script_runs(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_example1.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "sweep.csv").exists()
 
 
 def test_import_does_not_load_scipy():

@@ -116,6 +116,10 @@ class TestContainers:
     def test_dyn_dataset_validation(self):
         with pytest.raises(ValueError):
             gb.DynDataset(inputs=(np.arange(3.0),), output=np.arange(4.0))
+        with pytest.raises(ValueError, match="finite"):
+            gb.DynDataset(inputs=(np.array([0.0, np.nan]),), output=np.zeros(2))
+        with pytest.raises(ValueError, match="finite"):
+            gb.DynDataset(inputs=(np.zeros(2),), output=np.array([-np.inf, 0.0]))
 
     def test_steady_dataset_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -130,13 +134,6 @@ class TestContainers:
         zs = gb.SteadyDataset(u_bar=np.zeros((4, 2)), y_bar=np.zeros(4))
         assert zs.n_pairs == 4
         assert zs.n_inputs == 2
-
-    def test_steady_pairs_iteration(self):
-        zs = gb.SteadyDataset(u_bar=np.array([[1.0], [2.0]]), y_bar=np.array([3.0, 4.0]))
-        pairs = list(zs.pairs())
-        assert len(pairs) == 2
-        u, y = pairs[1]
-        assert np.array_equal(u, [2.0]) and y == 4.0
 
 
 class TestNoiseSpec:
@@ -257,6 +254,8 @@ class TestCsv:
             ("u1,y\n1.0\n", "expected 2 cells, found 1, row 2"),
             ("", "no header"),
             ("u1,y\n", "no rows"),
+            ("u1,y\n1.0,2.0\n0.5,nan\n", "non-finite cell 'nan', row 3, column y"),
+            ("u1_bar,y_bar\n-inf,2.0\n", "non-finite cell '-inf', row 2, column u1_bar"),
         ],
     )
     def test_malformed_csv_names_the_problem(self, tmp_path, text, fragment):

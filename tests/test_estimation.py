@@ -95,6 +95,19 @@ class TestLeastSquares:
             gb.fit_wls(ex1_structure, zd, zs, 1.0)
         assert exc.value.cond > 1e12
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the cubic column overflows
+    def test_overflowing_design_matrix_is_singular(self):
+        # finite outputs near 1e120 put inf into the cubic output column
+        spec = gb.RegressorSpec(output_lags=(1,), input_lags=((1,),))
+        model = gb.PolynomialModel(spec, ((1, 1, 1), (2,)), np.zeros(2))
+        rng = np.random.default_rng(0)
+        zd = gb.DynDataset(
+            inputs=(rng.standard_normal(20),), output=1e120 * rng.uniform(1.0, 2.0, 20)
+        )
+        with pytest.raises(gb.SingularityError) as exc:
+            gb.fit_ols(model, zd)
+        assert exc.value.cond == np.inf
+
     @given(lam=st.floats(min_value=0.0, max_value=0.9))
     def test_perturbations_never_beat_the_optimum(self, lam):
         rng = np.random.default_rng(int(lam * 1e6) + 1)

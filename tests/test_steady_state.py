@@ -1,5 +1,9 @@
 """Fixed-point iteration, static costs, the substitution shortcut."""
 
+import itertools
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -15,6 +19,16 @@ def scalar_affine(a, b):
     """Model y(k) = a y(k-1) + b with one ignored input channel."""
     spec = gb.RegressorSpec(output_lags=(1,), input_lags=((1,),))
     return gb.PolynomialModel(spec, ((1,), (0,)), np.array([a, b]))
+
+
+# any finite float, drawn moderate half the time so that many runs stay bounded
+finite = st.one_of(
+    st.floats(min_value=-2.0, max_value=2.0), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+def same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +83,12 @@ class TestFixedPointIterate:
         assert result.converged
         assert result.y_bar == 2.0
 
+    def test_budget_does_not_size_the_buffer(self):
+        config = gb.FixedPointConfig(max_iterations=10**15, tolerance=1e-12)
+        result = gb.fixed_point_iterate(scalar_affine(0.5, 1.0), (0.0,), config)
+        assert result.converged
+        assert result.y_bar == pytest.approx(2.0, abs=1e-11)
+
     def test_counter_tracks_evaluations(self):
         counter = gb.EvalCounter()
         gb.fixed_point_iterate(
@@ -78,6 +98,36 @@ class TestFixedPointIterate:
             counter=counter,
         )
         assert counter.count == 9
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow to inf is allowed
+    @given(
+        data=st.data(),
+        kind=st.sampled_from(["polynomial", "mlp"]),
+        u_bar=finite,
+        # short runs, and runs past the 1024-sample window
+        horizon=st.one_of(st.integers(1, 40), st.integers(1020, 2100)),
+    )
+    def test_fixed_horizon_is_free_run_at_constant_input(self, data, kind, u_bar, horizon):
+        spec = gb.RegressorSpec(output_lags=(1, 2), input_lags=((1, 2),))
+        if kind == "polynomial":
+            terms = ((), (1,), (2, 3), (1, 1, 4), (3,))
+            theta = data.draw(st.lists(finite, min_size=5, max_size=5))
+            model = gb.PolynomialModel(spec, terms, np.array(theta))
+        else:
+            n_params = gb.MlpModel.n_params_for(spec, 2)
+            theta = data.draw(st.lists(finite, min_size=n_params, max_size=n_params))
+            model = gb.MlpModel(spec, 2, np.array(theta))
+        config = gb.FixedPointConfig(fixed_horizon=horizon)
+        result = gb.fixed_point_iterate(model, u_bar, config)
+        run = gb.free_run(
+            model, [np.full(2 + horizon, u_bar)], bound=config.divergence_bound
+        )
+        if run.diverged:
+            assert not result.converged
+            assert result.iterations == run.diverged_at - 1
+        else:
+            assert result.converged and result.iterations == horizon
+            assert same_bits(result.y_bar, run.y[-1])
 
     def test_two_lag_model_converges_on_both_slots(self, true_model):
         # settling needs the last two iterates within tolerance, not just one
@@ -128,6 +178,36 @@ class TestStaticCosts:
         zs = gb.SteadyDataset(u_bar=np.array([[0.5]]), y_bar=np.array([0.0]))
         cost = gb.cost_js_legacy(model, zs, gb.FixedPointConfig(divergence_bound=2.0))
         assert cost == 4.0
+
+    def test_legacy_cost_matches_per_pair_iteration(self, ex1_data):
+        # the per-pair loop cost_js_legacy ran before it was folded onto
+        # model_static_curve, kept as the bit-level reference
+        def reference(model, zs, config):
+            cap = config.divergence_bound**2
+            total = 0.0
+            for u_row, y_meas in zip(zs.u_bar, zs.y_bar.tolist()):
+                res = gb.fixed_point_iterate(model, u_row, config)
+                if res.converged and math.isfinite(res.y_bar):
+                    total += min((y_meas - res.y_bar) ** 2, cap)
+                else:
+                    total += cap
+            return total / zs.n_pairs
+
+        zs = ex1_data[2]
+        structure = gb.example_structure("example1")
+        # the third model is unstable at the upper end of the input range
+        thetas = [EXAMPLE1_TRUE_THETA, [0.7, 0.3, -0.1, 0.05, 0.0], [0.9, 0.25, 0.2, 0.0, 0.0]]
+        outcomes = set()
+        for theta, horizon, bound in itertools.product(thetas, [None, 15], [1e6, 2.0, 1e-3]):
+            model = structure.with_theta(theta)
+            config = gb.FixedPointConfig(fixed_horizon=horizon, divergence_bound=bound)
+            cost = gb.cost_js_legacy(model, zs, config)
+            assert same_bits(cost, reference(model, zs, config))
+            curve = gb.model_static_curve(model, zs.u_bar, config)
+            residual = (zs.y_bar - curve.y_bar)[curve.converged] ** 2
+            outcomes |= {"diverged"} if not curve.converged.all() else set()
+            outcomes |= {"capped"} if np.any(residual > bound**2) else set()
+        assert outcomes == {"diverged", "capped"}
 
     def test_substitution_equals_naive_reimplementation(self, true_model):
         rng = np.random.default_rng(2)
@@ -219,3 +299,19 @@ class TestModelStaticCurve:
         assert lines[0] == "u1_bar,y_bar,converged"
         assert len(lines) == 6
         assert lines[1].endswith("true")
+
+
+def test_init_at_target_config_exits_2(tmp_path, capsys):
+    from greybox.cli import main
+
+    config = {
+        "structure": {"builtin": "example1"},
+        "datasets": {"generator": "example1", "seed": 0},
+        "algorithm": "wls",
+        "lambda": 0.3,
+        "fixed_point": {"init_at_target": True},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["train", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "init_at_target" in capsys.readouterr().err
