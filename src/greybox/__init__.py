@@ -59,14 +59,12 @@ from .models import (
     save_model,
 )
 from .steady_state import (
-    CostReport,
     FixedPointConfig,
     FixedPointResult,
     StaticCurve,
     cost_jd,
     cost_js_hat,
     cost_js_legacy,
-    cost_report,
     fixed_point_iterate,
     model_static_curve,
 )
@@ -85,7 +83,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError",
-    "CostReport",
     "CsvFormatError",
     "DivergenceError",
     "DynDataset",
@@ -115,7 +112,6 @@ __all__ = [
     "cost_jd",
     "cost_js_hat",
     "cost_js_legacy",
-    "cost_report",
     "decide_min_corr",
     "decide_min_rmse_zt",
     "example_structure",

@@ -3,7 +3,7 @@
 Two discrete-time benchmark systems are built in: ``example1``, a bilinear
 second-order difference equation with a closed-form static curve, and
 ``example2``, an arctan-saturated oscillator whose static curve is solved
-numerically.  Both come with dataset recipes producing a noisy identification
+numerically.  Both share one dataset recipe producing a noisy identification
 record, a test record, noisy steady-state pairs, and a long noise-free
 validation record, so the estimation stack can run end to end without
 external data.
@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import CsvFormatError, DivergenceError, SingularityError
 
-SCALE_MODES = ("std-dev", "variance", "fraction-of-signal-std")
+SCALE_MODES = ("std-dev", "fraction-of-signal-std")
 
 # example1 difference equation coefficients:
 #   w(k) = A*w(k-2) + B*u(k-1) + C*w(k-2)*u(k-1)
@@ -125,13 +125,11 @@ class SteadyDataset:
 class NoiseSpec:
     """White Gaussian noise description.
 
-    ``scale`` is interpreted according to ``scale_mode``: a standard
-    deviation, a variance, or a fraction of the standard deviation of the
-    signal the noise is added to.  ``scale = 0`` yields a constant ``mean``
-    sequence, so noise-free variants need no special casing.
+    Zero-mean; ``scale`` is interpreted according to ``scale_mode``: a
+    standard deviation, or a fraction of the standard deviation of the
+    signal the noise is added to.
     """
 
-    mean: float = 0.0
     scale: float = 0.0
     scale_mode: str = "std-dev"
     seed: int = 0
@@ -148,17 +146,12 @@ class NoiseSpec:
         """Draw ``n`` samples. ``signal`` is required for the fractional mode."""
         if self.scale_mode == "std-dev":
             std = self.scale
-        elif self.scale_mode == "variance":
-            std = math.sqrt(self.scale)
         else:
             if signal is None:
                 raise ValueError("fraction-of-signal-std noise needs the reference signal")
             std = self.scale * float(np.std(np.asarray(signal, dtype=float)))
         rng = np.random.default_rng(self.seed)
-        return self.mean + std * rng.standard_normal(n)
-
-
-_ZERO_NOISE = NoiseSpec()
+        return std * rng.standard_normal(n)
 
 
 @dataclass(frozen=True)
@@ -220,9 +213,9 @@ def simulate_system(
         if not math.isfinite(value):
             raise DivergenceError(f"trajectory diverged at sample {k}", index=k)
         w[k] = value
-    noise = noise or _ZERO_NOISE
-    e = noise.realize(n, signal=w)
-    return DynDataset(inputs=(u,), output=w + e)
+    if noise is not None:
+        w = w + noise.realize(n, signal=w)
+    return DynDataset(inputs=(u,), output=w)
 
 
 def steady_curve_of_system(
@@ -265,9 +258,9 @@ def steady_curve_of_system(
             lo = np.where(right, mid, lo)
             hi = np.where(right, hi, mid)
         y = 0.5 * (lo + hi)
-    noise = noise or _ZERO_NOISE
-    e = noise.realize(grid.size, signal=y)
-    return SteadyDataset(u_bar=grid.reshape(-1, 1), y_bar=y + e)
+    if noise is not None:
+        y = y + noise.realize(grid.size, signal=y)
+    return SteadyDataset(u_bar=grid.reshape(-1, 1), y_bar=y)
 
 
 def _child_seeds(seed: int, n: int) -> list[int]:
@@ -280,107 +273,102 @@ def _staircase(levels: np.ndarray, total: int) -> np.ndarray:
     return np.repeat(levels, reps)[:total]
 
 
+@dataclass(frozen=True)
+class _Recipe:
+    """The per-system constants of the shared dataset recipe."""
+
+    system: SimSystem
+    n_d: int  # Z_d samples
+    n_t: int  # Z_t samples
+    input_mean: float  # of the white Gaussian input driving Z_d and Z_t
+    input_std: float
+    zs_range: tuple[float, float]  # Z_s levels and Z_v staircase span this
+    zs_noise: NoiseSpec  # scale and mode of the Z_s noise; the seed is drawn per call
+    zv_dither_std: float
+
+
+# Shared by both recipes: Z_s pairs, Z_v samples, Z_v staircase levels, and
+# the Z_d/Z_t output noise as a fraction of the clean trajectory's spread.
+_N_S = 50
+_N_V = 2000
+_ZV_SEGMENTS = 20
+_OUTPUT_NOISE_FRACTION = 0.1
+
+_EXAMPLE1_RECIPE = _Recipe(
+    system=EXAMPLE1,
+    n_d=100,
+    n_t=400,
+    input_mean=-0.02,
+    input_std=0.2,
+    zs_range=(-1.0, 3.0),
+    zs_noise=NoiseSpec(scale=0.02),
+    zv_dither_std=0.02,
+)
+_EXAMPLE2_RECIPE = _Recipe(
+    system=EXAMPLE2,
+    n_d=1700,
+    n_t=300,
+    input_mean=0.0,
+    input_std=math.sqrt(0.02),
+    zs_range=(-20.0, 20.0),
+    zs_noise=NoiseSpec(scale=0.1, scale_mode="fraction-of-signal-std"),
+    zv_dither_std=0.2,
+)
+
+
+def _make_datasets(recipe: _Recipe, seed: int):
+    cs = _child_seeds(seed, 6)
+
+    def noisy_record(n, input_seed, noise_seed):
+        rng = np.random.default_rng(input_seed)
+        u = recipe.input_mean + recipe.input_std * rng.standard_normal(n)
+        noise = NoiseSpec(_OUTPUT_NOISE_FRACTION, "fraction-of-signal-std", seed=noise_seed)
+        return simulate_system(recipe.system, u, noise)
+
+    zd = noisy_record(recipe.n_d, cs[0], cs[1])
+    zt = noisy_record(recipe.n_t, cs[2], cs[3])
+    lo, hi = recipe.zs_range
+    zs = steady_curve_of_system(
+        recipe.system, np.linspace(lo, hi, _N_S), replace(recipe.zs_noise, seed=cs[4])
+    )
+    rng_v = np.random.default_rng(cs[5])
+    levels = np.linspace(lo, hi, _ZV_SEGMENTS)
+    u_v = _staircase(levels, _N_V) + recipe.zv_dither_std * rng_v.standard_normal(_N_V)
+    zv = simulate_system(recipe.system, u_v)
+    return zd, zt, zs, zv
+
+
 def make_example1_datasets(
     seed: int,
-    *,
-    n_d: int = 100,
-    n_t: int = 400,
-    n_s: int = 50,
-    n_v: int = 2000,
-    zs_range: tuple[float, float] = (-1.0, 3.0),
-    zs_noise_std: float = 0.02,
-    input_mean: float = -0.02,
-    input_variance: float = 0.04,
-    output_noise_fraction: float = 0.1,
-    zv_segments: int = 20,
-    zv_dither_std: float = 0.02,
 ) -> tuple[DynDataset, DynDataset, SteadyDataset, DynDataset]:
     """Benchmark datasets (Z_d, Z_t, Z_s, Z_v) for example1.
 
-    Z_d and Z_t are driven by white Gaussian input with mean ``input_mean``
-    and variance ``input_variance``; their outputs carry white noise at one
-    tenth of the clean trajectory's spread.  Z_s holds ``n_s`` equally spaced
-    static levels across ``zs_range`` with additive noise of standard
-    deviation ``zs_noise_std``.  Z_v is a long noise-free record driven by a
-    dithered staircase sweeping the same operating range, used for free-run
-    checks.  All randomness derives from ``seed``, so a repeated call is
-    bit-identical.
+    Z_d (100 samples) and Z_t (400) are driven by white Gaussian input of
+    mean -0.02 and standard deviation 0.2; their outputs carry white noise
+    at one tenth of the clean trajectory's spread.  Z_s holds 50 equally
+    spaced static levels across [-1, 3] with additive noise of standard
+    deviation 0.02.  Z_v is a 2000-sample noise-free record driven by a
+    20-level staircase across the same range plus a 0.02 dither, used for
+    free-run checks.  All randomness derives from ``seed``, so a repeated
+    call is bit-identical.
     """
-    cs = _child_seeds(seed, 6)
-    input_std = math.sqrt(input_variance)
-    rng_d = np.random.default_rng(cs[0])
-    u_d = input_mean + input_std * rng_d.standard_normal(n_d)
-    zd = simulate_system(
-        EXAMPLE1,
-        u_d,
-        NoiseSpec(scale=output_noise_fraction, scale_mode="fraction-of-signal-std", seed=cs[1]),
-    )
-    rng_t = np.random.default_rng(cs[2])
-    u_t = input_mean + input_std * rng_t.standard_normal(n_t)
-    zt = simulate_system(
-        EXAMPLE1,
-        u_t,
-        NoiseSpec(scale=output_noise_fraction, scale_mode="fraction-of-signal-std", seed=cs[3]),
-    )
-    grid = np.linspace(zs_range[0], zs_range[1], n_s)
-    zs = steady_curve_of_system(EXAMPLE1, grid, NoiseSpec(scale=zs_noise_std, seed=cs[4]))
-    rng_v = np.random.default_rng(cs[5])
-    levels = np.linspace(zs_range[0], zs_range[1], zv_segments)
-    u_v = _staircase(levels, n_v) + zv_dither_std * rng_v.standard_normal(n_v)
-    zv = simulate_system(EXAMPLE1, u_v)
-    return zd, zt, zs, zv
+    return _make_datasets(_EXAMPLE1_RECIPE, seed)
 
 
 def make_example2_datasets(
     seed: int,
-    *,
-    n_d: int = 1700,
-    n_t: int = 300,
-    n_s: int = 50,
-    n_v: int = 2000,
-    zs_range: tuple[float, float] = (-20.0, 20.0),
-    input_variance: float = 0.02,
-    output_noise_fraction: float = 0.1,
-    zs_noise_fraction: float = 0.1,
-    zv_segments: int = 20,
-    zv_dither_std: float = 0.2,
 ) -> tuple[DynDataset, DynDataset, SteadyDataset, DynDataset]:
     """Benchmark datasets (Z_d, Z_t, Z_s, Z_v) for example2.
 
-    The dynamical records use zero-mean white Gaussian input with variance
-    ``input_variance``, which only excites a narrow sliver of the operating
-    range; Z_s spans the full ``zs_range`` so the static pairs carry
-    genuinely new information.  Static noise is a fraction of the spread of
-    the clean curve values.  Z_v is a noise-free dithered staircase across
-    ``zs_range``.
+    Z_d (1700 samples) and Z_t (300) use zero-mean white Gaussian input of
+    variance 0.02, which only excites a narrow sliver of the operating range,
+    with output noise at one tenth of the clean trajectory's spread.  Z_s
+    holds 50 levels spanning the full [-20, 20], so the static pairs carry
+    genuinely new information; their noise is one tenth of the spread of
+    the clean curve values.  Z_v is a 2000-sample noise-free record driven
+    by a 20-level staircase across [-20, 20] plus a 0.2 dither.
     """
-    cs = _child_seeds(seed, 6)
-    input_std = math.sqrt(input_variance)
-    rng_d = np.random.default_rng(cs[0])
-    u_d = input_std * rng_d.standard_normal(n_d)
-    zd = simulate_system(
-        EXAMPLE2,
-        u_d,
-        NoiseSpec(scale=output_noise_fraction, scale_mode="fraction-of-signal-std", seed=cs[1]),
-    )
-    rng_t = np.random.default_rng(cs[2])
-    u_t = input_std * rng_t.standard_normal(n_t)
-    zt = simulate_system(
-        EXAMPLE2,
-        u_t,
-        NoiseSpec(scale=output_noise_fraction, scale_mode="fraction-of-signal-std", seed=cs[3]),
-    )
-    grid = np.linspace(zs_range[0], zs_range[1], n_s)
-    zs = steady_curve_of_system(
-        EXAMPLE2,
-        grid,
-        NoiseSpec(scale=zs_noise_fraction, scale_mode="fraction-of-signal-std", seed=cs[4]),
-    )
-    rng_v = np.random.default_rng(cs[5])
-    levels = np.linspace(zs_range[0], zs_range[1], zv_segments)
-    u_v = _staircase(levels, n_v) + zv_dither_std * rng_v.standard_normal(n_v)
-    zv = simulate_system(EXAMPLE2, u_v)
-    return zd, zt, zs, zv
+    return _make_datasets(_EXAMPLE2_RECIPE, seed)
 
 
 # ---------------------------------------------------------------------------

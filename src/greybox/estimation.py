@@ -40,22 +40,33 @@ from .steady_state import FixedPointConfig, cost_js_legacy
 ALGORITHMS = ("ols", "wls", "weighted_lm", "ga_legacy")
 
 
+# Levenberg-Marquardt damping: the first trial's damping, the factor a
+# rejected step multiplies it by and an accepted one divides it by, and the
+# damping at which the solver gives up.  It also stops once the gradient or
+# the step falls below its tolerance.
+_LM_INITIAL_DAMPING = 1e-3
+_LM_DAMPING_FACTOR = 10.0
+_LM_MAX_DAMPING = 1e14
+_LM_GRADIENT_TOLERANCE = 1e-10
+_LM_STEP_TOLERANCE = 1e-12
+
+# GA operators: per-gene mutation scale relative to the population spread
+# (also the initial spread when GaConfig.init_spread is None), the share of
+# children bred by blend crossover, tournament size, and the blend margin.
+_GA_MUTATION_SCALE = 0.1
+_GA_CROSSOVER_RATE = 0.9
+_GA_TOURNAMENT_SIZE = 3
+_GA_BLEND_ALPHA = 0.5
+
+
 @dataclass(frozen=True)
 class LmConfig:
     max_iterations: int = 200
-    initial_damping: float = 1e-3
-    damping_increase: float = 10.0
-    damping_decrease: float = 10.0
-    max_damping: float = 1e14
-    gradient_tolerance: float = 1e-10
-    step_tolerance: float = 1e-12
     n_starts: int = 1
 
     def __post_init__(self):
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be nonnegative")
-        if self.initial_damping <= 0 or self.damping_increase <= 1 or self.damping_decrease <= 1:
-            raise ValueError("damping controls must be positive (factors above 1)")
         if self.n_starts < 1:
             raise ValueError("n_starts must be positive")
 
@@ -64,10 +75,6 @@ class LmConfig:
 class GaConfig:
     population_size: int = 40
     generations: int = 21
-    mutation_scale: float = 0.1
-    crossover_rate: float = 0.9
-    tournament_size: int = 3
-    blend_alpha: float = 0.5
     init_spread: float | None = None
     seed: int = 0
 
@@ -76,10 +83,6 @@ class GaConfig:
             raise ValueError("population_size must be at least 2")
         if self.generations < 0:
             raise ValueError("generations must be nonnegative")
-        if not 0.0 <= self.crossover_rate <= 1.0:
-            raise ValueError("crossover_rate must lie in [0, 1]")
-        if self.tournament_size < 1:
-            raise ValueError("tournament_size must be positive")
 
 
 @dataclass(frozen=True)
@@ -150,9 +153,13 @@ def _solve_weighted(phi: np.ndarray, y: np.ndarray, weights: np.ndarray) -> np.n
     sw = np.sqrt(weights)
     a = phi * sw[:, None]
     b = y * sw
+    # e.g. a design matrix overflowed to inf; LAPACK would print illegal-value
+    # complaints to stderr before failing on it
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise SingularityError("least squares system is not finite", cond=math.inf)
     try:
         theta, _, rank, sv = np.linalg.lstsq(a, b, rcond=None)
-    except np.linalg.LinAlgError as exc:  # e.g. a design matrix overflowed to inf
+    except np.linalg.LinAlgError as exc:  # e.g. the SVD does not converge
         raise SingularityError(f"least squares failed: {exc}", cond=math.inf) from None
     q = phi.shape[1]
     if rank < q:
@@ -197,8 +204,9 @@ def fit_wls(
     the weights.  Raises SingularityError (with the condition number) when
     the weighted system is numerically rank deficient, e.g. at lam = 1 for
     structures whose static columns collapse, and with an infinite one when
-    the solve itself fails.  ``counter`` gets one model evaluation per row,
-    dynamic and static, once the solve succeeds.
+    the system is not finite or the solve itself fails.  ``counter`` gets
+    one model evaluation per row, dynamic and static, once the solve
+    succeeds.
     """
     if not isinstance(model, PolynomialModel):
         raise TypeError("closed-form least squares needs a linear-in-parameters model")
@@ -292,8 +300,9 @@ def fit_weighted_lm(
     steps never increase the squared error norm.  The trace holds the
     initial state plus one record per accepted step.
 
-    Raises DivergenceError, naming the iteration, if the Jacobian goes
-    non-finite.
+    A start whose initial cost or Jacobian goes non-finite is skipped; when
+    every start does, the first one's DivergenceError, naming the iteration,
+    is raised.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
@@ -343,7 +352,7 @@ def fit_weighted_lm(
         if not math.isfinite(cost):
             raise DivergenceError("non-finite cost at the initial parameters", index=0)
         trace = [record(0, r_d, r_s, cost)]
-        mu = config.initial_damping
+        mu = _LM_INITIAL_DAMPING
         accepted = 0
         jac = None
         identity = np.eye(theta.size)
@@ -356,17 +365,17 @@ def fit_weighted_lm(
                     )
                 grad = jac.T @ e
                 hess = jac.T @ jac
-            if np.max(np.abs(grad)) < config.gradient_tolerance:
+            if np.max(np.abs(grad)) < _LM_GRADIENT_TOLERANCE:
                 break
             try:
                 delta = np.linalg.solve(hess + mu * identity, -grad)
             except np.linalg.LinAlgError:
-                mu *= config.damping_increase
-                if mu > config.max_damping:
+                mu *= _LM_DAMPING_FACTOR
+                if mu > _LM_MAX_DAMPING:
                     break
                 continue
-            if np.linalg.norm(delta) <= config.step_tolerance * (
-                np.linalg.norm(theta) + config.step_tolerance
+            if np.linalg.norm(delta) <= _LM_STEP_TOLERANCE * (
+                np.linalg.norm(theta) + _LM_STEP_TOLERANCE
             ):
                 break
             trial = theta + delta
@@ -374,13 +383,13 @@ def fit_weighted_lm(
             cost_t = float(e_t @ e_t)
             if math.isfinite(cost_t) and cost_t < cost:
                 theta, e, r_d, r_s, cost = trial, e_t, rd_t, rs_t, cost_t
-                mu = max(mu / config.damping_decrease, 1e-15)
+                mu = max(mu / _LM_DAMPING_FACTOR, 1e-15)
                 accepted += 1
                 trace.append(record(accepted, r_d, r_s, cost))
                 jac = None
             else:
-                mu *= config.damping_increase
-                if mu > config.max_damping:
+                mu *= _LM_DAMPING_FACTOR
+                if mu > _LM_MAX_DAMPING:
                     break
         return theta, cost, trace
 
@@ -390,11 +399,17 @@ def fit_weighted_lm(
         seeds = np.random.SeedSequence(init_seed).generate_state(config.n_starts, np.uint64)
         starts = [init_mlp_theta(model, int(s)) for s in seeds]
 
-    best = None
+    best = failure = None
     for theta_start in starts:
-        theta, cost, trace = minimize_from(theta_start)
+        try:
+            theta, cost, trace = minimize_from(theta_start)
+        except DivergenceError as exc:
+            failure = failure or exc
+            continue
         if best is None or cost < best[1]:
             best = (theta, cost, trace)
+    if best is None:
+        raise failure
     return model.with_theta(best[0]), best[2]
 
 
@@ -412,7 +427,7 @@ def fit_ga_legacy(
     The seed model's parameters join the initial population unchanged; the
     rest are Gaussian perturbations of them.  Selection is by tournament,
     recombination by blend crossover, mutation Gaussian with a per-gene
-    scale of ``mutation_scale`` times the population spread, and the best
+    scale of a tenth of the population spread, and the best
     individual is carried over unchanged each generation.  The static cost
     runs a fixed-horizon fixed-point iteration per operating point (default
     15 steps), which is what makes this baseline expensive.
@@ -447,7 +462,7 @@ def fit_ga_legacy(
 
     q = seed_model.n_params
     base_theta = np.asarray(seed_model.theta, dtype=float)
-    spread = config.init_spread if config.init_spread is not None else config.mutation_scale
+    spread = config.init_spread if config.init_spread is not None else _GA_MUTATION_SCALE
     scale = np.maximum(np.abs(base_theta), 1.0)
     pop = np.empty((config.population_size, q))
     pop[0] = base_theta
@@ -471,13 +486,12 @@ def fit_ga_legacy(
         )
 
     def tournament():
-        picks = rng.integers(config.population_size, size=config.tournament_size)
+        picks = rng.integers(config.population_size, size=_GA_TOURNAMENT_SIZE)
         return picks[np.argmin(scores[picks, 0])]
 
     trace = [trace_record(0)]
-    alpha = config.blend_alpha
     for gen in range(1, config.generations + 1):
-        sigma = config.mutation_scale * np.maximum(np.std(pop, axis=0), 1e-8)
+        sigma = _GA_MUTATION_SCALE * np.maximum(np.std(pop, axis=0), 1e-8)
         new_pop = np.empty_like(pop)
         new_scores = np.empty_like(scores)
         b = best_index()
@@ -486,11 +500,11 @@ def fit_ga_legacy(
         for i in range(1, config.population_size):
             pa = pop[tournament()]
             pb = pop[tournament()]
-            if rng.random() < config.crossover_rate:
+            if rng.random() < _GA_CROSSOVER_RATE:
                 lo = np.minimum(pa, pb)
                 hi = np.maximum(pa, pb)
                 span = hi - lo
-                child = rng.uniform(lo - alpha * span, hi + alpha * span)
+                child = rng.uniform(lo - _GA_BLEND_ALPHA * span, hi + _GA_BLEND_ALPHA * span)
             else:
                 child = pa.copy()
             child = child + sigma * rng.standard_normal(q)

@@ -92,13 +92,6 @@ class RegressorSpec:
                 pos += 1
         return tuple(slots)
 
-    def slot_names(self) -> list[str]:
-        names = ["1"] if self.include_constant else []
-        names += [f"y(k-{l})" for l in self.output_lags]
-        for ch, lags in enumerate(self.input_lags):
-            names += [f"u{ch + 1}(k-{l})" for l in lags]
-        return names
-
 
 def build_regression_matrix(spec: RegressorSpec, data: DynDataset):
     """One-step regressors and targets over every usable sample.

@@ -70,17 +70,6 @@ class FixedPointResult:
     converged: bool
 
 
-@dataclass(frozen=True)
-class CostReport:
-    """Cost decomposition of one model at one weighting."""
-
-    lam: float
-    j_d: float
-    j_s_hat: float
-    j_sd: float
-    j_s_legacy: float | None = None
-
-
 def fixed_point_iterate(
     model: Model,
     u_bar,
@@ -176,31 +165,6 @@ def cost_js_legacy(
     ]
     # summed in pair order: np.mean's pairwise sum would change the last bits
     return functools.reduce(operator.add, terms, 0.0) / zs.n_pairs
-
-
-def cost_report(
-    model: Model,
-    zd: DynDataset,
-    zs: SteadyDataset,
-    lam: float,
-    config: FixedPointConfig | None = None,
-    include_legacy: bool = False,
-    counter: EvalCounter | None = None,
-) -> CostReport:
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must lie in [0, 1], got {lam}")
-    j_d = cost_jd(model, zd, counter)
-    j_s_hat = cost_js_hat(model, zs, counter)
-    j_s_legacy = (
-        cost_js_legacy(model, zs, config, counter) if include_legacy else None
-    )
-    return CostReport(
-        lam=lam,
-        j_d=j_d,
-        j_s_hat=j_s_hat,
-        j_sd=(1.0 - lam) * j_d + lam * j_s_hat,
-        j_s_legacy=j_s_legacy,
-    )
 
 
 @dataclass(frozen=True)

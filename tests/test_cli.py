@@ -399,3 +399,18 @@ def test_import_does_not_load_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_readme_config_trains(tmp_path):
+    # the config documented in README.md must stay one that train accepts
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    _, _, after = readme.partition("A config is a JSON object:\n\n```json\n")
+    block, fence, _ = after.partition("```")
+    assert fence, "no config block in README.md"
+    config = json.loads(block)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    proc = run_cli("train", "--config", str(path), "--out", str(tmp_path / "run"))
+    assert proc.returncode == 0, proc.stderr
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert manifest["train"]["lm"] == config["lm"]

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import greybox as gb
+from greybox import estimation
 from greybox.data import EXAMPLE1, simulate_system
 from greybox.estimation import (
     build_stacked_system,
@@ -96,7 +97,7 @@ class TestLeastSquares:
         assert exc.value.cond > 1e12
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the cubic column overflows
-    def test_overflowing_design_matrix_is_singular(self):
+    def test_overflowing_design_matrix_is_singular(self, capfd):
         # finite outputs near 1e120 put inf into the cubic output column
         spec = gb.RegressorSpec(output_lags=(1,), input_lags=((1,),))
         model = gb.PolynomialModel(spec, ((1, 1, 1), (2,)), np.zeros(2))
@@ -107,6 +108,9 @@ class TestLeastSquares:
         with pytest.raises(gb.SingularityError) as exc:
             gb.fit_ols(model, zd)
         assert exc.value.cond == np.inf
+        # rejected before LAPACK sees it, which would print DLASCL complaints
+        out, err = capfd.readouterr()
+        assert "DLASCL" not in out + err
 
     @given(lam=st.floats(min_value=0.0, max_value=0.9))
     def test_perturbations_never_beat_the_optimum(self, lam):
@@ -216,6 +220,27 @@ class TestWeightedLm:
         )
         assert t3[-1].cost <= t1[-1].cost + 1e-15
 
+    def test_multistart_skips_a_divergent_start(self, ex2_structure, ex2_data, monkeypatch):
+        zd, _, zs, _ = ex2_data
+        config = gb.LmConfig(max_iterations=10, n_starts=3)
+        starts = []
+
+        def second_start_nan(model, seed):
+            theta = init_mlp_theta(model, seed)
+            starts.append(theta)
+            return np.full_like(theta, np.nan) if len(starts) == 2 else theta
+
+        monkeypatch.setattr(estimation, "init_mlp_theta", second_start_nan)
+        model, trace = gb.fit_weighted_lm(ex2_structure, zd, zs, 0.3, config)
+        monkeypatch.undo()
+        fits = [
+            gb.fit_weighted_lm(ex2_structure, zd, zs, 0.3, config, theta0=starts[i])
+            for i in (0, 2)
+        ]
+        best_model, best_trace = min(fits, key=lambda fit: fit[1][-1].cost)
+        assert np.array_equal(model.theta, best_model.theta)
+        assert trace[-1].cost == best_trace[-1].cost
+
     def test_fits_data_generated_by_an_mlp(self):
         # self-consistency: a 1-node network trained on its own free run
         spec = gb.RegressorSpec(output_lags=(1, 2), input_lags=((1, 2),))
@@ -242,12 +267,19 @@ class TestWeightedLm:
         assert counter.count > 0
         assert counter.count % per_call == 0
 
-    def test_divergent_start_raises_with_index(self, ex2_structure, ex2_data):
+    def test_divergent_start_raises_with_index(self, ex2_structure, ex2_data, monkeypatch):
         zd, _, zs, _ = ex2_data
         bad = np.array([np.nan, 0, 0, 0, 0, 0, 0])
         with pytest.raises(gb.DivergenceError) as exc:
             gb.fit_weighted_lm(
                 ex2_structure, zd, zs, 0.3, gb.LmConfig(max_iterations=5), theta0=bad
+            )
+        assert exc.value.index == 0
+        # with several starts the fit raises only when every one diverges
+        monkeypatch.setattr(estimation, "init_mlp_theta", lambda model, seed: bad)
+        with pytest.raises(gb.DivergenceError) as exc:
+            gb.fit_weighted_lm(
+                ex2_structure, zd, zs, 0.3, gb.LmConfig(max_iterations=5, n_starts=3)
             )
         assert exc.value.index == 0
 

@@ -151,19 +151,9 @@ class TestStaticCosts:
         # predictions are all 2; residuals at k=1..3 are (1, -1, 0) -> wait:
         # targets y(1..3) = 1, 3, 2 minus 2 gives -1, 1, 0 -> mean square 2/3
         assert gb.cost_jd(model, zd) == pytest.approx(2.0 / 3.0, abs=1e-15)
-
-    def test_report_is_convex_combination(self):
-        model = scalar_affine(0.0, 2.0)
-        zd = gb.DynDataset(inputs=(np.zeros(3),), output=np.full(3, 2.0))
-        zs = gb.SteadyDataset(u_bar=np.array([[0.0], [1.0]]), y_bar=np.zeros(2))
-        report = gb.cost_report(model, zd, zs, 0.5, include_legacy=True)
-        assert report.j_d == 0.0
-        assert report.j_s_hat == 4.0
-        assert report.j_sd == 2.0
-        assert report.j_s_legacy == 4.0
-        report2 = gb.cost_report(model, zd, zs, 0.25)
-        assert report2.j_sd == pytest.approx(0.75 * 0.0 + 0.25 * 4.0, abs=1e-15)
-        assert report2.j_s_legacy is None
+        # a record the model predicts exactly costs nothing
+        flat = gb.DynDataset(inputs=(np.zeros(3),), output=np.full(3, 2.0))
+        assert gb.cost_jd(model, flat) == 0.0
 
     def test_legacy_cost_caps_divergent_pairs(self):
         # iteration 0 -> 1 -> 3 -> 7 ... never settles; contribution is bound^2
@@ -178,6 +168,9 @@ class TestStaticCosts:
         zs = gb.SteadyDataset(u_bar=np.array([[0.5]]), y_bar=np.array([0.0]))
         cost = gb.cost_js_legacy(model, zs, gb.FixedPointConfig(divergence_bound=2.0))
         assert cost == 4.0
+        # under the default bound a residual of 2 at both pairs stays uncapped
+        two_pairs = gb.SteadyDataset(u_bar=np.array([[0.0], [1.0]]), y_bar=np.zeros(2))
+        assert gb.cost_js_legacy(scalar_affine(0.0, 2.0), two_pairs) == 4.0
 
     def test_legacy_cost_matches_per_pair_iteration(self, ex1_data):
         # the per-pair loop cost_js_legacy ran before it was folded onto
@@ -302,16 +295,23 @@ class TestModelStaticCurve:
 
 
 def test_init_at_target_config_exits_2(tmp_path, capsys):
+    # removed settings are named in the error, not silently ignored
     from greybox.cli import main
 
-    config = {
-        "structure": {"builtin": "example1"},
-        "datasets": {"generator": "example1", "seed": 0},
-        "algorithm": "wls",
-        "lambda": 0.3,
-        "fixed_point": {"init_at_target": True},
-    }
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
-    assert main(["train", "--config", str(path), "--out", str(tmp_path)]) == 2
-    assert "init_at_target" in capsys.readouterr().err
+    removed = [
+        ("fixed_point", "init_at_target", True),
+        ("lm", "damping_increase", 10.0),
+        ("ga", "blend_alpha", 0.5),
+    ]
+    for block, key, value in removed:
+        config = {
+            "structure": {"builtin": "example1"},
+            "datasets": {"generator": "example1", "seed": 0},
+            "algorithm": "wls",
+            "lambda": 0.3,
+            block: {key: value},
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["train", "--config", str(path), "--out", str(tmp_path)]) == 2, key
+        assert key in capsys.readouterr().err
