@@ -198,7 +198,10 @@ class TestGenerators:
         assert zs.n_pairs == 50
         assert zv.sample_count == 2000
         assert zs.u_bar[0, 0] == -1.0 and zs.u_bar[-1, 0] == 3.0
-        # narrow excitation: mean -0.02, standard deviation 0.2
+
+    def test_input_variance_knob(self, ex1_data):
+        # the fixed recipe's narrow excitation: mean -0.02, variance 0.04
+        zd, zt, _, _ = ex1_data
         u = np.concatenate([zd.inputs[0], zt.inputs[0]])
         assert np.mean(u) == pytest.approx(-0.02, abs=0.03)
         assert np.std(u) == pytest.approx(0.2, rel=0.15)
