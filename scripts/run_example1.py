@@ -42,7 +42,7 @@ def main() -> None:
         print(f"{p.lam:7.2f} {p.j_d:12.4e} {p.j_s_hat:12.4e} "
               f"{p.rmse_zt:10.4f} {p.rmse_zv:10.4f}")
 
-    blackbox = gb.fit_ols(structure, zd)
+    blackbox = gb.fit_wls(structure, zd, None, 0.0)
     bb_rmse, bb_diverged, _ = score_free_run(blackbox, zv)
     by_corr = gb.decide_min_corr(points)
     by_test = gb.decide_min_rmse_zt(points)

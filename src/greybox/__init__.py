@@ -36,7 +36,6 @@ from .estimation import (
     TrainConfig,
     build_stacked_system,
     fit_ga_legacy,
-    fit_ols,
     fit_weighted_lm,
     fit_wls,
     mlp_jacobian,
@@ -117,7 +116,6 @@ __all__ = [
     "example_structure",
     "fit",
     "fit_ga_legacy",
-    "fit_ols",
     "fit_weighted_lm",
     "fit_wls",
     "fixed_point_iterate",

@@ -26,7 +26,7 @@ from .data import (
     write_table,
 )
 from .errors import ConfigError, CsvFormatError, GreyboxError, SelectionError
-from .estimation import GaConfig, LmConfig, TrainConfig, write_trace_csv
+from .estimation import ALGORITHMS, GaConfig, LmConfig, TrainConfig, write_trace_csv
 from .models import (
     build_regression_matrix,
     example_structure,
@@ -96,7 +96,10 @@ def _resolve_datasets(doc):
         name = doc["generator"]
         if name not in GENERATORS:
             raise ConfigError(f"unknown generator {name!r}, expected {sorted(GENERATORS)}")
-        return GENERATORS[name](int(doc.get("seed", 0)))
+        seed = doc.get("seed", 0)
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise ConfigError(f"generator seed must be a nonnegative integer, got {seed!r}")
+        return GENERATORS[name](seed)
     if "zd" not in doc:
         raise ConfigError("datasets needs a 'zd' path (or a 'generator' entry)")
 
@@ -139,9 +142,9 @@ def _train_config(cfg: dict, args) -> TrainConfig:
             algorithm=algorithm,
             lm=_subconfig(LmConfig, cfg.get("lm"), "lm"),
             ga=_subconfig(GaConfig, cfg.get("ga"), "ga"),
-            init_seed=int(init_seed),
+            init_seed=init_seed,
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:  # e.g. "lambda": [0.3]
         raise ConfigError(str(exc)) from exc
 
 
@@ -372,6 +375,17 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """The --seed options' type: numpy seeds must be nonnegative integers."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a nonnegative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="greybox",
@@ -381,23 +395,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write benchmark dataset CSVs")
     p.add_argument("--example", required=True, choices=sorted(GENERATORS))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_generate)
 
     p = sub.add_parser("train", help="fit one model from a JSON config")
     p.add_argument("--config", help="JSON config path")
     p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None, help="override init_seed")
-    p.add_argument("--algorithm", choices=["ols", "wls", "weighted_lm", "ga_legacy"])
+    p.add_argument("--seed", type=_seed, default=None, help="override init_seed")
+    p.add_argument("--algorithm", choices=ALGORITHMS)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=cmd_train)
 
     p = sub.add_parser("sweep", help="train across a lambda grid and select")
     p.add_argument("--config", help="JSON config path")
     p.add_argument("--grid", help="comma-separated lambda values")
-    p.add_argument("--seed", type=int, default=None, help="override init_seed")
-    p.add_argument("--algorithm", choices=["ols", "wls", "weighted_lm", "ga_legacy"])
+    p.add_argument("--seed", type=_seed, default=None, help="override init_seed")
+    p.add_argument("--algorithm", choices=ALGORITHMS)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=cmd_sweep, lam=None)
 

@@ -1,6 +1,7 @@
 """Parameter estimation: weighted least squares, damped least squares, GA.
 
-Three fitting routes share the same data plumbing:
+Three fitting routes; the first two share :func:`build_stacked_system`, which
+stacks the dynamic rows and one static pseudo-sample row per steady-state pair:
 
 - :func:`fit_wls` solves linear-in-parameter models in closed form under the
   diagonal weighting W = diag[(1-lam) I_Nd, lam I_Ns];
@@ -35,7 +36,7 @@ from .models import (
     build_regression_matrix,
     build_static_regressors,
 )
-from .steady_state import FixedPointConfig, cost_js_legacy
+from .steady_state import FixedPointConfig, _require_int, cost_js_legacy
 
 ALGORITHMS = ("ols", "wls", "weighted_lm", "ga_legacy")
 
@@ -65,6 +66,7 @@ class LmConfig:
     n_starts: int = 1
 
     def __post_init__(self):
+        _require_int(self, "max_iterations", "n_starts")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be nonnegative")
         if self.n_starts < 1:
@@ -79,10 +81,13 @@ class GaConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _require_int(self, "population_size", "generations", "seed")
         if self.population_size < 2:
             raise ValueError("population_size must be at least 2")
         if self.generations < 0:
             raise ValueError("generations must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -100,14 +105,19 @@ class TrainConfig:
             raise ValueError(f"lambda must lie in [0, 1], got {self.lam}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}, expected {ALGORITHMS}")
+        _require_int(self, "init_seed")
+        if self.init_seed < 0:
+            raise ValueError(f"init_seed must be nonnegative, got {self.init_seed}")
 
 
 @dataclass(frozen=True)
 class StackedSystem:
-    """Design matrix, targets, and diagonal weights for the linear solve.
+    """Regressor rows, targets, and diagonal weights of the stacked system.
 
-    Dynamic rows come first with weight (1-lam), static pseudo-sample rows
-    follow with weight lam.  ``weights`` is the diagonal of W.
+    Dynamic rows come first with weight (1-lam), then the static
+    pseudo-samples with weight lam: one per steady-state pair, every output
+    slot at y_bar and every input slot at u_bar.  ``weights`` is the
+    diagonal of W.  Without steady-state data there are no static rows.
     """
 
     psi: np.ndarray
@@ -117,36 +127,24 @@ class StackedSystem:
     n_static: int
 
 
-def _split_data(model: Model, zd: DynDataset, zs: SteadyDataset | None, lam: float = 0.0):
+def build_stacked_system(
+    model: Model, zd: DynDataset, zs: SteadyDataset | None, lam: float
+) -> StackedSystem:
+    """Stack the dynamic rows and the static pseudo-samples of either model kind."""
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"lambda must lie in [0, 1], got {lam}")
     psi_d, y_d = build_regression_matrix(model.spec, zd)
     if zs is None:
         if lam != 0.0:
             raise ValueError("a nonzero lambda needs steady-state data")
-        psi_s = np.empty((0, len(model.spec)))
-        y_s = np.empty(0)
+        psi, y, n_s = psi_d, y_d, 0
     else:
-        psi_s = build_static_regressors(model.spec, zs)
-        y_s = zs.y_bar
-    return psi_d, y_d, psi_s, y_s
-
-
-def build_stacked_system(
-    model: PolynomialModel, zd: DynDataset, zs: SteadyDataset | None, lam: float
-) -> StackedSystem:
-    """Assemble the weighted linear system for a polynomial model."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must lie in [0, 1], got {lam}")
-    psi_d, y_d, psi_s, y_s = _split_data(model, zd, zs, lam)
-    phi_d = model.design_matrix(psi_d)
-    phi_s = model.design_matrix(psi_s) if psi_s.shape[0] else np.empty((0, model.n_params))
-    psi = np.vstack([phi_d, phi_s])
-    y = np.concatenate([y_d, y_s])
-    weights = np.concatenate(
-        [np.full(phi_d.shape[0], 1.0 - lam), np.full(phi_s.shape[0], lam)]
-    )
-    return StackedSystem(
-        psi=psi, y=y, weights=weights, n_dynamic=phi_d.shape[0], n_static=phi_s.shape[0]
-    )
+        psi = np.vstack([psi_d, build_static_regressors(model.spec, zs)])
+        y = np.concatenate([y_d, zs.y_bar])
+        n_s = zs.n_pairs
+    n_d = psi_d.shape[0]
+    weights = np.concatenate([np.full(n_d, 1.0 - lam), np.full(n_s, lam)])
+    return StackedSystem(psi=psi, y=y, weights=weights, n_dynamic=n_d, n_static=n_s)
 
 
 def _solve_weighted(phi: np.ndarray, y: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -173,23 +171,6 @@ def _solve_weighted(phi: np.ndarray, y: np.ndarray, weights: np.ndarray) -> np.n
     return theta
 
 
-def fit_ols(
-    model: PolynomialModel, zd: DynDataset, counter: EvalCounter | None = None
-) -> PolynomialModel:
-    """Ordinary least squares on the dynamic record alone.
-
-    ``counter`` gets one model evaluation per row once the solve succeeds.
-    """
-    if not isinstance(model, PolynomialModel):
-        raise TypeError("closed-form least squares needs a linear-in-parameters model")
-    psi_d, y_d = build_regression_matrix(model.spec, zd)
-    phi = model.design_matrix(psi_d)
-    theta = _solve_weighted(phi, y_d, np.ones(phi.shape[0]))
-    if counter is not None:
-        counter.add(phi.shape[0])
-    return model.with_theta(theta)
-
-
 def fit_wls(
     model: PolynomialModel,
     zd: DynDataset,
@@ -199,21 +180,23 @@ def fit_wls(
 ) -> PolynomialModel:
     """Weighted least squares over dynamic rows and static pseudo-samples.
 
-    Solves (Psi^T W Psi) theta = Psi^T W Y with W = diag[(1-lam) I, lam I],
-    equivalently an ordinary LS fit on rows scaled by the square roots of
-    the weights.  Raises SingularityError (with the condition number) when
-    the weighted system is numerically rank deficient, e.g. at lam = 1 for
-    structures whose static columns collapse, and with an infinite one when
-    the system is not finite or the solve itself fails.  ``counter`` gets
-    one model evaluation per row, dynamic and static, once the solve
-    succeeds.
+    Solves (Phi^T W Phi) theta = Phi^T W Y, Phi the design matrix of the
+    stacked rows and W = diag[(1-lam) I, lam I], equivalently an ordinary LS
+    fit on rows scaled by the square roots of the weights.  Without
+    steady-state data (``zs`` None, ``lam`` 0) this is ordinary least
+    squares on the dynamic record.  Raises SingularityError (with the
+    condition number) when the weighted system is numerically rank
+    deficient, e.g. at lam = 1 for structures whose static columns collapse,
+    and with an infinite one when the system is not finite or the solve
+    itself fails.  ``counter`` gets one model evaluation per row, dynamic
+    and static, once the solve succeeds.
     """
     if not isinstance(model, PolynomialModel):
         raise TypeError("closed-form least squares needs a linear-in-parameters model")
     stacked = build_stacked_system(model, zd, zs, lam)
-    theta = _solve_weighted(stacked.psi, stacked.y, stacked.weights)
+    theta = _solve_weighted(model.design_matrix(stacked.psi), stacked.y, stacked.weights)
     if counter is not None:
-        counter.add(stacked.psi.shape[0])
+        counter.add(stacked.y.size)
     return model.with_theta(theta)
 
 
@@ -236,13 +219,6 @@ def mlp_jacobian(model: MlpModel, psi_rows: np.ndarray) -> np.ndarray:
         jac[:, base] = scaled
         jac[:, base + 1 : base + 1 + nf] = scaled[:, None] * x
     return jac
-
-
-def model_jacobian(model: Model, psi_rows: np.ndarray) -> np.ndarray:
-    """Jacobian of the one-step prediction w.r.t. the parameter vector."""
-    if isinstance(model, PolynomialModel):
-        return model.design_matrix(psi_rows)
-    return mlp_jacobian(model, psi_rows)
 
 
 def init_mlp_theta(model: MlpModel, seed: int) -> np.ndarray:
@@ -268,6 +244,26 @@ class TraceRecord:
     model_evaluations: int
 
 
+def _trace_recorder(counter: EvalCounter):
+    """A TraceRecord factory stamping the wall time and the evaluations
+    ``counter`` has seen since this call."""
+    t0 = time.perf_counter()
+    start = counter.count
+
+    def record(iteration, j_d, j_s, j_sd, cost) -> TraceRecord:
+        return TraceRecord(
+            iteration=iteration,
+            j_d=float(j_d),
+            j_s=float(j_s),
+            j_sd=float(j_sd),
+            cost=float(cost),
+            wall_time_ms=(time.perf_counter() - t0) * 1e3,
+            model_evaluations=counter.count - start,
+        )
+
+    return record
+
+
 def write_trace_csv(path, trace: list[TraceRecord], static_label: str = "j_s_hat") -> None:
     header = ["iteration", "j_d", static_label, "j_sd", "wall_time_ms", "model_evaluations"]
     columns = [
@@ -291,67 +287,49 @@ def fit_weighted_lm(
     theta0: np.ndarray | None = None,
     counter: EvalCounter | None = None,
 ) -> tuple[MlpModel, list[TraceRecord]]:
-    """Damped least squares on the stacked error vector.
+    """Damped least squares on the stacked error vector E = weights * r.
 
-    The parameter vector starts from a seeded random draw (or ``theta0``
-    when given; with ``n_starts`` > 1 several seeded starts run and the
-    lowest final cost wins).  Each outer iteration either accepts a step,
-    shrinking the damping, or rejects it and inflates the damping; accepted
-    steps never increase the squared error norm.  The trace holds the
-    initial state plus one record per accepted step.
+    r is the one-step residual over the whole stack of
+    :func:`build_stacked_system`, dynamic rows and static pseudo-samples
+    alike, so each evaluation is one ``predict`` and each Jacobian one
+    :func:`mlp_jacobian` call.  The parameter vector starts from a seeded
+    random draw (or ``theta0`` when given; with ``n_starts`` > 1 several
+    seeded starts run and the lowest final cost wins).  Each outer iteration
+    either accepts a step, shrinking the damping, or rejects it and inflates
+    the damping; accepted steps never increase the squared error norm.  The
+    trace holds the initial state plus one record per accepted step.
 
     A start whose initial cost or Jacobian goes non-finite is skipped; when
     every start does, the first one's DivergenceError, naming the iteration,
     is raised.
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must lie in [0, 1], got {lam}")
     config = config or LmConfig()
-    psi_d, y_d, psi_s, y_s = _split_data(model, zd, zs, lam)
-    n_d, n_s = psi_d.shape[0], psi_s.shape[0]
-    rows_per_eval = n_d + n_s
-    t0 = time.perf_counter()
-    evals = 0
+    stacked = build_stacked_system(model, zd, zs, lam)
+    psi, y, weights = stacked.psi, stacked.y, stacked.weights
+    n_d, n_s = stacked.n_dynamic, stacked.n_static
+    counter = counter if counter is not None else EvalCounter()
+    trace_record = _trace_recorder(counter)
 
     def evaluate(theta):
-        nonlocal evals
-        cand = model.with_theta(theta)
-        r_d = y_d - cand.predict(psi_d)
-        r_s = y_s - cand.predict(psi_s) if n_s else np.empty(0)
-        evals += rows_per_eval
-        if counter is not None:
-            counter.add(rows_per_eval)
-        e = np.concatenate([(1.0 - lam) * r_d, lam * r_s])
-        return e, r_d, r_s
+        r = y - model.with_theta(theta).predict(psi)
+        counter.add(y.size)
+        return weights * r, r
 
     def jacobian(theta):
-        cand = model.with_theta(theta)
-        j_d = model_jacobian(cand, psi_d)
-        blocks = [-(1.0 - lam) * j_d]
-        if n_s:
-            blocks.append(-lam * model_jacobian(cand, psi_s))
-        return np.vstack(blocks)
+        return -weights[:, None] * mlp_jacobian(model.with_theta(theta), psi)
 
-    def record(iteration, rd, rs, cost):
-        j_d = float(np.mean(rd**2)) if n_d else 0.0
-        j_s = float(np.mean(rs**2)) if n_s else 0.0
-        return TraceRecord(
-            iteration=iteration,
-            j_d=j_d,
-            j_s=j_s,
-            j_sd=(1.0 - lam) * j_d + lam * j_s,
-            cost=cost,
-            wall_time_ms=(time.perf_counter() - t0) * 1e3,
-            model_evaluations=evals,
-        )
+    def record(iteration, r, cost):
+        j_d = float(np.mean(r[:n_d] ** 2)) if n_d else 0.0
+        j_s = float(np.mean(r[n_d:] ** 2)) if n_s else 0.0
+        return trace_record(iteration, j_d, j_s, (1.0 - lam) * j_d + lam * j_s, cost)
 
     def minimize_from(theta_start):
         theta = np.asarray(theta_start, dtype=float).copy()
-        e, r_d, r_s = evaluate(theta)
+        e, r = evaluate(theta)
         cost = float(e @ e)
         if not math.isfinite(cost):
             raise DivergenceError("non-finite cost at the initial parameters", index=0)
-        trace = [record(0, r_d, r_s, cost)]
+        trace = [record(0, r, cost)]
         mu = _LM_INITIAL_DAMPING
         accepted = 0
         jac = None
@@ -379,13 +357,13 @@ def fit_weighted_lm(
             ):
                 break
             trial = theta + delta
-            e_t, rd_t, rs_t = evaluate(trial)
+            e_t, r_t = evaluate(trial)
             cost_t = float(e_t @ e_t)
             if math.isfinite(cost_t) and cost_t < cost:
-                theta, e, r_d, r_s, cost = trial, e_t, rd_t, rs_t, cost_t
+                theta, e, r, cost = trial, e_t, r_t, cost_t
                 mu = max(mu / _LM_DAMPING_FACTOR, 1e-15)
                 accepted += 1
-                trace.append(record(accepted, r_d, r_s, cost))
+                trace.append(record(accepted, r, cost))
                 jac = None
             else:
                 mu *= _LM_DAMPING_FACTOR
@@ -441,23 +419,15 @@ def fit_ga_legacy(
     fp_config = fp_config or FixedPointConfig(fixed_horizon=15)
     rng = np.random.default_rng(config.seed)
     psi_d, y_d = build_regression_matrix(seed_model.spec, zd)
-    n_d = psi_d.shape[0]
-    t0 = time.perf_counter()
-    evals = 0
+    counter = counter if counter is not None else EvalCounter()
+    record = _trace_recorder(counter)
 
     def objective(theta):
-        nonlocal evals
         cand = seed_model.with_theta(theta)
         r_d = y_d - cand.predict(psi_d)
-        evals += n_d
-        if counter is not None:
-            counter.add(n_d)
+        counter.add(y_d.size)
         j_d = float(np.mean(r_d**2))
-        local = EvalCounter()
-        j_s = cost_js_legacy(cand, zs, fp_config, counter=local)
-        evals += local.count
-        if counter is not None:
-            counter.add(local.count)
+        j_s = cost_js_legacy(cand, zs, fp_config, counter=counter)
         return (1.0 - lam) * j_d + lam * j_s, j_d, j_s
 
     q = seed_model.n_params
@@ -473,17 +443,8 @@ def fit_ga_legacy(
         return int(np.argmin(scores[:, 0]))
 
     def trace_record(gen):
-        b = best_index()
-        cost, j_d, j_s = scores[b]
-        return TraceRecord(
-            iteration=gen,
-            j_d=float(j_d),
-            j_s=float(j_s),
-            j_sd=float(cost),
-            cost=float(cost),
-            wall_time_ms=(time.perf_counter() - t0) * 1e3,
-            model_evaluations=evals,
-        )
+        cost, j_d, j_s = scores[best_index()]
+        return record(gen, j_d, j_s, cost, cost)
 
     def tournament():
         picks = rng.integers(config.population_size, size=_GA_TOURNAMENT_SIZE)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -33,6 +34,18 @@ from .models import (
 
 
 _WINDOW = 1024  # free-run samples held at once, whatever the step budget
+
+
+def _require_int(config, *names: str) -> None:
+    """Reject config fields that should be counts but are not integers
+    (None passes; bools do not), before a range check or a later
+    ``range()`` trips over them."""
+    for name in names:
+        value = getattr(config, name)
+        if value is not None and (
+            isinstance(value, bool) or not isinstance(value, numbers.Integral)
+        ):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -53,6 +66,7 @@ class FixedPointConfig:
     divergence_bound: float = 1e6
 
     def __post_init__(self):
+        _require_int(self, "max_iterations", "fixed_horizon")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
         if self.fixed_horizon is not None and self.fixed_horizon < 1:

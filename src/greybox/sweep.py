@@ -23,7 +23,6 @@ from .estimation import (
     TraceRecord,
     TrainConfig,
     fit_ga_legacy,
-    fit_ols,
     fit_weighted_lm,
     fit_wls,
 )
@@ -168,7 +167,7 @@ def _ga_seed_model(structure: Model, zd: DynDataset, train: TrainConfig) -> Mode
             structure, zd, None, 0.0, train.lm, init_seed=train.init_seed
         )
         return model
-    return fit_ols(structure, zd)
+    return fit_wls(structure, zd, None, 0.0)
 
 
 def fit(
@@ -189,8 +188,8 @@ def fit(
     algorithm does not suit the structure or steady-state data is missing.
     """
     _check_trainable(structure, zs, train.algorithm, train.lam)
-    if train.algorithm == "ols":
-        return fit_ols(structure, zd, counter=counter), None
+    if train.algorithm == "ols":  # wls on the dynamic record alone, whatever lambda
+        return fit_wls(structure, zd, None, 0.0, counter=counter), None
     if train.algorithm == "wls":
         return fit_wls(structure, zd, zs, train.lam, counter=counter), None
     if train.algorithm == "weighted_lm":

@@ -43,7 +43,7 @@ def test_criterion_1_polynomial_greybox_beats_blackbox():
         zd, _, _, zv = datasets
         structure = gb.example_structure("example1")
         chosen = sweep_and_select(structure, datasets, gb.TrainConfig(algorithm="wls"))
-        blackbox = gb.fit_ols(structure, zd)
+        blackbox = gb.fit_wls(structure, zd, None, 0.0)
         bb_rmse, _, _ = score_free_run(blackbox, zv)
         selected_rmse.append(chosen.rmse_zv)
         if bb_rmse >= 3.0 * chosen.rmse_zv:
@@ -218,10 +218,11 @@ def test_criterion_5_weighting_equals_pseudo_sample_appending():
     for _ in range(50):
         structure, zd, zs, lam = _random_linear_problem(rng)
         stacked = build_stacked_system(structure, zd, zs, lam)
-        gram = stacked.psi.T @ (stacked.weights[:, None] * stacked.psi)
-        moment = stacked.psi.T @ (stacked.weights * stacked.y)
+        phi = structure.design_matrix(stacked.psi)
+        gram = phi.T @ (stacked.weights[:, None] * phi)
+        moment = phi.T @ (stacked.weights * stacked.y)
         scale = np.sqrt(stacked.weights)
-        appended_psi = scale[:, None] * stacked.psi
+        appended_psi = scale[:, None] * phi
         appended_y = scale * stacked.y
         gram2 = appended_psi.T @ appended_psi
         moment2 = appended_psi.T @ appended_y
@@ -235,7 +236,7 @@ def test_criterion_5_weighting_equals_pseudo_sample_appending():
         np.max(
             np.abs(
                 gb.fit_wls(structure, zd, zs, 0.0).theta
-                - gb.fit_ols(structure, zd).theta
+                - gb.fit_wls(structure, zd, None, 0.0).theta
             )
         )
     )

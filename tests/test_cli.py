@@ -65,6 +65,14 @@ class TestGenerate:
         )
         assert proc.returncode == 2
 
+    def test_negative_seed_exits_2(self, tmp_path):
+        # numpy seeds must be nonnegative; caught by argparse, not numpy
+        proc = run_cli(
+            "generate", "--example", "example1", "--seed", "-1", "--out", str(tmp_path)
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr and "seed" in proc.stderr
+
 
 @pytest.fixture(scope="module")
 def trained(datadir, tmp_path_factory):

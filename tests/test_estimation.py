@@ -12,7 +12,6 @@ from greybox.estimation import (
     build_stacked_system,
     init_mlp_theta,
     mlp_jacobian,
-    model_jacobian,
     write_trace_csv,
 )
 from greybox.models import EXAMPLE1_TRUE_THETA
@@ -46,7 +45,7 @@ class TestLeastSquares:
         spec = gb.RegressorSpec(output_lags=(1,), input_lags=((1,),))
         model = gb.PolynomialModel(spec, ((1,),), np.zeros(1))
         zd = gb.DynDataset(inputs=(np.zeros(2),), output=np.array([2.0, 4.0]))
-        fit = gb.fit_ols(model, zd)
+        fit = gb.fit_wls(model, zd, None, 0.0)
         assert fit.theta[0] == pytest.approx(2.0, abs=1e-14)
 
     def test_recovers_true_parameters_without_noise(self, ex1_structure):
@@ -58,10 +57,10 @@ class TestLeastSquares:
     def test_wls_lambda_zero_matches_ols(self, ex1_structure, ex1_data):
         zd, _, zs, _ = ex1_data
         ols_count, wls_count = gb.EvalCounter(), gb.EvalCounter()
-        a = gb.fit_ols(ex1_structure, zd, counter=ols_count)
+        a, _ = gb.fit(ex1_structure, zd, zs, gb.TrainConfig(algorithm="ols"), counter=ols_count)
         b = gb.fit_wls(ex1_structure, zd, zs, 0.0, counter=wls_count)
         assert np.max(np.abs(a.theta - b.theta)) < 1e-12
-        # one evaluation per solved row; wls adds the static pseudo-samples
+        # one evaluation per solved row; ols ignores the static pseudo-samples
         assert ols_count.count == zd.sample_count - ex1_structure.spec.max_lag
         assert wls_count.count == ols_count.count + zs.n_pairs
 
@@ -77,8 +76,9 @@ class TestLeastSquares:
         lam = 0.3
         fit = gb.fit_wls(ex1_structure, zd, zs, lam)
         stacked = build_stacked_system(fit, zd, zs, lam)
-        residual = stacked.y - stacked.psi @ fit.theta
-        gradient = stacked.psi.T @ (stacked.weights * residual)
+        phi = fit.design_matrix(stacked.psi)
+        residual = stacked.y - phi @ fit.theta
+        gradient = phi.T @ (stacked.weights * residual)
         assert np.max(np.abs(gradient)) < 1e-10
 
     def test_stacked_block_sizes_and_weights(self, ex1_structure, ex1_data):
@@ -106,7 +106,7 @@ class TestLeastSquares:
             inputs=(rng.standard_normal(20),), output=1e120 * rng.uniform(1.0, 2.0, 20)
         )
         with pytest.raises(gb.SingularityError) as exc:
-            gb.fit_ols(model, zd)
+            gb.fit_wls(model, zd, None, 0.0)
         assert exc.value.cond == np.inf
         # rejected before LAPACK sees it, which would print DLASCL complaints
         out, err = capfd.readouterr()
@@ -118,9 +118,10 @@ class TestLeastSquares:
         model, zd, zs = random_poly_problem(rng)
         fit = gb.fit_wls(model, zd, zs, lam)
         stacked = build_stacked_system(fit, zd, zs, lam)
+        phi = fit.design_matrix(stacked.psi)
 
         def weighted_cost(theta):
-            r = stacked.y - stacked.psi @ theta
+            r = stacked.y - phi @ theta
             return float(np.sum(stacked.weights * r * r))
 
         best = weighted_cost(fit.theta)
@@ -130,12 +131,6 @@ class TestLeastSquares:
 
 
 class TestJacobians:
-    def test_polynomial_jacobian_is_design_matrix(self, ex1_true_model):
-        rng = np.random.default_rng(1)
-        psi = rng.standard_normal((8, 5))
-        jac = model_jacobian(ex1_true_model, psi)
-        assert np.array_equal(jac, ex1_true_model.design_matrix(psi))
-
     def test_mlp_jacobian_against_central_differences(self):
         spec = gb.RegressorSpec(output_lags=(1, 2), input_lags=((1, 2),))
         rng = np.random.default_rng(4)
@@ -283,6 +278,23 @@ class TestWeightedLm:
             )
         assert exc.value.index == 0
 
+    def test_pinned_result(self, ex2_structure, ex2_data):
+        # criteria 2 and 3's settings at lambda 0.5, recorded before dynamic
+        # rows and static pseudo-samples were evaluated as one stack
+        zd, _, zs, _ = ex2_data
+        model, trace = gb.fit_weighted_lm(ex2_structure, zd, zs, 0.5, gb.LmConfig(60, 3))
+        expected_theta = [
+            -0.01133189088401438, -3.101896450593478, -0.0036482699008111934,
+            -0.4492961237324487, 0.132811185648003, 0.00043222979763700913,
+            -0.0015959653286392015,
+        ]
+        np.testing.assert_allclose(model.theta, expected_theta, rtol=1e-10)
+        last = trace[-1]
+        assert last.j_sd == pytest.approx(9.338694414309226e-05, rel=1e-10)
+        assert last.cost == pytest.approx(0.03532025076540826, rel=1e-10)
+        assert last.iteration == 30
+        assert last.model_evaluations == 319884
+
     def test_nonzero_lambda_needs_statics(self, ex2_structure, ex2_data):
         zd, _, _, _ = ex2_data
         with pytest.raises(ValueError, match="steady-state"):
@@ -294,7 +306,7 @@ class TestWeightedLm:
 class TestGaLegacy:
     def test_zero_spread_zero_generations_returns_seed(self, ex1_data, ex1_structure):
         zd, _, zs, _ = ex1_data
-        seed_model = gb.fit_ols(ex1_structure, zd)
+        seed_model = gb.fit_wls(ex1_structure, zd, None, 0.0)
         config = gb.GaConfig(population_size=6, generations=0, init_spread=0.0)
         out, trace = gb.fit_ga_legacy(seed_model, zd, zs, 0.3, config)
         assert np.array_equal(out.theta, seed_model.theta)
@@ -302,7 +314,7 @@ class TestGaLegacy:
 
     def test_deterministic_given_seed(self, ex1_data, ex1_structure):
         zd, _, zs, _ = ex1_data
-        seed_model = gb.fit_ols(ex1_structure, zd)
+        seed_model = gb.fit_wls(ex1_structure, zd, None, 0.0)
         config = gb.GaConfig(population_size=8, generations=3, seed=5)
         a, _ = gb.fit_ga_legacy(seed_model, zd, zs, 0.3, config)
         b, _ = gb.fit_ga_legacy(seed_model, zd, zs, 0.3, config)
@@ -310,7 +322,7 @@ class TestGaLegacy:
 
     def test_elitism_makes_trace_monotone(self, ex1_data, ex1_structure):
         zd, _, zs, _ = ex1_data
-        seed_model = gb.fit_ols(ex1_structure, zd)
+        seed_model = gb.fit_wls(ex1_structure, zd, None, 0.0)
         config = gb.GaConfig(population_size=10, generations=5, seed=2)
         _, trace = gb.fit_ga_legacy(seed_model, zd, zs, 0.3, config)
         assert len(trace) == 6  # initial scoring plus one record per generation
@@ -319,7 +331,7 @@ class TestGaLegacy:
 
     def test_uses_settling_cost_not_substitution(self, ex1_data, ex1_structure):
         zd, _, zs, _ = ex1_data
-        seed_model = gb.fit_ols(ex1_structure, zd)
+        seed_model = gb.fit_wls(ex1_structure, zd, None, 0.0)
         counter = gb.EvalCounter()
         config = gb.GaConfig(population_size=4, generations=1, seed=0)
         horizon = gb.FixedPointConfig(fixed_horizon=15)

@@ -295,23 +295,34 @@ class TestModelStaticCurve:
 
 
 def test_init_at_target_config_exits_2(tmp_path, capsys):
-    # removed settings are named in the error, not silently ignored
+    # removed settings, and counts or seeds that are not nonnegative
+    # integers, are named in the error, not silently ignored or left to fail
+    # later with a traceback
     from greybox.cli import main
 
-    removed = [
-        ("fixed_point", "init_at_target", True),
-        ("lm", "damping_increase", 10.0),
-        ("ga", "blend_alpha", 0.5),
+    bad = [
+        ("fixed_point", {"init_at_target": True}, "init_at_target"),
+        ("lm", {"damping_increase": 10.0}, "damping_increase"),
+        ("ga", {"blend_alpha": 0.5}, "blend_alpha"),
+        ("lm", {"max_iterations": 2.5}, "max_iterations"),
+        ("lm", {"n_starts": True}, "n_starts"),
+        ("ga", {"population_size": 4.5}, "population_size"),
+        ("ga", {"seed": -1}, "seed"),
+        ("fixed_point", {"fixed_horizon": 15.0}, "fixed_horizon"),
+        ("datasets", {"generator": "example1", "seed": "x"}, "seed"),
+        ("datasets", {"generator": "example1", "seed": -3}, "seed"),
+        ("init_seed", -1, "init_seed"),
     ]
-    for block, key, value in removed:
+    for block, value, key in bad:
         config = {
             "structure": {"builtin": "example1"},
             "datasets": {"generator": "example1", "seed": 0},
             "algorithm": "wls",
             "lambda": 0.3,
-            block: {key: value},
+            block: value,
         }
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
-        assert main(["train", "--config", str(path), "--out", str(tmp_path)]) == 2, key
-        assert key in capsys.readouterr().err
+        assert main(["train", "--config", str(path), "--out", str(tmp_path)]) == 2, value
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err, err

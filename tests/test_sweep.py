@@ -124,6 +124,28 @@ class TestRunSweep:
         assert bad.error is not None and "rank deficient" in bad.error
         assert bad.model is None
 
+    @given(
+        lams=st.lists(
+            st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=1.0)),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    def test_one_point_per_distinct_lambda(self, ex1_data, lams):
+        # lambda = 1 is rank deficient for example1, so a grid holding it has
+        # a failed point, recorded instead of raised
+        zd, _, zs, _ = ex1_data
+        structure = gb.example_structure("example1")
+        points = gb.run_sweep(
+            structure, zd, None, zs, gb.LambdaGrid(values=tuple(lams)),
+            gb.TrainConfig(algorithm="wls"),
+        )
+        assert [p.lam for p in points] == sorted(set(lams))
+        for p in points:
+            assert (p.error is None) == (p.model is not None)
+        if 1.0 in lams:
+            assert "SingularityError" in points[-1].error
+
     def test_optional_records_can_be_omitted(self, ex1_data):
         zd, _, zs, _ = ex1_data
         structure = gb.example_structure("example1")
