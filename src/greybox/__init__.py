@@ -54,7 +54,6 @@ from .models import (
     load_model,
     model_from_json,
     model_to_json,
-    predict_one_step,
     save_model,
 )
 from .steady_state import (
@@ -129,7 +128,6 @@ __all__ = [
     "model_static_curve",
     "model_to_json",
     "pareto_front",
-    "predict_one_step",
     "read_csv",
     "rmse",
     "run_sweep",

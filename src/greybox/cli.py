@@ -245,9 +245,10 @@ def _parse_grid(cfg: dict, args) -> LambdaGrid:
         if doc is None:
             raise ConfigError("no lambda grid: pass --grid or set 'grid' in the config")
         if isinstance(doc, dict):
-            return LambdaGrid.linspace(
-                float(doc["start"]), float(doc["stop"]), int(doc["count"])
-            )
+            count = doc["count"]
+            if isinstance(count, bool) or not isinstance(count, int):
+                raise ConfigError(f"grid count must be an integer, got {count!r}")
+            return LambdaGrid.linspace(float(doc["start"]), float(doc["stop"]), count)
         if isinstance(doc, list):
             return LambdaGrid(values=tuple(float(v) for v in doc))
         raise ConfigError("grid must be a list or a {start, stop, count} object")
@@ -347,8 +348,10 @@ def cmd_eval(args) -> int:
     else:
         if not isinstance(data, SteadyDataset):
             raise ConfigError("static-curve evaluation needs steady-state data")
-        fp_config = FixedPointConfig(
-            max_iterations=args.fp_max_iterations, fixed_horizon=args.fp_horizon
+        fp_config = _subconfig(
+            FixedPointConfig,
+            {"max_iterations": args.fp_max_iterations, "fixed_horizon": args.fp_horizon},
+            "fixed_point",
         )
         curve = model_static_curve(model, data.u_bar, fp_config)
         write_static_curve_csv(out / "static_curve.csv", curve)

@@ -82,6 +82,13 @@ class GaConfig:
 
     def __post_init__(self):
         _require_int(self, "population_size", "generations", "seed")
+        spread = self.init_spread
+        if spread is not None and (
+            isinstance(spread, bool)
+            or not isinstance(spread, (int, float))
+            or not math.isfinite(spread)
+        ):
+            raise ValueError(f"init_spread must be a finite number or null, got {spread!r}")
         if self.population_size < 2:
             raise ValueError("population_size must be at least 2")
         if self.generations < 0:
@@ -411,7 +418,9 @@ def fit_ga_legacy(
     15 steps), which is what makes this baseline expensive.
 
     Returns the best individual and one trace record per generation
-    (including generation zero, the evaluated initial population).
+    (including generation zero, the evaluated initial population).  A
+    candidate whose cost is NaN never wins; a population that overflows the
+    float range raises DivergenceError.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
@@ -428,7 +437,8 @@ def fit_ga_legacy(
         counter.add(y_d.size)
         j_d = float(np.mean(r_d**2))
         j_s = cost_js_legacy(cand, zs, fp_config, counter=counter)
-        return (1.0 - lam) * j_d + lam * j_s, j_d, j_s
+        cost = (1.0 - lam) * j_d + lam * j_s
+        return (math.inf if math.isnan(cost) else cost), j_d, j_s  # NaN never wins
 
     q = seed_model.n_params
     base_theta = np.asarray(seed_model.theta, dtype=float)
@@ -464,8 +474,11 @@ def fit_ga_legacy(
             if rng.random() < _GA_CROSSOVER_RATE:
                 lo = np.minimum(pa, pb)
                 hi = np.maximum(pa, pb)
-                span = hi - lo
-                child = rng.uniform(lo - _GA_BLEND_ALPHA * span, hi + _GA_BLEND_ALPHA * span)
+                margin = _GA_BLEND_ALPHA * (hi - lo)
+                try:
+                    child = rng.uniform(lo - margin, hi + margin)
+                except OverflowError as exc:  # parents beyond the float range
+                    raise DivergenceError(f"GA overflowed in generation {gen}") from exc
             else:
                 child = pa.copy()
             child = child + sigma * rng.standard_normal(q)

@@ -280,14 +280,6 @@ class MlpModel:
 Model = Union[PolynomialModel, MlpModel]
 
 
-def predict_one_step(model: Model, psi) -> float:
-    """Evaluate the one-step predictor on a single regressor vector."""
-    psi = np.asarray(psi, dtype=float).reshape(-1)
-    if psi.size != len(model.spec):
-        raise ValueError(f"regressor has {psi.size} entries, spec needs {len(model.spec)}")
-    return model._predict_psi(psi)
-
-
 @dataclass(frozen=True)
 class FreeRunResult:
     """Free-run trajectory with divergence bookkeeping.

@@ -34,6 +34,7 @@ from .models import (
 
 
 _WINDOW = 1024  # free-run samples held at once, whatever the step budget
+_MAX_DIVERGENCE_BOUND = 1e150  # its square, the legacy cost's cap, stays finite
 
 
 def _require_int(config, *names: str) -> None:
@@ -71,10 +72,10 @@ class FixedPointConfig:
             raise ValueError("max_iterations must be positive")
         if self.fixed_horizon is not None and self.fixed_horizon < 1:
             raise ValueError("fixed_horizon must be positive when set")
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:  # also rejects NaN
             raise ValueError("tolerance must be positive")
-        if self.divergence_bound <= 0:
-            raise ValueError("divergence_bound must be positive")
+        if not 0 < self.divergence_bound <= _MAX_DIVERGENCE_BOUND:
+            raise ValueError(f"divergence_bound must lie in (0, {_MAX_DIVERGENCE_BOUND:g}]")
 
 
 @dataclass(frozen=True)
@@ -88,13 +89,12 @@ def fixed_point_iterate(
     model: Model,
     u_bar,
     config: FixedPointConfig | None = None,
-    y0: float | None = None,
     counter: EvalCounter | None = None,
 ) -> FixedPointResult:
     """Free-run the model at constant input until the output settles.
 
     ``u_bar`` is a scalar for single-input models or one value per channel.
-    Every output lag starts at ``y0`` (default 0), and the run stops as
+    Every output lag starts at 0, and the run stops as
     :class:`FixedPointConfig` describes.  ``y_bar`` is the last value
     computed, also when the run diverged.
     """
@@ -108,7 +108,7 @@ def fixed_point_iterate(
     budget = horizon if horizon is not None else config.max_iterations
     k0 = max(1, spec.max_lag)
     y = np.empty(k0 + min(budget, _WINDOW))
-    y[:k0] = 0.0 if y0 is None else float(y0)
+    y[:k0] = 0.0
     channels = [np.broadcast_to(level, y.shape) for level in u]
     n_lags = max(1, len(spec.output_lags))
     bound = config.divergence_bound
@@ -170,9 +170,9 @@ def cost_js_legacy(
     """
     config = config or FixedPointConfig()
     curve = model_static_curve(model, zs.u_bar, config, counter)
-    cap = config.divergence_bound**2
-    terms = [
-        min((y_meas - y_fp) ** 2, cap) if ok else cap
+    bound = config.divergence_bound
+    terms = [  # clipped before squaring, so a huge measured value cannot overflow
+        min(abs(y_meas - y_fp), bound) ** 2 if ok else bound**2
         for y_meas, y_fp, ok in zip(
             zs.y_bar.tolist(), curve.y_bar.tolist(), curve.converged.tolist()
         )
@@ -193,13 +193,6 @@ class StaticCurve:
     u_bar: np.ndarray
     y_bar: np.ndarray
     converged: np.ndarray
-
-    def to_steady_dataset(self) -> SteadyDataset:
-        """Converged points only."""
-        mask = self.converged
-        if not np.any(mask):
-            raise ValueError("no converged points on the static curve")
-        return SteadyDataset(u_bar=self.u_bar[mask], y_bar=self.y_bar[mask])
 
 
 def model_static_curve(

@@ -50,7 +50,7 @@ class LambdaGrid:
         vals = tuple(sorted({float(v) for v in self.values}))
         if not vals:
             raise ValueError("lambda grid must not be empty")
-        if vals[0] < 0.0 or vals[-1] > 1.0:
+        if not all(0.0 <= v <= 1.0 for v in vals):  # also rejects NaN
             raise ValueError(f"lambda values must lie in [0, 1], got {vals}")
         object.__setattr__(self, "values", vals)
 
@@ -63,10 +63,7 @@ class LambdaGrid:
     @classmethod
     def parse(cls, text: str) -> "LambdaGrid":
         """Comma-separated values, e.g. "0.1,0.2,0.5"."""
-        parts = [p for p in (s.strip() for s in text.split(",")) if p]
-        if not parts:
-            raise ValueError("lambda grid must not be empty")
-        return cls(values=tuple(float(p) for p in parts))
+        return cls(values=tuple(float(p) for p in text.split(",") if p.strip()))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -104,8 +101,8 @@ class ParetoPoint:
         return model_from_json(self.model)
 
 
-def rmse(predicted, actual, cap: float = RMSE_CAP) -> float:
-    """Root mean squared error, clipped to ``cap`` and on non-finite input."""
+def rmse(predicted, actual) -> float:
+    """Root mean squared error, clipped to ``RMSE_CAP`` and on non-finite input."""
     predicted = np.asarray(predicted, dtype=float)
     actual = np.asarray(actual, dtype=float)
     if predicted.shape != actual.shape:
@@ -114,8 +111,8 @@ def rmse(predicted, actual, cap: float = RMSE_CAP) -> float:
         raise ValueError("rmse needs at least one sample")
     diff = predicted - actual
     if not np.all(np.isfinite(diff)):
-        return cap
-    return min(float(np.sqrt(np.mean(diff**2))), cap)
+        return RMSE_CAP
+    return min(float(np.sqrt(np.mean(diff**2))), RMSE_CAP)
 
 
 def abs_error_correlation(residual, reference) -> float:
@@ -130,17 +127,17 @@ def abs_error_correlation(residual, reference) -> float:
     return abs(cov / (r_std * y_std))
 
 
-def score_free_run(model: Model, data: DynDataset, cap: float = RMSE_CAP):
+def score_free_run(model: Model, data: DynDataset):
     """Free-run RMSE over the predicted region, the divergence flag, and
     the absolute error/output correlation (None when diverged)."""
-    result = free_run_on_dataset(model, data, bound=cap)
+    result = free_run_on_dataset(model, data, bound=RMSE_CAP)
     k0 = model.spec.max_lag
     measured = data.output[k0:]
     if result.diverged:
-        return cap, True, None
+        return RMSE_CAP, True, None
     predicted = result.y[k0:]
     corr = abs_error_correlation(measured - predicted, measured)
-    return rmse(predicted, measured, cap), False, corr
+    return rmse(predicted, measured), False, corr
 
 
 # structure kind each closed-form or gradient algorithm needs; the GA takes any

@@ -7,6 +7,7 @@ just shifting a number.
 """
 
 import math
+import statistics
 import time
 
 import numpy as np
@@ -110,14 +111,15 @@ def test_criterion_3_eval_accounting_and_speedup():
     new_count = counter.count
 
     grid = gb.LambdaGrid.linspace(0.1, 0.9, 9)
-    t_lm = time.perf_counter()
-    lm_points = gb.run_sweep(
-        structure, zd, None, zs, grid,
-        gb.TrainConfig(
-            algorithm="weighted_lm", lm=gb.LmConfig(max_iterations=60, n_starts=3)
-        ),
+    lm_train = gb.TrainConfig(
+        algorithm="weighted_lm", lm=gb.LmConfig(max_iterations=60, n_starts=3)
     )
-    lm_wall = time.perf_counter() - t_lm
+    lm_walls = []
+    for _ in range(3):  # the median of three, so one busy moment cannot swing the ratio
+        t_lm = time.perf_counter()
+        lm_points = gb.run_sweep(structure, zd, None, zs, grid, lm_train)
+        lm_walls.append(time.perf_counter() - t_lm)
+    lm_wall = statistics.median(lm_walls)
     t_ga = time.perf_counter()
     ga_points = gb.run_sweep(
         structure, zd, None, zs, grid,
@@ -148,7 +150,7 @@ def test_criterion_3_eval_accounting_and_speedup():
         f"substitution evals/call {new_count} == {per_call_new}, "
         f"ga sweep evals {ga_total} == {9 * calls_per_lambda * per_call_legacy}, "
         f"lm sweep evals {lm_total} divisible by {per_call_new}, "
-        f"wall ratio {ratio:.1f}x >= 100x, {elapsed:.0f}s < 1800s",
+        f"wall ratio {ratio:.1f}x >= 100x (LM sweep median of 3), {elapsed:.0f}s < 1800s",
     )
 
 

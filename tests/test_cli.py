@@ -1,13 +1,23 @@
-"""End-to-end checks of the command line interface via subprocess."""
+"""End-to-end checks of the command line interface, in a subprocess or
+through ``greybox.cli.main``."""
 
+import csv
 import json
+import math
+import re
+import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import greybox as gb
+from greybox.cli import main
 
 
 def run_cli(*argv):
@@ -387,17 +397,6 @@ def test_non_finite_cell_exits_2(command, name, row, column, cell, datadir, tmp_
     assert f"non-finite cell {cell!r}, row {row}, column {column}" in proc.stderr
 
 
-def test_example1_script_runs(tmp_path):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "run_example1.py"
-    proc = subprocess.run(
-        [sys.executable, str(script), "--out", str(tmp_path)],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "sweep.csv").exists()
-
-
 def test_import_does_not_load_scipy():
     proc = subprocess.run(
         [sys.executable, "-c",
@@ -422,3 +421,251 @@ def test_readme_config_trains(tmp_path):
     assert proc.returncode == 0, proc.stderr
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
     assert manifest["train"]["lm"] == config["lm"]
+
+
+def test_readme_example1_recipe_runs(tmp_path, monkeypatch):
+    # the example1 recipe in README.md must run as written, and its pick must
+    # stay well ahead of the black-box model on the validation record
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    _, _, after = readme.partition("#### example1")
+    section, found, _ = after.partition("#### example2")
+    assert found, "no example1 recipe in README.md"
+    monkeypatch.chdir(tmp_path)
+    for block in re.finditer(r"```json\n(.*?)```", section, re.S):
+        name = re.findall(r"`(\w+\.json)`", section[: block.start()])[-1]
+        Path(name).write_text(block.group(1))
+    commands = section.partition("```sh\n")[2].partition("```")[0].splitlines()
+    assert commands and all(line.startswith("greybox ") for line in commands)
+    for line in commands:
+        assert main(shlex.split(line)[1:]) == 0, line
+    blackbox = json.loads(Path("ex1/blackbox/zv/metrics.json").read_text())["rmse"]
+    manifest = json.loads(Path("ex1/sweep/manifest.json").read_text())
+    lam = manifest["selections"]["min_rmse_zt"]["lambda"]
+    with open("ex1/sweep/sweep.csv") as fh:
+        pick = next(float(r["rmse_zv"]) for r in csv.DictReader(fh) if float(r["lambda"]) == lam)
+    assert blackbox >= 3 * pick, (blackbox, pick)
+    for name in ("min_corr", "min_rmse_zt"):
+        assert Path(f"ex1/{name}/static_curve.csv").exists()
+
+
+def _run(datadir, tmp, command, entries, flags=()):
+    """main on an example1 config with ``entries``; an uncaught exception
+    fails the calling test with its traceback."""
+    config = {
+        "structure": {"builtin": "example1"},
+        "datasets": {key: str(datadir / f"{key}.csv") for key in ("zd", "zt", "zs")},
+        "algorithm": "wls",
+        "lambda": 0.5,
+        "grid": [0.5],
+        **entries,
+    }
+    path = Path(tmp) / "config.json"
+    path.write_text(json.dumps(config))
+    with np.errstate(all="ignore"):
+        return main([command, "--config", str(path), *flags, "--out", str(Path(tmp) / "out")])
+
+
+@pytest.mark.parametrize(
+    "entries,flags,named",
+    [
+        ({"grid": [0.5]}, ["--grid", "nan"], "lambda"),
+        ({"grid": [0.5]}, ["--grid", "0.5,nan"], "lambda"),
+        ({"grid": [0.2, math.nan]}, [], "lambda"),
+        ({"grid": {"start": 0.1, "stop": 0.9, "count": 2.7}}, [], "count"),
+        ({"grid": {"start": 0.1, "stop": 0.9, "count": True}}, [], "count"),
+    ],
+    ids=["flag-nan", "flag-with-nan", "list-with-nan", "float-count", "bool-count"],
+)
+def test_bad_grid_exits_2(entries, flags, named, datadir, tmp_path, capsys):
+    assert _run(datadir, tmp_path, "sweep", entries, flags) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--fp-max-iterations", "0"), ("--fp-horizon", "-3")])
+def test_eval_bad_fixed_point_flag_exits_2(flag, value, datadir, trained, tmp_path, capsys):
+    argv = ["eval", "--model", str(trained / "model.json"), "--data", str(datadir / "zs.csv"),
+            "--mode", "static-curve", flag, value, "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert "fixed_point" in capsys.readouterr().err
+
+
+# Hypothesis properties of the CLI boundary: whatever a config, a CSV cell or
+# a flag holds, main returns 0, 2 or 3 and never raises.  Counts are drawn
+# from small ranges, so the runs that do train stay cheap.
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=3),
+)
+json_values = st.one_of(json_scalars, st.lists(json_scalars, max_size=2))
+counts = st.one_of(st.integers(-1, 3), json_scalars)
+lambdas = st.one_of(st.floats(0.0, 1.0), json_values)
+
+
+def requested_grid(doc, text):
+    """Sorted distinct lambdas a valid grid asks for; None for an invalid one."""
+    try:
+        if text:
+            values = [float(p) for p in text.split(",") if p.strip()]
+        elif isinstance(doc, dict):
+            count = doc["count"]
+            if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+                return None
+            with np.errstate(all="ignore"):
+                values = np.linspace(float(doc["start"]), float(doc["stop"]), count).tolist()
+        elif isinstance(doc, list):
+            values = [float(v) for v in doc]
+        else:
+            return None
+    except (TypeError, ValueError, OverflowError):
+        return None
+    values = sorted(set(values))
+    return values if values and all(0.0 <= v <= 1.0 for v in values) else None
+
+
+@given(
+    grid=st.one_of(
+        st.lists(lambdas, max_size=3),
+        st.fixed_dictionaries(
+            {"start": st.one_of(st.floats(0.0, 1.0), lambdas),
+             "stop": st.one_of(st.floats(0.0, 1.0), lambdas),
+             "count": counts}
+        ),
+        json_scalars,
+    ),
+    grid_text=st.one_of(
+        st.none(),
+        st.lists(
+            st.sampled_from(["0.1", "0.5", "1", "", "nan", "inf", "1.5", "x"]),
+            min_size=1, max_size=3,
+        ).map(",".join),
+    ),
+)
+@example(grid=[0.5], grid_text="nan")
+@example(grid=[0.2, math.nan], grid_text=None)
+@example(grid={"start": 0.1, "stop": 0.9, "count": 2.7}, grid_text=None)
+def test_fuzzed_grid_exits_2_or_sweeps_it(datadir, grid, grid_text):
+    flags = [] if grid_text is None else [f"--grid={grid_text}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        code = _run(datadir, tmp, "sweep", {"grid": grid}, flags)
+        assert code in (0, 2, 3)
+        wanted = requested_grid(grid, grid_text)
+        if wanted is None:
+            assert code == 2  # an invalid grid is refused, never truncated
+        elif code == 0:
+            manifest = json.loads((Path(tmp) / "out" / "manifest.json").read_text())
+            assert manifest["grid"] == wanted
+
+
+# per config entry: values it accepts, and anything at all
+VALID_ENTRIES = {
+    "lambda": st.floats(0.0, 1.0),
+    "lm": st.fixed_dictionaries(
+        {}, optional={"max_iterations": st.integers(0, 3), "n_starts": st.integers(1, 2)}
+    ),
+    "ga": st.fixed_dictionaries(
+        {"population_size": st.integers(2, 3), "generations": st.integers(0, 2)},
+        optional={"init_spread": st.floats(0.0, 1.0), "seed": st.integers(0, 3)},
+    ),
+    "fixed_point": st.fixed_dictionaries(
+        {"max_iterations": st.integers(1, 3)},
+        optional={"fixed_horizon": st.integers(1, 3), "tolerance": st.floats(1e-12, 1.0),
+                  "divergence_bound": st.floats(1.0, 1e6)},
+    ),
+}
+FUZZED_ENTRIES = {
+    "lambda": lambdas,
+    "lm": st.fixed_dictionaries({}, optional={"max_iterations": counts, "n_starts": counts}),
+    "ga": st.fixed_dictionaries(
+        {"population_size": counts, "generations": counts},
+        optional={"init_spread": json_values, "seed": counts},
+    ),
+    "fixed_point": st.fixed_dictionaries(
+        {"max_iterations": counts},
+        optional={"fixed_horizon": counts, "tolerance": json_values,
+                  "divergence_bound": json_values},
+    ),
+}
+
+
+@st.composite
+def config_entries(draw):
+    """One entry fuzzed, the others valid, so the fuzzed one is reached."""
+    fuzzed = draw(st.sampled_from(sorted(FUZZED_ENTRIES)))
+    return {
+        key: draw(FUZZED_ENTRIES[key] if key == fuzzed else VALID_ENTRIES[key])
+        for key in FUZZED_ENTRIES
+    }
+
+
+@given(
+    command=st.sampled_from(["train", "sweep"]),
+    algorithm=st.sampled_from(["wls", "ols", "ga_legacy", "weighted_lm"]),
+    entries=config_entries(),
+)
+@example(
+    command="train", algorithm="ga_legacy",
+    entries={"lambda": 0.5, "ga": {"population_size": 3, "generations": 1,
+                                   "init_spread": "wide"}},
+)
+def test_fuzzed_config_exits_0_2_or_3(datadir, command, algorithm, entries):
+    with tempfile.TemporaryDirectory() as tmp:
+        code = _run(datadir, tmp, command, {"algorithm": algorithm, **entries})
+    assert code in (0, 2, 3)
+
+
+@given(
+    command=st.sampled_from(["train", "sweep"]),
+    algorithm=st.sampled_from(["wls", "ga_legacy"]),
+    name=st.sampled_from(["zd", "zs"]),
+    row=st.integers(1, 5),
+    column=st.integers(0, 1),
+    cell=st.one_of(st.floats(allow_nan=True, allow_infinity=True).map(repr), st.text(max_size=4)),
+)
+@example(command="sweep", algorithm="ga_legacy", name="zs", row=3, column=1, cell="1e300")
+def test_fuzzed_csv_cell_exits_0_2_or_3(datadir, command, algorithm, name, row, column, cell):
+    lines = (datadir / f"{name}.csv").read_text().splitlines()
+    cells = lines[row].split(",")
+    cells[column] = cell
+    lines[row] = ",".join(cells)
+    with tempfile.TemporaryDirectory() as tmp:
+        bad = Path(tmp) / f"{name}.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        datasets = {key: str(datadir / f"{key}.csv") for key in ("zd", "zt", "zs")}
+        datasets[name] = str(bad)
+        code = _run(datadir, tmp, command, {
+            "datasets": datasets,
+            "algorithm": algorithm,
+            "ga": {"population_size": 3, "generations": 2},
+            "fixed_point": {"fixed_horizon": 3},  # every pair converges
+        })
+    assert code in (0, 2, 3)
+    if not re.search(r'[,"\r\n]', cell):  # the cell keeps its place in the row
+        try:
+            finite = math.isfinite(float(cell))
+        except ValueError:
+            finite = False
+        if not finite:
+            assert code == 2
+
+
+@given(
+    mode=st.sampled_from(["one-step", "free-run", "static-curve"]),
+    data=st.sampled_from(["zs", "zv"]),
+    max_iterations=st.one_of(st.none(), st.integers(-3, 5).map(str), st.text(max_size=2)),
+    horizon=st.one_of(st.none(), st.integers(-3, 5).map(str), st.text(max_size=2)),
+)
+@example(mode="static-curve", data="zs", max_iterations="0", horizon=None)
+def test_fuzzed_eval_flags_exit_0_2_or_3(datadir, trained, mode, data, max_iterations, horizon):
+    argv = ["eval", "--model", str(trained / "model.json"),
+            "--data", str(datadir / f"{data}.csv"), "--mode", mode]
+    if max_iterations is not None:
+        argv.append(f"--fp-max-iterations={max_iterations}")
+    if horizon is not None:
+        argv.append(f"--fp-horizon={horizon}")
+    with tempfile.TemporaryDirectory() as tmp:
+        code = main([*argv, "--out", tmp])
+    assert code in (0, 2, 3)

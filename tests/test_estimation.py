@@ -1,5 +1,7 @@
 """Estimators: weighted least squares, damped Gauss-Newton, the GA baseline."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -341,6 +343,26 @@ class TestGaLegacy:
         per_call = (zd.sample_count - 2) + zs.n_pairs * 15
         # initial population of 4 plus 3 fresh children (elite carried over)
         assert counter.count == (4 + 3) * per_call
+
+    def test_nan_cost_never_wins(self, ex1_data, ex1_structure):
+        # at lambda 1 an overflowing candidate scores 0 * inf = NaN; the
+        # finite seed stays the elite instead
+        zd, _, zs, _ = ex1_data
+        seed_model = gb.fit_wls(ex1_structure, zd, None, 0.0)
+        config = gb.GaConfig(population_size=3, generations=1, init_spread=1e300)
+        fp = gb.FixedPointConfig(max_iterations=3)
+        with np.errstate(all="ignore"):
+            out, trace = gb.fit_ga_legacy(seed_model, zd, zs, 1.0, config, fp)
+        assert np.array_equal(out.theta, seed_model.theta)
+        assert all(math.isfinite(record.cost) for record in trace)
+
+    def test_overflowing_population_diverges(self, ex1_data, ex1_structure):
+        zd, _, zs, _ = ex1_data
+        seed_model = gb.fit_wls(ex1_structure, zd, None, 0.0)
+        config = gb.GaConfig(population_size=3, generations=3, init_spread=1e300)
+        fp = gb.FixedPointConfig(max_iterations=3)
+        with np.errstate(all="ignore"), pytest.raises(gb.DivergenceError, match="overflowed"):
+            gb.fit_ga_legacy(seed_model, zd, zs, 0.5, config, fp)
 
 
 class TestTraceCsv:

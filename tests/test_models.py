@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import greybox as gb
 from greybox.data import EXAMPLE1, simulate_system
-from greybox.models import EXAMPLE1_TRUE_THETA, predict_one_step
+from greybox.models import EXAMPLE1_TRUE_THETA
 
 
 class TestRegressorSpec:
@@ -124,7 +124,7 @@ class TestPolynomialModel:
         )
         psi = rng.standard_normal((20, 5))
         batch = model.predict(psi)
-        single = [predict_one_step(model, row) for row in psi]
+        single = [model._predict_psi(row) for row in psi]
         assert np.allclose(batch, single, atol=1e-14)
 
 
@@ -168,7 +168,7 @@ class TestMlpModel:
         model = gb.MlpModel(spec, 3, rng.standard_normal(1 + 3 + 3 * 5))
         psi = rng.standard_normal((15, 5))
         batch = model.predict(psi)
-        single = [predict_one_step(model, row) for row in psi]
+        single = [model._predict_psi(row) for row in psi]
         assert np.allclose(batch, single, atol=1e-14)
 
     @given(

@@ -66,10 +66,7 @@ class TestFixedPointIterate:
 
     def test_divergence_stops_early(self):
         result = gb.fixed_point_iterate(
-            scalar_affine(2.0, 0.0),
-            (0.0,),
-            gb.FixedPointConfig(divergence_bound=50.0),
-            y0=1.0,
+            scalar_affine(2.0, 1.0), (0.0,), gb.FixedPointConfig(divergence_bound=50.0)
         )
         assert not result.converged
         assert result.iterations < 50
@@ -172,6 +169,12 @@ class TestStaticCosts:
         two_pairs = gb.SteadyDataset(u_bar=np.array([[0.0], [1.0]]), y_bar=np.zeros(2))
         assert gb.cost_js_legacy(scalar_affine(0.0, 2.0), two_pairs) == 4.0
 
+    def test_legacy_cost_caps_huge_measured_values(self):
+        # a residual of 1e300 would overflow when squared; it is capped first
+        zs = gb.SteadyDataset(u_bar=np.array([[0.5]]), y_bar=np.array([1e300]))
+        cost = gb.cost_js_legacy(scalar_affine(0.0, 5.0), zs)
+        assert cost == 1e12
+
     def test_legacy_cost_matches_per_pair_iteration(self, ex1_data):
         # the per-pair loop cost_js_legacy ran before it was folded onto
         # model_static_curve, kept as the bit-level reference
@@ -273,12 +276,11 @@ class TestModelStaticCurve:
         )
         assert not curve.converged[0]
 
-    def test_to_steady_dataset_drops_nothing_when_converged(self, true_model):
+    def test_true_model_converges_at_every_level(self, true_model):
         curve = gb.model_static_curve(
             true_model, np.linspace(-1, 3, 5), gb.FixedPointConfig(max_iterations=5000)
         )
-        zs = curve.to_steady_dataset()
-        assert zs.n_pairs == 5
+        assert curve.converged.all()
 
     def test_curve_csv_columns(self, tmp_path, true_model):
         from greybox.steady_state import write_static_curve_csv
@@ -309,6 +311,10 @@ def test_init_at_target_config_exits_2(tmp_path, capsys):
         ("ga", {"population_size": 4.5}, "population_size"),
         ("ga", {"seed": -1}, "seed"),
         ("fixed_point", {"fixed_horizon": 15.0}, "fixed_horizon"),
+        ("fixed_point", {"tolerance": float("nan")}, "tolerance"),
+        ("fixed_point", {"divergence_bound": 1e200}, "divergence_bound"),
+        ("ga", {"init_spread": "wide"}, "init_spread"),
+        ("ga", {"init_spread": float("inf")}, "init_spread"),
         ("datasets", {"generator": "example1", "seed": "x"}, "seed"),
         ("datasets", {"generator": "example1", "seed": -3}, "seed"),
         ("init_seed", -1, "init_seed"),

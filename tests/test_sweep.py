@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import greybox as gb
-from greybox.sweep import abs_error_correlation, score_free_run, write_sweep_csv
+from greybox.sweep import RMSE_CAP, abs_error_correlation, score_free_run, write_sweep_csv
 
 
 def make_point(lam, j_d, j_s, **kw):
@@ -23,10 +23,11 @@ class TestScores:
         assert value == pytest.approx(math.sqrt(12.5), abs=1e-14)
 
     def test_rmse_caps_non_finite(self):
-        assert gb.rmse(np.array([np.nan, 1.0]), np.zeros(2), cap=123.0) == 123.0
+        assert gb.rmse(np.array([np.nan, 1.0]), np.zeros(2)) == RMSE_CAP
         with np.errstate(over="ignore"):
-            value = gb.rmse(np.array([1e300, 0.0]), np.array([-1e300, 0.0]), cap=9.0)
-        assert value == 9.0
+            value = gb.rmse(np.array([1e300, 0.0]), np.array([-1e300, 0.0]))
+        assert value == RMSE_CAP
+        assert gb.rmse(np.array([2e6]), np.zeros(1)) == RMSE_CAP
 
     def test_rmse_validates_shapes(self):
         with pytest.raises(ValueError):
@@ -51,8 +52,8 @@ class TestScores:
         _, _, _, zv = ex1_data
         spec = gb.RegressorSpec(output_lags=(1, 2), input_lags=((1, 2),))
         unstable = gb.PolynomialModel(spec, ((1,), (0,)), np.array([2.0, 1.0]))
-        value, diverged, corr = score_free_run(unstable, zv, cap=500.0)
-        assert diverged and value == 500.0 and corr is None
+        value, diverged, corr = score_free_run(unstable, zv)
+        assert diverged and value == RMSE_CAP and corr is None
 
 
 class TestLambdaGrid:
@@ -66,7 +67,7 @@ class TestLambdaGrid:
         assert list(grid)[0] == pytest.approx(0.1)
         assert list(grid)[-1] == pytest.approx(0.9)
 
-    @pytest.mark.parametrize("text", ["", "1.5", "-0.1"])
+    @pytest.mark.parametrize("text", ["", "1.5", "-0.1", "nan", "0.5,nan"])
     def test_rejects_bad_values(self, text):
         with pytest.raises(ValueError):
             gb.LambdaGrid.parse(text)
