@@ -132,19 +132,32 @@ def _subconfig(cls, doc, name):
         raise ConfigError(f"bad {name} config: {exc}") from exc
 
 
+def _config_lambda(value, key: str) -> float:
+    """A lambda from the config: a JSON number, not a bool or a string that
+    ``float()`` would take."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ConfigError(f"{key} must lie in [0, 1], got {value!r}") from None
+
+
 def _train_config(cfg: dict, args) -> TrainConfig:
-    lam = args.lam if args.lam is not None else cfg.get("lambda", 0.0)
+    lam = args.lam
+    if lam is None:
+        lam = _config_lambda(cfg.get("lambda", 0.0), "lambda")
     algorithm = args.algorithm or cfg.get("algorithm", "wls")
     init_seed = args.seed if args.seed is not None else cfg.get("init_seed", 0)
     try:
         return TrainConfig(
-            lam=float(lam),
+            lam=lam,
             algorithm=algorithm,
             lm=_subconfig(LmConfig, cfg.get("lm"), "lm"),
             ga=_subconfig(GaConfig, cfg.get("ga"), "ga"),
             init_seed=init_seed,
         )
-    except (TypeError, ValueError) as exc:  # e.g. "lambda": [0.3]
+    except (TypeError, ValueError) as exc:  # e.g. "lambda": 1.5
         raise ConfigError(str(exc)) from exc
 
 
@@ -248,9 +261,11 @@ def _parse_grid(cfg: dict, args) -> LambdaGrid:
             count = doc["count"]
             if isinstance(count, bool) or not isinstance(count, int):
                 raise ConfigError(f"grid count must be an integer, got {count!r}")
-            return LambdaGrid.linspace(float(doc["start"]), float(doc["stop"]), count)
+            start = _config_lambda(doc["start"], "grid start")
+            stop = _config_lambda(doc["stop"], "grid stop")
+            return LambdaGrid.linspace(start, stop, count)
         if isinstance(doc, list):
-            return LambdaGrid(values=tuple(float(v) for v in doc))
+            return LambdaGrid(values=tuple(_config_lambda(v, "grid value") for v in doc))
         raise ConfigError("grid must be a list or a {start, stop, count} object")
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"bad lambda grid: {exc}") from exc

@@ -33,6 +33,8 @@ from .models import (
     MlpModel,
     Model,
     PolynomialModel,
+    _mlp_forward,
+    _mlp_unpack,
     build_regression_matrix,
     build_static_regressors,
 )
@@ -210,14 +212,15 @@ def fit_wls(
 def mlp_jacobian(model: MlpModel, psi_rows: np.ndarray) -> np.ndarray:
     """d F / d theta, one row per regressor row, columns in packing order."""
     psi_rows = np.atleast_2d(np.asarray(psi_rows, dtype=float))
-    n = psi_rows.shape[0]
-    _, w_out, b_h, w_h = model.unpack()
-    x = model._features(psi_rows)
+    return _mlp_jacobian(model.theta, model.n_hidden, model._features(psi_rows))
+
+
+def _mlp_jacobian(theta: np.ndarray, nh: int, x: np.ndarray) -> np.ndarray:
+    n, nf = x.shape
+    _, w_out, b_h, w_h = _mlp_unpack(theta, nh, nf)
     t = np.tanh(x @ w_h.T + b_h)
     d = 1.0 - t**2
-    nh = model.n_hidden
-    nf = model.spec.n_features
-    jac = np.empty((n, model.n_params))
+    jac = np.empty((n, theta.size))
     jac[:, 0] = 1.0
     jac[:, 1 : 1 + nh] = t
     for i in range(nh):
@@ -316,14 +319,16 @@ def fit_weighted_lm(
     n_d, n_s = stacked.n_dynamic, stacked.n_static
     counter = counter if counter is not None else EvalCounter()
     trace_record = _trace_recorder(counter)
+    nh, x = model.n_hidden, model._features(psi)
 
+    # straight from theta: a model per trial would re-validate and copy it
     def evaluate(theta):
-        r = y - model.with_theta(theta).predict(psi)
+        r = y - _mlp_forward(theta, nh, x)
         counter.add(y.size)
         return weights * r, r
 
     def jacobian(theta):
-        return -weights[:, None] * mlp_jacobian(model.with_theta(theta), psi)
+        return -weights[:, None] * _mlp_jacobian(theta, nh, x)
 
     def record(iteration, r, cost):
         j_d = float(np.mean(r[:n_d] ** 2)) if n_d else 0.0

@@ -7,11 +7,20 @@ A regressor vector at sample k is laid out as
 with the leading constant slot optional.  Both model families consume this
 layout: the polynomial model multiplies selected slots together per term,
 the MLP feeds the non-constant slots through a tanh hidden layer.
+
+Time stepping has one loop, :func:`_recurrence`, which gathers psi(k-1) from
+Python-list buffers and calls a step function on it.  Each model builds its
+step once (``_step``), with its parameters hoisted out of the loop, and
+:func:`free_run` uses it.  ``_predict_psi`` computes the same value but
+unpacks the parameters on every call; it is kept only as the deliberately
+unhoisted step of the GA baseline's fixed-point cost (and for the tests that
+check the scalar path against the batch one).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence, Union
@@ -60,7 +69,7 @@ class RegressorSpec:
     def __len__(self) -> int:
         return int(self.include_constant) + self.n_features
 
-    @property
+    @cached_property
     def n_features(self) -> int:
         """Number of non-constant regressor slots."""
         return len(self.output_lags) + sum(len(lags) for lags in self.input_lags)
@@ -199,7 +208,6 @@ class PolynomialModel:
         return self.design_matrix(psi_rows) @ self.theta
 
     def _predict_psi(self, psi) -> float:
-        # scalar hot path of the recurrence kernel
         acc = 0.0
         for weight, term in zip(self.theta, self.terms):
             p = weight
@@ -207,6 +215,21 @@ class PolynomialModel:
                 p *= psi[i]
             acc += p
         return float(acc)
+
+    def _step(self):
+        """``_predict_psi`` over plain floats, in the same product and sum
+        order, so it returns the same bits."""
+        pairs = tuple(zip(self.theta.tolist(), self.terms))
+
+        def step(psi) -> float:
+            acc = 0.0
+            for p, term in pairs:
+                for i in term:
+                    p *= psi[i]
+                acc += p
+            return acc
+
+        return step
 
 
 @dataclass(frozen=True)
@@ -255,10 +278,7 @@ class MlpModel:
 
     def unpack(self):
         """Views (output_bias, output_weights, hidden_bias, hidden_weights)."""
-        nh = self.n_hidden
-        nf = self.spec.n_features
-        blocks = self.theta[1 + nh :].reshape(nh, 1 + nf)
-        return self.theta[0], self.theta[1 : 1 + nh], blocks[:, 0], blocks[:, 1:]
+        return _mlp_unpack(self.theta, self.n_hidden, self.spec.n_features)
 
     def _features(self, psi_rows: np.ndarray) -> np.ndarray:
         start = 1 if self.spec.include_constant else 0
@@ -266,15 +286,37 @@ class MlpModel:
 
     def predict(self, psi_rows: np.ndarray) -> np.ndarray:
         psi_rows = np.atleast_2d(np.asarray(psi_rows, dtype=float))
-        b0, w_out, b_h, w_h = self.unpack()
-        z = self._features(psi_rows) @ w_h.T + b_h
-        return b0 + np.tanh(z) @ w_out
+        return _mlp_forward(self.theta, self.n_hidden, self._features(psi_rows))
 
     def _predict_psi(self, psi) -> float:
         b0, w_out, b_h, w_h = self.unpack()
         start = 1 if self.spec.include_constant else 0
         z = w_h @ psi[start:] + b_h
         return float(b0 + w_out @ np.tanh(z))
+
+    def _step(self):
+        """``_predict_psi`` with the unpacking done once; the numpy operations
+        are the same, so it returns the same bits."""
+        b0, w_out, b_h, w_h = self.unpack()
+        start = 1 if self.spec.include_constant else 0
+
+        def step(psi) -> float:
+            z = w_h @ psi[start:] + b_h
+            return float(b0 + w_out @ np.tanh(z))
+
+        return step
+
+
+def _mlp_unpack(theta: np.ndarray, n_hidden: int, n_features: int):
+    blocks = theta[1 + n_hidden :].reshape(n_hidden, 1 + n_features)
+    return theta[0], theta[1 : 1 + n_hidden], blocks[:, 0], blocks[:, 1:]
+
+
+def _mlp_forward(theta: np.ndarray, n_hidden: int, features: np.ndarray) -> np.ndarray:
+    """MLP outputs for packed parameters over rows of non-constant regressors."""
+    b0, w_out, b_h, w_h = _mlp_unpack(theta, n_hidden, features.shape[1])
+    z = features @ w_h.T + b_h
+    return b0 + np.tanh(z) @ w_out
 
 
 Model = Union[PolynomialModel, MlpModel]
@@ -319,38 +361,35 @@ def free_run(
     k0 = spec.max_lag
     if n <= k0:
         raise ValueError(f"need more than {k0} samples, got {n}")
-    y = np.zeros(n)
+    y = [0.0] * n
     if init is not None:
         head = np.asarray(init, dtype=float).reshape(-1)
         if head.size > k0:
             raise ValueError(f"init has {head.size} values, max lag is {k0}")
         if head.size:
-            y[k0 - head.size : k0] = head
-    for k, value in _recurrence(model, y, channels, k0):
+            y[k0 - head.size : k0] = head.tolist()
+    for k, value in _recurrence(spec, model._step(), y, [c.tolist() for c in channels], k0):
         if not (-bound <= value <= bound):  # also catches NaN
-            y[k:] = np.nan
-            return FreeRunResult(y=y, diverged=True, diverged_at=k)
+            y[k:] = [math.nan] * (n - k)
+            return FreeRunResult(y=np.array(y), diverged=True, diverged_at=k)
         y[k] = value
-    return FreeRunResult(y=y, diverged=False)
+    return FreeRunResult(y=np.array(y), diverged=False)
 
 
-def _recurrence(model: Model, y: np.ndarray, channels, start: int):
+def _recurrence(spec: RegressorSpec, step, y: list, channels: list, start: int):
     """The one loop that runs a model through time, for free runs and fixed points.
 
-    Yields ``(k, F(psi(k-1)))`` for k = start, ..., len(y) - 1, gathering
-    psi(k-1) from the output buffer ``y`` and the input ``channels``.  The
-    caller stores y(k) before asking for the next step, or stops early.
+    Yields ``(k, step(psi(k-1)))`` for k = start, ..., len(y) - 1, gathering
+    psi(k-1) from the output buffer ``y`` and the input ``channels``, all
+    Python lists, into a list whose constant slot stays 1.0.  The caller
+    stores y(k) in place before asking for the next step, or stops early.
     """
-    spec = model.spec
-    psi = np.empty(len(spec))
-    if spec.include_constant:
-        psi[0] = 1.0
-    gather = spec._gather
-    predict = model._predict_psi
-    for k in range(start, y.size):
-        for pos, ch, lag in gather:
-            psi[pos] = y[k - lag] if ch < 0 else channels[ch][k - lag]
-        yield k, predict(psi)
+    psi = [1.0] * len(spec)  # every slot but the constant one is gathered
+    gather = [(pos, y if ch < 0 else channels[ch], lag) for pos, ch, lag in spec._gather]
+    for k in range(start, len(y)):
+        for pos, src, lag in gather:
+            psi[pos] = src[k - lag]
+        yield k, step(psi)
 
 
 def free_run_on_dataset(model: Model, data: DynDataset, bound: float = 1e6) -> FreeRunResult:

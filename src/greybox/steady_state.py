@@ -9,6 +9,12 @@ only the GA baseline's :func:`cost_js_legacy` and the static-curve check
 run at constant input, on the same recurrence kernel as
 :func:`~greybox.models.free_run`.
 
+The static curve and :func:`fixed_point_iterate` step with the model's
+``_step``, built once per call.  :func:`cost_js_legacy` steps with
+``_predict_psi`` instead, which unpacks the parameters on every call: the GA
+baseline is kept deliberately unhoisted, so it keeps paying per step what
+the original scheme paid.  Both steps return the same bits.
+
 Every cost helper accepts an optional :class:`~greybox.models.EvalCounter`
 so callers can account model evaluations precisely.
 """
@@ -98,8 +104,10 @@ def fixed_point_iterate(
     :class:`FixedPointConfig` describes.  ``y_bar`` is the last value
     computed, also when the run diverged.
     """
-    config = config or FixedPointConfig()
-    spec = model.spec
+    return _fixed_point(model.spec, model._step(), u_bar, config or FixedPointConfig(), counter)
+
+
+def _fixed_point(spec, step, u_bar, config: FixedPointConfig, counter) -> FixedPointResult:
     u = np.atleast_1d(np.asarray(u_bar, dtype=float))
     if u.size != spec.n_inputs:
         raise ValueError(f"u_bar has {u.size} channels, spec needs {spec.n_inputs}")
@@ -107,15 +115,14 @@ def fixed_point_iterate(
     horizon = config.fixed_horizon
     budget = horizon if horizon is not None else config.max_iterations
     k0 = max(1, spec.max_lag)
-    y = np.empty(k0 + min(budget, _WINDOW))
-    y[:k0] = 0.0
-    channels = [np.broadcast_to(level, y.shape) for level in u]
+    y = [0.0] * (k0 + min(budget, _WINDOW))
+    channels = [[level] * len(y) for level in u.tolist()]
     n_lags = max(1, len(spec.output_lags))
     bound = config.divergence_bound
     settled = iterations = 0
     converged = None
     while converged is None:
-        for k, value in _recurrence(model, y, channels, k0):
+        for k, value in _recurrence(spec, step, y, channels, k0):
             iterations += 1
             if not (-bound <= value <= bound):  # also catches NaN
                 converged = False
@@ -169,7 +176,8 @@ def cost_js_legacy(
     residuals are capped at the same value.
     """
     config = config or FixedPointConfig()
-    curve = model_static_curve(model, zs.u_bar, config, counter)
+    # the faithful per-call step, not the hoisted one: this is the baseline
+    curve = _static_curve(model.spec, model._predict_psi, zs.u_bar, config, counter)
     bound = config.divergence_bound
     terms = [  # clipped before squaring, so a huge measured value cannot overflow
         min(abs(y_meas - y_fp), bound) ** 2 if ok else bound**2
@@ -202,6 +210,12 @@ def model_static_curve(
     counter: EvalCounter | None = None,
 ) -> StaticCurve:
     """Trace the model's static curve by fixed-point iteration per grid point."""
+    return _static_curve(
+        model.spec, model._step(), u_bar_grid, config or FixedPointConfig(), counter
+    )
+
+
+def _static_curve(spec, step, u_bar_grid, config: FixedPointConfig, counter) -> StaticCurve:
     grid = np.asarray(u_bar_grid, dtype=float)
     if grid.ndim == 1:
         grid = grid.reshape(-1, 1)
@@ -210,7 +224,7 @@ def model_static_curve(
     y = np.full(grid.shape[0], np.nan)
     flags = np.zeros(grid.shape[0], dtype=bool)
     for j in range(grid.shape[0]):
-        res = fixed_point_iterate(model, grid[j], config, counter=counter)
+        res = _fixed_point(spec, step, grid[j], config, counter)
         if res.converged and math.isfinite(res.y_bar):
             y[j] = res.y_bar
             flags[j] = True

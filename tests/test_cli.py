@@ -4,6 +4,7 @@ through ``greybox.cli.main``."""
 import csv
 import json
 import math
+import os
 import re
 import shlex
 import subprocess
@@ -20,11 +21,22 @@ import greybox as gb
 from greybox.cli import main
 
 
+# child interpreters import greybox from where this one did, so the tests
+# also run from a checkout that was never installed
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(gb.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+    ),
+}
+
+
 def run_cli(*argv):
     return subprocess.run(
         [sys.executable, "-m", "greybox.cli", *argv],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
 
 
@@ -403,6 +415,7 @@ def test_import_does_not_load_scipy():
          "import sys, greybox; print('scipy' in sys.modules)"],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
@@ -473,8 +486,13 @@ def _run(datadir, tmp, command, entries, flags=()):
         ({"grid": [0.2, math.nan]}, [], "lambda"),
         ({"grid": {"start": 0.1, "stop": 0.9, "count": 2.7}}, [], "count"),
         ({"grid": {"start": 0.1, "stop": 0.9, "count": True}}, [], "count"),
+        ({"grid": [True, 0.5]}, [], "grid value"),
+        ({"grid": ["0.5"]}, [], "grid value"),
+        ({"grid": {"start": "0.1", "stop": 0.9, "count": 3}}, [], "grid start"),
+        ({"grid": {"start": 0.1, "stop": False, "count": 3}}, [], "grid stop"),
     ],
-    ids=["flag-nan", "flag-with-nan", "list-with-nan", "float-count", "bool-count"],
+    ids=["flag-nan", "flag-with-nan", "list-with-nan", "float-count", "bool-count",
+         "list-with-bool", "list-with-string", "string-start", "bool-stop"],
 )
 def test_bad_grid_exits_2(entries, flags, named, datadir, tmp_path, capsys):
     assert _run(datadir, tmp_path, "sweep", entries, flags) == 2
@@ -505,6 +523,11 @@ counts = st.one_of(st.integers(-1, 3), json_scalars)
 lambdas = st.one_of(st.floats(0.0, 1.0), json_values)
 
 
+def is_number(value):
+    """A JSON number; bools and numeric strings are not lambdas."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def requested_grid(doc, text):
     """Sorted distinct lambdas a valid grid asks for; None for an invalid one."""
     try:
@@ -514,9 +537,13 @@ def requested_grid(doc, text):
             count = doc["count"]
             if isinstance(count, bool) or not isinstance(count, int) or count < 1:
                 return None
+            if not (is_number(doc["start"]) and is_number(doc["stop"])):
+                return None
             with np.errstate(all="ignore"):
                 values = np.linspace(float(doc["start"]), float(doc["stop"]), count).tolist()
         elif isinstance(doc, list):
+            if not all(is_number(v) for v in doc):
+                return None
             values = [float(v) for v in doc]
         else:
             return None
@@ -547,6 +574,7 @@ def requested_grid(doc, text):
 @example(grid=[0.5], grid_text="nan")
 @example(grid=[0.2, math.nan], grid_text=None)
 @example(grid={"start": 0.1, "stop": 0.9, "count": 2.7}, grid_text=None)
+@example(grid=[True, "0.5"], grid_text=None)
 def test_fuzzed_grid_exits_2_or_sweeps_it(datadir, grid, grid_text):
     flags = [] if grid_text is None else [f"--grid={grid_text}"]
     with tempfile.TemporaryDirectory() as tmp:

@@ -228,6 +228,81 @@ class TestFreeRun:
         assert result.diverged
         assert np.all(np.isnan(result.y[result.diverged_at :]))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow to inf is allowed
+    @given(data=st.data())
+    def test_step_is_bitwise_predict_psi(self, data):
+        model = data.draw(random_models())
+        psi = np.array(data.draw(st.lists(finite, min_size=len(model.spec),
+                                          max_size=len(model.spec))))
+        assert same_bits(model._step()(psi.tolist()), model._predict_psi(psi))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @given(data=st.data(), bound=st.sampled_from([1e6, 2.0, 1e300]))
+    def test_free_run_is_bitwise_the_faithful_loop(self, data, bound):
+        model = data.draw(random_models())
+        spec = model.spec
+        n = data.draw(st.integers(spec.max_lag + 1, spec.max_lag + 40))
+        inputs = [np.array(data.draw(st.lists(finite, min_size=n, max_size=n)))
+                  for _ in range(spec.n_inputs)]
+        init = data.draw(st.lists(finite, max_size=spec.max_lag))
+        result = gb.free_run(model, inputs, init=init, bound=bound)
+        want, diverged_at = faithful_free_run(model, inputs, init, bound)
+        assert result.y.tobytes() == want.tobytes()
+        assert result.diverged_at == diverged_at
+        assert result.diverged == (diverged_at is not None)
+
+
+# any finite float, drawn moderate half the time so that many runs stay bounded
+finite = st.one_of(
+    st.floats(min_value=-2.0, max_value=2.0), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+def same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@st.composite
+def random_models(draw):
+    """Polynomial models (constant terms, repeated slots) and 1-3 node MLPs
+    over random lag layouts, with or without the constant slot."""
+    lags = st.lists(st.integers(1, 4), max_size=2, unique=True).map(sorted)
+    spec = gb.RegressorSpec(
+        output_lags=draw(st.lists(st.integers(1, 4), min_size=1, max_size=2, unique=True)
+                         .map(sorted)),
+        input_lags=tuple(draw(st.lists(lags, min_size=1, max_size=2))),
+        include_constant=draw(st.booleans()),
+    )
+    if draw(st.booleans()):
+        term = st.lists(st.integers(0, len(spec) - 1), max_size=3).map(lambda t: tuple(sorted(t)))
+        terms = draw(st.lists(term, min_size=1, max_size=5, unique=True))
+        theta = draw(st.lists(finite, min_size=len(terms), max_size=len(terms)))
+        return gb.PolynomialModel(spec, tuple(terms), np.array(theta))
+    n_hidden = draw(st.integers(1, 3))
+    size = gb.MlpModel.n_params_for(spec, n_hidden)
+    return gb.MlpModel(spec, n_hidden, np.array(draw(st.lists(finite, min_size=size,
+                                                              max_size=size))))
+
+
+def faithful_free_run(model, inputs, init, bound):
+    """The free run as it stepped before the fast steps: numpy buffers and
+    ``_predict_psi`` at every sample.  Returns (y, diverged_at)."""
+    spec = model.spec
+    k0 = spec.max_lag
+    y = np.zeros(inputs[0].size)
+    if init:
+        y[k0 - len(init) : k0] = init
+    psi = np.ones(len(spec))
+    for k in range(k0, y.size):
+        for pos, ch, lag in spec._gather:
+            psi[pos] = y[k - lag] if ch < 0 else inputs[ch][k - lag]
+        value = model._predict_psi(psi)
+        if not (-bound <= value <= bound):
+            y[k:] = np.nan
+            return y, k
+        y[k] = value
+    return y, None
+
 
 class TestPersistence:
     def test_polynomial_round_trip(self, tmp_path, ex1_true_model):

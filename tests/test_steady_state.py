@@ -259,6 +259,28 @@ class TestStaticCosts:
         gb.cost_jd(true_model, zd, counter=counter)
         assert counter.count == 38  # usable samples: N minus max lag
 
+    def test_legacy_cost_stays_on_the_faithful_step(self, monkeypatch, ex2_data):
+        # the GA baseline unpacks the parameters at every step, as the scheme
+        # it reproduces did; free runs and static curves use the hoisted step
+        calls = []
+        faithful = gb.MlpModel._predict_psi
+
+        def counted(self, psi):
+            calls.append(1)
+            return faithful(self, psi)
+
+        monkeypatch.setattr(gb.MlpModel, "_predict_psi", counted)
+        _, _, zs, zv = ex2_data
+        structure = gb.example_structure("example2")
+        model = structure.with_theta(init_mlp_theta(structure, 0))  # |F| < 1: never diverges
+        gb.cost_js_legacy(model, zs, gb.FixedPointConfig(fixed_horizon=15))
+        assert len(calls) == zs.n_pairs * 15
+        calls.clear()
+        gb.free_run_on_dataset(model, zv)
+        gb.model_static_curve(model, zs.u_bar)
+        gb.fixed_point_iterate(model, zs.u_bar[0])
+        assert not calls
+
 
 class TestModelStaticCurve:
     def test_true_model_curve_matches_system(self, true_model):
@@ -318,6 +340,9 @@ def test_init_at_target_config_exits_2(tmp_path, capsys):
         ("datasets", {"generator": "example1", "seed": "x"}, "seed"),
         ("datasets", {"generator": "example1", "seed": -3}, "seed"),
         ("init_seed", -1, "init_seed"),
+        ("lambda", "0.3", "lambda"),
+        ("lambda", True, "lambda"),
+        ("lambda", 10**400, "lambda"),
     ]
     for block, value, key in bad:
         config = {
