@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -25,7 +26,7 @@ from .data import (
     write_csv,
     write_table,
 )
-from .errors import ConfigError, CsvFormatError, GreyboxError, SelectionError
+from .errors import ConfigError, CsvFormatError, GreyboxError, SelectionError, _require_count
 from .estimation import ALGORITHMS, GaConfig, LmConfig, TrainConfig, write_trace_csv
 from .models import (
     build_regression_matrix,
@@ -68,11 +69,28 @@ def _load_config(path) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also undecodable bytes and over-long integers
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     return doc
+
+
+def _path(value, key: str) -> str:
+    """A path from the config: a JSON string, never a number that ``open``
+    would take for a file descriptor."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a path string, got {value!r}")
+    return value
+
+
+def _generate(name: str, seed):
+    """The named generator's (zd, zt, zs, zv), from a seed checked first."""
+    try:
+        seed = _require_count(seed, "generator seed", 0, math.inf)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return GENERATORS[name](seed)
 
 
 def _resolve_structure(doc):
@@ -84,7 +102,7 @@ def _resolve_structure(doc):
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     if "file" in doc:
-        return load_model(doc["file"])
+        return load_model(_path(doc["file"], "structure.file"))
     return model_from_json(doc)
 
 
@@ -94,19 +112,16 @@ def _resolve_datasets(doc):
         raise ConfigError("datasets must be a JSON object")
     if "generator" in doc:
         name = doc["generator"]
-        if name not in GENERATORS:
+        if not isinstance(name, str) or name not in GENERATORS:
             raise ConfigError(f"unknown generator {name!r}, expected {sorted(GENERATORS)}")
-        seed = doc.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-            raise ConfigError(f"generator seed must be a nonnegative integer, got {seed!r}")
-        return GENERATORS[name](seed)
+        return _generate(name, doc.get("seed", 0))
     if "zd" not in doc:
         raise ConfigError("datasets needs a 'zd' path (or a 'generator' entry)")
 
     def load(key, want):
         if key not in doc or doc[key] is None:
             return None
-        ds = read_csv(doc[key])
+        ds = read_csv(_path(doc[key], f"datasets.{key}"))
         if not isinstance(ds, want):
             raise ConfigError(
                 f"dataset {key!r} at {doc[key]} is a "
@@ -132,21 +147,8 @@ def _subconfig(cls, doc, name):
         raise ConfigError(f"bad {name} config: {exc}") from exc
 
 
-def _config_lambda(value, key: str) -> float:
-    """A lambda from the config: a JSON number, not a bool or a string that
-    ``float()`` would take."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:  # an integer beyond the float range
-        raise ConfigError(f"{key} must lie in [0, 1], got {value!r}") from None
-
-
 def _train_config(cfg: dict, args) -> TrainConfig:
-    lam = args.lam
-    if lam is None:
-        lam = _config_lambda(cfg.get("lambda", 0.0), "lambda")
+    lam = args.lam if args.lam is not None else cfg.get("lambda", 0.0)
     algorithm = args.algorithm or cfg.get("algorithm", "wls")
     init_seed = args.seed if args.seed is not None else cfg.get("init_seed", 0)
     try:
@@ -183,14 +185,14 @@ def _out_dir(args, cfg=None) -> Path:
     out = args.out or (cfg or {}).get("out")
     if not out:
         raise ConfigError("no output directory: pass --out or set 'out' in the config")
-    path = Path(out)
+    path = Path(_path(out, "out"))
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
 def cmd_generate(args) -> int:
+    zd, zt, zs, zv = _generate(args.example, args.seed)
     out = _out_dir(args)
-    zd, zt, zs, zv = GENERATORS[args.example](args.seed)
     names = {"zd": zd, "zt": zt, "zs": zs, "zv": zv}
     rows = {}
     for name, ds in names.items():
@@ -258,14 +260,9 @@ def _parse_grid(cfg: dict, args) -> LambdaGrid:
         if doc is None:
             raise ConfigError("no lambda grid: pass --grid or set 'grid' in the config")
         if isinstance(doc, dict):
-            count = doc["count"]
-            if isinstance(count, bool) or not isinstance(count, int):
-                raise ConfigError(f"grid count must be an integer, got {count!r}")
-            start = _config_lambda(doc["start"], "grid start")
-            stop = _config_lambda(doc["stop"], "grid stop")
-            return LambdaGrid.linspace(start, stop, count)
+            return LambdaGrid.linspace(doc["start"], doc["stop"], doc["count"])
         if isinstance(doc, list):
-            return LambdaGrid(values=tuple(_config_lambda(v, "grid value") for v in doc))
+            return LambdaGrid(values=tuple(doc))
         raise ConfigError("grid must be a list or a {start, stop, count} object")
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"bad lambda grid: {exc}") from exc
@@ -393,17 +390,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _seed(text: str) -> int:
-    """The --seed options' type: numpy seeds must be nonnegative integers."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"seed must be a nonnegative integer, got {text!r}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="greybox",
@@ -413,14 +399,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write benchmark dataset CSVs")
     p.add_argument("--example", required=True, choices=sorted(GENERATORS))
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_generate)
 
     p = sub.add_parser("train", help="fit one model from a JSON config")
     p.add_argument("--config", help="JSON config path")
     p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--seed", type=_seed, default=None, help="override init_seed")
+    p.add_argument("--seed", type=int, default=None, help="override init_seed")
     p.add_argument("--algorithm", choices=ALGORITHMS)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=cmd_train)
@@ -428,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="train across a lambda grid and select")
     p.add_argument("--config", help="JSON config path")
     p.add_argument("--grid", help="comma-separated lambda values")
-    p.add_argument("--seed", type=_seed, default=None, help="override init_seed")
+    p.add_argument("--seed", type=int, default=None, help="override init_seed")
     p.add_argument("--algorithm", choices=ALGORITHMS)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=cmd_sweep, lam=None)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import numbers
+import sys
+
 
 class GreyboxError(Exception):
     """Base class for all toolkit-specific failures."""
@@ -43,3 +46,36 @@ class SingularityError(GreyboxError):
 
 class SelectionError(GreyboxError):
     """No admissible candidate was available to a decision maker."""
+
+
+def _require_count(value, name: str, low: int, high=sys.maxsize) -> int:
+    """``value`` as an int in [low, high]: any integer, but never a bool.
+
+    The default ``high`` keeps a count that sizes a buffer or a loop within
+    what Python can index; seeds, which numpy takes at any size, pass
+    ``math.inf``.  Raises ValueError naming ``name``.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or not low <= value <= high
+    ):
+        raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+    return int(value)
+
+
+def _require_number(value, name: str, low: float, high: float) -> float:
+    """``value`` as a float in [low, high]: any real number, but never a
+    bool, a string, NaN or an integer beyond the float range.  Raises
+    ValueError naming ``name``."""
+    try:
+        ok = (
+            not isinstance(value, bool)
+            and isinstance(value, numbers.Real)
+            and low <= float(value) <= high  # also rejects NaN
+        )
+    except OverflowError:  # an integer beyond the float range
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be a number in [{low}, {high}], got {value!r}")
+    return float(value)

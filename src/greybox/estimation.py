@@ -21,13 +21,14 @@ optima (zero residuals are zero under either convention).
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import DynDataset, SteadyDataset, write_table
-from .errors import DivergenceError, SingularityError
+from .errors import DivergenceError, SingularityError, _require_count, _require_number
 from .models import (
     EvalCounter,
     MlpModel,
@@ -38,7 +39,7 @@ from .models import (
     build_regression_matrix,
     build_static_regressors,
 )
-from .steady_state import FixedPointConfig, _require_int, cost_js_legacy
+from .steady_state import FixedPointConfig, cost_js_legacy
 
 ALGORITHMS = ("ols", "wls", "weighted_lm", "ga_legacy")
 
@@ -68,11 +69,8 @@ class LmConfig:
     n_starts: int = 1
 
     def __post_init__(self):
-        _require_int(self, "max_iterations", "n_starts")
-        if self.max_iterations < 0:
-            raise ValueError("max_iterations must be nonnegative")
-        if self.n_starts < 1:
-            raise ValueError("n_starts must be positive")
+        _require_count(self.max_iterations, "max_iterations", 0)
+        _require_count(self.n_starts, "n_starts", 1)
 
 
 @dataclass(frozen=True)
@@ -83,20 +81,12 @@ class GaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _require_int(self, "population_size", "generations", "seed")
-        spread = self.init_spread
-        if spread is not None and (
-            isinstance(spread, bool)
-            or not isinstance(spread, (int, float))
-            or not math.isfinite(spread)
-        ):
-            raise ValueError(f"init_spread must be a finite number or null, got {spread!r}")
-        if self.population_size < 2:
-            raise ValueError("population_size must be at least 2")
-        if self.generations < 0:
-            raise ValueError("generations must be nonnegative")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        _require_count(self.population_size, "population_size", 2)
+        _require_count(self.generations, "generations", 0)
+        if self.init_spread is not None:
+            finite = sys.float_info.max
+            _require_number(self.init_spread, "init_spread", -finite, finite)
+        _require_count(self.seed, "seed", 0, math.inf)
 
 
 @dataclass(frozen=True)
@@ -110,13 +100,10 @@ class TrainConfig:
     init_seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"lambda must lie in [0, 1], got {self.lam}")
+        object.__setattr__(self, "lam", _require_number(self.lam, "lambda", 0, 1))
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}, expected {ALGORITHMS}")
-        _require_int(self, "init_seed")
-        if self.init_seed < 0:
-            raise ValueError(f"init_seed must be nonnegative, got {self.init_seed}")
+        _require_count(self.init_seed, "init_seed", 0, math.inf)
 
 
 @dataclass(frozen=True)
@@ -140,8 +127,7 @@ def build_stacked_system(
     model: Model, zd: DynDataset, zs: SteadyDataset | None, lam: float
 ) -> StackedSystem:
     """Stack the dynamic rows and the static pseudo-samples of either model kind."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must lie in [0, 1], got {lam}")
+    _require_number(lam, "lambda", 0, 1)
     psi_d, y_d = build_regression_matrix(model.spec, zd)
     if zs is None:
         if lam != 0.0:
@@ -427,8 +413,7 @@ def fit_ga_legacy(
     candidate whose cost is NaN never wins; a population that overflows the
     float range raises DivergenceError.
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must lie in [0, 1], got {lam}")
+    _require_number(lam, "lambda", 0, 1)
     config = config or GaConfig()
     fp_config = fp_config or FixedPointConfig(fixed_horizon=15)
     rng = np.random.default_rng(config.seed)

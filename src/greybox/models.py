@@ -28,15 +28,13 @@ from typing import Sequence, Union
 import numpy as np
 
 from .data import DynDataset, SteadyDataset
-from .errors import ConfigError
+from .errors import ConfigError, _require_count
 
 MODEL_PACKING_VERSION = 1
 
 
 def _check_lags(lags, name: str) -> tuple[int, ...]:
-    out = tuple(int(l) for l in lags)
-    if any(l < 1 for l in out):
-        raise ValueError(f"{name} must be strictly positive, got {out}")
+    out = tuple(_require_count(lag, name, 1) for lag in lags)
     if len(set(out)) != len(out) or list(out) != sorted(out):
         raise ValueError(f"{name} must be sorted and duplicate-free, got {out}")
     return out
@@ -172,14 +170,13 @@ class PolynomialModel:
     theta: np.ndarray
 
     def __post_init__(self):
-        canon = tuple(tuple(sorted(int(i) for i in t)) for t in self.terms)
+        last = len(self.spec) - 1
+        canon = tuple(
+            tuple(sorted(_require_count(i, "term index", 0, last) for i in t))
+            for t in self.terms
+        )
         if len(set(canon)) != len(canon):
             raise ValueError("duplicate polynomial terms after canonicalization")
-        width = len(self.spec)
-        for t in canon:
-            for i in t:
-                if not 0 <= i < width:
-                    raise ValueError(f"term index {i} outside regressor width {width}")
         theta = np.asarray(self.theta, dtype=float).reshape(-1).copy()
         if theta.size != len(canon):
             raise ValueError(f"{len(canon)} terms but {theta.size} parameters")
@@ -253,8 +250,7 @@ class MlpModel:
     theta: np.ndarray
 
     def __post_init__(self):
-        if self.n_hidden < 1:
-            raise ValueError(f"need at least one hidden node, got {self.n_hidden}")
+        object.__setattr__(self, "n_hidden", _require_count(self.n_hidden, "n_hidden", 1))
         theta = np.asarray(self.theta, dtype=float).reshape(-1).copy()
         expected = self.n_params_for(self.spec, self.n_hidden)
         if theta.size != expected:
@@ -263,7 +259,6 @@ class MlpModel:
                 f"nodes over {self.spec.n_features} regressors, got {theta.size}"
             )
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "n_hidden", int(self.n_hidden))
 
     @staticmethod
     def n_params_for(spec: RegressorSpec, n_hidden: int) -> int:
@@ -427,10 +422,13 @@ def model_from_json(doc: dict) -> Model:
         if version != MODEL_PACKING_VERSION:
             raise ConfigError(f"unsupported packing version {version}")
         reg = doc["regressors"]
+        constant = reg.get("include_constant", True)
+        if not isinstance(constant, bool):
+            raise ValueError(f"include_constant must be true or false, got {constant!r}")
         spec = RegressorSpec(
             output_lags=tuple(reg["output_lags"]),
             input_lags=tuple(tuple(l) for l in reg["input_lags"]),
-            include_constant=bool(reg.get("include_constant", True)),
+            include_constant=constant,
         )
         theta = np.asarray(doc["theta"], dtype=float)
         kind = doc["kind"]
@@ -438,7 +436,7 @@ def model_from_json(doc: dict) -> Model:
             terms = tuple(tuple(t) for t in doc["terms"])
             return PolynomialModel(spec=spec, terms=terms, theta=theta)
         if kind == "mlp":
-            return MlpModel(spec=spec, n_hidden=int(doc["n_hidden"]), theta=theta)
+            return MlpModel(spec=spec, n_hidden=doc["n_hidden"], theta=theta)
         raise ConfigError(f"unknown model kind {kind!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad model description: {exc}") from exc
@@ -454,7 +452,7 @@ def load_model(path) -> Model:
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also undecodable bytes and over-long integers
             raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     return model_from_json(doc)
 

@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DynDataset, SteadyDataset
+from .data import DynDataset, SteadyDataset, write_table
+from .errors import _require_count, _require_number
 from .models import (
     EvalCounter,
     Model,
@@ -41,18 +41,6 @@ from .models import (
 
 _WINDOW = 1024  # free-run samples held at once, whatever the step budget
 _MAX_DIVERGENCE_BOUND = 1e150  # its square, the legacy cost's cap, stays finite
-
-
-def _require_int(config, *names: str) -> None:
-    """Reject config fields that should be counts but are not integers
-    (None passes; bools do not), before a range check or a later
-    ``range()`` trips over them."""
-    for name in names:
-        value = getattr(config, name)
-        if value is not None and (
-            isinstance(value, bool) or not isinstance(value, numbers.Integral)
-        ):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -73,15 +61,14 @@ class FixedPointConfig:
     divergence_bound: float = 1e6
 
     def __post_init__(self):
-        _require_int(self, "max_iterations", "fixed_horizon")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
-        if self.fixed_horizon is not None and self.fixed_horizon < 1:
-            raise ValueError("fixed_horizon must be positive when set")
-        if not self.tolerance > 0:  # also rejects NaN
-            raise ValueError("tolerance must be positive")
-        if not 0 < self.divergence_bound <= _MAX_DIVERGENCE_BOUND:
-            raise ValueError(f"divergence_bound must lie in (0, {_MAX_DIVERGENCE_BOUND:g}]")
+        _require_count(self.max_iterations, "max_iterations", 1)
+        if self.fixed_horizon is not None:
+            _require_count(self.fixed_horizon, "fixed_horizon", 1)
+        positive = math.ulp(0.0)  # the smallest positive float, so 0 is excluded
+        _require_number(self.tolerance, "tolerance", positive, math.inf)
+        _require_number(
+            self.divergence_bound, "divergence_bound", positive, _MAX_DIVERGENCE_BOUND
+        )
 
 
 @dataclass(frozen=True)
@@ -233,8 +220,6 @@ def _static_curve(spec, step, u_bar_grid, config: FixedPointConfig, counter) -> 
 
 def write_static_curve_csv(path, curve: StaticCurve) -> None:
     """Steady-pair CSV schema plus a trailing ``converged`` column."""
-    from .data import write_table
-
     m = curve.u_bar.shape[1]
     header = [f"u{i + 1}_bar" for i in range(m)] + ["y_bar", "converged"]
     columns = [curve.u_bar[:, i] for i in range(m)] + [

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import DynDataset, SteadyDataset, write_table
-from .errors import ConfigError, GreyboxError, SelectionError
+from .errors import ConfigError, GreyboxError, SelectionError, _require_count, _require_number
 from .estimation import (
     TraceRecord,
     TrainConfig,
@@ -47,17 +47,16 @@ class LambdaGrid:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        vals = tuple(sorted({float(v) for v in self.values}))
+        vals = {_require_number(v, "grid value", 0, 1) for v in self.values}
         if not vals:
             raise ValueError("lambda grid must not be empty")
-        if not all(0.0 <= v <= 1.0 for v in vals):  # also rejects NaN
-            raise ValueError(f"lambda values must lie in [0, 1], got {vals}")
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", tuple(sorted(vals)))
 
     @classmethod
     def linspace(cls, start: float, stop: float, count: int) -> "LambdaGrid":
-        if count < 1:
-            raise ValueError("count must be positive")
+        start = _require_number(start, "grid start", 0, 1)
+        stop = _require_number(stop, "grid stop", 0, 1)
+        count = _require_count(count, "grid count", 1)
         return cls(values=tuple(np.linspace(start, stop, count)))
 
     @classmethod

@@ -2,6 +2,7 @@
 through ``greybox.cli.main``."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -88,7 +89,7 @@ class TestGenerate:
         assert proc.returncode == 2
 
     def test_negative_seed_exits_2(self, tmp_path):
-        # numpy seeds must be nonnegative; caught by argparse, not numpy
+        # numpy seeds must be nonnegative; refused before numpy sees them
         proc = run_cli(
             "generate", "--example", "example1", "--seed", "-1", "--out", str(tmp_path)
         )
@@ -409,6 +410,86 @@ def test_non_finite_cell_exits_2(command, name, row, column, cell, datadir, tmp_
     assert f"non-finite cell {cell!r}, row {row}, column {column}" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "key",
+    ["structure.file", "datasets.zd", "datasets.zt", "datasets.zs", "datasets.zv", "out"],
+)
+def test_non_string_path_exits_2(key, datadir, tmp_path, capsys):
+    # a path is a JSON string: open() would take an integer for a file descriptor
+    config = {
+        "structure": {"builtin": "example1"},
+        "datasets": {name: str(datadir / f"{name}.csv") for name in ("zd", "zt", "zs", "zv")},
+        "algorithm": "wls",
+        "lambda": 0.3,
+        "out": str(tmp_path / "out"),
+    }
+    block, _, name = key.rpartition(".")
+    if block == "structure":
+        config["structure"] = {"file": -1}
+    else:
+        (config[block] if block else config)[name] = -1
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["train", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b'{"lambda": ' + b"1" * 5000 + b"}", b"\x80{}"],
+    ids=["long-integer", "not-utf8"],
+)
+def test_undecodable_json_exits_2(content, datadir, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    out = str(tmp_path / "out")
+    for argv in (
+        ["train", "--config", str(path), "--out", out],
+        ["eval", "--model", str(path), "--data", str(datadir / "zd.csv"), "--mode", "one-step",
+         "--out", out],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "not valid JSON" in err and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize(
+    "example,where,value,named",
+    [
+        ("example1", ("regressors", "output_lags"), [1.7, 2], "output lags"),
+        ("example1", ("regressors", "output_lags"), [True, 2], "output lags"),
+        ("example1", ("regressors", "input_lags"), [[1, 2.5]], "input channel 1 lags"),
+        ("example1", ("regressors", "include_constant"), "no", "include_constant"),
+        ("example1", ("regressors", "include_constant"), 1, "include_constant"),
+        ("example1", ("terms",), [[2.9], [3], [2, 3], [1, 3], [1, 4]], "term index"),
+        ("example1", ("terms",), [[2], [True], [2, 3], [1, 3], [1, 4]], "term index"),
+        ("example2", ("n_hidden",), 1.5, "n_hidden"),
+        ("example2", ("n_hidden",), True, "n_hidden"),
+    ],
+    ids=["float-lag", "bool-lag", "float-input-lag", "string-constant", "int-constant",
+         "float-term-index", "bool-term-index", "float-n-hidden", "bool-n-hidden"],
+)
+def test_bad_model_document_exits_2(example, where, value, named, datadir, tmp_path, capsys):
+    # lags, term indices and n_hidden are integers and include_constant is a
+    # boolean, in a config's structure block and in a model file alike
+    doc = gb.model_to_json(gb.example_structure(example))
+    *parents, last = where
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    algorithm = "wls" if example == "example1" else "weighted_lm"
+    entries = {"structure": doc, "algorithm": algorithm, "lm": {"max_iterations": 1}}
+    assert _run(datadir, tmp_path, "train", entries) == 2
+    assert main(["eval", "--model", str(model), "--data", str(datadir / "zd.csv"),
+                 "--mode", "one-step", "--out", str(tmp_path / "eval")]) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 2 and all(named in e for e in errors), errors
+
+
 def test_import_does_not_load_scipy():
     proc = subprocess.run(
         [sys.executable, "-c",
@@ -434,6 +515,24 @@ def test_readme_config_trains(tmp_path):
     assert proc.returncode == 0, proc.stderr
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
     assert manifest["train"]["lm"] == config["lm"]
+
+
+def test_readme_solver_keys_match_configs():
+    # README lists each solver block's keys with their defaults; a key added,
+    # removed or re-defaulted in the config classes must not leave it stale
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    after = readme.partition("The solver blocks accept these keys, all optional:\n\n")[2]
+    bullets = re.split(r"^- `(\w+)`:", after.partition("\n\n")[0], flags=re.M)[1:]
+    documented = {
+        block: {key: json.loads(default)
+                for key, default in re.findall(r"`(\w+)`\s+\((?:default )?([^,)]+)", text)}
+        for block, text in zip(bullets[::2], bullets[1::2])
+    }
+    classes = {"lm": gb.LmConfig, "ga": gb.GaConfig, "fixed_point": gb.FixedPointConfig}
+    assert documented == {
+        block: {f.name: f.default for f in dataclasses.fields(cls)}
+        for block, cls in classes.items()
+    }
 
 
 def test_readme_example1_recipe_runs(tmp_path, monkeypatch):
@@ -604,19 +703,69 @@ VALID_ENTRIES = {
                   "divergence_bound": st.floats(1.0, 1e6)},
     ),
 }
+# beyond sys.maxsize or the float range: never a valid count, so no draw asks
+# for a huge run that is valid
+huge = st.sampled_from([10**20, 10**400, -(10**400)])
+any_counts = st.one_of(counts, huge)
+any_numbers = st.one_of(json_values, huge)
 FUZZED_ENTRIES = {
-    "lambda": lambdas,
-    "lm": st.fixed_dictionaries({}, optional={"max_iterations": counts, "n_starts": counts}),
+    "lambda": st.one_of(lambdas, huge),
+    "lm": st.fixed_dictionaries(
+        {}, optional={"max_iterations": any_counts, "n_starts": any_counts}
+    ),
     "ga": st.fixed_dictionaries(
-        {"population_size": counts, "generations": counts},
-        optional={"init_spread": json_values, "seed": counts},
+        {"population_size": any_counts, "generations": any_counts},
+        optional={"init_spread": any_numbers, "seed": any_counts},
     ),
     "fixed_point": st.fixed_dictionaries(
-        {"max_iterations": counts},
-        optional={"fixed_horizon": counts, "tolerance": json_values,
-                  "divergence_bound": json_values},
+        {"max_iterations": any_counts},
+        optional={"fixed_horizon": any_counts, "tolerance": any_numbers,
+                  "divergence_bound": any_numbers},
     ),
 }
+
+
+def is_count(value, low, high=sys.maxsize):
+    """An integer in [low, high]; bools are not counts."""
+    return is_number(value) and isinstance(value, int) and low <= value <= high
+
+
+def is_real(value, low, high):
+    """A JSON number in [low, high]; NaN and integers beyond the float range
+    are not."""
+    try:
+        return is_number(value) and low <= float(value) <= high
+    except OverflowError:
+        return False
+
+
+# per solver key, whether README's rules admit a value
+SOLVER_KEY_RULES = {
+    "lm": {
+        "max_iterations": lambda v: is_count(v, 0),
+        "n_starts": lambda v: is_count(v, 1),
+    },
+    "ga": {
+        "population_size": lambda v: is_count(v, 2),
+        "generations": lambda v: is_count(v, 0),
+        "init_spread": lambda v: v is None or is_real(v, -math.inf, math.inf)
+        and math.isfinite(v),
+        "seed": lambda v: is_count(v, 0, math.inf),
+    },
+    "fixed_point": {
+        "max_iterations": lambda v: is_count(v, 1),
+        "fixed_horizon": lambda v: v is None or is_count(v, 1),
+        "tolerance": lambda v: is_real(v, 0.0, math.inf) and v > 0,
+        "divergence_bound": lambda v: is_real(v, 0.0, 1e150) and v > 0,
+    },
+}
+
+
+def valid_entry(key, value):
+    """Whether a config entry is one that train and sweep must accept."""
+    if key == "lambda":
+        return is_real(value, 0.0, 1.0)
+    return all(SOLVER_KEY_RULES[key][name](v) for name, v in value.items())
 
 
 @st.composite
@@ -639,10 +788,19 @@ def config_entries(draw):
     entries={"lambda": 0.5, "ga": {"population_size": 3, "generations": 1,
                                    "init_spread": "wide"}},
 )
+@example(
+    command="train", algorithm="wls",
+    entries={"lambda": 0.5, "fixed_point": {"max_iterations": 3, "tolerance": True}},
+)
+@example(
+    command="sweep", algorithm="wls", entries={"lambda": 0.5, "lm": {"n_starts": 10**400}}
+)
 def test_fuzzed_config_exits_0_2_or_3(datadir, command, algorithm, entries):
     with tempfile.TemporaryDirectory() as tmp:
         code = _run(datadir, tmp, command, {"algorithm": algorithm, **entries})
     assert code in (0, 2, 3)
+    if not all(valid_entry(key, value) for key, value in entries.items()):
+        assert code == 2  # an invalid entry is refused, never run or ignored
 
 
 @given(

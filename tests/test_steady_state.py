@@ -343,6 +343,16 @@ def test_init_at_target_config_exits_2(tmp_path, capsys):
         ("lambda", "0.3", "lambda"),
         ("lambda", True, "lambda"),
         ("lambda", 10**400, "lambda"),
+        ("fixed_point", {"tolerance": True}, "tolerance"),
+        ("fixed_point", {"divergence_bound": True}, "divergence_bound"),
+        ("fixed_point", {"max_iterations": 10**20}, "max_iterations"),
+        ("fixed_point", {"fixed_horizon": 10**20}, "fixed_horizon"),
+        ("ga", {"init_spread": 10**400}, "init_spread"),
+        ("ga", {"population_size": 10**20}, "population_size"),
+        ("ga", {"generations": 10**20}, "generations"),
+        ("lm", {"n_starts": 10**400}, "n_starts"),
+        ("lm", {"max_iterations": 10**20}, "max_iterations"),
+        ("datasets", {"generator": ["example1"]}, "generator"),
     ]
     for block, value, key in bad:
         config = {
