@@ -29,6 +29,7 @@ from .data import (
 from .errors import ConfigError, CsvFormatError, GreyboxError, SelectionError, _require_count
 from .estimation import ALGORITHMS, GaConfig, LmConfig, TrainConfig, write_trace_csv
 from .models import (
+    _check_data_fits,
     build_regression_matrix,
     example_structure,
     free_run_on_dataset,
@@ -329,6 +330,7 @@ def cmd_sweep(args) -> int:
 def cmd_eval(args) -> int:
     model = load_model(args.model)
     data = read_csv(args.data)
+    _check_data_fits(model.spec, {str(args.data): data})
     out = _out_dir(args)
     metrics = {"mode": args.mode, "model": str(args.model), "data": str(args.data)}
     outputs = {}

@@ -198,13 +198,16 @@ def fit_wls(
 def mlp_jacobian(model: MlpModel, psi_rows: np.ndarray) -> np.ndarray:
     """d F / d theta, one row per regressor row, columns in packing order."""
     psi_rows = np.atleast_2d(np.asarray(psi_rows, dtype=float))
-    return _mlp_jacobian(model.theta, model.n_hidden, model._features(psi_rows))
+    x = model._features(psi_rows)
+    _, hidden = _mlp_forward(model.theta, model.n_hidden, x)
+    return _mlp_jacobian(model.theta, model.n_hidden, x, hidden)
 
 
-def _mlp_jacobian(theta: np.ndarray, nh: int, x: np.ndarray) -> np.ndarray:
+def _mlp_jacobian(theta: np.ndarray, nh: int, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The Jacobian at ``theta`` from the hidden activations ``t`` that
+    :func:`~greybox.models._mlp_forward` returned for the same rows."""
     n, nf = x.shape
-    _, w_out, b_h, w_h = _mlp_unpack(theta, nh, nf)
-    t = np.tanh(x @ w_h.T + b_h)
+    _, w_out, _, _ = _mlp_unpack(theta, nh, nf)
     d = 1.0 - t**2
     jac = np.empty((n, theta.size))
     jac[:, 0] = 1.0
@@ -307,14 +310,16 @@ def fit_weighted_lm(
     trace_record = _trace_recorder(counter)
     nh, x = model.n_hidden, model._features(psi)
 
-    # straight from theta: a model per trial would re-validate and copy it
+    # straight from theta: a model per trial would re-validate and copy it;
+    # the hidden activations are kept for the Jacobian at an accepted trial
     def evaluate(theta):
-        r = y - _mlp_forward(theta, nh, x)
+        predicted, hidden = _mlp_forward(theta, nh, x)
+        r = y - predicted
         counter.add(y.size)
-        return weights * r, r
+        return weights * r, r, hidden
 
-    def jacobian(theta):
-        return -weights[:, None] * _mlp_jacobian(theta, nh, x)
+    def jacobian(theta, hidden):
+        return -weights[:, None] * _mlp_jacobian(theta, nh, x, hidden)
 
     def record(iteration, r, cost):
         j_d = float(np.mean(r[:n_d] ** 2)) if n_d else 0.0
@@ -323,7 +328,7 @@ def fit_weighted_lm(
 
     def minimize_from(theta_start):
         theta = np.asarray(theta_start, dtype=float).copy()
-        e, r = evaluate(theta)
+        e, r, hidden = evaluate(theta)
         cost = float(e @ e)
         if not math.isfinite(cost):
             raise DivergenceError("non-finite cost at the initial parameters", index=0)
@@ -334,7 +339,7 @@ def fit_weighted_lm(
         identity = np.eye(theta.size)
         for it in range(1, config.max_iterations + 1):
             if jac is None:
-                jac = jacobian(theta)
+                jac = jacobian(theta, hidden)
                 if not np.all(np.isfinite(jac)):
                     raise DivergenceError(
                         f"non-finite jacobian at iteration {it}", index=it
@@ -355,10 +360,10 @@ def fit_weighted_lm(
             ):
                 break
             trial = theta + delta
-            e_t, r_t = evaluate(trial)
+            e_t, r_t, hidden_t = evaluate(trial)
             cost_t = float(e_t @ e_t)
             if math.isfinite(cost_t) and cost_t < cost:
-                theta, e, r, cost = trial, e_t, r_t, cost_t
+                theta, e, r, hidden, cost = trial, e_t, r_t, hidden_t, cost_t
                 mu = max(mu / _LM_DAMPING_FACTOR, 1e-15)
                 accepted += 1
                 trace.append(record(accepted, r, cost))

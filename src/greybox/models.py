@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence, Union
@@ -28,7 +29,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .data import DynDataset, SteadyDataset
-from .errors import ConfigError, _require_count
+from .errors import ConfigError, _require_count, _require_number
 
 MODEL_PACKING_VERSION = 1
 
@@ -125,6 +126,25 @@ def build_regression_matrix(spec: RegressorSpec, data: DynDataset):
         src = y if ch < 0 else data.inputs[ch]
         psi[:, pos] = src[k0 - lag : n - lag]
     return psi, y[k0:].copy()
+
+
+def _check_data_fits(spec: RegressorSpec, datasets: dict) -> None:
+    """Raise ConfigError naming the first dataset in ``datasets`` (name to
+    dataset, None skipped) whose channel count differs from the spec's, or
+    dynamical record no longer than the largest lag."""
+    for name, data in datasets.items():
+        if data is None:
+            continue
+        if data.n_inputs != spec.n_inputs:
+            raise ConfigError(
+                f"dataset {name!r} has {data.n_inputs} input channels, "
+                f"the structure expects {spec.n_inputs}"
+            )
+        if isinstance(data, DynDataset) and data.sample_count <= spec.max_lag:
+            raise ConfigError(
+                f"dataset {name!r} is too short: {data.sample_count} samples "
+                f"for max lag {spec.max_lag}"
+            )
 
 
 def build_static_regressors(spec: RegressorSpec, zs: SteadyDataset) -> np.ndarray:
@@ -281,7 +301,7 @@ class MlpModel:
 
     def predict(self, psi_rows: np.ndarray) -> np.ndarray:
         psi_rows = np.atleast_2d(np.asarray(psi_rows, dtype=float))
-        return _mlp_forward(self.theta, self.n_hidden, self._features(psi_rows))
+        return _mlp_forward(self.theta, self.n_hidden, self._features(psi_rows))[0]
 
     def _predict_psi(self, psi) -> float:
         b0, w_out, b_h, w_h = self.unpack()
@@ -307,11 +327,12 @@ def _mlp_unpack(theta: np.ndarray, n_hidden: int, n_features: int):
     return theta[0], theta[1 : 1 + n_hidden], blocks[:, 0], blocks[:, 1:]
 
 
-def _mlp_forward(theta: np.ndarray, n_hidden: int, features: np.ndarray) -> np.ndarray:
-    """MLP outputs for packed parameters over rows of non-constant regressors."""
+def _mlp_forward(theta: np.ndarray, n_hidden: int, features: np.ndarray):
+    """MLP outputs for packed parameters over rows of non-constant regressors,
+    and the hidden layer's tanh activations, one column per node."""
     b0, w_out, b_h, w_h = _mlp_unpack(theta, n_hidden, features.shape[1])
-    z = features @ w_h.T + b_h
-    return b0 + np.tanh(z) @ w_out
+    hidden = np.tanh(features @ w_h.T + b_h)
+    return b0 + hidden @ w_out, hidden
 
 
 Model = Union[PolynomialModel, MlpModel]
@@ -419,8 +440,11 @@ def model_to_json(model: Model) -> dict:
 def model_from_json(doc: dict) -> Model:
     try:
         version = doc["packing_version"]
-        if version != MODEL_PACKING_VERSION:
-            raise ConfigError(f"unsupported packing version {version}")
+        if type(version) is not int or version != MODEL_PACKING_VERSION:  # not true or 1.0
+            raise ConfigError(
+                f"unsupported packing version {version!r}: packing_version must be "
+                f"the integer {MODEL_PACKING_VERSION}"
+            )
         reg = doc["regressors"]
         constant = reg.get("include_constant", True)
         if not isinstance(constant, bool):
@@ -430,7 +454,12 @@ def model_from_json(doc: dict) -> Model:
             input_lags=tuple(tuple(l) for l in reg["input_lags"]),
             include_constant=constant,
         )
-        theta = np.asarray(doc["theta"], dtype=float)
+        if not isinstance(doc["theta"], list):
+            raise ValueError(f"theta must be a list of numbers, got {doc['theta']!r}")
+        finite = sys.float_info.max
+        theta = np.array(
+            [_require_number(v, "theta entry", -finite, finite) for v in doc["theta"]]
+        )
         kind = doc["kind"]
         if kind == "polynomial":
             terms = tuple(tuple(t) for t in doc["terms"])

@@ -31,6 +31,7 @@ from .models import (
     MlpModel,
     Model,
     PolynomialModel,
+    _check_data_fits,
     free_run_on_dataset,
     model_from_json,
     model_to_json,
@@ -77,7 +78,9 @@ class ParetoPoint:
 
     ``model`` is the serialized model document (None when training failed;
     the failure text lands in ``error``).  Correlation and RMSE fields stay
-    None when their free-run diverged or was not computed.
+    None when their free-run diverged or was not computed.  ``warm_from`` is
+    the lambda whose fitted parameters started this fit, None for a seeded
+    start or an algorithm that does not warm-start.
     """
 
     lam: float
@@ -93,6 +96,7 @@ class ParetoPoint:
     train_time_ms: int = 0
     eval_count: int = 0
     error: str | None = None
+    warm_from: float | None = None
 
     def fitted_model(self) -> Model:
         if self.model is None:
@@ -143,17 +147,19 @@ def score_free_run(model: Model, data: DynDataset):
 _STRUCTURE_FOR = {"ols": PolynomialModel, "wls": PolynomialModel, "weighted_lm": MlpModel}
 
 
-def _check_trainable(
-    structure: Model, zs: SteadyDataset | None, algorithm: str, lam: float
-) -> None:
+def _check_trainable(structure: Model, algorithm: str, lam: float, **datasets) -> None:
+    """Raise ConfigError unless ``algorithm`` suits the structure at ``lam``
+    and the structure fits each of ``datasets`` (zd, zs, zt, zv by name,
+    None when absent)."""
     need = _STRUCTURE_FOR.get(algorithm)
     if need is not None and not isinstance(structure, need):
         kind = "polynomial" if need is PolynomialModel else "mlp"
         raise ConfigError(
             f"{algorithm} needs a {kind} structure, got {type(structure).__name__}"
         )
-    if zs is None and (lam > 0 or algorithm == "ga_legacy"):
+    if datasets.get("zs") is None and (lam > 0 or algorithm == "ga_legacy"):
         raise ConfigError(f"{algorithm} at lambda {lam} needs steady-state data 'zs'")
+    _check_data_fits(structure.spec, datasets)
 
 
 def _ga_seed_model(structure: Model, zd: DynDataset, train: TrainConfig) -> Model:
@@ -179,11 +185,14 @@ def fit(
 
     Returns the fitted model and the solver trace (None for the closed-form
     ``ols`` and ``wls``).  ``counter`` receives every model evaluation of the
-    fit itself.  ``ga_legacy`` starts from ``seed_model``, the lambda = 0
-    black-box fit, which is made here when not given.  Raises ConfigError when the
-    algorithm does not suit the structure or steady-state data is missing.
+    fit itself.  ``weighted_lm`` runs a single start from ``seed_model``'s
+    parameters when given, else its seeded multi-start.  ``ga_legacy``
+    starts from ``seed_model``, the lambda = 0 black-box fit, which is made
+    here when not given.  Raises ConfigError when the algorithm does not
+    suit the structure, the structure does not fit the data, or steady-state
+    data is missing.
     """
-    _check_trainable(structure, zs, train.algorithm, train.lam)
+    _check_trainable(structure, train.algorithm, train.lam, zd=zd, zs=zs)
     if train.algorithm == "ols":  # wls on the dynamic record alone, whatever lambda
         return fit_wls(structure, zd, None, 0.0, counter=counter), None
     if train.algorithm == "wls":
@@ -191,7 +200,7 @@ def fit(
     if train.algorithm == "weighted_lm":
         return fit_weighted_lm(
             structure, zd, zs, train.lam, train.lm, init_seed=train.init_seed,
-            counter=counter,
+            theta0=None if seed_model is None else seed_model.theta, counter=counter,
         )
     if seed_model is None:
         seed_model = _ga_seed_model(structure, zd, train)
@@ -212,19 +221,29 @@ def run_sweep(
 ) -> list[ParetoPoint]:
     """Train one model per lambda with :func:`fit` and score it.
 
-    Lambdas are independent runs from identical seeded initial conditions
-    (no warm starting).  A per-lambda SingularityError or DivergenceError is
-    recorded on the point instead of aborting the sweep; a structure or
-    dataset the algorithm cannot use raises ConfigError before any fit.  For
+    Lambdas run in ascending order.  ``weighted_lm`` continues along the
+    grid: the first lambda runs the seeded multi-start, and each later one
+    runs a single start from the parameters of the last lambda that trained
+    (its ``warm_from``), since neighbouring lambdas have neighbouring optima.
+    Until some lambda has trained, each one runs the seeded multi-start.
+    ``ols`` and ``wls`` are closed-form and every lambda is independent; for
     the GA baseline the black-box seed model is trained once up front and
     shared, and each lambda gets its own GA stream.
+
+    A per-lambda SingularityError or DivergenceError is recorded on the
+    point instead of aborting the sweep; a structure or dataset the
+    algorithm cannot use raises ConfigError before any fit.
     """
-    _check_trainable(structure, zs, train.algorithm, max(grid))
+    _check_trainable(structure, train.algorithm, max(grid), zd=zd, zs=zs, zt=zt, zv=zv)
     seed_model = None
     if train.algorithm == "ga_legacy":
         seed_model = _ga_seed_model(structure, zd, train)
+    warm = (None, None)  # lambda and model of the last weighted_lm point that trained
     points = []
     for i, lam in enumerate(grid):
+        warm_from = None
+        if train.algorithm == "weighted_lm":
+            warm_from, seed_model = warm
         ga_seed = int(
             np.random.SeedSequence((train.ga.seed, i)).generate_state(1, np.uint64)[0]
         )
@@ -242,9 +261,12 @@ def run_sweep(
                 error=f"{type(exc).__name__}: {exc}",
                 train_time_ms=int(round((time.perf_counter() - start) * 1e3)),
                 eval_count=counter.count,
+                warm_from=warm_from,
             ))
             continue
         elapsed_ms = int(round((time.perf_counter() - start) * 1e3))
+        if train.algorithm == "weighted_lm":
+            warm = (lam, fitted)
         point = ParetoPoint(
             lam=lam,
             model=model_to_json(fitted),
@@ -252,6 +274,7 @@ def run_sweep(
             j_s_hat=cost_js_hat(fitted, zs),
             train_time_ms=elapsed_ms,
             eval_count=counter.count,
+            warm_from=warm_from,
         )
         _, point.diverged_zd, point.corr_dm = score_free_run(fitted, zd)
         if zt is not None:
@@ -335,6 +358,7 @@ def write_sweep_csv(path, points: list[ParetoPoint]) -> None:
         "train_time_ms",
         "eval_count",
         "error",
+        "warm_from",
     ]
 
     def opt(value):
@@ -353,5 +377,6 @@ def write_sweep_csv(path, points: list[ParetoPoint]) -> None:
         [str(p.train_time_ms) for p in points],
         [str(p.eval_count) for p in points],
         [p.error or "" for p in points],
+        [opt(p.warm_from) for p in points],
     ]
     write_table(path, header, columns)

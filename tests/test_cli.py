@@ -466,13 +466,18 @@ def test_undecodable_json_exits_2(content, datadir, tmp_path, capsys):
         ("example1", ("terms",), [[2], [True], [2, 3], [1, 3], [1, 4]], "term index"),
         ("example2", ("n_hidden",), 1.5, "n_hidden"),
         ("example2", ("n_hidden",), True, "n_hidden"),
+        ("example1", ("theta",), ["0.1", 0.0, 0.0, 0.0, 0.0], "theta entry"),
+        ("example1", ("theta",), [True, 0.0, 0.0, 0.0, 0.0], "theta entry"),
+        ("example1", ("packing_version",), True, "packing_version"),
     ],
     ids=["float-lag", "bool-lag", "float-input-lag", "string-constant", "int-constant",
-         "float-term-index", "bool-term-index", "float-n-hidden", "bool-n-hidden"],
+         "float-term-index", "bool-term-index", "float-n-hidden", "bool-n-hidden",
+         "string-theta", "bool-theta", "bool-packing-version"],
 )
 def test_bad_model_document_exits_2(example, where, value, named, datadir, tmp_path, capsys):
-    # lags, term indices and n_hidden are integers and include_constant is a
-    # boolean, in a config's structure block and in a model file alike
+    # lags, term indices and n_hidden are integers, theta entries numbers,
+    # packing_version the integer 1 and include_constant a boolean, in a
+    # config's structure block and in a model file alike
     doc = gb.model_to_json(gb.example_structure(example))
     *parents, last = where
     target = doc
@@ -488,6 +493,61 @@ def test_bad_model_document_exits_2(example, where, value, named, datadir, tmp_p
                  "--mode", "one-step", "--out", str(tmp_path / "eval")]) == 2
     errors = capsys.readouterr().err.splitlines()
     assert len(errors) == 2 and all(named in e for e in errors), errors
+
+
+@pytest.mark.parametrize(
+    "command,regressors,zt_rows,named",
+    [
+        ("train", {"output_lags": [1, 200]}, None,
+         "dataset 'zd' is too short: 100 samples for max lag 200"),
+        ("train", {"input_lags": [[1], [1]]}, None,
+         "dataset 'zd' has 1 input channels, the structure expects 2"),
+        ("sweep", {"input_lags": [[1], [1]]}, None,
+         "dataset 'zd' has 1 input channels, the structure expects 2"),
+        ("sweep", {}, 2, "dataset 'zt' is too short: 2 samples for max lag 2"),
+    ],
+    ids=["train-long-lag", "train-channels", "sweep-channels", "sweep-short-zt"],
+)
+def test_structure_that_does_not_fit_the_data_exits_2(
+    command, regressors, zt_rows, named, datadir, tmp_path, capsys
+):
+    # checked against every dataset the command touches, before any fit
+    doc = gb.model_to_json(gb.example_structure("example1"))
+    doc["regressors"].update(regressors)
+    datasets = {key: str(datadir / f"{key}.csv") for key in ("zd", "zt", "zs", "zv")}
+    if zt_rows is not None:
+        lines = (datadir / "zt.csv").read_text().splitlines()
+        (tmp_path / "zt.csv").write_text("\n".join(lines[: 1 + zt_rows]) + "\n")
+        datasets["zt"] = str(tmp_path / "zt.csv")
+    assert _run(datadir, tmp_path, command, {"structure": doc, "datasets": datasets}) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err, err
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "regressors,name,mode,named",
+    [
+        ({"output_lags": [1, 200]}, "zd", "one-step", "is too short: 100 samples for max lag 200"),
+        ({"output_lags": [1, 200]}, "zd", "free-run", "is too short: 100 samples for max lag 200"),
+        ({"input_lags": [[1], [1]]}, "zs", "static-curve",
+         "has 1 input channels, the structure expects 2"),
+    ],
+    ids=["one-step-long-lag", "free-run-long-lag", "static-curve-channels"],
+)
+def test_eval_structure_that_does_not_fit_the_data_exits_2(
+    regressors, name, mode, named, datadir, tmp_path, capsys
+):
+    doc = gb.model_to_json(gb.example_structure("example1"))
+    doc["regressors"].update(regressors)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    data = str(datadir / f"{name}.csv")
+    argv = ["eval", "--model", str(model), "--data", data, "--mode", mode,
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"dataset {data!r} {named}" in err and "Traceback" not in err, err
 
 
 def test_import_does_not_load_scipy():
@@ -558,6 +618,29 @@ def test_readme_example1_recipe_runs(tmp_path, monkeypatch):
     assert blackbox >= 3 * pick, (blackbox, pick)
     for name in ("min_corr", "min_rmse_zt"):
         assert Path(f"ex1/{name}/static_curve.csv").exists()
+
+
+def test_readme_example2_evaluation_count():
+    # the weighted-LM evaluation count quoted in README.md's example2 section
+    # must be what its sweep makes, so the figure cannot go stale
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.partition("#### example2")[2].partition("\n## ")[0]
+    config = json.loads(
+        re.search(r"`ex2_sweep.json`:\n\n```json\n(.*?)```", section, re.S).group(1)
+    )
+    seed = int(re.search(r"greybox generate --example example2 --seed (\d+)", section).group(1))
+    quoted = re.search(r"Levenberg-Marquardt sweep fits in about [\d.]+ s\s+with\s+(\d+)\s+model",
+                       section)
+    assert quoted, "no weighted-LM evaluation count in README.md's example2 section"
+    zd, zt, zs, zv = gb.make_example2_datasets(seed)
+    grid = config["grid"]
+    points = gb.run_sweep(
+        gb.example_structure(config["structure"]["builtin"]), zd, zt, zs,
+        gb.LambdaGrid.linspace(grid["start"], grid["stop"], grid["count"]),
+        gb.TrainConfig(algorithm=config["algorithm"], lm=gb.LmConfig(**config["lm"])),
+    )
+    assert all(p.error is None for p in points)
+    assert sum(p.eval_count for p in points) == int(quoted.group(1))
 
 
 def _run(datadir, tmp, command, entries, flags=()):

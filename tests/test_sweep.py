@@ -1,6 +1,7 @@
 """Lambda sweeps, scoring, decision makers, dominance filtering."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import greybox as gb
+import greybox.sweep as sweep_module
 from greybox.sweep import RMSE_CAP, abs_error_correlation, score_free_run, write_sweep_csv
 
 
@@ -166,6 +168,87 @@ class TestRunSweep:
             failed.fitted_model()
 
 
+LM_TRAIN = gb.TrainConfig(algorithm="weighted_lm", lm=gb.LmConfig(max_iterations=60, n_starts=3))
+GRID9 = gb.LambdaGrid.linspace(0.1, 0.9, 9)
+
+
+@pytest.fixture(scope="module")
+def lm_points(ex2_data):
+    zd, _, zs, _ = ex2_data
+    return gb.run_sweep(gb.example_structure("example2"), zd, None, zs, GRID9, LM_TRAIN)
+
+
+class TestLmContinuation:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_tradeoff_is_monotone(self, seed):
+        # criterion 2's seeds: each lambda continues from the optimum of the
+        # one before, so the costs move one way along the grid
+        zd, _, zs, _ = gb.make_example2_datasets(seed)
+        points = gb.run_sweep(gb.example_structure("example2"), zd, None, zs, GRID9, LM_TRAIN)
+        for prev, nxt in zip(points, points[1:]):
+            assert prev.j_d <= nxt.j_d, (prev.lam, nxt.lam)
+            assert prev.j_s_hat >= nxt.j_s_hat, (prev.lam, nxt.lam)
+
+    def test_other_algorithms_never_warm_start(self, wls_points):
+        assert all(p.warm_from is None for p in wls_points)
+
+    def test_first_lambda_is_an_independent_fit(self, ex2_data, lm_points):
+        zd, _, zs, _ = ex2_data
+        first = lm_points[0]
+        counter = gb.EvalCounter()
+        model, _ = gb.fit(
+            gb.example_structure("example2"), zd, zs, replace(LM_TRAIN, lam=first.lam),
+            counter=counter,
+        )
+        assert first.warm_from is None
+        assert first.model == gb.model_to_json(model)
+        assert first.eval_count == counter.count
+        assert [p.warm_from for p in lm_points[1:]] == [p.lam for p in lm_points[:-1]]
+
+    def test_fewer_evaluations_than_independent_fits(self, ex2_data, lm_points):
+        zd, _, zs, _ = ex2_data
+        counter = gb.EvalCounter()
+        for p in lm_points:
+            gb.fit(gb.example_structure("example2"), zd, zs, replace(LM_TRAIN, lam=p.lam),
+                   counter=counter)
+        assert sum(p.eval_count for p in lm_points) < counter.count
+
+    @staticmethod
+    def _sweep_failing_at(monkeypatch, ex2_data, failing):
+        """A short sweep whose fits at the lambdas in ``failing`` raise
+        DivergenceError; returns the points and each fit's starting theta."""
+        zd, _, zs, _ = ex2_data
+        real = sweep_module.fit_weighted_lm
+        starts = {}
+
+        def fit_weighted_lm(model, zd, zs, lam, *args, theta0=None, **kwargs):
+            starts[lam] = theta0
+            if lam in failing:
+                raise gb.DivergenceError(f"made to fail at lambda {lam}")
+            return real(model, zd, zs, lam, *args, theta0=theta0, **kwargs)
+
+        monkeypatch.setattr(sweep_module, "fit_weighted_lm", fit_weighted_lm)
+        train = gb.TrainConfig(algorithm="weighted_lm", lm=gb.LmConfig(max_iterations=5))
+        grid = gb.LambdaGrid(values=(0.2, 0.4, 0.6, 0.8))
+        points = gb.run_sweep(gb.example_structure("example2"), zd, None, zs, grid, train)
+        return points, starts
+
+    def test_failed_lambda_hands_on_the_last_good_theta(self, monkeypatch, ex2_data):
+        points, starts = self._sweep_failing_at(monkeypatch, ex2_data, {0.6})
+        assert [p.error is None for p in points] == [True, True, False, True]
+        assert [p.warm_from for p in points] == [None, 0.2, 0.4, 0.4]
+        assert starts[0.2] is None
+        good = points[1].fitted_model().theta
+        assert np.array_equal(starts[0.6], good) and np.array_equal(starts[0.8], good)
+
+    def test_failed_first_lambda_falls_back_to_the_multi_start(self, monkeypatch, ex2_data):
+        points, starts = self._sweep_failing_at(monkeypatch, ex2_data, {0.2})
+        assert [p.error is None for p in points] == [False, True, True, True]
+        assert [p.warm_from for p in points] == [None, None, 0.4, 0.6]
+        assert starts[0.2] is None and starts[0.4] is None
+        assert np.array_equal(starts[0.6], points[1].fitted_model().theta)
+
+
 class TestDecisionMakers:
     def test_min_rmse_zt_picks_smallest(self):
         points = [
@@ -316,7 +399,7 @@ class TestSweepCsv:
         lines = path.read_text().splitlines()
         assert lines[0] == (
             "lambda,j_d,j_s_hat,rmse_zt,diverged_zt,rmse_zv,diverged_zv,"
-            "corr_dm,diverged_zd,train_time_ms,eval_count,error"
+            "corr_dm,diverged_zd,train_time_ms,eval_count,error,warm_from"
         )
         assert len(lines) == 3
         assert "rank deficient" in lines[2]
