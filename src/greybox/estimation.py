@@ -62,6 +62,12 @@ _GA_CROSSOVER_RATE = 0.9
 _GA_TOURNAMENT_SIZE = 3
 _GA_BLEND_ALPHA = 0.5
 
+# Counts that size arrays built whole before the first fit: the LM starts
+# (their seeds and parameter vectors) and the GA population (two
+# population_size x n_params arrays).  Far beyond any useful run, and a larger
+# one is refused before memory is taken.
+_MAX_HELD_COUNT = 10**6
+
 
 @dataclass(frozen=True)
 class LmConfig:
@@ -70,7 +76,7 @@ class LmConfig:
 
     def __post_init__(self):
         _require_count(self.max_iterations, "max_iterations", 0)
-        _require_count(self.n_starts, "n_starts", 1)
+        _require_count(self.n_starts, "n_starts", 1, _MAX_HELD_COUNT)
 
 
 @dataclass(frozen=True)
@@ -81,7 +87,7 @@ class GaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _require_count(self.population_size, "population_size", 2)
+        _require_count(self.population_size, "population_size", 2, _MAX_HELD_COUNT)
         _require_count(self.generations, "generations", 0)
         if self.init_spread is not None:
             finite = sys.float_info.max

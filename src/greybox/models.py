@@ -10,11 +10,16 @@ the MLP feeds the non-constant slots through a tanh hidden layer.
 
 Time stepping has one loop, :func:`_recurrence`, which gathers psi(k-1) from
 Python-list buffers and calls a step function on it.  Each model builds its
-step once (``_step``), with its parameters hoisted out of the loop, and
-:func:`free_run` uses it.  ``_predict_psi`` computes the same value but
-unpacks the parameters on every call; it is kept only as the deliberately
-unhoisted step of the GA baseline's fixed-point cost (and for the tests that
-check the scalar path against the batch one).
+step once (``_step``), over plain Python floats with its parameters unpacked
+ahead of the loop, and :func:`free_run` uses it.  ``_predict_psi`` computes
+the same value but unpacks the parameters on every call; it is kept only as
+the deliberately unhoisted step of the GA baseline's fixed-point cost (and
+for the tests that check the scalar path against the batch one).  The
+polynomial step returns the same bits as ``_predict_psi``.  The MLP step
+does not: ``math.tanh`` and left-to-right sums round differently from
+numpy's ``np.tanh`` and ``@``, and the two differ by at most
+8 eps (|b0| + sum_i |w_out_i| (1 + |b_i| + sum_j |w_ij psi_j|)), eps being
+the float64 machine epsilon.
 """
 
 from __future__ import annotations
@@ -310,14 +315,31 @@ class MlpModel:
         return float(b0 + w_out @ np.tanh(z))
 
     def _step(self):
-        """``_predict_psi`` with the unpacking done once; the numpy operations
-        are the same, so it returns the same bits."""
+        """``_predict_psi`` over plain floats, with the parameters unpacked
+        once: b0 + sum_i w_out_i tanh(b_i + sum_j w_ij psi_j), summed left
+        to right, with ``math.tanh``.
+
+        It does not return the same bits as ``_predict_psi``, whose ``@`` and
+        ``np.tanh`` round differently; the two differ by at most
+        8 eps (|b0| + sum_i |w_out_i| (1 + |b_i| + sum_j |w_ij psi_j|)).
+        """
         b0, w_out, b_h, w_h = self.unpack()
         start = 1 if self.spec.include_constant else 0
+        slots = range(start, len(self.spec))
+        nodes = tuple(
+            (w, b, tuple(zip(weights, slots)))
+            for w, b, weights in zip(w_out.tolist(), b_h.tolist(), w_h.tolist())
+        )
+        bias = float(b0)
+        tanh = math.tanh
 
         def step(psi) -> float:
-            z = w_h @ psi[start:] + b_h
-            return float(b0 + w_out @ np.tanh(z))
+            acc = bias
+            for w, z, weights in nodes:
+                for v, j in weights:
+                    z += v * psi[j]
+                acc += w * tanh(z)
+            return acc
 
         return step
 

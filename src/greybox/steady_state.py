@@ -13,7 +13,11 @@ The static curve and :func:`fixed_point_iterate` step with the model's
 ``_step``, built once per call.  :func:`cost_js_legacy` steps with
 ``_predict_psi`` instead, which unpacks the parameters on every call: the GA
 baseline is kept deliberately unhoisted, so it keeps paying per step what
-the original scheme paid.  Both steps return the same bits.
+the original scheme paid.  A polynomial's two steps return the same bits;
+an MLP's plain-float step rounds differently from numpy's ``@`` and
+``np.tanh``, and the two differ by at most
+8 eps (|b0| + sum_i |w_out_i| (1 + |b_i| + sum_j |w_ij psi_j|)) per step
+(see :meth:`~greybox.models.MlpModel._step`).
 
 Every cost helper accepts an optional :class:`~greybox.models.EvalCounter`
 so callers can account model evaluations precisely.

@@ -826,10 +826,10 @@ def is_real(value, low, high):
 SOLVER_KEY_RULES = {
     "lm": {
         "max_iterations": lambda v: is_count(v, 0),
-        "n_starts": lambda v: is_count(v, 1),
+        "n_starts": lambda v: is_count(v, 1, 10**6),
     },
     "ga": {
-        "population_size": lambda v: is_count(v, 2),
+        "population_size": lambda v: is_count(v, 2, 10**6),
         "generations": lambda v: is_count(v, 0),
         "init_spread": lambda v: v is None or is_real(v, -math.inf, math.inf)
         and math.isfinite(v),

@@ -2,15 +2,17 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import greybox as gb
 from greybox.data import EXAMPLE1, simulate_system
 from greybox.models import EXAMPLE1_TRUE_THETA
+from greybox.sweep import RMSE_CAP, abs_error_correlation, rmse
 
 
 class TestRegressorSpec:
@@ -188,6 +190,128 @@ class TestMlpModel:
         assert abs(value) <= abs(theta[0]) + abs(theta[1]) + 1e-12
 
 
+# any finite float, drawn moderate half the time so that many runs stay bounded
+finite = st.one_of(
+    st.floats(min_value=-2.0, max_value=2.0), st.floats(allow_nan=False, allow_infinity=False)
+)
+# MLP weights and signals: small enough that no product or partial sum of a
+# step overflows, where the rounding bound of check_step would not hold
+moderate = st.one_of(st.floats(-2.0, 2.0), st.floats(-1e100, 1e100))
+EPS = np.finfo(float).eps
+
+
+def same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@st.composite
+def random_models(draw):
+    """Polynomial models (constant terms, repeated slots) and 1-3 node MLPs
+    over random lag layouts, with or without the constant slot."""
+    lags = st.lists(st.integers(1, 4), max_size=2, unique=True).map(sorted)
+    spec = gb.RegressorSpec(
+        output_lags=draw(st.lists(st.integers(1, 4), min_size=1, max_size=2, unique=True)
+                         .map(sorted)),
+        input_lags=tuple(draw(st.lists(lags, min_size=1, max_size=2))),
+        include_constant=draw(st.booleans()),
+    )
+    if draw(st.booleans()):
+        term = st.lists(st.integers(0, len(spec) - 1), max_size=3).map(lambda t: tuple(sorted(t)))
+        terms = draw(st.lists(term, min_size=1, max_size=5, unique=True))
+        theta = draw(st.lists(finite, min_size=len(terms), max_size=len(terms)))
+        return gb.PolynomialModel(spec, tuple(terms), np.array(theta))
+    n_hidden = draw(st.integers(1, 3))
+    size = gb.MlpModel.n_params_for(spec, n_hidden)
+    return gb.MlpModel(spec, n_hidden, np.array(draw(st.lists(moderate, min_size=size,
+                                                              max_size=size))))
+
+
+def signals(model):
+    return finite if isinstance(model, gb.PolynomialModel) else moderate
+
+
+@st.composite
+def step_cases(draw):
+    """A model and one regressor vector; an MLP's may hold NaN or infinity."""
+    model = draw(random_models())
+    values = signals(model)
+    if isinstance(model, gb.MlpModel):
+        values = st.one_of(values, st.sampled_from([math.nan, math.inf, -math.inf]))
+    return model, draw(st.lists(values, min_size=len(model.spec), max_size=len(model.spec)))
+
+
+@st.composite
+def free_run_cases(draw):
+    """A model, its input channels and an initial history."""
+    model = draw(random_models())
+    spec = model.spec
+    n = draw(st.integers(spec.max_lag + 1, spec.max_lag + 40))
+    inputs = [np.array(draw(st.lists(signals(model), min_size=n, max_size=n)))
+              for _ in range(spec.n_inputs)]
+    return model, inputs, draw(st.lists(signals(model), max_size=spec.max_lag))
+
+
+def check_step(model, psi, got):
+    """Assert that ``got``, the model's ``_step`` at ``psi``, is what
+    ``_predict_psi`` returns: the same bits for a polynomial; for an MLP NaN
+    exactly when it is NaN, else within
+    8 eps (|b0| + sum_i |w_out_i| (1 + |b_i| + sum_j |w_ij psi_j|))."""
+    psi = np.asarray(psi, dtype=float)
+    want = model._predict_psi(psi)
+    if isinstance(model, gb.PolynomialModel):
+        assert same_bits(got, want), (got, want)
+        return
+    assert math.isnan(got) == math.isnan(want), (got, want)
+    if got == want or math.isnan(got):
+        return
+    b0, w_out, b_h, w_h = model.unpack()
+    start = 1 if model.spec.include_constant else 0
+    inner = np.sum(np.abs(w_h * psi[start:]), axis=1)
+    size = abs(b0) + np.sum(np.abs(w_out) * (1.0 + np.abs(b_h) + inner))
+    # gradual underflow rounds by up to half the smallest subnormal, whatever the size
+    assert abs(got - want) <= 8 * EPS * size + 8 * math.ulp(0.0), (got, want, size)
+
+
+def faithful_free_run(model, inputs, init, bound, step=None):
+    """The free run as it stepped before the fast steps: numpy buffers and
+    ``_predict_psi`` (or ``step``, given psi(k-1) as an array) at every
+    sample.  Returns (y, diverged_at)."""
+    step = step or model._predict_psi
+    spec = model.spec
+    k0 = spec.max_lag
+    y = np.zeros(inputs[0].size)
+    if init:
+        y[k0 - len(init) : k0] = init
+    psi = np.ones(len(spec))
+    for k in range(k0, y.size):
+        for pos, ch, lag in spec._gather:
+            psi[pos] = y[k - lag] if ch < 0 else inputs[ch][k - lag]
+        value = step(psi)
+        if not (-bound <= value <= bound):
+            y[k:] = np.nan
+            return y, k
+        y[k] = value
+    return y, None
+
+
+# fixed cases with weights that round at every operation, so that a step
+# moved by one ulp (a polynomial's) or beyond the bound (an MLP's) fails
+# on every run, whatever hypothesis draws
+EXAMPLE_SPEC = gb.RegressorSpec(output_lags=(1, 2), input_lags=((1, 2),))
+POLY_EXAMPLE = gb.PolynomialModel(
+    EXAMPLE_SPEC, ((), (1,), (2, 3), (1, 1, 4)), np.array([0.37, 1.3, -0.71, 0.055])
+)
+MLP_EXAMPLE = gb.MlpModel(
+    gb.RegressorSpec(output_lags=(1, 2), input_lags=((1, 2),), include_constant=False),
+    2,
+    np.array([0.13, 1.7, -0.9, 0.21, 0.8, -0.33, 0.52, 0.11, -0.4, 0.6, 0.25, -0.7, 0.09]),
+)
+MLP1_EXAMPLE = gb.MlpModel(
+    EXAMPLE_SPEC, 1, np.array([0.047, 2.31, -0.113, 0.61, -0.27, 0.83, 0.19])
+)
+EXAMPLE_INPUT = [np.sin(0.7 * np.arange(30)) * 1.3]
+
+
 class TestFreeRun:
     def test_reproduces_noiseless_simulation(self, ex1_true_model):
         rng = np.random.default_rng(3)
@@ -229,79 +353,80 @@ class TestFreeRun:
         assert np.all(np.isnan(result.y[result.diverged_at :]))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow to inf is allowed
-    @given(data=st.data())
-    def test_step_is_bitwise_predict_psi(self, data):
-        model = data.draw(random_models())
-        psi = np.array(data.draw(st.lists(finite, min_size=len(model.spec),
-                                          max_size=len(model.spec))))
-        assert same_bits(model._step()(psi.tolist()), model._predict_psi(psi))
+    @given(case=step_cases())
+    @example(case=(POLY_EXAMPLE, [1.0, 0.3, -1.7, 0.45, 2.9]))
+    @example(case=(MLP_EXAMPLE, [0.3, -1.7, 0.45, 2.9]))
+    @example(case=(MLP1_EXAMPLE, [1.0, 0.61, -0.35, 1.1, 0.7]))
+    def test_step_is_bitwise_predict_psi(self, case):
+        # bitwise for polynomials; an MLP's plain-float step stays within
+        # the rounding bound of check_step
+        model, psi = case
+        check_step(model, psi, model._step()(list(psi)))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @given(data=st.data(), bound=st.sampled_from([1e6, 2.0, 1e300]))
-    def test_free_run_is_bitwise_the_faithful_loop(self, data, bound):
-        model = data.draw(random_models())
-        spec = model.spec
-        n = data.draw(st.integers(spec.max_lag + 1, spec.max_lag + 40))
-        inputs = [np.array(data.draw(st.lists(finite, min_size=n, max_size=n)))
-                  for _ in range(spec.n_inputs)]
-        init = data.draw(st.lists(finite, max_size=spec.max_lag))
+    @given(case=free_run_cases(), bound=st.sampled_from([1e6, 2.0, 1e300]))
+    @example(case=(POLY_EXAMPLE, EXAMPLE_INPUT, [0.2, -0.1]), bound=1e6)
+    @example(case=(MLP_EXAMPLE, EXAMPLE_INPUT, [0.5]), bound=1e6)
+    @example(case=(MLP1_EXAMPLE, EXAMPLE_INPUT, [0.4, 0.3]), bound=1e6)
+    def test_free_run_is_bitwise_the_faithful_loop(self, case, bound):
+        # the faithful loop steps with the model's step, each value checked
+        # against _predict_psi, so a polynomial run is bitwise the
+        # _predict_psi loop and an MLP run moves by the step's bound only
+        model, inputs, init = case
+        fast = model._step()
+
+        def checked(psi):
+            value = fast(psi.tolist())
+            check_step(model, psi, value)
+            return value
+
         result = gb.free_run(model, inputs, init=init, bound=bound)
-        want, diverged_at = faithful_free_run(model, inputs, init, bound)
+        want, diverged_at = faithful_free_run(model, inputs, init, bound, step=checked)
         assert result.y.tobytes() == want.tobytes()
         assert result.diverged_at == diverged_at
         assert result.diverged == (diverged_at is not None)
 
 
-# any finite float, drawn moderate half the time so that many runs stay bounded
-finite = st.one_of(
-    st.floats(min_value=-2.0, max_value=2.0), st.floats(allow_nan=False, allow_infinity=False)
-)
+class TestSweepScoring:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_scores_agree_with_the_numpy_step(self, seed):
+        # criterion 2's datasets and settings, every point scored again with
+        # the numpy-step reference loop: same scores to 1e-12, same picks
+        zd, zt, zs, zv = gb.make_example2_datasets(seed)
+        train = gb.TrainConfig(algorithm="weighted_lm", lm=gb.LmConfig(60, 3))
+        grid = gb.LambdaGrid.linspace(0.1, 0.9, 9)
+        points = gb.run_sweep(gb.example_structure("example2"), zd, zt, zs, grid, train, zv=zv)
+        rescored = [numpy_step_scores(p, zd, zt, zv) for p in points]
+        for point, again in zip(points, rescored):
+            assert point.error is None
+            for name in ("rmse_zt", "rmse_zv", "corr_dm"):
+                want = getattr(again, name)
+                assert getattr(point, name) == pytest.approx(want, rel=1e-12, abs=0), name
+        assert gb.decide_min_rmse_zt(points).lam == gb.decide_min_rmse_zt(rescored).lam
+        assert gb.decide_min_corr(points).lam == gb.decide_min_corr(rescored).lam
 
 
-def same_bits(a, b):
-    return np.float64(a).tobytes() == np.float64(b).tobytes()
+def numpy_step_scores(point, zd, zt, zv):
+    """``point`` with its free-run scores recomputed by :func:`faithful_free_run`,
+    as :func:`greybox.sweep.score_free_run` computes them."""
+    model = point.fitted_model()
+    k0 = model.spec.max_lag
 
+    def score(data):
+        y, diverged_at = faithful_free_run(model, data.inputs, data.output[:k0].tolist(), RMSE_CAP)
+        if diverged_at is not None:
+            return RMSE_CAP, True, None
+        measured = data.output[k0:]
+        error = measured - y[k0:]
+        return rmse(y[k0:], measured), False, abs_error_correlation(error, measured)
 
-@st.composite
-def random_models(draw):
-    """Polynomial models (constant terms, repeated slots) and 1-3 node MLPs
-    over random lag layouts, with or without the constant slot."""
-    lags = st.lists(st.integers(1, 4), max_size=2, unique=True).map(sorted)
-    spec = gb.RegressorSpec(
-        output_lags=draw(st.lists(st.integers(1, 4), min_size=1, max_size=2, unique=True)
-                         .map(sorted)),
-        input_lags=tuple(draw(st.lists(lags, min_size=1, max_size=2))),
-        include_constant=draw(st.booleans()),
+    _, diverged_zd, corr_dm = score(zd)
+    rmse_zt, diverged_zt, _ = score(zt)
+    rmse_zv, diverged_zv, _ = score(zv)
+    return replace(
+        point, rmse_zt=rmse_zt, diverged_zt=diverged_zt, rmse_zv=rmse_zv,
+        diverged_zv=diverged_zv, corr_dm=corr_dm, diverged_zd=diverged_zd,
     )
-    if draw(st.booleans()):
-        term = st.lists(st.integers(0, len(spec) - 1), max_size=3).map(lambda t: tuple(sorted(t)))
-        terms = draw(st.lists(term, min_size=1, max_size=5, unique=True))
-        theta = draw(st.lists(finite, min_size=len(terms), max_size=len(terms)))
-        return gb.PolynomialModel(spec, tuple(terms), np.array(theta))
-    n_hidden = draw(st.integers(1, 3))
-    size = gb.MlpModel.n_params_for(spec, n_hidden)
-    return gb.MlpModel(spec, n_hidden, np.array(draw(st.lists(finite, min_size=size,
-                                                              max_size=size))))
-
-
-def faithful_free_run(model, inputs, init, bound):
-    """The free run as it stepped before the fast steps: numpy buffers and
-    ``_predict_psi`` at every sample.  Returns (y, diverged_at)."""
-    spec = model.spec
-    k0 = spec.max_lag
-    y = np.zeros(inputs[0].size)
-    if init:
-        y[k0 - len(init) : k0] = init
-    psi = np.ones(len(spec))
-    for k in range(k0, y.size):
-        for pos, ch, lag in spec._gather:
-            psi[pos] = y[k - lag] if ch < 0 else inputs[ch][k - lag]
-        value = model._predict_psi(psi)
-        if not (-bound <= value <= bound):
-            y[k:] = np.nan
-            return y, k
-        y[k] = value
-    return y, None
 
 
 class TestPersistence:

@@ -352,6 +352,10 @@ def test_init_at_target_config_exits_2(tmp_path, capsys):
         ("ga", {"generations": 10**20}, "generations"),
         ("lm", {"n_starts": 10**400}, "n_starts"),
         ("lm", {"max_iterations": 10**20}, "max_iterations"),
+        # within 2**63-1, but they size arrays built whole: refused before
+        # numpy is asked for the memory
+        ("ga", {"population_size": 10**18}, "population_size"),
+        ("lm", {"n_starts": 10**18}, "n_starts"),
         ("datasets", {"generator": ["example1"]}, "generator"),
     ]
     for block, value, key in bad:
