@@ -48,6 +48,14 @@ class SelectionError(GreyboxError):
     """No admissible candidate was available to a decision maker."""
 
 
+# Counts that size what is held whole in memory before the work starts: the
+# LM starts (their seeds and parameter vectors), the GA population (two
+# population_size x n_params arrays) and the regressor lags (every fixed point
+# builds an output buffer of max_lag samples plus its window).  Far beyond any
+# useful run, and a larger one is refused before memory is taken.
+_MAX_HELD_COUNT = 10**6
+
+
 def _require_count(value, name: str, low: int, high=sys.maxsize) -> int:
     """``value`` as an int in [low, high]: any integer, but never a bool.
 

@@ -28,7 +28,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import DynDataset, SteadyDataset, write_table
-from .errors import DivergenceError, SingularityError, _require_count, _require_number
+from .errors import (
+    _MAX_HELD_COUNT,
+    DivergenceError,
+    SingularityError,
+    _require_count,
+    _require_number,
+)
 from .models import (
     EvalCounter,
     MlpModel,
@@ -61,13 +67,6 @@ _GA_MUTATION_SCALE = 0.1
 _GA_CROSSOVER_RATE = 0.9
 _GA_TOURNAMENT_SIZE = 3
 _GA_BLEND_ALPHA = 0.5
-
-# Counts that size arrays built whole before the first fit: the LM starts
-# (their seeds and parameter vectors) and the GA population (two
-# population_size x n_params arrays).  Far beyond any useful run, and a larger
-# one is refused before memory is taken.
-_MAX_HELD_COUNT = 10**6
-
 
 @dataclass(frozen=True)
 class LmConfig:

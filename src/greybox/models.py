@@ -8,16 +8,24 @@ with the leading constant slot optional.  Both model families consume this
 layout: the polynomial model multiplies selected slots together per term,
 the MLP feeds the non-constant slots through a tanh hidden layer.
 
-Time stepping has one loop, :func:`_recurrence`, which gathers psi(k-1) from
-Python-list buffers and calls a step function on it.  Each model builds its
-step once (``_step``), over plain Python floats with its parameters unpacked
-ahead of the loop, and :func:`free_run` uses it.  ``_predict_psi`` computes
-the same value but unpacks the parameters on every call; it is kept only as
-the deliberately unhoisted step of the GA baseline's fixed-point cost (and
-for the tests that check the scalar path against the batch one).  The
-polynomial step returns the same bits as ``_predict_psi``.  The MLP step
-does not: ``math.tanh`` and left-to-right sums round differently from
-numpy's ``np.tanh`` and ``@``, and the two differ by at most
+Time stepping has one generator, :func:`_generate_loops`.  From the lines
+of one step it writes the source of two functions, a free run and a
+fixed-point run at constant input, with the regressor gathers unrolled into
+``y[k - lag]`` and ``u{ch}[k - lag]`` reads, and compiles it.  Each model
+generates its loops once (``_loops``), from a step unrolled into one
+statement per polynomial term and factor or per MLP node and weight, over
+plain Python floats; its parameters enter as names in the functions'
+globals, never as text, so no value is rounded and every fit of one
+structure shares the compiled code.  :func:`free_run` and
+:mod:`~greybox.steady_state`'s fixed points run them.  ``_predict_psi``
+computes the same value but unpacks the parameters on every call; it is
+kept only as the deliberately unhoisted step of the GA baseline's
+fixed-point cost, which runs the loops the same generator emits for the
+spec with ``step(psi)`` as the body (``RegressorSpec._legacy_loops``), and
+for the tests that check the scalar path against the batch one.  The
+polynomial loops return the same bits as ``_predict_psi``.  The MLP loops
+do not: ``math.tanh`` and left-to-right sums round differently from numpy's
+``np.tanh`` and ``@``, and one step of the two differs by at most
 8 eps (|b0| + sum_i |w_out_i| (1 + |b_i| + sum_j |w_ij psi_j|)), eps being
 the float64 machine epsilon.
 """
@@ -28,19 +36,21 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Sequence, Union
+from functools import cached_property, lru_cache
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
 from .data import DynDataset, SteadyDataset
-from .errors import ConfigError, _require_count, _require_number
+from .errors import _MAX_HELD_COUNT, ConfigError, _require_count, _require_number
 
 MODEL_PACKING_VERSION = 1
 
+_WINDOW = 1024  # fixed-point samples held at once, whatever the step budget
+
 
 def _check_lags(lags, name: str) -> tuple[int, ...]:
-    out = tuple(_require_count(lag, name, 1) for lag in lags)
+    out = tuple(_require_count(lag, name, 1, _MAX_HELD_COUNT) for lag in lags)
     if len(set(out)) != len(out) or list(out) != sorted(out):
         raise ValueError(f"{name} must be sorted and duplicate-free, got {out}")
     return out
@@ -104,6 +114,15 @@ class RegressorSpec:
                 slots.append((pos, ch, lag))
                 pos += 1
         return tuple(slots)
+
+    @cached_property
+    def _legacy_loops(self) -> "_Loops":
+        """Loops that gather psi(k-1) into a fresh list at every sample and
+        call ``step(psi)``, their last argument, on it: the GA baseline's
+        per-call step, shared by every model over this spec."""
+        psi = ", ".join(f"x{pos}" for pos in range(len(self)))
+        return _generate_loops(self, [f"psi = [{psi}]", "acc = step(psi)"], {},
+                               range(len(self)), extra="step")
 
 
 def build_regression_matrix(spec: RegressorSpec, data: DynDataset):
@@ -238,20 +257,16 @@ class PolynomialModel:
             acc += p
         return float(acc)
 
-    def _step(self):
-        """``_predict_psi`` over plain floats, in the same product and sum
-        order, so it returns the same bits."""
-        pairs = tuple(zip(self.theta.tolist(), self.terms))
-
-        def step(psi) -> float:
-            acc = 0.0
-            for p, term in pairs:
-                for i in term:
-                    p *= psi[i]
-                acc += p
-            return acc
-
-        return step
+    @cached_property
+    def _loops(self) -> "_Loops":
+        """Free run and fixed point over ``_predict_psi``'s products and sum,
+        in its order and over plain floats, so they return its bits."""
+        names = {}
+        body = ["acc = 0.0"]
+        for j, (weight, term) in enumerate(zip(self.theta.tolist(), self.terms)):
+            names[f"t{j}"] = weight
+            body += [f"p = t{j}", *(f"p *= x{i}" for i in term), "acc += p"]
+        return _generate_loops(self.spec, body, names, {i for t in self.terms for i in t})
 
 
 @dataclass(frozen=True)
@@ -314,34 +329,28 @@ class MlpModel:
         z = w_h @ psi[start:] + b_h
         return float(b0 + w_out @ np.tanh(z))
 
-    def _step(self):
-        """``_predict_psi`` over plain floats, with the parameters unpacked
-        once: b0 + sum_i w_out_i tanh(b_i + sum_j w_ij psi_j), summed left
-        to right, with ``math.tanh``.
+    @cached_property
+    def _loops(self) -> "_Loops":
+        """Free run and fixed point over
+        b0 + sum_i w_out_i tanh(b_i + sum_j w_ij psi_j), summed left to right
+        over plain floats, with ``math.tanh``.
 
-        It does not return the same bits as ``_predict_psi``, whose ``@`` and
-        ``np.tanh`` round differently; the two differ by at most
+        They do not return the same bits as ``_predict_psi``, whose ``@`` and
+        ``np.tanh`` round differently; one step of the two differs by at most
         8 eps (|b0| + sum_i |w_out_i| (1 + |b_i| + sum_j |w_ij psi_j|)).
         """
         b0, w_out, b_h, w_h = self.unpack()
         start = 1 if self.spec.include_constant else 0
-        slots = range(start, len(self.spec))
-        nodes = tuple(
-            (w, b, tuple(zip(weights, slots)))
-            for w, b, weights in zip(w_out.tolist(), b_h.tolist(), w_h.tolist())
-        )
-        bias = float(b0)
-        tanh = math.tanh
-
-        def step(psi) -> float:
-            acc = bias
-            for w, z, weights in nodes:
-                for v, j in weights:
-                    z += v * psi[j]
-                acc += w * tanh(z)
-            return acc
-
-        return step
+        names = {"tanh": math.tanh, "bias": float(b0)}
+        body = ["acc = bias"]
+        for i, (w, b, weights) in enumerate(zip(w_out.tolist(), b_h.tolist(), w_h.tolist())):
+            names[f"w{i}"], names[f"b{i}"] = w, b
+            body.append(f"z = b{i}")
+            for j, v in enumerate(weights):
+                names[f"v{i}_{j}"] = v
+                body.append(f"z += v{i}_{j} * x{start + j}")
+            body.append(f"acc += w{i} * tanh(z)")
+        return _generate_loops(self.spec, body, names, range(start, len(self.spec)))
 
 
 def _mlp_unpack(theta: np.ndarray, n_hidden: int, n_features: int):
@@ -406,28 +415,100 @@ def free_run(
             raise ValueError(f"init has {head.size} values, max lag is {k0}")
         if head.size:
             y[k0 - head.size : k0] = head.tolist()
-    for k, value in _recurrence(spec, model._step(), y, [c.tolist() for c in channels], k0):
-        if not (-bound <= value <= bound):  # also catches NaN
-            y[k:] = [math.nan] * (n - k)
-            return FreeRunResult(y=np.array(y), diverged=True, diverged_at=k)
-        y[k] = value
-    return FreeRunResult(y=np.array(y), diverged=False)
+    diverged_at = model._loops.free_run(y, *(c.tolist() for c in channels), bound)
+    if diverged_at is not None:
+        y[diverged_at:] = [math.nan] * (n - diverged_at)
+    return FreeRunResult(
+        y=np.array(y), diverged=diverged_at is not None, diverged_at=diverged_at
+    )
 
 
-def _recurrence(spec: RegressorSpec, step, y: list, channels: list, start: int):
-    """The one loop that runs a model through time, for free runs and fixed points.
+class _Loops(NamedTuple):
+    """A model's time-stepping loops, generated by :func:`_generate_loops`."""
 
-    Yields ``(k, step(psi(k-1)))`` for k = start, ..., len(y) - 1, gathering
-    psi(k-1) from the output buffer ``y`` and the input ``channels``, all
-    Python lists, into a list whose constant slot stays 1.0.  The caller
-    stores y(k) in place before asking for the next step, or stops early.
+    free_run: Callable
+    fixed_point: Callable
+
+
+def _generate_loops(spec: RegressorSpec, body, names: dict, slots, extra: str = "") -> _Loops:
+    """The one generator of the loops that run a model through time.
+
+    ``body`` holds the lines of one step: they read regressor slot ``pos``
+    of psi(k-1) as the local ``x{pos}`` (only the ``slots`` given are
+    gathered) and leave y(k) in ``acc``.  ``names`` become the functions'
+    globals, so parameters enter as names and never as text; the only text
+    that varies is the body and the spec's validated lags.  ``extra`` names
+    one more trailing argument, passed through to the body.
+
+    ``free_run(y, u0, u1, ..., bound)`` steps k = max_lag, ..., len(y) - 1
+    over the output list ``y`` and the input lists, storing y(k) in place.
+    It returns the first k whose value leaves ``[-bound, bound]`` or is NaN,
+    stored too, or None.
+
+    ``fixed_point(u0, u1, ..., budget, settle, tolerance, bound)`` runs from
+    zero outputs at constant inputs, holding at most ``_WINDOW`` samples
+    after the max(1, max_lag) initial ones and shifting the lagged outputs
+    back when the window is full.  It stops when a value diverges as above,
+    after ``budget`` steps, or once ``settle`` successive differences fall
+    below ``tolerance`` (``settle`` is -1 under a fixed horizon, where every
+    run that does not diverge converges), and returns
+    ``(y_bar, iterations, converged)`` with the last value computed.
     """
-    psi = [1.0] * len(spec)  # every slot but the constant one is gathered
-    gather = [(pos, y if ch < 0 else channels[ch], lag) for pos, ch, lag in spec._gather]
-    for k in range(start, len(y)):
-        for pos, src, lag in gather:
-            psi[pos] = src[k - lag]
-        yield k, step(psi)
+    reads = {pos: (ch, lag) for pos, ch, lag in spec._gather}
+    inputs = [f"u{ch}" for ch in range(spec.n_inputs)]
+    run_head, run_step, fixed_head, fixed_step = [], [], [], []
+    for pos in sorted(set(slots)):
+        if pos not in reads:  # the constant slot
+            run_head.append(f"x{pos} = 1.0")
+            fixed_head.append(f"x{pos} = 1.0")
+            continue
+        ch, lag = reads[pos]
+        if ch < 0:
+            run_step.append(f"x{pos} = y[k - {lag}]")
+            fixed_step.append(f"x{pos} = y[k - {lag}]")
+        else:  # inputs are constant in a fixed point
+            run_step.append(f"x{pos} = u{ch}[k - {lag}]")
+            fixed_head.append(f"x{pos} = u{ch}")
+    k0 = max(1, spec.max_lag)
+    tail = [extra] if extra else []
+    lines = [
+        f"def free_run({', '.join(['y', *inputs, 'bound', *tail])}):",
+        *(f"    {line}" for line in run_head),
+        f"    for k in range({spec.max_lag}, len(y)):",
+        *(f"        {line}" for line in run_step + body),
+        "        y[k] = acc",
+        "        if not (-bound <= acc <= bound):  # also catches NaN",
+        "            return k",
+        "    return None",
+        "",
+        f"def fixed_point({', '.join([*inputs, 'budget', 'settle', 'tolerance', 'bound', *tail])}):",
+        f"    y = [0.0] * ({k0} + min(budget, {_WINDOW}))",
+        "    n = len(y)",
+        *(f"    {line}" for line in fixed_head),
+        "    prev = 0.0",
+        "    settled = iterations = 0",
+        "    while True:",
+        f"        for k in range({k0}, n):",
+        *(f"            {line}" for line in fixed_step + body),
+        "            iterations += 1",
+        "            if not (-bound <= acc <= bound):",
+        "                return acc, iterations, False",
+        "            settled = settled + 1 if abs(acc - prev) < tolerance else 0",
+        "            y[k] = prev = acc",
+        "            if settled == settle or iterations == budget:",
+        "                return acc, iterations, settle < 0 or settled == settle",
+        "        # the window is full: keep the lagged outputs and run on",
+        f"        y[:{k0}] = y[-{k0}:]",
+    ]
+    namespace = dict(names)
+    exec(_compile_loops("\n".join(lines)), namespace)
+    return _Loops(namespace["free_run"], namespace["fixed_point"])
+
+
+@lru_cache(maxsize=64)
+def _compile_loops(source: str):
+    # the text holds no parameter, so every fit of one structure shares it
+    return compile(source, "<greybox loops>", "exec")
 
 
 def free_run_on_dataset(model: Model, data: DynDataset, bound: float = 1e6) -> FreeRunResult:

@@ -6,18 +6,20 @@ measured pair into the one-step predictor, one evaluation per pair, and is
 zero exactly where the iterated static residual is zero.  Fixed points serve
 only the GA baseline's :func:`cost_js_legacy` and the static-curve check
 :func:`model_static_curve`; :func:`fixed_point_iterate` finds them as a free
-run at constant input, on the same recurrence kernel as
-:func:`~greybox.models.free_run`.
+run at constant input.
 
-The static curve and :func:`fixed_point_iterate` step with the model's
-``_step``, built once per call.  :func:`cost_js_legacy` steps with
-``_predict_psi`` instead, which unpacks the parameters on every call: the GA
-baseline is kept deliberately unhoisted, so it keeps paying per step what
-the original scheme paid.  A polynomial's two steps return the same bits;
-an MLP's plain-float step rounds differently from numpy's ``@`` and
+The static curve and :func:`fixed_point_iterate` run the model's generated
+fixed-point loop (``model._loops``), which the same generator emits from the
+same step body as the model's free run (see
+:func:`~greybox.models._generate_loops`).  :func:`cost_js_legacy` runs the
+loop that same generator emits for the regressor spec with a call to
+``_predict_psi`` as its step, which unpacks the parameters on every call:
+the GA baseline is kept deliberately unhoisted, so it keeps paying per step
+what the original scheme paid.  A polynomial's two loops return the same
+bits; an MLP's plain-float step rounds differently from numpy's ``@`` and
 ``np.tanh``, and the two differ by at most
 8 eps (|b0| + sum_i |w_out_i| (1 + |b_i| + sum_j |w_ij psi_j|)) per step
-(see :meth:`~greybox.models.MlpModel._step`).
+(see :attr:`~greybox.models.MlpModel._loops`).
 
 Every cost helper accepts an optional :class:`~greybox.models.EvalCounter`
 so callers can account model evaluations precisely.
@@ -34,16 +36,8 @@ import numpy as np
 
 from .data import DynDataset, SteadyDataset, write_table
 from .errors import _require_count, _require_number
-from .models import (
-    EvalCounter,
-    Model,
-    _recurrence,
-    build_regression_matrix,
-    build_static_regressors,
-)
+from .models import EvalCounter, Model, build_regression_matrix, build_static_regressors
 
-
-_WINDOW = 1024  # free-run samples held at once, whatever the step budget
 _MAX_DIVERGENCE_BOUND = 1e150  # its square, the legacy cost's cap, stays finite
 
 
@@ -95,39 +89,24 @@ def fixed_point_iterate(
     :class:`FixedPointConfig` describes.  ``y_bar`` is the last value
     computed, also when the run diverged.
     """
-    return _fixed_point(model.spec, model._step(), u_bar, config or FixedPointConfig(), counter)
+    return _fixed_point(
+        model.spec, model._loops.fixed_point, u_bar, config or FixedPointConfig(), counter
+    )
 
 
-def _fixed_point(spec, step, u_bar, config: FixedPointConfig, counter) -> FixedPointResult:
+def _fixed_point(spec, loop, u_bar, config: FixedPointConfig, counter) -> FixedPointResult:
     u = np.atleast_1d(np.asarray(u_bar, dtype=float))
     if u.size != spec.n_inputs:
         raise ValueError(f"u_bar has {u.size} channels, spec needs {spec.n_inputs}")
-
     horizon = config.fixed_horizon
     budget = horizon if horizon is not None else config.max_iterations
-    k0 = max(1, spec.max_lag)
-    y = [0.0] * (k0 + min(budget, _WINDOW))
-    channels = [[level] * len(y) for level in u.tolist()]
-    n_lags = max(1, len(spec.output_lags))
-    bound = config.divergence_bound
-    settled = iterations = 0
-    converged = None
-    while converged is None:
-        for k, value in _recurrence(spec, step, y, channels, k0):
-            iterations += 1
-            if not (-bound <= value <= bound):  # also catches NaN
-                converged = False
-                break
-            settled = settled + 1 if abs(value - y[k - 1]) < config.tolerance else 0
-            y[k] = value
-            if (horizon is None and settled == n_lags) or iterations == budget:
-                converged = horizon is not None or settled == n_lags
-                break
-        else:  # the window is full: keep the lagged outputs and run on
-            y[:k0] = y[-k0:]
+    settle = max(1, len(spec.output_lags)) if horizon is None else -1
+    y_bar, iterations, converged = loop(
+        *u.tolist(), budget, settle, config.tolerance, config.divergence_bound
+    )
     if counter is not None:
         counter.add(iterations)
-    return FixedPointResult(y_bar=value, iterations=iterations, converged=converged)
+    return FixedPointResult(y_bar=y_bar, iterations=iterations, converged=converged)
 
 
 def cost_jd(model: Model, zd: DynDataset, counter: EvalCounter | None = None) -> float:
@@ -167,8 +146,9 @@ def cost_js_legacy(
     residuals are capped at the same value.
     """
     config = config or FixedPointConfig()
-    # the faithful per-call step, not the hoisted one: this is the baseline
-    curve = _static_curve(model.spec, model._predict_psi, zs.u_bar, config, counter)
+    # the faithful per-call step, not the model's own loop: this is the baseline
+    loop = functools.partial(model.spec._legacy_loops.fixed_point, step=model._predict_psi)
+    curve = _static_curve(model.spec, loop, zs.u_bar, config, counter)
     bound = config.divergence_bound
     terms = [  # clipped before squaring, so a huge measured value cannot overflow
         min(abs(y_meas - y_fp), bound) ** 2 if ok else bound**2
@@ -202,11 +182,11 @@ def model_static_curve(
 ) -> StaticCurve:
     """Trace the model's static curve by fixed-point iteration per grid point."""
     return _static_curve(
-        model.spec, model._step(), u_bar_grid, config or FixedPointConfig(), counter
+        model.spec, model._loops.fixed_point, u_bar_grid, config or FixedPointConfig(), counter
     )
 
 
-def _static_curve(spec, step, u_bar_grid, config: FixedPointConfig, counter) -> StaticCurve:
+def _static_curve(spec, loop, u_bar_grid, config: FixedPointConfig, counter) -> StaticCurve:
     grid = np.asarray(u_bar_grid, dtype=float)
     if grid.ndim == 1:
         grid = grid.reshape(-1, 1)
@@ -215,7 +195,7 @@ def _static_curve(spec, step, u_bar_grid, config: FixedPointConfig, counter) -> 
     y = np.full(grid.shape[0], np.nan)
     flags = np.zeros(grid.shape[0], dtype=bool)
     for j in range(grid.shape[0]):
-        res = _fixed_point(spec, step, grid[j], config, counter)
+        res = _fixed_point(spec, loop, grid[j], config, counter)
         if res.converged and math.isfinite(res.y_bar):
             y[j] = res.y_bar
             flags[j] = True

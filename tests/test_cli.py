@@ -469,10 +469,13 @@ def test_undecodable_json_exits_2(content, datadir, tmp_path, capsys):
         ("example1", ("theta",), ["0.1", 0.0, 0.0, 0.0, 0.0], "theta entry"),
         ("example1", ("theta",), [True, 0.0, 0.0, 0.0, 0.0], "theta entry"),
         ("example1", ("packing_version",), True, "packing_version"),
+        # lags size the buffers of every run: refused at load, before any is built
+        ("example1", ("regressors", "output_lags"), [1, 10**9],
+         "output lags must be an integer in [1, 1000000], got 1000000000"),
     ],
     ids=["float-lag", "bool-lag", "float-input-lag", "string-constant", "int-constant",
          "float-term-index", "bool-term-index", "float-n-hidden", "bool-n-hidden",
-         "string-theta", "bool-theta", "bool-packing-version"],
+         "string-theta", "bool-theta", "bool-packing-version", "huge-lag"],
 )
 def test_bad_model_document_exits_2(example, where, value, named, datadir, tmp_path, capsys):
     # lags, term indices and n_hidden are integers, theta entries numbers,
@@ -505,8 +508,11 @@ def test_bad_model_document_exits_2(example, where, value, named, datadir, tmp_p
         ("sweep", {"input_lags": [[1], [1]]}, None,
          "dataset 'zd' has 1 input channels, the structure expects 2"),
         ("sweep", {}, 2, "dataset 'zt' is too short: 2 samples for max lag 2"),
+        ("sweep", {"input_lags": [[1, 10**9]]}, None,
+         "input channel 1 lags must be an integer in [1, 1000000], got 1000000000"),
     ],
-    ids=["train-long-lag", "train-channels", "sweep-channels", "sweep-short-zt"],
+    ids=["train-long-lag", "train-channels", "sweep-channels", "sweep-short-zt",
+         "sweep-huge-lag"],
 )
 def test_structure_that_does_not_fit_the_data_exits_2(
     command, regressors, zt_rows, named, datadir, tmp_path, capsys

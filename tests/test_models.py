@@ -1,5 +1,6 @@
 """Regressor layout, model prediction, free-run simulation, persistence."""
 
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -232,12 +233,14 @@ def signals(model):
 
 @st.composite
 def step_cases(draw):
-    """A model and one regressor vector; an MLP's may hold NaN or infinity."""
+    """A model and one regressor vector, its constant slot 1 as in every run;
+    an MLP's may hold NaN or infinity."""
     model = draw(random_models())
     values = signals(model)
     if isinstance(model, gb.MlpModel):
         values = st.one_of(values, st.sampled_from([math.nan, math.inf, -math.inf]))
-    return model, draw(st.lists(values, min_size=len(model.spec), max_size=len(model.spec)))
+    psi = draw(st.lists(values, min_size=model.spec.n_features, max_size=model.spec.n_features))
+    return model, [1.0] * model.spec.include_constant + psi
 
 
 @st.composite
@@ -251,8 +254,104 @@ def free_run_cases(draw):
     return model, inputs, draw(st.lists(signals(model), max_size=spec.max_lag))
 
 
+def generated_step(model, psi):
+    """One step of the model's generated free-run loop, over buffers whose
+    lagged samples hold ``psi``: the raw value, also when it diverges."""
+    spec = model.spec
+    k0 = spec.max_lag
+    y = [0.0] * (k0 + 1)
+    inputs = [[0.0] * (k0 + 1) for _ in range(spec.n_inputs)]
+    for pos, ch, lag in spec._gather:
+        (y if ch < 0 else inputs[ch])[k0 - lag] = psi[pos]
+    model._loops.free_run(y, *inputs, math.inf)
+    return y[k0]
+
+
+def reference_step(model):
+    """The step each model took before its loops were generated: a
+    polynomial's ``_predict_psi``, and an MLP's plain-float loop
+    b0 + sum_i w_out_i tanh(b_i + sum_j w_ij psi_j), summed left to right."""
+    if isinstance(model, gb.PolynomialModel):
+        return model._predict_psi
+    b0, w_out, b_h, w_h = model.unpack()
+    start = 1 if model.spec.include_constant else 0
+    slots = range(start, len(model.spec))
+    nodes = tuple(
+        (w, b, tuple(zip(weights, slots)))
+        for w, b, weights in zip(w_out.tolist(), b_h.tolist(), w_h.tolist())
+    )
+
+    def step(psi):
+        acc = float(b0)
+        for w, z, weights in nodes:
+            for v, j in weights:
+                z += v * psi[j]
+            acc += w * math.tanh(z)
+        return acc
+
+    return step
+
+
+def reference_fixed_point(model, u_bar, config, step=None):
+    """The fixed point as the list-buffer loop found it before the loops were
+    generated, stepping with ``step`` (by default :func:`reference_step`).
+    Returns (y_bar, iterations, converged)."""
+    step = step or reference_step(model)
+    spec = model.spec
+    horizon = config.fixed_horizon
+    budget = horizon if horizon is not None else config.max_iterations
+    k0 = max(1, spec.max_lag)
+    y = [0.0] * (k0 + min(budget, 1024))
+    channels = [[level] * len(y) for level in np.atleast_1d(u_bar).tolist()]
+    n_lags = max(1, len(spec.output_lags))
+    bound = config.divergence_bound
+    psi = [1.0] * len(spec)
+    settled = iterations = 0
+    while True:
+        for k in range(k0, len(y)):
+            for pos, ch, lag in spec._gather:
+                psi[pos] = y[k - lag] if ch < 0 else channels[ch][k - lag]
+            value = step(psi)
+            iterations += 1
+            if not (-bound <= value <= bound):
+                return value, iterations, False
+            settled = settled + 1 if abs(value - y[k - 1]) < config.tolerance else 0
+            y[k] = value
+            if (horizon is None and settled == n_lags) or iterations == budget:
+                return value, iterations, horizon is not None or settled == n_lags
+        y[:k0] = y[-k0:]
+
+
+def check_fixed_points(model, levels, config):
+    """Assert that fixed_point_iterate and model_static_curve at ``levels``
+    (one row per level) are bitwise the reference loop's, with its counts,
+    and that cost_js_legacy is the reference loop's over ``_predict_psi``."""
+    want = [reference_fixed_point(model, level, config) for level in levels]
+    counter = gb.EvalCounter()
+    curve = gb.model_static_curve(model, levels, config, counter=counter)
+    assert counter.count == sum(iterations for _, iterations, _ in want)
+    for j, (y_bar, iterations, converged) in enumerate(want):
+        counter = gb.EvalCounter()
+        got = gb.fixed_point_iterate(model, levels[j], config, counter=counter)
+        assert same_bits(got.y_bar, y_bar), (got, y_bar)
+        assert (got.iterations, got.converged) == (iterations, converged)
+        assert counter.count == iterations
+        kept = converged and math.isfinite(y_bar)
+        assert curve.converged[j] == kept
+        assert same_bits(curve.y_bar[j], y_bar if kept else np.nan)
+    legacy = [reference_fixed_point(model, level, config, model._predict_psi) for level in levels]
+    bound = config.divergence_bound
+    total = 0.0
+    for y_bar, _, converged in legacy:  # every pair measured at y_bar = 0
+        total += min(abs(y_bar), bound) ** 2 if converged and math.isfinite(y_bar) else bound**2
+    zs = gb.SteadyDataset(u_bar=np.array(levels, dtype=float), y_bar=np.zeros(len(levels)))
+    counter = gb.EvalCounter()
+    assert same_bits(gb.cost_js_legacy(model, zs, config, counter=counter), total / len(levels))
+    assert counter.count == sum(iterations for _, iterations, _ in legacy)
+
+
 def check_step(model, psi, got):
-    """Assert that ``got``, the model's ``_step`` at ``psi``, is what
+    """Assert that ``got``, the model's step at ``psi``, is what
     ``_predict_psi`` returns: the same bits for a polynomial; for an MLP NaN
     exactly when it is NaN, else within
     8 eps (|b0| + sum_i |w_out_i| (1 + |b_i| + sum_j |w_ij psi_j|))."""
@@ -358,10 +457,10 @@ class TestFreeRun:
     @example(case=(MLP_EXAMPLE, [0.3, -1.7, 0.45, 2.9]))
     @example(case=(MLP1_EXAMPLE, [1.0, 0.61, -0.35, 1.1, 0.7]))
     def test_step_is_bitwise_predict_psi(self, case):
-        # bitwise for polynomials; an MLP's plain-float step stays within
-        # the rounding bound of check_step
+        # one step of the generated loop: bitwise for polynomials; an MLP's
+        # plain-float step stays within the rounding bound of check_step
         model, psi = case
-        check_step(model, psi, model._step()(list(psi)))
+        check_step(model, psi, generated_step(model, psi))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @given(case=free_run_cases(), bound=st.sampled_from([1e6, 2.0, 1e300]))
@@ -369,14 +468,14 @@ class TestFreeRun:
     @example(case=(MLP_EXAMPLE, EXAMPLE_INPUT, [0.5]), bound=1e6)
     @example(case=(MLP1_EXAMPLE, EXAMPLE_INPUT, [0.4, 0.3]), bound=1e6)
     def test_free_run_is_bitwise_the_faithful_loop(self, case, bound):
-        # the faithful loop steps with the model's step, each value checked
+        # the faithful loop steps with the reference step, each value checked
         # against _predict_psi, so a polynomial run is bitwise the
         # _predict_psi loop and an MLP run moves by the step's bound only
         model, inputs, init = case
-        fast = model._step()
+        step = reference_step(model)
 
         def checked(psi):
-            value = fast(psi.tolist())
+            value = step(psi.tolist())
             check_step(model, psi, value)
             return value
 
@@ -385,6 +484,87 @@ class TestFreeRun:
         assert result.y.tobytes() == want.tobytes()
         assert result.diverged_at == diverged_at
         assert result.diverged == (diverged_at is not None)
+
+
+@st.composite
+def fixed_point_cases(draw):
+    """A model, one to three constant-input levels and a config: short runs
+    and runs past the 1024-sample window, under the settle rule or a fixed
+    horizon."""
+    model = draw(random_models())
+    row = st.lists(signals(model), min_size=model.spec.n_inputs, max_size=model.spec.n_inputs)
+    steps = st.one_of(st.integers(1, 40), st.integers(1020, 2100))
+    config = gb.FixedPointConfig(
+        max_iterations=draw(steps),
+        fixed_horizon=draw(st.one_of(st.none(), steps)),
+        tolerance=draw(st.sampled_from([1e-10, 1e-3, 1.0])),
+        divergence_bound=draw(st.sampled_from([1e6, 2.0, 1e150])),
+    )
+    return model, draw(st.lists(row, min_size=1, max_size=3)), config
+
+
+SCALAR_SPEC = gb.RegressorSpec(output_lags=(1,), input_lags=((1,),))
+# the structures that stress the generator: hundreds of terms, one
+# deep product, the widest MLP layer the examples come near
+WIDE_SPEC = gb.RegressorSpec(output_lags=(1, 2, 3, 4, 5), input_lags=((1, 2, 3, 4, 5),))
+WIDE_TERMS = tuple(itertools.islice(
+    (t for d in (1, 2, 3) for t in itertools.combinations_with_replacement(range(11), d)), 350
+))
+# name: (model, input level, amplitude of the input around it)
+LARGE_STRUCTURES = {
+    "350-terms-11-slots": (
+        gb.PolynomialModel(WIDE_SPEC, WIDE_TERMS, np.random.default_rng(0).normal(0.0, 0.01, 350)),
+        0.0,
+        0.5,
+    ),
+    # y = 0.5 + 0.5 y(k-1) u(k-1)^2999, a contraction for u near 1
+    "degree-3000-term": (
+        gb.PolynomialModel(EXAMPLE_SPEC, ((), (1,) + (3,) * 2999), np.array([0.5, 0.5])),
+        1.0,
+        1e-4,
+    ),
+    "mlp-10-nodes-10-regressors": (
+        gb.MlpModel(
+            replace(WIDE_SPEC, include_constant=False),
+            10,
+            np.random.default_rng(1).normal(0.0, 0.3, 1 + 10 + 10 * 11),
+        ),
+        0.0,
+        0.5,
+    ),
+}
+
+
+class TestGeneratedLoops:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @given(case=fixed_point_cases())
+    @example(case=(gb.PolynomialModel(SCALAR_SPEC, ((1,), (0,)), np.array([2.0, 1.0])),
+                   [[0.0]], gb.FixedPointConfig()))  # diverges
+    @example(case=(gb.PolynomialModel(SCALAR_SPEC, ((1,), (0,)), np.array([-1.0, 1.0])),
+                   # 0, 1, 0, ...: steps of exactly the tolerance never settle,
+                   # so the run shifts the window twice
+                   [[0.0]], gb.FixedPointConfig(max_iterations=3000, tolerance=1.0)))
+    @example(case=(POLY_EXAMPLE, [[0.3], [-1.1]], gb.FixedPointConfig(fixed_horizon=1500)))
+    @example(case=(MLP1_EXAMPLE, [[0.5], [2.0]], gb.FixedPointConfig()))
+    def test_fixed_point_is_bitwise_the_list_buffer_loop(self, case):
+        model, levels, config = case
+        check_fixed_points(model, levels, config)
+
+    @pytest.mark.parametrize("name", sorted(LARGE_STRUCTURES))
+    def test_large_structures_step_bitwise(self, name):
+        # one statement per factor, term and node compiles at any size
+        model, level, amplitude = LARGE_STRUCTURES[name]
+        step = reference_step(model)
+        inputs = [level + amplitude * np.sin(0.3 * np.arange(200))]
+        init = [0.1] * model.spec.max_lag
+        result = gb.free_run(model, inputs, init=init)
+        want, diverged_at = faithful_free_run(
+            model, inputs, init, 1e6, step=lambda psi: step(psi.tolist())
+        )
+        assert diverged_at is None
+        assert result.y.tobytes() == want.tobytes()
+        levels = level + amplitude * np.linspace(-1.0, 1.0, 5).reshape(-1, 1)
+        check_fixed_points(model, levels, gb.FixedPointConfig())
 
 
 class TestSweepScoring:
