@@ -9,6 +9,7 @@ artifacts can be reproduced bit-identically (wall-time fields aside).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -392,6 +393,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
+@functools.cache  # parsing leaves the parser as it was, so a process builds one
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="greybox",

@@ -15,6 +15,7 @@ import csv
 import math
 import re
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -430,11 +431,27 @@ def _classify_header(header: list[str]):
     return None
 
 
+def _parse_rows(rows: list[list[str]], width: int) -> np.ndarray | None:
+    """Every cell of ``rows`` read by ``float`` in one pass, as a
+    (len(rows), width) array; None when a row does not have ``width`` cells
+    or a cell is non-numeric or non-finite."""
+    if any(len(row) != width for row in rows):
+        return None
+    try:
+        flat = np.array(list(map(float, chain.from_iterable(rows))))
+    except ValueError:
+        return None
+    return flat.reshape(len(rows), width) if np.isfinite(flat).all() else None
+
+
 def read_csv(path) -> DynDataset | SteadyDataset:
     """Parse a dataset CSV written by :func:`write_csv`.
 
     Raises CsvFormatError for a missing header, an unrecognized header, a
     ragged row, or a non-numeric or non-finite cell, naming its location.
+    Blank lines are skipped and each cell is read by ``float``.  A file whose
+    rows all have the header's width is parsed in one pass; when that pass
+    fails, the cells are read again one by one to name the first bad one.
     """
     path = Path(path)
     with open(path, newline="") as fh:
@@ -446,31 +463,26 @@ def read_csv(path) -> DynDataset | SteadyDataset:
     if kind is None:
         raise CsvFormatError(f"{path.name}: unrecognized header {','.join(header)!r}")
     width = len(header)
-    data = np.empty((0, width))
-    parsed: list[list[float]] = []
-    for line_no, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue  # trailing blank line
-        if len(row) != width:
-            raise CsvFormatError(
-                f"{path.name}: expected {width} cells, found {len(row)}", row=line_no
-            )
-        values = []
-        for name, cell in zip(header, row):
-            try:
-                value = float(cell)
-            except ValueError:
+    data = _parse_rows([row for row in rows[1:] if row], width)
+    if data is None:  # name the first ragged row or bad cell, in file order
+        for line_no, row in enumerate(rows[1:], start=2):
+            if not row:
+                continue  # trailing blank line
+            if len(row) != width:
                 raise CsvFormatError(
-                    f"{path.name}: non-numeric cell {cell!r}", row=line_no, column=name
-                ) from None
-            if not math.isfinite(value):
-                raise CsvFormatError(
-                    f"{path.name}: non-finite cell {cell!r}", row=line_no, column=name
+                    f"{path.name}: expected {width} cells, found {len(row)}", row=line_no
                 )
-            values.append(value)
-        parsed.append(values)
-    if parsed:
-        data = np.array(parsed)
+            for name, cell in zip(header, row):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise CsvFormatError(
+                        f"{path.name}: non-numeric cell {cell!r}", row=line_no, column=name
+                    ) from None
+                if not math.isfinite(value):
+                    raise CsvFormatError(
+                        f"{path.name}: non-finite cell {cell!r}", row=line_no, column=name
+                    )
     if kind == "dyn":
         if data.shape[0] < 1:
             raise CsvFormatError(f"{path.name}: dataset has no rows")

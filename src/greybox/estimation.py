@@ -205,24 +205,28 @@ def mlp_jacobian(model: MlpModel, psi_rows: np.ndarray) -> np.ndarray:
     psi_rows = np.atleast_2d(np.asarray(psi_rows, dtype=float))
     x = model._features(psi_rows)
     _, hidden = _mlp_forward(model.theta, model.n_hidden, x)
-    return _mlp_jacobian(model.theta, model.n_hidden, x, hidden)
+    return _mlp_jacobian(model.theta, model.n_hidden, x.T, hidden, 1.0)
 
 
-def _mlp_jacobian(theta: np.ndarray, nh: int, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The Jacobian at ``theta`` from the hidden activations ``t`` that
-    :func:`~greybox.models._mlp_forward` returned for the same rows."""
-    n, nf = x.shape
+def _mlp_jacobian(theta: np.ndarray, nh: int, x_t: np.ndarray, t: np.ndarray, scale) -> np.ndarray:
+    """The Jacobian at ``theta``, each row multiplied by ``scale`` (a scalar
+    or one value per row), from the features ``x_t`` (one row per feature)
+    and the hidden activations ``t`` that :func:`~greybox.models._mlp_forward`
+    returned for the same rows.  It is filled one parameter at a time as
+    its C-order transpose, then copied to C order: ``jac.T @ e`` on the
+    transposed layout itself would change the last bits."""
+    nf, n = x_t.shape
     _, w_out, _, _ = _mlp_unpack(theta, nh, nf)
     d = 1.0 - t**2
-    jac = np.empty((n, theta.size))
-    jac[:, 0] = 1.0
-    jac[:, 1 : 1 + nh] = t
+    jac_t = np.empty((theta.size, n))
+    jac_t[0] = scale
+    jac_t[1 : 1 + nh] = scale * t.T
     for i in range(nh):
         base = 1 + nh + i * (1 + nf)
         scaled = w_out[i] * d[:, i]
-        jac[:, base] = scaled
-        jac[:, base + 1 : base + 1 + nf] = scaled[:, None] * x
-    return jac
+        jac_t[base] = scale * scaled
+        jac_t[base + 1 : base + 1 + nf] = scale * (scaled * x_t)
+    return np.ascontiguousarray(jac_t.T)
 
 
 def init_mlp_theta(model: MlpModel, seed: int) -> np.ndarray:
@@ -314,6 +318,7 @@ def fit_weighted_lm(
     counter = counter if counter is not None else EvalCounter()
     trace_record = _trace_recorder(counter)
     nh, x = model.n_hidden, model._features(psi)
+    x_t, neg_w = np.ascontiguousarray(x.T), -weights
 
     # straight from theta: a model per trial would re-validate and copy it;
     # the hidden activations are kept for the Jacobian at an accepted trial
@@ -324,11 +329,11 @@ def fit_weighted_lm(
         return weights * r, r, hidden
 
     def jacobian(theta, hidden):
-        return -weights[:, None] * _mlp_jacobian(theta, nh, x, hidden)
+        return _mlp_jacobian(theta, nh, x_t, hidden, neg_w)
 
     def record(iteration, r, cost):
-        j_d = float(np.mean(r[:n_d] ** 2)) if n_d else 0.0
-        j_s = float(np.mean(r[n_d:] ** 2)) if n_s else 0.0
+        j_d = float(np.add.reduce(r[:n_d] ** 2)) / n_d if n_d else 0.0
+        j_s = float(np.add.reduce(r[n_d:] ** 2)) / n_s if n_s else 0.0
         return trace_record(iteration, j_d, j_s, (1.0 - lam) * j_d + lam * j_s, cost)
 
     def minimize_from(theta_start):
@@ -351,7 +356,7 @@ def fit_weighted_lm(
                     )
                 grad = jac.T @ e
                 hess = jac.T @ jac
-            if np.max(np.abs(grad)) < _LM_GRADIENT_TOLERANCE:
+            if np.abs(grad).max() < _LM_GRADIENT_TOLERANCE:
                 break
             try:
                 delta = np.linalg.solve(hess + mu * identity, -grad)
@@ -360,8 +365,8 @@ def fit_weighted_lm(
                 if mu > _LM_MAX_DAMPING:
                     break
                 continue
-            if np.linalg.norm(delta) <= _LM_STEP_TOLERANCE * (
-                np.linalg.norm(theta) + _LM_STEP_TOLERANCE
+            if math.sqrt(delta @ delta) <= _LM_STEP_TOLERANCE * (
+                math.sqrt(theta @ theta) + _LM_STEP_TOLERANCE
             ):
                 break
             trial = theta + delta

@@ -10,12 +10,14 @@ the MLP feeds the non-constant slots through a tanh hidden layer.
 
 Time stepping has one generator, :func:`_generate_loops`.  From the lines
 of one step it writes the source of two functions, a free run and a
-fixed-point run at constant input, with the regressor gathers unrolled into
-``y[k - lag]`` and ``u{ch}[k - lag]`` reads, and compiles it.  Each model
-generates its loops once (``_loops``), from a step unrolled into one
-statement per polynomial term and factor or per MLP node and weight, over
-plain Python floats; its parameters enter as names in the functions'
-globals, never as text, so no value is rounded and every fit of one
+fixed-point run at constant input, and compiles it.  Each loop gathers the
+lagged samples by zipping an ``islice`` of each list, offset by its lag.
+Each model generates its loops once (``_loops``), from a step over plain
+Python floats with one statement per polynomial term,
+``acc += t_j * x_a * x_b``, or per MLP node,
+``acc += w_i * tanh(b_i + v_i0 * x_a + ...)``, split into chunks of 32
+operands when longer.  Its parameters are bound as locals on entry from one
+tuple, never written as text, so no value is rounded and every fit of one
 structure shares the compiled code.  :func:`free_run` and
 :mod:`~greybox.steady_state`'s fixed points run them.  ``_predict_psi``
 computes the same value but unpacks the parameters on every call; it is
@@ -37,6 +39,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import islice
 from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -47,6 +50,7 @@ from .errors import _MAX_HELD_COUNT, ConfigError, _require_count, _require_numbe
 MODEL_PACKING_VERSION = 1
 
 _WINDOW = 1024  # fixed-point samples held at once, whatever the step budget
+_CHUNK = 32  # operands in one generated sum or product
 
 
 def _check_lags(lags, name: str) -> tuple[int, ...]:
@@ -261,12 +265,14 @@ class PolynomialModel:
     def _loops(self) -> "_Loops":
         """Free run and fixed point over ``_predict_psi``'s products and sum,
         in its order and over plain floats, so they return its bits."""
-        names = {}
+        params = {}
         body = ["acc = 0.0"]
         for j, (weight, term) in enumerate(zip(self.theta.tolist(), self.terms)):
-            names[f"t{j}"] = weight
-            body += [f"p = t{j}", *(f"p *= x{i}" for i in term), "acc += p"]
-        return _generate_loops(self.spec, body, names, {i for t in self.terms for i in t})
+            params[f"t{j}"] = weight
+            factors = [f"t{j}", *(f"x{i}" for i in term)]
+            lines, product = _fold("p", "*", factors)
+            body += [*lines, f"acc += {product}"]
+        return _generate_loops(self.spec, body, params, {i for t in self.terms for i in t})
 
 
 @dataclass(frozen=True)
@@ -341,16 +347,17 @@ class MlpModel:
         """
         b0, w_out, b_h, w_h = self.unpack()
         start = 1 if self.spec.include_constant else 0
-        names = {"tanh": math.tanh, "bias": float(b0)}
+        params = {"tanh": math.tanh, "bias": float(b0)}
         body = ["acc = bias"]
         for i, (w, b, weights) in enumerate(zip(w_out.tolist(), b_h.tolist(), w_h.tolist())):
-            names[f"w{i}"], names[f"b{i}"] = w, b
-            body.append(f"z = b{i}")
+            params[f"w{i}"], params[f"b{i}"] = w, b
+            terms = [f"b{i}"]
             for j, v in enumerate(weights):
-                names[f"v{i}_{j}"] = v
-                body.append(f"z += v{i}_{j} * x{start + j}")
-            body.append(f"acc += w{i} * tanh(z)")
-        return _generate_loops(self.spec, body, names, range(start, len(self.spec)))
+                params[f"v{i}_{j}"] = v
+                terms.append(f"v{i}_{j} * x{start + j}")
+            lines, inner = _fold("z", "+", terms)
+            body += [*lines, f"acc += w{i} * tanh({inner})"]
+        return _generate_loops(self.spec, body, params, range(start, len(self.spec)))
 
 
 def _mlp_unpack(theta: np.ndarray, n_hidden: int, n_features: int):
@@ -430,15 +437,21 @@ class _Loops(NamedTuple):
     fixed_point: Callable
 
 
-def _generate_loops(spec: RegressorSpec, body, names: dict, slots, extra: str = "") -> _Loops:
+def _generate_loops(spec: RegressorSpec, body, params: dict, slots, extra: str = "") -> _Loops:
     """The one generator of the loops that run a model through time.
 
     ``body`` holds the lines of one step: they read regressor slot ``pos``
     of psi(k-1) as the local ``x{pos}`` (only the ``slots`` given are
-    gathered) and leave y(k) in ``acc``.  ``names`` become the functions'
+    gathered) and leave y(k) in ``acc``.  ``params`` maps names to values
+    that each function binds as locals on entry, from one tuple in its
     globals, so parameters enter as names and never as text; the only text
     that varies is the body and the spec's validated lags.  ``extra`` names
     one more trailing argument, passed through to the body.
+
+    The samples are gathered by one ``zip`` over ``range`` and an
+    ``islice`` per lagged slot.  A list iterator reads its element when it
+    advances, so the output's slices see each y(k - 1) stored the step
+    before.
 
     ``free_run(y, u0, u1, ..., bound)`` steps k = max_lag, ..., len(y) - 1
     over the output list ``y`` and the input lists, storing y(k) in place.
@@ -456,40 +469,47 @@ def _generate_loops(spec: RegressorSpec, body, names: dict, slots, extra: str = 
     """
     reads = {pos: (ch, lag) for pos, ch, lag in spec._gather}
     inputs = [f"u{ch}" for ch in range(spec.n_inputs)]
-    run_head, run_step, fixed_head, fixed_step = [], [], [], []
+    k0 = max(1, spec.max_lag)
+    bind = [f"({', '.join(params)},) = _params"] if params else []
+    run_head, fixed_head = list(bind), list(bind)
+    run_names, fixed_names = ["k"], ["k"]
+    run_sources = [f"range({spec.max_lag}, len(y))"]
+    fixed_sources = [f"range({k0}, n)"]
     for pos in sorted(set(slots)):
         if pos not in reads:  # the constant slot
             run_head.append(f"x{pos} = 1.0")
             fixed_head.append(f"x{pos} = 1.0")
             continue
         ch, lag = reads[pos]
+        run_names.append(f"x{pos}")
         if ch < 0:
-            run_step.append(f"x{pos} = y[k - {lag}]")
-            fixed_step.append(f"x{pos} = y[k - {lag}]")
+            run_sources.append(f"islice(y, {spec.max_lag - lag}, None)")
+            fixed_names.append(f"x{pos}")
+            fixed_sources.append(f"islice(y, {k0 - lag}, None)")
         else:  # inputs are constant in a fixed point
-            run_step.append(f"x{pos} = u{ch}[k - {lag}]")
+            run_sources.append(f"islice(u{ch}, {spec.max_lag - lag}, None)")
             fixed_head.append(f"x{pos} = u{ch}")
-    k0 = max(1, spec.max_lag)
     tail = [extra] if extra else []
+    # the trailing comma keeps k an int when no slot is gathered
     lines = [
         f"def free_run({', '.join(['y', *inputs, 'bound', *tail])}):",
         *(f"    {line}" for line in run_head),
-        f"    for k in range({spec.max_lag}, len(y)):",
-        *(f"        {line}" for line in run_step + body),
+        f"    for {', '.join(run_names)}, in zip({', '.join(run_sources)}):",
+        *(f"        {line}" for line in body),
         "        y[k] = acc",
         "        if not (-bound <= acc <= bound):  # also catches NaN",
         "            return k",
         "    return None",
         "",
         f"def fixed_point({', '.join([*inputs, 'budget', 'settle', 'tolerance', 'bound', *tail])}):",
+        *(f"    {line}" for line in fixed_head),
         f"    y = [0.0] * ({k0} + min(budget, {_WINDOW}))",
         "    n = len(y)",
-        *(f"    {line}" for line in fixed_head),
         "    prev = 0.0",
         "    settled = iterations = 0",
         "    while True:",
-        f"        for k in range({k0}, n):",
-        *(f"            {line}" for line in fixed_step + body),
+        f"        for {', '.join(fixed_names)}, in zip({', '.join(fixed_sources)}):",
+        *(f"            {line}" for line in body),
         "            iterations += 1",
         "            if not (-bound <= acc <= bound):",
         "                return acc, iterations, False",
@@ -500,9 +520,21 @@ def _generate_loops(spec: RegressorSpec, body, names: dict, slots, extra: str = 
         "        # the window is full: keep the lagged outputs and run on",
         f"        y[:{k0}] = y[-{k0}:]",
     ]
-    namespace = dict(names)
+    namespace = {"_params": tuple(params.values()), "islice": islice}
     exec(_compile_loops("\n".join(lines)), namespace)
     return _Loops(namespace["free_run"], namespace["fixed_point"])
+
+
+def _fold(target: str, op: str, operands: list[str]) -> tuple[list[str], str]:
+    """``(lines, expr)``: ``expr`` folds ``operands`` left to right with
+    ``op``, once ``lines`` have folded all but the last chunk into
+    ``target``.  No expression holds more than ``_CHUNK`` operands: a longer
+    chain nests too deep for the compiler."""
+    lines = []
+    while len(operands) > _CHUNK:
+        lines.append(f"{target} = {f' {op} '.join(operands[:_CHUNK])}")
+        operands = [target, *operands[_CHUNK:]]
+    return lines, f" {op} ".join(operands)
 
 
 @lru_cache(maxsize=64)

@@ -19,7 +19,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import greybox as gb
-from greybox.cli import main
+from greybox.cli import build_parser, main
+from greybox.steady_state import write_static_curve_csv
 
 
 # child interpreters import greybox from where this one did, so the tests
@@ -694,6 +695,31 @@ def test_eval_bad_fixed_point_flag_exits_2(flag, value, datadir, trained, tmp_pa
             "--mode", "static-curve", flag, value, "--out", str(tmp_path)]
     assert main(argv) == 2
     assert "fixed_point" in capsys.readouterr().err
+
+
+def test_successive_calls_see_only_their_own_arguments(datadir, trained, tmp_path):
+    # main parses with one parser per process, so a call must not inherit
+    # the flags of an earlier call, of this subcommand or another
+    assert build_parser() is build_parser()
+    model = trained / "model.json"
+    argv = ["eval", "--model", str(model), "--data", str(datadir / "zs.csv"),
+            "--mode", "static-curve"]
+    assert main([*argv, "--fp-horizon", "5", "--fp-max-iterations", "7",
+                 "--out", str(tmp_path / "flags")]) == 0
+    assert main(["generate", "--example", "example1", "--out", str(tmp_path / "gen")]) == 0
+    assert json.loads((tmp_path / "gen" / "manifest.json").read_text())["seed"] == 0
+    assert main([*argv, "--out", str(tmp_path / "defaults")]) == 0
+    zs = gb.read_csv(datadir / "zs.csv")
+    configs = {
+        "flags": gb.FixedPointConfig(max_iterations=7, fixed_horizon=5),
+        "defaults": gb.FixedPointConfig(),
+    }
+    for out, config in configs.items():
+        write_static_curve_csv(
+            tmp_path / f"{out}.csv", gb.model_static_curve(gb.load_model(model), zs.u_bar, config)
+        )
+        got = (tmp_path / out / "static_curve.csv").read_bytes()
+        assert got == (tmp_path / f"{out}.csv").read_bytes(), out
 
 
 # Hypothesis properties of the CLI boundary: whatever a config, a CSV cell or

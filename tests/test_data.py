@@ -1,8 +1,10 @@
 """Simulators, dataset containers, noise handling, CSV round trips."""
 
+import csv
 import math
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import greybox as gb
-from greybox.data import EXAMPLE1, EXAMPLE2, get_system
+from greybox.data import EXAMPLE1, EXAMPLE2, _classify_header, get_system
 
 
 def manual_example1(u, n):
@@ -325,3 +327,104 @@ class TestCsv:
             back = gb.read_csv(path)
         assert np.array_equal(back.inputs[0], ds.inputs[0])
         assert np.array_equal(back.output, ds.output)
+
+
+def reference_read_csv(path):
+    """:func:`greybox.read_csv` as it read every cell one by one before the
+    one-pass parse, kept to check that the two agree."""
+    path = Path(path)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows or not rows[0]:
+        raise gb.CsvFormatError(f"{path.name}: no header")
+    header = [name.strip() for name in rows[0]]
+    kind = _classify_header(header)
+    if kind is None:
+        raise gb.CsvFormatError(f"{path.name}: unrecognized header {','.join(header)!r}")
+    width = len(header)
+    data = np.empty((0, width))
+    parsed = []
+    for line_no, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != width:
+            raise gb.CsvFormatError(
+                f"{path.name}: expected {width} cells, found {len(row)}", row=line_no
+            )
+        values = []
+        for name, cell in zip(header, row):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise gb.CsvFormatError(
+                    f"{path.name}: non-numeric cell {cell!r}", row=line_no, column=name
+                ) from None
+            if not math.isfinite(value):
+                raise gb.CsvFormatError(
+                    f"{path.name}: non-finite cell {cell!r}", row=line_no, column=name
+                )
+            values.append(value)
+        parsed.append(values)
+    if parsed:
+        data = np.array(parsed)
+    if data.shape[0] < 1:
+        raise gb.CsvFormatError(f"{path.name}: dataset has no rows")
+    if kind == "dyn":
+        return gb.DynDataset(
+            inputs=tuple(data[:, i] for i in range(width - 1)), output=data[:, -1]
+        )
+    return gb.SteadyDataset(u_bar=data[:, : width - 1], y_bar=data[:, -1])
+
+
+def dataset_arrays(ds):
+    if isinstance(ds, gb.DynDataset):
+        return [*ds.inputs, ds.output]
+    return [ds.u_bar, ds.y_bar]
+
+
+# cells as they appear in the file: numbers as write_csv writes them and
+# other text that float() reads, then text it refuses or reads as non-finite
+good_cells = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f'"{v!r}"'),
+    st.sampled_from(["1_0", " 1.5 ", '"2.5"', '" -3e-2"', "-0.0", "7"]),
+)
+bad_cells = st.sampled_from(
+    ["nan", "-nan", "inf", "-Infinity", "1e400", "", '""', "x", '"1,5"', "0x10", "1__0"]
+)
+
+
+@st.composite
+def csv_files(draw):
+    """Dataset CSV text: a dynamical or steady header, then rows of its
+    width and blank lines; in some files, bad cells and ragged rows."""
+    channels = draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        header = [f"u{i + 1}" for i in range(channels)] + ["y"]
+    else:
+        header = [f"u{i + 1}_bar" for i in range(channels)] + ["y_bar"]
+    cells = draw(st.sampled_from([good_cells, st.one_of(good_cells, bad_cells)]))
+    widths = draw(st.sampled_from([st.just(len(header)), st.integers(1, len(header) + 1)]))
+    line = widths.flatmap(lambda w: st.lists(cells, min_size=w, max_size=w).map(",".join))
+    rows = draw(st.lists(st.one_of(line, st.just("")), max_size=12))
+    return "\n".join([",".join(header), *rows]) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+class TestOnePassCsv:
+    @given(text=csv_files())
+    def test_same_arrays_or_same_error_as_the_cell_loop(self, text):
+        with tempfile.TemporaryDirectory() as workdir:
+            path = os.path.join(workdir, "d.csv")
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+            try:
+                want = reference_read_csv(path)
+            except gb.CsvFormatError as exc:
+                with pytest.raises(gb.CsvFormatError) as got:
+                    gb.read_csv(path)
+                assert str(got.value) == str(exc)
+                return
+            got = gb.read_csv(path)
+        assert type(got) is type(want)
+        for a, b in zip(dataset_arrays(got), dataset_arrays(want), strict=True):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()

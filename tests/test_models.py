@@ -366,7 +366,9 @@ def check_step(model, psi, got):
     b0, w_out, b_h, w_h = model.unpack()
     start = 1 if model.spec.include_constant else 0
     inner = np.sum(np.abs(w_h * psi[start:]), axis=1)
-    size = abs(b0) + np.sum(np.abs(w_out) * (1.0 + np.abs(b_h) + inner))
+    # a node with a zero output weight adds exactly 0, even when inner is infinite
+    nodes = np.where(w_out == 0.0, 0.0, np.abs(w_out) * (1.0 + np.abs(b_h) + inner))
+    size = abs(b0) + np.sum(nodes)
     # gradual underflow rounds by up to half the smallest subnormal, whatever the size
     assert abs(got - want) <= 8 * EPS * size + 8 * math.ulp(0.0), (got, want, size)
 
@@ -456,6 +458,14 @@ class TestFreeRun:
     @example(case=(POLY_EXAMPLE, [1.0, 0.3, -1.7, 0.45, 2.9]))
     @example(case=(MLP_EXAMPLE, [0.3, -1.7, 0.45, 2.9]))
     @example(case=(MLP1_EXAMPLE, [1.0, 0.61, -0.35, 1.1, 0.7]))
+    @example(case=(  # a zero output weight on a node whose inner sum is infinite
+        gb.MlpModel(
+            gb.RegressorSpec(output_lags=(1,), input_lags=((),), include_constant=False),
+            3,
+            np.array([1.0, 0.0, 0.9, 0.8291704436851963, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0]),
+        ),
+        [math.inf],
+    ))
     def test_step_is_bitwise_predict_psi(self, case):
         # one step of the generated loop: bitwise for polynomials; an MLP's
         # plain-float step stays within the rounding bound of check_step
@@ -504,9 +514,12 @@ def fixed_point_cases(draw):
 
 
 SCALAR_SPEC = gb.RegressorSpec(output_lags=(1,), input_lags=((1,),))
-# the structures that stress the generator: hundreds of terms, one
-# deep product, the widest MLP layer the examples come near
+# the structures that stress the generator: hundreds of terms, deep
+# products and wide sums on both sides of a 32-operand expression, the
+# widest MLP layer the examples come near, and lags with gaps
 WIDE_SPEC = gb.RegressorSpec(output_lags=(1, 2, 3, 4, 5), input_lags=((1, 2, 3, 4, 5),))
+SPEC_40 = gb.RegressorSpec(output_lags=tuple(range(1, 21)), input_lags=(tuple(range(1, 21)),))
+GAPPED_SPEC = gb.RegressorSpec(output_lags=(1, 7), input_lags=((3, 5),))
 WIDE_TERMS = tuple(itertools.islice(
     (t for d in (1, 2, 3) for t in itertools.combinations_with_replacement(range(11), d)), 350
 ))
@@ -522,6 +535,32 @@ LARGE_STRUCTURES = {
         gb.PolynomialModel(EXAMPLE_SPEC, ((), (1,) + (3,) * 2999), np.array([0.5, 0.5])),
         1.0,
         1e-4,
+    ),
+    # 34 factors, so the product spills into a second expression
+    "degree-33-term": (
+        gb.PolynomialModel(EXAMPLE_SPEC, ((), (1,) + (3,) * 32), np.array([0.5, 0.5])),
+        1.0,
+        1e-3,
+    ),
+    # a bias and 40 weighted regressors per node, so each sum spills over
+    "mlp-40-regressors": (
+        gb.MlpModel(SPEC_40, 2, np.random.default_rng(2).normal(0.0, 0.05, 1 + 2 + 2 * 41)),
+        0.0,
+        0.5,
+    ),
+    "polynomial-gapped-lags": (
+        gb.PolynomialModel(
+            GAPPED_SPEC,
+            ((), (1,), (2,), (3,), (4,), (1, 3), (2, 4, 4)),
+            np.array([0.1, 0.4, -0.2, 0.3, 0.25, -0.15, 0.05]),
+        ),
+        0.2,
+        0.5,
+    ),
+    "mlp-gapped-lags": (
+        gb.MlpModel(GAPPED_SPEC, 2, np.random.default_rng(3).normal(0.0, 0.4, 1 + 2 + 2 * 5)),
+        0.0,
+        0.5,
     ),
     "mlp-10-nodes-10-regressors": (
         gb.MlpModel(
@@ -552,7 +591,7 @@ class TestGeneratedLoops:
 
     @pytest.mark.parametrize("name", sorted(LARGE_STRUCTURES))
     def test_large_structures_step_bitwise(self, name):
-        # one statement per factor, term and node compiles at any size
+        # the generated expressions compile at any size and gather each lag
         model, level, amplitude = LARGE_STRUCTURES[name]
         step = reference_step(model)
         inputs = [level + amplitude * np.sin(0.3 * np.arange(200))]
@@ -562,6 +601,15 @@ class TestGeneratedLoops:
             model, inputs, init, 1e6, step=lambda psi: step(psi.tolist())
         )
         assert diverged_at is None
+        assert result.y.tobytes() == want.tobytes()
+        # a bound the run crosses midway stops both loops at the same sample
+        bound = float(np.median(np.abs(want[model.spec.max_lag :])))
+        result = gb.free_run(model, inputs, init=init, bound=bound)
+        want, diverged_at = faithful_free_run(
+            model, inputs, init, bound, step=lambda psi: step(psi.tolist())
+        )
+        assert diverged_at is not None
+        assert result.diverged_at == diverged_at
         assert result.y.tobytes() == want.tobytes()
         levels = level + amplitude * np.linspace(-1.0, 1.0, 5).reshape(-1, 1)
         check_fixed_points(model, levels, gb.FixedPointConfig())
