@@ -279,8 +279,6 @@ def cmd_sweep(args) -> int:
     zd, zt, zs, zv = _resolve_datasets(cfg.get("datasets", {}))
     if zd is None:
         raise ConfigError("sweeping needs a dynamical record 'zd'")
-    if zs is None:
-        raise ConfigError("sweeping needs steady-state data 'zs'")
     grid = _parse_grid(cfg, args)
     train = _train_config(cfg, args)
     fp_config = _fp_config(cfg)
@@ -292,21 +290,20 @@ def cmd_sweep(args) -> int:
     outputs = {"sweep": "sweep.csv", "pareto": "pareto.csv"}
     selections = {}
     failures = []
-    try:
-        chosen = decide_min_corr(points)
-        _write_json(out / "model_min_corr.json", chosen.model)
-        outputs["model_min_corr"] = "model_min_corr.json"
-        selections["min_corr"] = {"lambda": chosen.lam, "corr_dm": chosen.corr_dm}
-    except SelectionError as exc:
-        failures.append(f"min_corr: {exc}")
+    # (name, decision maker, the score it minimises), built per call so that
+    # each decision maker is looked up by its module-level name
+    deciders = [("min_corr", decide_min_corr, "corr_dm")]
     if zt is not None:
+        deciders.append(("min_rmse_zt", decide_min_rmse_zt, "rmse_zt"))
+    for name, decide, score in deciders:
         try:
-            chosen = decide_min_rmse_zt(points)
-            _write_json(out / "model_min_rmse_zt.json", chosen.model)
-            outputs["model_min_rmse_zt"] = "model_min_rmse_zt.json"
-            selections["min_rmse_zt"] = {"lambda": chosen.lam, "rmse_zt": chosen.rmse_zt}
+            chosen = decide(points)
         except SelectionError as exc:
-            failures.append(f"min_rmse_zt: {exc}")
+            failures.append(f"{name}: {exc}")
+            continue
+        _write_json(out / f"model_{name}.json", chosen.model)
+        outputs[f"model_{name}"] = f"model_{name}.json"
+        selections[name] = {"lambda": chosen.lam, score: getattr(chosen, score)}
     _write_json(
         out / "manifest.json",
         {

@@ -384,12 +384,27 @@ _STEADY_COL = re.compile(r"^u(\d+)_bar$")
 _DYN_COL = re.compile(r"^u(\d+)$")
 
 
-def _fmt(value) -> str:
+def _cell(value) -> str:
+    """The one rule for a CSV cell.  A float (numpy float64 included) is the
+    repr of its float, and is tested first since most cells are floats; None
+    is empty, a string itself, a bool (numpy's too) ``true``/``false`` and a
+    Python int its digits.  Anything else is taken as a float."""
+    if isinstance(value, float):
+        return repr(float(value))
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
     return repr(float(value))
 
 
 def write_table(path, header: Sequence[str], columns: Sequence[Iterable]) -> None:
-    """Write named columns as RFC-4180-style CSV (shared report writer)."""
+    """Write named columns as RFC-4180-style CSV (shared report writer),
+    every cell by :func:`_cell`."""
     cols = [list(c) for c in columns]
     if len(cols) != len(header):
         raise ValueError(f"{len(header)} header names for {len(cols)} columns")
@@ -397,7 +412,7 @@ def write_table(path, header: Sequence[str], columns: Sequence[Iterable]) -> Non
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in zip(*cols):
-            writer.writerow([cell if isinstance(cell, str) else _fmt(cell) for cell in row])
+            writer.writerow([_cell(cell) for cell in row])
 
 
 def write_csv(path, dataset: DynDataset | SteadyDataset) -> None:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -205,10 +205,10 @@ def mlp_jacobian(model: MlpModel, psi_rows: np.ndarray) -> np.ndarray:
 
     The result is the transpose of a C-order (parameters, rows) array."""
     psi_rows = np.atleast_2d(np.asarray(psi_rows, dtype=float))
-    x = model._features(psi_rows)
-    _, hidden = _mlp_forward(model.theta, model.n_hidden, x)
-    jac_t = np.empty((model.n_params, x.shape[0]))
-    return _mlp_jacobian(model.theta, model.n_hidden, x.T, hidden.T, 1.0, jac_t).T
+    x_t = model._features(psi_rows).T
+    _, hidden = _mlp_forward(model.theta, model.n_hidden, x_t)
+    jac_t = np.empty((model.n_params, x_t.shape[1]))
+    return _mlp_jacobian(model.theta, model.n_hidden, x_t, hidden, 1.0, jac_t).T
 
 
 def _mlp_jacobian(
@@ -276,16 +276,11 @@ def _trace_recorder(counter: EvalCounter):
 
 
 def write_trace_csv(path, trace: list[TraceRecord], static_label: str = "j_s_hat") -> None:
-    header = ["iteration", "j_d", static_label, "j_sd", "wall_time_ms", "model_evaluations"]
-    columns = [
-        [str(r.iteration) for r in trace],
-        [r.j_d for r in trace],
-        [r.j_s for r in trace],
-        [r.j_sd for r in trace],
-        [r.wall_time_ms for r in trace],
-        [str(r.model_evaluations) for r in trace],
-    ]
-    write_table(path, header, columns)
+    """One row per record, one column per :class:`TraceRecord` field in
+    order, ``cost`` left out and ``j_s`` headed ``static_label``."""
+    keys = [f.name for f in fields(TraceRecord) if f.name != "cost"]
+    header = [static_label if key == "j_s" else key for key in keys]
+    write_table(path, header, [[getattr(r, key) for r in trace] for key in keys])
 
 
 def fit_weighted_lm(
@@ -310,8 +305,8 @@ def fit_weighted_lm(
     increase the squared error norm.  The trace holds the initial state plus
     one record per accepted step.
 
-    Each evaluation runs the network over the transposed regressor rows,
-    in place, with one row of hidden activations per node.  At an accepted
+    Each evaluation runs the network over the transposed regressor rows
+    with ``_mlp_forward``, as ``predict`` does.  At an accepted
     point the Jacobian of E is filled as its (parameters, rows) transpose,
     as :func:`mlp_jacobian` fills it, below E in one array, and one BLAS
     gemm gives the gradient J^T E and the Gauss-Newton matrix J^T J, whose
@@ -344,7 +339,7 @@ def fit_weighted_lm(
     counter = counter if counter is not None else EvalCounter()
     trace_record = _trace_recorder(counter)
     nh, x_t = model.n_hidden, np.ascontiguousarray(model._features(psi).T)
-    nf, neg_w = x_t.shape[0], -weights
+    neg_w = -weights
     # E in the first row and the Jacobian of E, one row per parameter, below
     # it, so that one matrix product gives both J^T E and J^T J: numpy sends
     # J^T J alone to BLAS syrk, which is slower than gemm at these sizes
@@ -352,16 +347,9 @@ def fit_weighted_lm(
     jac_t = system[1:]
 
     # straight from theta: a model per trial would re-validate and copy it;
-    # the hidden activations, one row per node, are kept for the Jacobian
-    # at an accepted trial.  predict keeps _mlp_forward's row layout, which
-    # rounds differently, so that scores and the GA baseline keep their bits
+    # the hidden activations are kept for the Jacobian at an accepted trial
     def evaluate(theta):
-        b0, w_out, b_h, w_h = _mlp_unpack(theta, nh, nf)
-        t = w_h @ x_t
-        t += b_h[:, None]
-        np.tanh(t, out=t)
-        r = w_out @ t
-        r += b0
+        r, t = _mlp_forward(theta, nh, x_t)
         np.subtract(y, r, out=r)
         counter.add(y.size)
         e = weights * r

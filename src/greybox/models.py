@@ -327,7 +327,7 @@ class MlpModel:
 
     def predict(self, psi_rows: np.ndarray) -> np.ndarray:
         psi_rows = np.atleast_2d(np.asarray(psi_rows, dtype=float))
-        return _mlp_forward(self.theta, self.n_hidden, self._features(psi_rows))[0]
+        return _mlp_forward(self.theta, self.n_hidden, self._features(psi_rows).T)[0]
 
     def _predict_psi(self, psi) -> float:
         b0, w_out, b_h, w_h = self.unpack()
@@ -365,12 +365,17 @@ def _mlp_unpack(theta: np.ndarray, n_hidden: int, n_features: int):
     return theta[0], theta[1 : 1 + n_hidden], blocks[:, 0], blocks[:, 1:]
 
 
-def _mlp_forward(theta: np.ndarray, n_hidden: int, features: np.ndarray):
-    """MLP outputs for packed parameters over rows of non-constant regressors,
-    and the hidden layer's tanh activations, one column per node."""
-    b0, w_out, b_h, w_h = _mlp_unpack(theta, n_hidden, features.shape[1])
-    hidden = np.tanh(features @ w_h.T + b_h)
-    return b0 + hidden @ w_out, hidden
+def _mlp_forward(theta: np.ndarray, n_hidden: int, x_t: np.ndarray):
+    """MLP outputs for packed parameters over the non-constant regressors
+    ``x_t``, one row per feature and one column per sample, and the hidden
+    layer's tanh activations, one row per node."""
+    b0, w_out, b_h, w_h = _mlp_unpack(theta, n_hidden, x_t.shape[0])
+    hidden = w_h @ x_t
+    hidden += b_h[:, None]
+    np.tanh(hidden, out=hidden)
+    out = w_out @ hidden
+    out += b0
+    return out, hidden
 
 
 Model = Union[PolynomialModel, MlpModel]

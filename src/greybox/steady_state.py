@@ -209,8 +209,5 @@ def write_static_curve_csv(path, curve: StaticCurve) -> None:
     """Steady-pair CSV schema plus a trailing ``converged`` column."""
     m = curve.u_bar.shape[1]
     header = [f"u{i + 1}_bar" for i in range(m)] + ["y_bar", "converged"]
-    columns = [curve.u_bar[:, i] for i in range(m)] + [
-        curve.y_bar,
-        ["true" if c else "false" for c in curve.converged],
-    ]
+    columns = [curve.u_bar[:, i] for i in range(m)] + [curve.y_bar, curve.converged]
     write_table(path, header, columns)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -157,19 +157,16 @@ def _check_trainable(structure: Model, algorithm: str, lam: float, **datasets) -
         raise ConfigError(
             f"{algorithm} needs a {kind} structure, got {type(structure).__name__}"
         )
-    if datasets.get("zs") is None and (lam > 0 or algorithm == "ga_legacy"):
+    needs_zs = algorithm == "ga_legacy" or (lam > 0 and algorithm != "ols")
+    if needs_zs and datasets.get("zs") is None:
         raise ConfigError(f"{algorithm} at lambda {lam} needs steady-state data 'zs'")
     _check_data_fits(structure.spec, datasets)
 
 
 def _ga_seed_model(structure: Model, zd: DynDataset, train: TrainConfig) -> Model:
     """The lambda = 0 black-box fit that seeds the GA baseline's population."""
-    if isinstance(structure, MlpModel):
-        model, _ = fit_weighted_lm(
-            structure, zd, None, 0.0, train.lm, init_seed=train.init_seed
-        )
-        return model
-    return fit_wls(structure, zd, None, 0.0)
+    algorithm = "weighted_lm" if isinstance(structure, MlpModel) else "ols"
+    return fit(structure, zd, None, replace(train, lam=0.0, algorithm=algorithm))[0]
 
 
 def fit(
@@ -232,8 +229,11 @@ def run_sweep(
 
     A per-lambda SingularityError or DivergenceError is recorded on the
     point instead of aborting the sweep; a structure or dataset the
-    algorithm cannot use raises ConfigError before any fit.
+    algorithm cannot use, or missing steady-state data, which scores every
+    point, raises ConfigError before any fit.
     """
+    if zs is None:
+        raise ConfigError("sweeping needs steady-state data 'zs'")
     _check_trainable(structure, train.algorithm, max(grid), zd=zd, zs=zs, zt=zt, zv=zv)
     seed_model = None
     if train.algorithm == "ga_legacy":
@@ -345,38 +345,8 @@ def pareto_front(points: list[ParetoPoint]) -> list[ParetoPoint]:
 
 
 def write_sweep_csv(path, points: list[ParetoPoint]) -> None:
-    header = [
-        "lambda",
-        "j_d",
-        "j_s_hat",
-        "rmse_zt",
-        "diverged_zt",
-        "rmse_zv",
-        "diverged_zv",
-        "corr_dm",
-        "diverged_zd",
-        "train_time_ms",
-        "eval_count",
-        "error",
-        "warm_from",
-    ]
-
-    def opt(value):
-        return "" if value is None else repr(float(value))
-
-    columns = [
-        [p.lam for p in points],
-        [p.j_d for p in points],
-        [p.j_s_hat for p in points],
-        [opt(p.rmse_zt) for p in points],
-        ["true" if p.diverged_zt else "false" for p in points],
-        [opt(p.rmse_zv) for p in points],
-        ["true" if p.diverged_zv else "false" for p in points],
-        [opt(p.corr_dm) for p in points],
-        ["true" if p.diverged_zd else "false" for p in points],
-        [str(p.train_time_ms) for p in points],
-        [str(p.eval_count) for p in points],
-        [p.error or "" for p in points],
-        [opt(p.warm_from) for p in points],
-    ]
-    write_table(path, header, columns)
+    """One row per point, one column per :class:`ParetoPoint` field in
+    order, ``model`` left out and ``lam`` headed ``lambda``."""
+    names = [f.name for f in fields(ParetoPoint) if f.name != "model"]
+    header = ["lambda" if name == "lam" else name for name in names]
+    write_table(path, header, [[getattr(p, name) for p in points] for name in names])

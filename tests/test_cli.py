@@ -20,7 +20,9 @@ from hypothesis import strategies as st
 
 import greybox as gb
 from greybox.cli import build_parser, main
+from greybox.estimation import write_trace_csv
 from greybox.steady_state import write_static_curve_csv
+from greybox.sweep import write_sweep_csv
 
 
 # child interpreters import greybox from where this one did, so the tests
@@ -177,6 +179,14 @@ class TestTrain:
         proc = run_cli("train", "--config", str(path), "--out", str(tmp_path))
         assert proc.returncode == 2
         assert "steady-state" in proc.stderr
+        # ols fits the dynamical record alone, so it trains at any lambda
+        for lam in ("0.5", "0"):
+            out = tmp_path / f"ols{lam}"
+            argv = ["train", "--config", str(path), "--algorithm", "ols", "--lambda", lam]
+            assert main([*argv, "--out", str(out)]) == 0
+        assert (tmp_path / "ols0.5" / "model.json").read_bytes() == (
+            tmp_path / "ols0" / "model.json"
+        ).read_bytes()
 
     def test_generator_datasets_in_config(self, tmp_path):
         config = {
@@ -349,17 +359,19 @@ class TestSweep:
         assert "rank deficient" in lines[3]
 
     def test_sweep_without_statics_exits_2(self, datadir, tmp_path):
-        config = {
-            "structure": {"builtin": "example1"},
-            "datasets": {"zd": str(datadir / "zd.csv")},
-            "algorithm": "wls",
-            "grid": [0.2],
-        }
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        proc = run_cli("sweep", "--config", str(path), "--out", str(tmp_path))
-        assert proc.returncode == 2
-        assert "steady-state" in proc.stderr
+        # every point is scored on j_s_hat, even ols's, which trains without zs
+        for algorithm in ("wls", "ols"):
+            config = {
+                "structure": {"builtin": "example1"},
+                "datasets": {"zd": str(datadir / "zd.csv")},
+                "algorithm": algorithm,
+                "grid": [0.2],
+            }
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            proc = run_cli("sweep", "--config", str(path), "--out", str(tmp_path))
+            assert proc.returncode == 2
+            assert "steady-state" in proc.stderr
 
 
 @pytest.mark.parametrize("command", ["train", "sweep"])
@@ -625,6 +637,19 @@ def test_readme_example1_recipe_runs(tmp_path, monkeypatch):
     assert blackbox >= 3 * pick, (blackbox, pick)
     for name in ("min_corr", "min_rmse_zt"):
         assert Path(f"ex1/{name}/static_curve.csv").exists()
+
+
+def test_readme_csv_headers_match_the_writers(tmp_path):
+    # README quotes the sweep.csv and solver-trace headers; the writers
+    # take theirs from ParetoPoint and TraceRecord
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sweep_header = re.search(r"`(lambda,[^`]*)`", readme)
+    trace_header = re.search(r"`(iteration,[^`]*)`", readme)
+    assert sweep_header and trace_header, "no CSV header lines in README.md"
+    write_sweep_csv(tmp_path / "sweep.csv", [])
+    write_trace_csv(tmp_path / "trace.csv", [], "j_s_hat")
+    assert (tmp_path / "sweep.csv").read_text().splitlines() == [sweep_header[1]]
+    assert (tmp_path / "trace.csv").read_text().splitlines() == [trace_header[1]]
 
 
 def test_readme_example2_evaluation_count():

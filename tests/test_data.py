@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import greybox as gb
-from greybox.data import EXAMPLE1, EXAMPLE2, _classify_header, get_system
+from greybox.data import EXAMPLE1, EXAMPLE2, _classify_header, get_system, write_table
 
 
 def manual_example1(u, n):
@@ -327,6 +327,24 @@ class TestCsv:
             back = gb.read_csv(path)
         assert np.array_equal(back.inputs[0], ds.inputs[0])
         assert np.array_equal(back.output, ds.output)
+
+    def test_every_cell_kind_has_one_rule(self, tmp_path):
+        columns = {
+            "none": [None, None],
+            "str": ["x", "a,b"],
+            "bool": [True, False],
+            "np_bool": np.array([True, False]),
+            "int": [3, -12],
+            "float": [3.0, 0.1],
+            "np_float64": np.array([math.nan, 1 / 3]),
+        }
+        path = tmp_path / "t.csv"
+        write_table(path, list(columns), list(columns.values()))
+        assert path.read_text().splitlines() == [
+            "none,str,bool,np_bool,int,float,np_float64",
+            ",x,true,true,3,3.0,nan",
+            ',"a,b",false,false,-12,0.1,0.3333333333333333',
+        ]
 
 
 def reference_read_csv(path):
