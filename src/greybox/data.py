@@ -14,8 +14,8 @@ from __future__ import annotations
 import csv
 import math
 import re
+import warnings
 from dataclasses import dataclass, replace
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -446,17 +446,34 @@ def _classify_header(header: list[str]):
     return None
 
 
-def _parse_rows(rows: list[list[str]], width: int) -> np.ndarray | None:
-    """Every cell of ``rows`` read by ``float`` in one pass, as a
-    (len(rows), width) array; None when a row does not have ``width`` cells
-    or a cell is non-numeric or non-finite."""
-    if any(len(row) != width for row in rows):
-        return None
-    try:
-        flat = np.array(list(map(float, chain.from_iterable(rows))))
-    except ValueError:
-        return None
-    return flat.reshape(len(rows), width) if np.isfinite(flat).all() else None
+def _read_cells(fh, header: list[str], file_name: str) -> np.ndarray:
+    """The rows after the header of the CSV ``fh``, every cell read by
+    ``float`` one by one, as a (rows, width) array.  Raises CsvFormatError
+    naming the first ragged row or non-numeric or non-finite cell."""
+    width = len(header)
+    values = []
+    reader = csv.reader(fh)
+    next(reader)
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue  # blank line
+        if len(row) != width:
+            raise CsvFormatError(
+                f"{file_name}: expected {width} cells, found {len(row)}", row=line_no
+            )
+        for name, cell in zip(header, row):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise CsvFormatError(
+                    f"{file_name}: non-numeric cell {cell!r}", row=line_no, column=name
+                ) from None
+            if not math.isfinite(value):
+                raise CsvFormatError(
+                    f"{file_name}: non-finite cell {cell!r}", row=line_no, column=name
+                )
+            values.append(value)
+    return np.array(values).reshape(-1, width)
 
 
 def read_csv(path) -> DynDataset | SteadyDataset:
@@ -464,46 +481,37 @@ def read_csv(path) -> DynDataset | SteadyDataset:
 
     Raises CsvFormatError for a missing header, an unrecognized header, a
     ragged row, or a non-numeric or non-finite cell, naming its location.
-    Blank lines are skipped and each cell is read by ``float``.  A file whose
-    rows all have the header's width is parsed in one pass; when that pass
-    fails, the cells are read again one by one to name the first bad one.
+    Blank lines are skipped and each cell is read as ``float`` reads it.
+    The header is read by ``csv``, the rows by numpy's C reader; when that
+    reader refuses the rows, or returns another width or a non-finite value,
+    the cells are read again one by one, which either names the first bad
+    one or builds the array itself (``float`` also reads ``1_0`` and
+    non-ASCII digits, which the C reader refuses).
     """
     path = Path(path)
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or not rows[0]:
-        raise CsvFormatError(f"{path.name}: no header")
-    header = [name.strip() for name in rows[0]]
-    kind = _classify_header(header)
-    if kind is None:
-        raise CsvFormatError(f"{path.name}: unrecognized header {','.join(header)!r}")
-    width = len(header)
-    data = _parse_rows([row for row in rows[1:] if row], width)
-    if data is None:  # name the first ragged row or bad cell, in file order
-        for line_no, row in enumerate(rows[1:], start=2):
-            if not row:
-                continue  # trailing blank line
-            if len(row) != width:
-                raise CsvFormatError(
-                    f"{path.name}: expected {width} cells, found {len(row)}", row=line_no
-                )
-            for name, cell in zip(header, row):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise CsvFormatError(
-                        f"{path.name}: non-numeric cell {cell!r}", row=line_no, column=name
-                    ) from None
-                if not math.isfinite(value):
-                    raise CsvFormatError(
-                        f"{path.name}: non-finite cell {cell!r}", row=line_no, column=name
-                    )
+        header = next(csv.reader(fh), None)
+        if not header:
+            raise CsvFormatError(f"{path.name}: no header")
+        header = [name.strip() for name in header]
+        kind = _classify_header(header)
+        if kind is None:
+            raise CsvFormatError(f"{path.name}: unrecognized header {','.join(header)!r}")
+        width = len(header)
+        try:
+            with warnings.catch_warnings():
+                # a file without rows is reported below, not as loadtxt's warning
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
+        except ValueError:
+            data = None
+        if data is None or data.shape[1] != width or not np.isfinite(data).all():
+            fh.seek(0)
+            data = _read_cells(fh, header, path.name)
+    if data.shape[0] < 1:
+        raise CsvFormatError(f"{path.name}: dataset has no rows")
     if kind == "dyn":
-        if data.shape[0] < 1:
-            raise CsvFormatError(f"{path.name}: dataset has no rows")
         return DynDataset(
             inputs=tuple(data[:, i] for i in range(width - 1)), output=data[:, -1]
         )
-    if data.shape[0] < 1:
-        raise CsvFormatError(f"{path.name}: dataset has no rows")
     return SteadyDataset(u_bar=data[:, : width - 1], y_bar=data[:, -1])

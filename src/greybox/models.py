@@ -100,7 +100,7 @@ class RegressorSpec:
     def max_output_lag(self) -> int:
         return max(self.output_lags, default=0)
 
-    @property
+    @cached_property
     def max_lag(self) -> int:
         input_max = max((max(lags, default=0) for lags in self.input_lags), default=0)
         return max(self.max_output_lag, input_max)

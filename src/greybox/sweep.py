@@ -112,35 +112,51 @@ def rmse(predicted, actual) -> float:
         raise ValueError(f"shape mismatch {predicted.shape} vs {actual.shape}")
     if predicted.size == 0:
         raise ValueError("rmse needs at least one sample")
-    diff = predicted - actual
-    if not np.all(np.isfinite(diff)):
+    return _root_mean_square(predicted - actual)
+
+
+def _root_mean_square(diff: np.ndarray) -> float:
+    # np.mean's arithmetic: one pairwise sum over all elements, then / size
+    if not np.isfinite(diff).all():
         return RMSE_CAP
-    return min(float(np.sqrt(np.mean(diff**2))), RMSE_CAP)
+    return min(math.sqrt(np.add.reduce(diff * diff, axis=None) / diff.size), RMSE_CAP)
 
 
 def abs_error_correlation(residual, reference) -> float:
-    """Absolute Pearson correlation; degenerate (constant) inputs give 0."""
+    """Absolute Pearson correlation; degenerate (constant) inputs give 0.
+
+    One pass of ``np.std``'s own arithmetic, so the result has the bits of
+    ``|mean(dr * dy)| / (std(residual) * std(reference))``: each mean is a
+    pairwise sum divided by the size, each deviation ``d`` from its mean is
+    formed once and serves both its standard deviation, the square root of
+    the mean of ``d * d``, and the covariance.
+    """
     residual = np.asarray(residual, dtype=float)
     reference = np.asarray(reference, dtype=float)
-    r_std = np.std(residual)
-    y_std = np.std(reference)
+    n = residual.size
+    dr = residual - np.add.reduce(residual, axis=None) / n
+    dy = reference - np.add.reduce(reference, axis=None) / n
+    r_std = math.sqrt(np.add.reduce(dr * dr, axis=None) / n)
+    y_std = math.sqrt(np.add.reduce(dy * dy, axis=None) / n)
     if r_std == 0.0 or y_std == 0.0:
         return 0.0
-    cov = float(np.mean((residual - residual.mean()) * (reference - reference.mean())))
-    return abs(cov / (r_std * y_std))
+    # the covariance stays a numpy scalar: if r_std * y_std underflows to 0,
+    # the quotient is inf or nan with numpy's warning, not ZeroDivisionError
+    return abs(np.add.reduce(dr * dy, axis=None) / n / (r_std * y_std))
 
 
 def score_free_run(model: Model, data: DynDataset):
     """Free-run RMSE over the predicted region, the divergence flag, and
-    the absolute error/output correlation (None when diverged)."""
+    the absolute error/output correlation (None when diverged), both from
+    one error vector."""
     result = free_run_on_dataset(model, data, bound=RMSE_CAP)
-    k0 = model.spec.max_lag
-    measured = data.output[k0:]
     if result.diverged:
         return RMSE_CAP, True, None
-    predicted = result.y[k0:]
-    corr = abs_error_correlation(measured - predicted, measured)
-    return rmse(predicted, measured), False, corr
+    k0 = model.spec.max_lag
+    measured = data.output[k0:]
+    error = measured - result.y[k0:]
+    # squaring -error gives the bits of squaring error, so this is rmse(predicted, measured)
+    return _root_mean_square(error), False, abs_error_correlation(error, measured)
 
 
 # structure kind each closed-form or gradient algorithm needs; the GA takes any

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import greybox as gb
@@ -348,8 +348,8 @@ class TestCsv:
 
 
 def reference_read_csv(path):
-    """:func:`greybox.read_csv` as it read every cell one by one before the
-    one-pass parse, kept to check that the two agree."""
+    """:func:`greybox.read_csv` as it read every cell one by one before it
+    read the rows with numpy's C reader, kept to check that the two agree."""
     path = Path(path)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -401,21 +401,29 @@ def dataset_arrays(ds):
 
 
 # cells as they appear in the file: numbers as write_csv writes them and
-# other text that float() reads, then text it refuses or reads as non-finite
+# other text that float() reads, then text it refuses or reads as non-finite;
+# some cells are read by float() but refused by numpy's C reader (1_0, Arabic
+# digits), and some hold characters one reader might take for a line break,
+# a comment or whitespace and the other not (\x0c, #, a no-break space)
 good_cells = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f'"{v!r}"'),
-    st.sampled_from(["1_0", " 1.5 ", '"2.5"', '" -3e-2"', "-0.0", "7"]),
+    st.sampled_from(
+        ["1_0", " 1.5 ", '"2.5"', '" -3e-2"', "-0.0", "7", "+1.5", "1E+3", "\t2.5",
+         "\xa01.5", "\u0661\u0662", "1.5\x0c"]
+    ),
 )
 bad_cells = st.sampled_from(
-    ["nan", "-nan", "inf", "-Infinity", "1e400", "", '""', "x", '"1,5"', "0x10", "1__0"]
+    ["nan", "-nan", "inf", "-Infinity", "infinity", "1e400", "", '""', "x", '"1,5"',
+     "0x10", "1__0", "1.5#2", "2\x0c3"]
 )
 
 
 @st.composite
 def csv_files(draw):
     """Dataset CSV text: a dynamical or steady header, then rows of its
-    width and blank lines; in some files, bad cells and ragged rows."""
+    width, blank and whitespace-only lines, ended by \\n, \\r\\n or a bare
+    \\r; in some files, bad cells and ragged rows."""
     channels = draw(st.integers(1, 2))
     if draw(st.booleans()):
         header = [f"u{i + 1}" for i in range(channels)] + ["y"]
@@ -424,12 +432,19 @@ def csv_files(draw):
     cells = draw(st.sampled_from([good_cells, st.one_of(good_cells, bad_cells)]))
     widths = draw(st.sampled_from([st.just(len(header)), st.integers(1, len(header) + 1)]))
     line = widths.flatmap(lambda w: st.lists(cells, min_size=w, max_size=w).map(",".join))
-    rows = draw(st.lists(st.one_of(line, st.just("")), max_size=12))
-    return "\n".join([",".join(header), *rows]) + draw(st.sampled_from(["", "\n", "\n\n"]))
+    blank = st.sampled_from(["", "", " ", "\t", "  "])
+    rows = draw(st.lists(st.one_of(line, blank), max_size=12))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join([",".join(header), *rows]) + end * draw(st.integers(0, 2))
 
 
 class TestOnePassCsv:
     @given(text=csv_files())
+    @example(text="u1,y")
+    @example(text="u1_bar,y_bar\r\n\r\n")
+    @example(text="y\r")
+    @example(text="u1,y\n1_0,\u0661\u0662\n")
+    @example(text="u1,y\n1,1.5#2\n")
     def test_same_arrays_or_same_error_as_the_cell_loop(self, text):
         with tempfile.TemporaryDirectory() as workdir:
             path = os.path.join(workdir, "d.csv")

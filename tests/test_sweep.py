@@ -58,6 +58,71 @@ class TestScores:
         assert diverged and value == RMSE_CAP and corr is None
 
 
+def reference_abs_error_correlation(residual, reference):
+    """:func:`abs_error_correlation` as it was computed with ``np.std`` and
+    ``np.mean`` before it took one pass, kept to check that the bits agree."""
+    residual = np.asarray(residual, dtype=float)
+    reference = np.asarray(reference, dtype=float)
+    r_std = np.std(residual)
+    y_std = np.std(reference)
+    if r_std == 0.0 or y_std == 0.0:
+        return 0.0
+    cov = float(np.mean((residual - residual.mean()) * (reference - reference.mean())))
+    return abs(cov / (r_std * y_std))
+
+
+@st.composite
+def correlation_pairs(draw):
+    """Two vectors of one length from 1 to 3000, each of magnitude 1e-150 to
+    1e150: spread around zero, constant, or a small spread on a large offset."""
+    n = draw(st.integers(1, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def vector():
+        magnitude = 10.0 ** draw(st.integers(-150, 150))
+        kind = draw(st.sampled_from(["spread", "constant", "offset"]))
+        if kind == "constant":
+            return np.full(n, magnitude * draw(st.sampled_from([-1.0, 0.0, 0.3, 1.0])))
+        if kind == "offset":
+            spread = magnitude * 10.0 ** -draw(st.integers(1, 12))
+            return magnitude + spread * rng.standard_normal(n)
+        return magnitude * rng.standard_normal(n)
+
+    return vector(), vector()
+
+
+def same_bits(a, b) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class TestOnePassScores:
+    @given(pair=correlation_pairs())
+    def test_correlation_has_the_bits_of_std_and_mean(self, pair):
+        residual, reference = pair
+        got = abs_error_correlation(residual, reference)
+        assert same_bits(got, reference_abs_error_correlation(residual, reference))
+
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.0, 1e-12, 1e-3, 0.05, 0.3]))
+    def test_free_run_scores_match_rmse_and_correlation(self, ex1_data, ex1_true_model,
+                                                        seed, scale):
+        # the true example1 model with perturbed parameters, scored on zt and zv
+        _, zt, _, zv = ex1_data
+        rng = np.random.default_rng(seed)
+        theta = ex1_true_model.theta * (1 + scale * rng.standard_normal(ex1_true_model.theta.size))
+        model = replace(ex1_true_model, theta=theta)
+        k0 = model.spec.max_lag
+        for data in (zt, zv):
+            value, diverged, corr = score_free_run(model, data)
+            result = gb.free_run_on_dataset(model, data, bound=RMSE_CAP)
+            assert diverged == result.diverged
+            if diverged:
+                continue
+            measured = data.output[k0:]
+            assert same_bits(value, gb.rmse(result.y[k0:], measured))
+            want = reference_abs_error_correlation(measured - result.y[k0:], measured)
+            assert same_bits(corr, want)
+
+
 class TestLambdaGrid:
     def test_parse_sorts_and_dedupes(self):
         grid = gb.LambdaGrid.parse("0.9,0.1,0.5,0.1")
