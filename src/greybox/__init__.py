@@ -11,14 +11,9 @@ kept for comparison.
 
 from .data import (
     DynDataset,
-    NoiseSpec,
-    SimSystem,
     SteadyDataset,
-    make_example1_datasets,
-    make_example2_datasets,
+    make_datasets,
     read_csv,
-    simulate_system,
-    steady_curve_of_system,
     write_csv,
 )
 from .errors import (
@@ -32,7 +27,6 @@ from .errors import (
 from .estimation import (
     GaConfig,
     LmConfig,
-    StackedSystem,
     TrainConfig,
     build_stacked_system,
     fit_ga_legacy,
@@ -42,7 +36,6 @@ from .estimation import (
 )
 from .models import (
     EvalCounter,
-    FreeRunResult,
     MlpModel,
     PolynomialModel,
     RegressorSpec,
@@ -59,7 +52,6 @@ from .models import (
 from .steady_state import (
     FixedPointConfig,
     FixedPointResult,
-    StaticCurve,
     cost_jd,
     cost_js_hat,
     cost_js_legacy,
@@ -87,21 +79,16 @@ __all__ = [
     "EvalCounter",
     "FixedPointConfig",
     "FixedPointResult",
-    "FreeRunResult",
     "GaConfig",
     "GreyboxError",
     "LambdaGrid",
     "LmConfig",
     "MlpModel",
-    "NoiseSpec",
     "ParetoPoint",
     "PolynomialModel",
     "RegressorSpec",
     "SelectionError",
-    "SimSystem",
     "SingularityError",
-    "StackedSystem",
-    "StaticCurve",
     "SteadyDataset",
     "TrainConfig",
     "build_regression_matrix",
@@ -121,8 +108,7 @@ __all__ = [
     "free_run",
     "free_run_on_dataset",
     "load_model",
-    "make_example1_datasets",
-    "make_example2_datasets",
+    "make_datasets",
     "mlp_jacobian",
     "model_from_json",
     "model_static_curve",
@@ -132,7 +118,5 @@ __all__ = [
     "rmse",
     "run_sweep",
     "save_model",
-    "simulate_system",
-    "steady_curve_of_system",
     "write_csv",
 ]

@@ -19,10 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
+    SYSTEMS,
     DynDataset,
     SteadyDataset,
-    make_example1_datasets,
-    make_example2_datasets,
+    make_datasets,
     read_csv,
     write_csv,
     write_table,
@@ -56,7 +56,7 @@ from .sweep import (
     write_sweep_csv,
 )
 
-GENERATORS = {"example1": make_example1_datasets, "example2": make_example2_datasets}
+GENERATORS = {name: functools.partial(make_datasets, name) for name in SYSTEMS}
 
 
 def _write_json(path, doc) -> None:
@@ -348,6 +348,8 @@ def cmd_eval(args) -> int:
     elif args.mode == "free-run":
         if not isinstance(data, DynDataset):
             raise ConfigError("free-run evaluation needs a dynamical record")
+        if not data.inputs:
+            raise ConfigError("free-run evaluation needs an input channel to set the run's length")
         result = free_run_on_dataset(model, data)
         write_table(
             out / "freerun.csv", ["y", "y_hat"], [data.output, result.y]

@@ -1,12 +1,13 @@
-"""Dataset containers, benchmark simulators, and CSV round-tripping.
+"""Dataset containers, the built-in benchmark systems, and CSV round-tripping.
 
-Two discrete-time benchmark systems are built in: ``example1``, a bilinear
-second-order difference equation with a closed-form static curve, and
-``example2``, an arctan-saturated oscillator whose static curve is solved
-numerically.  Both share one dataset recipe producing a noisy identification
-record, a test record, noisy steady-state pairs, and a long noise-free
-validation record, so the estimation stack can run end to end without
-external data.
+Each built-in system is one :class:`SimSystem` record in :data:`SYSTEMS`:
+its step, its exact static curve and the constants of its dataset recipe.
+``example1`` is a bilinear second-order difference equation with a
+closed-form static curve, and ``example2`` an arctan-saturated oscillator
+whose static curve is solved by bisection.  :func:`make_datasets` turns
+either into a noisy identification record, a test record, noisy
+steady-state pairs and a long noise-free validation record, so the
+estimation stack can run end to end without external data.
 """
 
 from __future__ import annotations
@@ -15,28 +16,13 @@ import csv
 import math
 import re
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import CsvFormatError, DivergenceError, SingularityError
-
-SCALE_MODES = ("std-dev", "fraction-of-signal-std")
-
-# example1 difference equation coefficients:
-#   w(k) = A*w(k-2) + B*u(k-1) + C*w(k-2)*u(k-1)
-_EX1_A = 0.75
-_EX1_B = 0.25
-_EX1_C = -0.2
-
-# example2 difference equation coefficients:
-#   w(k) = atan(A1*w(k-1) + A2*w(k-2) + B1*u(k-1) + B2*u(k-2))
-_EX2_A1 = 1.7826
-_EX2_A2 = -0.8187
-_EX2_B1 = 0.01867
-_EX2_B2 = 0.01746
 
 
 def _as_float_vector(values, name: str) -> np.ndarray:
@@ -123,81 +109,110 @@ class SteadyDataset:
 
 
 @dataclass(frozen=True)
-class NoiseSpec:
-    """White Gaussian noise description.
+class SimSystem:
+    """A built-in benchmark system and the constants of its dataset recipe.
 
-    Zero-mean; ``scale`` is interpreted according to ``scale_mode``: a
-    standard deviation, or a fraction of the standard deviation of the
-    signal the noise is added to.
+    ``step(w1, w2, u1, u2)`` is the next trajectory value from w(k-1),
+    w(k-2), u(k-1) and u(k-2); ``curve`` maps a finite 1-D array of
+    constant input levels to the exact steady-state outputs.
     """
 
-    scale: float = 0.0
-    scale_mode: str = "std-dev"
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.scale < 0:
-            raise ValueError(f"noise scale must be nonnegative, got {self.scale}")
-        if self.scale_mode not in SCALE_MODES:
-            raise ValueError(
-                f"unknown scale_mode {self.scale_mode!r}, expected one of {SCALE_MODES}"
-            )
-
-    def realize(self, n: int, signal: np.ndarray | None = None) -> np.ndarray:
-        """Draw ``n`` samples. ``signal`` is required for the fractional mode."""
-        if self.scale_mode == "std-dev":
-            std = self.scale
-        else:
-            if signal is None:
-                raise ValueError("fraction-of-signal-std noise needs the reference signal")
-            std = self.scale * float(np.std(np.asarray(signal, dtype=float)))
-        rng = np.random.default_rng(self.seed)
-        return std * rng.standard_normal(n)
-
-
-@dataclass(frozen=True)
-class SimSystem:
-    """One of the built-in benchmark difference equations."""
-
     id: str
+    step: Callable[[float, float, float, float], float]
+    curve: Callable[[np.ndarray], np.ndarray]
+    n_d: int  # Z_d samples
+    n_t: int  # Z_t samples
+    input_mean: float  # of the white Gaussian input driving Z_d and Z_t
+    input_std: float
+    zs_range: tuple[float, float]  # Z_s levels and the Z_v staircase span this
+    zs_noise: float  # Z_s noise std; with zs_noise_relative, times the clean y_bar's std
+    zs_noise_relative: bool
+    zv_dither_std: float
 
     max_lag = 2
 
-    def step(self, w1: float, w2: float, u1: float, u2: float) -> float:
-        """Next trajectory value from lagged states w(k-1), w(k-2), u(k-1), u(k-2)."""
-        if self.id == "example1":
-            return _EX1_A * w2 + _EX1_B * u1 + _EX1_C * w2 * u1
-        return math.atan(_EX2_A1 * w1 + _EX2_A2 * w2 + _EX2_B1 * u1 + _EX2_B2 * u2)
+
+def _example1_step(w1, w2, u1, u2):
+    return 0.75 * w2 + 0.25 * u1 - 0.2 * w2 * u1
 
 
-EXAMPLE1 = SimSystem("example1")
-EXAMPLE2 = SimSystem("example2")
-_SYSTEMS = {"example1": EXAMPLE1, "example2": EXAMPLE2}
+def _example1_curve(grid):
+    # y = 0.75 y + 0.25 u - 0.2 y u, singular where 0.25 + 0.2 u vanishes
+    den = (1.0 - 0.75) + 0.2 * grid
+    near = np.abs(den) < 1e-12
+    if np.any(near):
+        bad = float(grid[np.argmax(near)])
+        raise SingularityError(f"static curve singular at u_bar = {bad}")
+    return 0.25 * grid / den
+
+
+def _example2_step(w1, w2, u1, u2):
+    return math.atan(1.7826 * w1 - 0.8187 * w2 + 0.01867 * u1 + 0.01746 * u2)
+
+
+def _example2_curve(grid):
+    a = 1.7826 - 0.8187
+    b = 0.01867 + 0.01746
+    # g(v) = atan(a*v + b*u) - v falls strictly because a < 1, and
+    # |atan| < pi/2 puts its root inside (-2, 2); 64 halvings shrink
+    # that bracket to 4 / 2**64 ~ 2e-19.  A fixed count, because halving
+    # until the midpoint stalls takes ~1000 steps at a root of 0.
+    lo = np.full(grid.size, -2.0)
+    hi = np.full(grid.size, 2.0)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        right = np.arctan(a * mid + b * grid) > mid
+        lo = np.where(right, mid, lo)
+        hi = np.where(right, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+EXAMPLE1 = SimSystem(
+    id="example1",
+    step=_example1_step,
+    curve=_example1_curve,
+    n_d=100,
+    n_t=400,
+    input_mean=-0.02,
+    input_std=0.2,
+    zs_range=(-1.0, 3.0),
+    zs_noise=0.02,
+    zs_noise_relative=False,
+    zv_dither_std=0.02,
+)
+EXAMPLE2 = SimSystem(
+    id="example2",
+    step=_example2_step,
+    curve=_example2_curve,
+    n_d=1700,
+    n_t=300,
+    input_mean=0.0,
+    input_std=math.sqrt(0.02),
+    zs_range=(-20.0, 20.0),
+    zs_noise=0.1,
+    zs_noise_relative=True,
+    zv_dither_std=0.2,
+)
+SYSTEMS = {s.id: s for s in (EXAMPLE1, EXAMPLE2)}
 
 
 def get_system(system_id: str) -> SimSystem:
     try:
-        return _SYSTEMS[system_id]
+        return SYSTEMS[system_id]
     except KeyError:
         raise ValueError(
-            f"unknown system id {system_id!r}, expected one of {sorted(_SYSTEMS)}"
+            f"unknown system id {system_id!r}, expected one of {sorted(SYSTEMS)}"
         ) from None
 
 
 def simulate_system(
-    system: SimSystem,
-    inputs: Sequence[float],
-    noise: NoiseSpec | None = None,
-    init: Sequence[float] | None = None,
+    system: SimSystem, inputs: Sequence[float], init: Sequence[float] | None = None
 ) -> DynDataset:
-    """Simulate a benchmark system driven by ``inputs``.
+    """Noise-free trajectory of a benchmark system driven by ``inputs``.
 
     ``init`` supplies the first ``max_lag`` trajectory values (defaults to
-    zeros).  Output noise is added to the clean trajectory after simulation;
-    fractional noise scales use the clean trajectory's standard deviation.
-
-    Raises DivergenceError, naming the sample index, if the trajectory
-    leaves the finite range.
+    zeros).  Raises DivergenceError, naming the sample index, if the
+    trajectory leaves the finite range.
     """
     u = _as_float_vector(inputs, "inputs")
     n = u.size
@@ -209,59 +224,27 @@ def simulate_system(
         if head.size != SimSystem.max_lag:
             raise ValueError(f"init must supply {SimSystem.max_lag} values, got {head.size}")
         w[: SimSystem.max_lag] = head
+    step = system.step
     for k in range(SimSystem.max_lag, n):
-        value = system.step(w[k - 1], w[k - 2], u[k - 1], u[k - 2])
+        value = step(w[k - 1], w[k - 2], u[k - 1], u[k - 2])
         if not math.isfinite(value):
             raise DivergenceError(f"trajectory diverged at sample {k}", index=k)
         w[k] = value
-    if noise is not None:
-        w = w + noise.realize(n, signal=w)
     return DynDataset(inputs=(u,), output=w)
 
 
-def steady_curve_of_system(
-    system: SimSystem,
-    u_bar_grid: Sequence[float],
-    noise: NoiseSpec | None = None,
-) -> SteadyDataset:
-    """Steady-state output for each constant input level in ``u_bar_grid``.
+def steady_curve_of_system(system: SimSystem, u_bar_grid: Sequence[float]) -> SteadyDataset:
+    """Noise-free steady-state output for each constant input level.
 
-    example1 has the closed form y_bar = B*u_bar / (1 - A - C*u_bar), which
-    is singular where the denominator vanishes (u_bar = -1.25 with the
-    built-in coefficients); hitting that level raises SingularityError.
-    example2's curve is the unique root of y = atan((A1+A2)*y + (B1+B2)*u),
-    found by vectorized bisection to within 2e-19.
+    example1's closed form is singular at u_bar = -1.25, where it raises
+    SingularityError; example2's root is bracketed to within 2e-19.
     """
     grid = _as_float_vector(u_bar_grid, "u_bar_grid")
     if grid.size < 1:
         raise ValueError("u_bar_grid must contain at least one level")
     if not np.all(np.isfinite(grid)):
         raise ValueError("u_bar_grid must be finite")
-    if system.id == "example1":
-        den = (1.0 - _EX1_A) - _EX1_C * grid
-        near = np.abs(den) < 1e-12
-        if np.any(near):
-            bad = float(grid[np.argmax(near)])
-            raise SingularityError(f"static curve singular at u_bar = {bad}")
-        y = _EX1_B * grid / den
-    else:
-        a = _EX2_A1 + _EX2_A2
-        b = _EX2_B1 + _EX2_B2
-        # g(v) = atan(a*v + b*u) - v falls strictly because a < 1, and
-        # |atan| < pi/2 puts its root inside (-2, 2); 64 halvings shrink
-        # that bracket to 4 / 2**64 ~ 2e-19.  A fixed count, because halving
-        # until the midpoint stalls takes ~1000 steps at a root of 0.
-        lo = np.full(grid.size, -2.0)
-        hi = np.full(grid.size, 2.0)
-        for _ in range(64):
-            mid = 0.5 * (lo + hi)
-            right = np.arctan(a * mid + b * grid) > mid
-            lo = np.where(right, mid, lo)
-            hi = np.where(right, hi, mid)
-        y = 0.5 * (lo + hi)
-    if noise is not None:
-        y = y + noise.realize(grid.size, signal=y)
-    return SteadyDataset(u_bar=grid.reshape(-1, 1), y_bar=y)
+    return SteadyDataset(u_bar=grid.reshape(-1, 1), y_bar=system.curve(grid))
 
 
 def _child_seeds(seed: int, n: int) -> list[int]:
@@ -274,102 +257,47 @@ def _staircase(levels: np.ndarray, total: int) -> np.ndarray:
     return np.repeat(levels, reps)[:total]
 
 
-@dataclass(frozen=True)
-class _Recipe:
-    """The per-system constants of the shared dataset recipe."""
-
-    system: SimSystem
-    n_d: int  # Z_d samples
-    n_t: int  # Z_t samples
-    input_mean: float  # of the white Gaussian input driving Z_d and Z_t
-    input_std: float
-    zs_range: tuple[float, float]  # Z_s levels and Z_v staircase span this
-    zs_noise: NoiseSpec  # scale and mode of the Z_s noise; the seed is drawn per call
-    zv_dither_std: float
+def _noisy(clean: np.ndarray, std: float, seed: int) -> np.ndarray:
+    return clean + std * np.random.default_rng(seed).standard_normal(clean.size)
 
 
-# Shared by both recipes: Z_s pairs, Z_v samples, Z_v staircase levels, and
-# the Z_d/Z_t output noise as a fraction of the clean trajectory's spread.
-_N_S = 50
-_N_V = 2000
-_ZV_SEGMENTS = 20
-_OUTPUT_NOISE_FRACTION = 0.1
+def make_datasets(
+    example: str, seed: int
+) -> tuple[DynDataset, DynDataset, SteadyDataset, DynDataset]:
+    """Benchmark datasets (Z_d, Z_t, Z_s, Z_v) of the built-in system ``example``.
 
-_EXAMPLE1_RECIPE = _Recipe(
-    system=EXAMPLE1,
-    n_d=100,
-    n_t=400,
-    input_mean=-0.02,
-    input_std=0.2,
-    zs_range=(-1.0, 3.0),
-    zs_noise=NoiseSpec(scale=0.02),
-    zv_dither_std=0.02,
-)
-_EXAMPLE2_RECIPE = _Recipe(
-    system=EXAMPLE2,
-    n_d=1700,
-    n_t=300,
-    input_mean=0.0,
-    input_std=math.sqrt(0.02),
-    zs_range=(-20.0, 20.0),
-    zs_noise=NoiseSpec(scale=0.1, scale_mode="fraction-of-signal-std"),
-    zv_dither_std=0.2,
-)
-
-
-def _make_datasets(recipe: _Recipe, seed: int):
+    The recipe is shared; the constants named here are the fields of the
+    system's :class:`SimSystem` record.  Z_d (``n_d`` samples) and Z_t
+    (``n_t``) are driven by white Gaussian input of ``input_mean`` and
+    ``input_std``, which excites a narrow sliver of the operating range,
+    and their outputs carry white noise at one tenth of the clean
+    trajectory's standard deviation.  Z_s holds 50 equally spaced levels
+    across ``zs_range`` with white noise of standard deviation ``zs_noise``,
+    or ``zs_noise`` times the clean y_bar's when ``zs_noise_relative``.
+    Z_v is a 2000-sample noise-free record driven by a 20-level staircase
+    across ``zs_range`` plus white dither of ``zv_dither_std``.  All
+    randomness derives from ``seed``, so a repeated call is bit-identical.
+    """
+    system = get_system(example)
     cs = _child_seeds(seed, 6)
 
     def noisy_record(n, input_seed, noise_seed):
         rng = np.random.default_rng(input_seed)
-        u = recipe.input_mean + recipe.input_std * rng.standard_normal(n)
-        noise = NoiseSpec(_OUTPUT_NOISE_FRACTION, "fraction-of-signal-std", seed=noise_seed)
-        return simulate_system(recipe.system, u, noise)
+        u = system.input_mean + system.input_std * rng.standard_normal(n)
+        w = simulate_system(system, u).output
+        return DynDataset(inputs=(u,), output=_noisy(w, 0.1 * float(np.std(w)), noise_seed))
 
-    zd = noisy_record(recipe.n_d, cs[0], cs[1])
-    zt = noisy_record(recipe.n_t, cs[2], cs[3])
-    lo, hi = recipe.zs_range
-    zs = steady_curve_of_system(
-        recipe.system, np.linspace(lo, hi, _N_S), replace(recipe.zs_noise, seed=cs[4])
-    )
-    rng_v = np.random.default_rng(cs[5])
-    levels = np.linspace(lo, hi, _ZV_SEGMENTS)
-    u_v = _staircase(levels, _N_V) + recipe.zv_dither_std * rng_v.standard_normal(_N_V)
-    zv = simulate_system(recipe.system, u_v)
+    zd = noisy_record(system.n_d, cs[0], cs[1])
+    zt = noisy_record(system.n_t, cs[2], cs[3])
+    lo, hi = system.zs_range
+    clean = steady_curve_of_system(system, np.linspace(lo, hi, 50))
+    std = system.zs_noise
+    if system.zs_noise_relative:
+        std *= float(np.std(clean.y_bar))
+    zs = SteadyDataset(u_bar=clean.u_bar, y_bar=_noisy(clean.y_bar, std, cs[4]))
+    dither = system.zv_dither_std * np.random.default_rng(cs[5]).standard_normal(2000)
+    zv = simulate_system(system, _staircase(np.linspace(lo, hi, 20), 2000) + dither)
     return zd, zt, zs, zv
-
-
-def make_example1_datasets(
-    seed: int,
-) -> tuple[DynDataset, DynDataset, SteadyDataset, DynDataset]:
-    """Benchmark datasets (Z_d, Z_t, Z_s, Z_v) for example1.
-
-    Z_d (100 samples) and Z_t (400) are driven by white Gaussian input of
-    mean -0.02 and standard deviation 0.2; their outputs carry white noise
-    at one tenth of the clean trajectory's spread.  Z_s holds 50 equally
-    spaced static levels across [-1, 3] with additive noise of standard
-    deviation 0.02.  Z_v is a 2000-sample noise-free record driven by a
-    20-level staircase across the same range plus a 0.02 dither, used for
-    free-run checks.  All randomness derives from ``seed``, so a repeated
-    call is bit-identical.
-    """
-    return _make_datasets(_EXAMPLE1_RECIPE, seed)
-
-
-def make_example2_datasets(
-    seed: int,
-) -> tuple[DynDataset, DynDataset, SteadyDataset, DynDataset]:
-    """Benchmark datasets (Z_d, Z_t, Z_s, Z_v) for example2.
-
-    Z_d (1700 samples) and Z_t (300) use zero-mean white Gaussian input of
-    variance 0.02, which only excites a narrow sliver of the operating range,
-    with output noise at one tenth of the clean trajectory's spread.  Z_s
-    holds 50 levels spanning the full [-20, 20], so the static pairs carry
-    genuinely new information; their noise is one tenth of the spread of
-    the clean curve values.  Z_v is a 2000-sample noise-free record driven
-    by a 20-level staircase across [-20, 20] plus a 0.2 dither.
-    """
-    return _make_datasets(_EXAMPLE2_RECIPE, seed)
 
 
 # ---------------------------------------------------------------------------

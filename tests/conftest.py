@@ -16,13 +16,13 @@ settings.load_profile("suite")
 @pytest.fixture(scope="session")
 def ex1_data():
     """Seed-0 benchmark split (zd, zt, zs, zv) for the bilinear system."""
-    return gb.make_example1_datasets(0)
+    return gb.make_datasets("example1", 0)
 
 
 @pytest.fixture(scope="session")
 def ex2_data():
     """Seed-0 benchmark split for the saturating difference equation."""
-    return gb.make_example2_datasets(0)
+    return gb.make_datasets("example2", 0)
 
 
 @pytest.fixture()

@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 import greybox as gb
-from greybox.data import EXAMPLE1, EXAMPLE2
+from greybox.data import EXAMPLE1, EXAMPLE2, simulate_system, steady_curve_of_system
 from greybox.estimation import build_stacked_system, mlp_jacobian
 from greybox.models import EXAMPLE1_TRUE_THETA
 from greybox.sweep import score_free_run
@@ -40,7 +40,7 @@ def test_criterion_1_polynomial_greybox_beats_blackbox():
     wins = 0
     n_seeds = 10
     for seed in range(n_seeds):
-        datasets = gb.make_example1_datasets(seed)
+        datasets = gb.make_datasets("example1", seed)
         zd, _, _, zv = datasets
         structure = gb.example_structure("example1")
         chosen = sweep_and_select(structure, datasets, gb.TrainConfig(algorithm="wls"))
@@ -65,7 +65,7 @@ def test_criterion_2_mlp_greybox_beats_blackbox():
     lm = gb.LmConfig(max_iterations=60, n_starts=3)
     ratios = []
     for seed in range(5):
-        datasets = gb.make_example2_datasets(seed)
+        datasets = gb.make_datasets("example2", seed)
         zd, _, _, zv = datasets
         structure = gb.example_structure("example2")
         chosen = sweep_and_select(
@@ -89,7 +89,7 @@ def test_criterion_2_mlp_greybox_beats_blackbox():
 
 def test_criterion_3_eval_accounting_and_speedup():
     t0 = time.perf_counter()
-    zd, _, zs, _ = gb.make_example2_datasets(0)
+    zd, _, zs, _ = gb.make_datasets("example2", 0)
     structure = gb.example_structure("example2")
     model, _ = gb.fit_weighted_lm(
         structure, zd, None, 0.0, gb.LmConfig(max_iterations=5), init_seed=0
@@ -232,7 +232,7 @@ def test_criterion_5_weighting_equals_pseudo_sample_appending():
             denom = np.maximum(np.abs(a), np.abs(b))
             denom[denom == 0.0] = 1.0
             worst = max(worst, float(np.max(np.abs(a - b) / denom)))
-    zd, _, zs, _ = gb.make_example1_datasets(0)
+    zd, _, zs, _ = gb.make_datasets("example1", 0)
     structure = gb.example_structure("example1")
     dev = float(
         np.max(
@@ -282,7 +282,7 @@ def test_criterion_6_mlp_jacobian_matches_finite_differences():
 def test_criterion_7_fixed_point_iteration_matches_reference_curves():
     config = gb.FixedPointConfig(max_iterations=5000, tolerance=1e-12)
     grid1 = np.linspace(-1.0, 3.0, 50)
-    reference1 = gb.steady_curve_of_system(EXAMPLE1, grid1)
+    reference1 = steady_curve_of_system(EXAMPLE1, grid1)
     spec = gb.example_structure("example1")
     true_model = gb.PolynomialModel(spec.spec, spec.terms, EXAMPLE1_TRUE_THETA)
     worst1 = 0.0
@@ -292,10 +292,10 @@ def test_criterion_7_fixed_point_iteration_matches_reference_curves():
         worst1 = max(worst1, abs(result.y_bar - y_ref))
 
     grid2 = np.linspace(-20.0, 20.0, 50)
-    reference2 = gb.steady_curve_of_system(EXAMPLE2, grid2)
+    reference2 = steady_curve_of_system(EXAMPLE2, grid2)
     worst2 = 0.0
     for u_bar, y_ref in zip(grid2, reference2.y_bar):
-        sim = gb.simulate_system(EXAMPLE2, np.full(1500, u_bar))
+        sim = simulate_system(EXAMPLE2, np.full(1500, u_bar))
         worst2 = max(worst2, abs(sim.output[-1] - y_ref))
 
     ok = worst1 <= 1e-8 and worst2 <= 1e-8
@@ -330,7 +330,7 @@ def test_criterion_8_sweep_tradeoff_is_monotone_and_front_is_exact():
     worst_js_rise = 0.0
     fronts_exact = True
     for seed in range(3):
-        zd, zt, zs, _ = gb.make_example1_datasets(seed)
+        zd, zt, zs, _ = gb.make_datasets("example1", seed)
         points = gb.run_sweep(
             gb.example_structure("example1"), zd, zt, zs,
             gb.LambdaGrid.linspace(0.0, 0.9, 10),

@@ -82,7 +82,7 @@ class TestGenerate:
         )
         assert proc.returncode == 0
         first = gb.read_csv(tmp_path / "zd.csv")
-        second = gb.make_example1_datasets(0)[0]
+        second = gb.make_datasets("example1", 0)[0]
         assert not (first.output == second.output).all()
 
     def test_unknown_example_exits_2(self, tmp_path):
@@ -569,6 +569,33 @@ def test_eval_structure_that_does_not_fit_the_data_exits_2(
     assert f"dataset {data!r} {named}" in err and "Traceback" not in err, err
 
 
+def test_free_run_of_an_input_free_record_exits_2(tmp_path, capsys):
+    # a y-only record fits an output-lag-only polynomial and scores one step
+    # ahead, but a free run has no input channel to take its length from
+    zd = tmp_path / "zd.csv"
+    zd.write_text("y\n" + "\n".join(repr(0.5**k) for k in range(20)) + "\n")
+    structure = {
+        "kind": "polynomial",
+        "packing_version": 1,
+        "regressors": {"output_lags": [1], "input_lags": []},
+        "terms": [[1]],
+        "theta": [0.0],
+    }
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(
+        {"structure": structure, "datasets": {"zd": str(zd)}, "algorithm": "ols"}
+    ))
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+    evaluate = ["eval", "--model", str(tmp_path / "run" / "model.json"), "--data", str(zd),
+                "--out", str(tmp_path / "eval"), "--mode"]
+    assert main([*evaluate, "one-step"]) == 0
+    capsys.readouterr()
+    assert main([*evaluate, "free-run"]) == 2
+    err = capsys.readouterr().err
+    assert "needs an input channel" in err and "Traceback" not in err, err
+    assert not (tmp_path / "eval" / "freerun.csv").exists()
+
+
 def test_import_does_not_load_scipy():
     proc = subprocess.run(
         [sys.executable, "-c",
@@ -652,6 +679,16 @@ def test_readme_csv_headers_match_the_writers(tmp_path):
     assert (tmp_path / "trace.csv").read_text().splitlines() == [trace_header[1]]
 
 
+def test_readme_api_table_is_the_package_exports():
+    # README's "Python API" table has one row per name in greybox.__all__,
+    # so an export cannot be added or dropped without the table following
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.partition("\n## Python API\n")[2].partition("\n## ")[0]
+    names = re.findall(r"^\| `(\w+)` \|", section, re.M)
+    assert len(names) == len(set(names)), "a name is listed twice"
+    assert set(names) == set(gb.__all__)
+
+
 def test_readme_example2_evaluation_count():
     # the weighted-LM evaluation count quoted in README.md's example2 section
     # must be what its sweep makes, so the figure cannot go stale
@@ -664,7 +701,7 @@ def test_readme_example2_evaluation_count():
     quoted = re.search(r"Levenberg-Marquardt sweep fits in about [\d.]+ s\s+with\s+(\d+)\s+model",
                        section)
     assert quoted, "no weighted-LM evaluation count in README.md's example2 section"
-    zd, zt, zs, zv = gb.make_example2_datasets(seed)
+    zd, zt, zs, zv = gb.make_datasets("example2", seed)
     grid = config["grid"]
     points = gb.run_sweep(
         gb.example_structure(config["structure"]["builtin"]), zd, zt, zs,

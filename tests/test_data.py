@@ -1,6 +1,7 @@
-"""Simulators, dataset containers, noise handling, CSV round trips."""
+"""Built-in system records, dataset generators, containers, CSV round trips."""
 
 import csv
+import hashlib
 import math
 import os
 import tempfile
@@ -12,7 +13,17 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import greybox as gb
-from greybox.data import EXAMPLE1, EXAMPLE2, _classify_header, get_system, write_table
+from greybox.cli import main
+from greybox.data import (
+    EXAMPLE1,
+    EXAMPLE2,
+    SYSTEMS,
+    _classify_header,
+    get_system,
+    simulate_system,
+    steady_curve_of_system,
+    write_table,
+)
 
 
 def manual_example1(u, n):
@@ -56,18 +67,36 @@ RECORDED_SEED0 = {
 }
 
 
+# sha256 of each CSV that `greybox generate --seed 0` writes, recorded before
+# the built-in systems became one record each
+GENERATED_SHA256_SEED0 = {
+    "example1": {
+        "zd": "d09d12ed37ffdcda233ee5efd1d316e30bb809d515e1e7e16be319a69c64a3cf",
+        "zt": "fef65e97024270ce63048ad6e9d164ce22b42b5e1da393d358ec657064f05c1c",
+        "zs": "c0425b5fcb432af1a974c6bb32c84a9fc7a08d85e694a7cab0e4c62476272dad",
+        "zv": "0b366027a55e58895691f5a3ad1fed2b67dabb39ffecc8876488d2ffe700eaa4",
+    },
+    "example2": {
+        "zd": "86e9c8cde1058c564074522e19d408dac86c3f0654ca8bdc603c3a9be68a06a3",
+        "zt": "b306f13c1f29027b0076e9cc98f873c336c57ec5025c595dd79b2ada44b0879a",
+        "zs": "0a7b05e39757bb1dac55f4655b9f82cf3db4e1630e503e2aa0e2edbab02e98de",
+        "zv": "bf5e9cfd5a3921a58afb432f0d734cd911b947bc6e1e73297e6100079b7ab761",
+    },
+}
+
+
 class TestSimulators:
     def test_example1_matches_hand_recurrence(self):
         rng = np.random.default_rng(11)
         u = rng.uniform(-1.0, 3.0, 60)
-        zd = gb.simulate_system(EXAMPLE1, u)
+        zd = simulate_system(EXAMPLE1, u)
         assert np.allclose(zd.output, manual_example1(u, 60), atol=1e-14)
         assert np.array_equal(zd.inputs[0], u)
 
     def test_example2_matches_hand_recurrence(self):
         rng = np.random.default_rng(12)
         u = rng.uniform(-5.0, 5.0, 60)
-        zd = gb.simulate_system(EXAMPLE2, u)
+        zd = simulate_system(EXAMPLE2, u)
         assert np.allclose(zd.output, manual_example2(u, 60), atol=1e-14)
 
     def test_get_system_names(self):
@@ -79,61 +108,45 @@ class TestSimulators:
     def test_simulation_divergence_reports_sample_index(self):
         # unstable regime from a huge initial state overflows within a few steps
         with np.errstate(over="ignore"), pytest.raises(gb.DivergenceError) as exc:
-            gb.simulate_system(
+            simulate_system(
                 EXAMPLE1, np.full(200, -2.0), init=[1e307, 1e307]
             )
         assert exc.value.index is not None
         assert 0 < exc.value.index < 200
 
-    def test_noise_changes_output_not_input(self):
-        u = np.linspace(-0.5, 0.5, 50)
-        clean = gb.simulate_system(EXAMPLE1, u)
-        noisy = gb.simulate_system(
-            EXAMPLE1, u, gb.NoiseSpec(scale=0.05, seed=4)
-        )
-        assert np.array_equal(noisy.inputs[0], clean.inputs[0])
-        assert not np.array_equal(noisy.output, clean.output)
-        # noise is additive on the measurement, not fed back into the state
-        renoised = clean.output + (noisy.output - clean.output)
-        assert np.array_equal(renoised, noisy.output)
-
 
 class TestStaticCurves:
     def test_example1_closed_form_points(self):
         # y(0.25 + 0.2 u) = 0.25 u, solved by hand at three inputs
-        zs = gb.steady_curve_of_system(EXAMPLE1, [1.0, 3.0, -1.0])
+        zs = steady_curve_of_system(EXAMPLE1, [1.0, 3.0, -1.0])
         assert zs.y_bar[0] == pytest.approx(5.0 / 9.0, abs=1e-14)
         assert zs.y_bar[1] == pytest.approx(15.0 / 17.0, abs=1e-14)
         assert zs.y_bar[2] == pytest.approx(-5.0, abs=1e-12)
 
     def test_example1_singular_input_raises(self):
         with pytest.raises(gb.SingularityError):
-            gb.steady_curve_of_system(EXAMPLE1, [-1.25])
+            steady_curve_of_system(EXAMPLE1, [-1.25])
 
     def test_example2_defining_equation(self):
-        zs = gb.steady_curve_of_system(EXAMPLE2, np.linspace(-20, 20, 25))
+        zs = steady_curve_of_system(EXAMPLE2, np.linspace(-20, 20, 25))
         for u, y in zip(zs.u_bar[:, 0], zs.y_bar):
             z = (1.7826 - 0.8187) * y + (0.01867 + 0.01746) * u
             assert abs(y - math.atan(z)) < 1e-12
 
     def test_example2_matches_long_constant_simulation(self):
-        for u_bar in (-12.0, 0.5, 7.0):
-            zs = gb.steady_curve_of_system(EXAMPLE2, [u_bar])
-            sim = gb.simulate_system(EXAMPLE2, np.full(1500, u_bar))
-            assert abs(sim.output[-1] - zs.y_bar[0]) < 1e-10
-
-    def test_static_noise_is_output_only(self):
-        grid = np.linspace(-1, 3, 10)
-        clean = gb.steady_curve_of_system(EXAMPLE1, grid)
-        noisy = gb.steady_curve_of_system(
-            EXAMPLE1, grid, gb.NoiseSpec(scale=0.02, seed=9)
-        )
-        assert np.array_equal(clean.u_bar, noisy.u_bar)
-        assert not np.array_equal(clean.y_bar, noisy.y_bar)
+        # every table entry: each record's curve against its own step held
+        # at a constant input; example1's levels stay clear of its pole at -1.25
+        levels = {"example1": (-0.5, 1.0, 3.0), "example2": (-12.0, 0.5, 7.0)}
+        assert set(levels) == set(SYSTEMS)
+        for name, system in SYSTEMS.items():
+            zs = steady_curve_of_system(system, levels[name])
+            for u_bar, y_bar in zip(levels[name], zs.y_bar):
+                sim = simulate_system(system, np.full(1500, u_bar))
+                assert abs(sim.output[-1] - y_bar) < 1e-10, (name, u_bar)
 
     @given(st.floats(min_value=-1.0, max_value=3.0))
     def test_example1_curve_satisfies_recurrence_fixed_point(self, u_bar):
-        zs = gb.steady_curve_of_system(EXAMPLE1, [u_bar])
+        zs = steady_curve_of_system(EXAMPLE1, [u_bar])
         y = zs.y_bar[0]
         residual = y - (0.75 * y + 0.25 * u_bar - 0.2 * y * u_bar)
         assert abs(residual) < 1e-12
@@ -163,35 +176,6 @@ class TestContainers:
         assert zs.n_inputs == 2
 
 
-class TestNoiseSpec:
-    def test_deterministic_given_seed(self):
-        a = gb.NoiseSpec(scale=0.3, seed=5).realize(100)
-        b = gb.NoiseSpec(scale=0.3, seed=5).realize(100)
-        assert np.array_equal(a, b)
-        c = gb.NoiseSpec(scale=0.3, seed=6).realize(100)
-        assert not np.array_equal(a, c)
-
-    def test_std_mode(self):
-        samples = gb.NoiseSpec(scale=0.5, seed=2).realize(200_000)
-        assert np.std(samples) == pytest.approx(0.5, rel=0.02)
-
-    def test_fraction_mode_tracks_signal_spread(self):
-        signal = np.sin(np.linspace(0, 20, 50_000)) * 3.0
-        noise = gb.NoiseSpec(
-            scale=0.1, scale_mode="fraction-of-signal-std", seed=3
-        ).realize(signal.size, signal)
-        assert np.std(noise) == pytest.approx(0.1 * np.std(signal), rel=0.05)
-
-    def test_fraction_mode_needs_signal(self):
-        with pytest.raises(ValueError):
-            gb.NoiseSpec(scale=0.1, scale_mode="fraction-of-signal-std").realize(10)
-
-    def test_unknown_mode_rejected(self):
-        for mode in ("sigma", "variance"):
-            with pytest.raises(ValueError):
-                gb.NoiseSpec(scale=0.1, scale_mode=mode)
-
-
 class TestGenerators:
     def test_example1_shapes(self, ex1_data):
         zd, zt, zs, zv = ex1_data
@@ -216,7 +200,7 @@ class TestGenerators:
         assert zv.sample_count == 2000
 
     def test_same_seed_bit_identical(self, ex1_data):
-        again = gb.make_example1_datasets(0)
+        again = gb.make_datasets("example1", 0)
         for left, right in zip(ex1_data, again):
             if isinstance(left, gb.SteadyDataset):
                 assert np.array_equal(left.u_bar, right.u_bar)
@@ -226,7 +210,7 @@ class TestGenerators:
                 assert np.array_equal(left.inputs[0], right.inputs[0])
 
     def test_different_seeds_differ(self, ex1_data):
-        other = gb.make_example1_datasets(1)
+        other = gb.make_datasets("example1", 1)
         assert not np.array_equal(ex1_data[0].output, other[0].output)
 
     @pytest.mark.parametrize("example", sorted(RECORDED_SEED0))
@@ -234,8 +218,7 @@ class TestGenerators:
         # shapes and per-column (sum, first, last) of both seed-0 splits, as
         # generated before the two recipes were folded into one; sums get an
         # absolute tolerance for the near-zero sum of example2's zs levels
-        make = {"example1": gb.make_example1_datasets, "example2": gb.make_example2_datasets}
-        splits = make[example](0)
+        splits = gb.make_datasets(example, 0)
         for ds, (name, n, columns) in zip(splits, RECORDED_SEED0[example]):
             if isinstance(ds, gb.SteadyDataset):
                 assert name == "zs" and ds.u_bar.shape == (n, 1)
@@ -248,6 +231,15 @@ class TestGenerators:
                 assert float(np.sum(column)) == pytest.approx(total, rel=1e-12, abs=1e-12), name
                 assert (column[0], column[-1]) == pytest.approx((first, last), rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("example", sorted(GENERATED_SHA256_SEED0))
+    def test_generated_csvs_match_recorded_bytes(self, example, tmp_path):
+        # every bit of every split, where its noise lands included
+        argv = ["generate", "--example", example, "--seed", "0", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        for name, digest in GENERATED_SHA256_SEED0[example].items():
+            got = hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest()
+            assert got == digest, name
+
     def test_splits_use_independent_noise_streams(self, ex1_data):
         zd, zt, _, _ = ex1_data
         assert not np.array_equal(zd.inputs[0], zt.inputs[0][: zd.sample_count])
@@ -255,7 +247,7 @@ class TestGenerators:
     def test_validation_record_is_noise_free_staircase(self, ex2_data):
         _, _, _, zv = ex2_data
         # replaying the stored input through the simulator reproduces the output
-        replay = gb.simulate_system(EXAMPLE2, zv.inputs[0])
+        replay = simulate_system(EXAMPLE2, zv.inputs[0])
         assert np.array_equal(replay.output, zv.output)
 
 

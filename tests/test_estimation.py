@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import greybox as gb
 from greybox import estimation
-from greybox.data import EXAMPLE1, simulate_system
+from greybox.data import EXAMPLE1, simulate_system, steady_curve_of_system
 from greybox.estimation import (
     build_stacked_system,
     init_mlp_theta,
@@ -24,7 +24,7 @@ def noiseless_split(seed=7, n=400):
     rng = np.random.default_rng(seed)
     u = -0.02 + 0.2 * rng.standard_normal(n)
     zd = simulate_system(EXAMPLE1, u)
-    zs = gb.steady_curve_of_system(EXAMPLE1, np.linspace(-1, 3, 50))
+    zs = steady_curve_of_system(EXAMPLE1, np.linspace(-1, 3, 50))
     return zd, zs
 
 

@@ -620,7 +620,7 @@ class TestSweepScoring:
     def test_scores_agree_with_the_numpy_step(self, seed):
         # criterion 2's datasets and settings, every point scored again with
         # the numpy-step reference loop: same scores to 1e-12, same picks
-        zd, zt, zs, zv = gb.make_example2_datasets(seed)
+        zd, zt, zs, zv = gb.make_datasets("example2", seed)
         train = gb.TrainConfig(algorithm="weighted_lm", lm=gb.LmConfig(60, 3))
         grid = gb.LambdaGrid.linspace(0.1, 0.9, 9)
         points = gb.run_sweep(gb.example_structure("example2"), zd, zt, zs, grid, train, zv=zv)

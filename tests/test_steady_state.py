@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import greybox as gb
-from greybox.data import EXAMPLE1
+from greybox.data import EXAMPLE1, steady_curve_of_system
 from greybox.estimation import init_mlp_theta
 from greybox.models import EXAMPLE1_TRUE_THETA
 
@@ -208,13 +208,13 @@ class TestStaticCosts:
     def test_substitution_equals_naive_reimplementation(self, true_model):
         rng = np.random.default_rng(2)
         u = rng.uniform(-1, 3, 20)
-        zs = gb.steady_curve_of_system(EXAMPLE1, u)
+        zs = steady_curve_of_system(EXAMPLE1, u)
         rows = gb.build_static_regressors(true_model.spec, zs)
         naive = float(np.mean((zs.y_bar - true_model.predict(rows)) ** 2))
         assert gb.cost_js_hat(true_model, zs) == pytest.approx(naive, abs=1e-15)
 
     def test_true_model_has_vanishing_costs(self, true_model):
-        zs = gb.steady_curve_of_system(EXAMPLE1, np.linspace(-1, 3, 25))
+        zs = steady_curve_of_system(EXAMPLE1, np.linspace(-1, 3, 25))
         assert gb.cost_js_hat(true_model, zs) < 1e-20
         assert (
             gb.cost_js_legacy(
@@ -245,7 +245,7 @@ class TestStaticCosts:
         assert result.y_bar == pytest.approx(y_bar, abs=1e-7)
 
     def test_evaluation_accounting(self, true_model):
-        zs = gb.steady_curve_of_system(EXAMPLE1, np.linspace(-1, 3, 10))
+        zs = steady_curve_of_system(EXAMPLE1, np.linspace(-1, 3, 10))
         counter = gb.EvalCounter()
         gb.cost_js_hat(true_model, zs, counter=counter)
         assert counter.count == 10  # one evaluation per steady pair
@@ -285,7 +285,7 @@ class TestStaticCosts:
 class TestModelStaticCurve:
     def test_true_model_curve_matches_system(self, true_model):
         grid = np.linspace(-1, 3, 15)
-        reference = gb.steady_curve_of_system(EXAMPLE1, grid)
+        reference = steady_curve_of_system(EXAMPLE1, grid)
         curve = gb.model_static_curve(
             true_model, grid, gb.FixedPointConfig(max_iterations=5000)
         )

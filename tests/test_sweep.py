@@ -248,7 +248,7 @@ class TestLmContinuation:
     def test_tradeoff_is_monotone(self, seed):
         # criterion 2's seeds: each lambda continues from the optimum of the
         # one before, so the costs move one way along the grid
-        zd, _, zs, _ = gb.make_example2_datasets(seed)
+        zd, _, zs, _ = gb.make_datasets("example2", seed)
         points = gb.run_sweep(gb.example_structure("example2"), zd, None, zs, GRID9, LM_TRAIN)
         for prev, nxt in zip(points, points[1:]):
             assert prev.j_d <= nxt.j_d, (prev.lam, nxt.lam)
