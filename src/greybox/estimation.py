@@ -6,8 +6,10 @@ stacks the dynamic rows and one static pseudo-sample row per steady-state pair:
 - :func:`fit_wls` solves linear-in-parameter models in closed form under the
   diagonal weighting W = diag[(1-lam) I_Nd, lam I_Ns];
 - :func:`fit_weighted_lm` minimizes the squared norm of the stacked error
-  vector E = [(1-lam)(y - F(psi)); lam(y_bar - F(psi_bar))] by damped
-  Gauss-Newton steps with an analytic Jacobian, the workhorse for MLP models;
+  vector E = [(1-lam)(y - F(psi)); lam(y_bar - F(psi_bar))] for MLP models:
+  it solves the linear output layer exactly at every evaluation and takes
+  damped Gauss-Newton steps over the hidden layer alone, with an analytic
+  Jacobian, so the output layer of every model it returns is solved;
 - :func:`fit_ga_legacy` is a deliberately faithful baseline that scores the
   static residual by numeric fixed-point iteration per operating point, so
   its per-candidate cost is dominated by the iteration horizon.
@@ -40,7 +42,8 @@ from .models import (
     MlpModel,
     Model,
     PolynomialModel,
-    _mlp_forward,
+    _mlp_hidden,
+    _mlp_output,
     _mlp_unpack,
     build_regression_matrix,
     build_static_regressors,
@@ -53,12 +56,15 @@ ALGORITHMS = ("ols", "wls", "weighted_lm", "ga_legacy")
 # Levenberg-Marquardt damping: the first trial's damping, the factor a
 # rejected step multiplies it by and an accepted one divides it by, and the
 # damping at which the solver gives up.  It also stops once the gradient or
-# the step falls below its tolerance.
+# the step falls below its tolerance, and before it accepts a step whose
+# output layer's normal matrix is conditioned worse than the bound (1-norm)
+# and worse than at the current point.
 _LM_INITIAL_DAMPING = 1e-3
 _LM_DAMPING_FACTOR = 10.0
 _LM_MAX_DAMPING = 1e14
 _LM_GRADIENT_TOLERANCE = 1e-10
 _LM_STEP_TOLERANCE = 1e-12
+_LM_MAX_OUTPUT_CONDITION = 1e4
 
 # GA operators: per-gene mutation scale relative to the population spread
 # (also the initial spread when GaConfig.init_spread is None), the share of
@@ -206,7 +212,7 @@ def mlp_jacobian(model: MlpModel, psi_rows: np.ndarray) -> np.ndarray:
     The result is the transpose of a C-order (parameters, rows) array."""
     psi_rows = np.atleast_2d(np.asarray(psi_rows, dtype=float))
     x_t = model._features(psi_rows).T
-    _, hidden = _mlp_forward(model.theta, model.n_hidden, x_t)
+    hidden = _mlp_hidden(model.theta, model.n_hidden, x_t)
     jac_t = np.empty((model.n_params, x_t.shape[1]))
     return _mlp_jacobian(model.theta, model.n_hidden, x_t, hidden, 1.0, jac_t).T
 
@@ -293,33 +299,57 @@ def fit_weighted_lm(
     theta0: np.ndarray | None = None,
     counter: EvalCounter | None = None,
 ) -> tuple[MlpModel, list[TraceRecord]]:
-    """Damped least squares on the stacked error vector E = weights * r.
+    """Damped least squares on the stacked error vector E = weights * r,
+    separated into the hidden layer, which LM iterates, and the output layer,
+    which is solved.
 
     r is the one-step residual over the whole stack of
     :func:`build_stacked_system`, dynamic rows and static pseudo-samples
-    alike.  The parameter vector starts from a seeded random draw (or
-    ``theta0``, a 1-D vector of ``model.n_params`` values, when given; with
-    ``n_starts`` > 1 several seeded starts run and the lowest final cost
-    wins).  Each outer iteration either accepts a step, shrinking the
+    alike.  The network output b0 + sum_i w_out_i tanh(.) is linear in the
+    output layer c = (b0, w_out), so for hidden parameters p (the node
+    blocks, theta[1 + n_hidden:]) the best c is a weighted linear least
+    squares solution (variable projection; Golub and Pereyra, 1973).  LM runs
+    over p alone.  p starts from a seeded random draw (or from ``theta0``, a
+    1-D vector of ``model.n_params`` values, whose output layer is not read;
+    with ``n_starts`` > 1 several seeded starts run and the lowest final
+    cost wins).  Each outer iteration either accepts a step, shrinking the
     damping, or rejects it and inflates the damping; accepted steps never
-    increase the squared error norm.  The trace holds the initial state plus
-    one record per accepted step.
+    increase the squared error norm.  The returned parameters are the full
+    theta = (c, p), and c is always the solved one, so even with
+    ``max_iterations`` 0 the output layer of the result is the weighted
+    least squares fit for the start's hidden layer.  The trace holds the
+    initial state plus one record per accepted step.
 
-    Each evaluation runs the network over the transposed regressor rows
-    with ``_mlp_forward``, as ``predict`` does.  At an accepted
-    point the Jacobian of E is filled as its (parameters, rows) transpose,
-    as :func:`mlp_jacobian` fills it, below E in one array, and one BLAS
-    gemm gives the gradient J^T E and the Gauss-Newton matrix J^T J, whose
-    two triangles are then averaged so that it is exactly symmetric.  This
-    rounds differently from ``jac.T @ e`` and ``jac.T @ jac`` (syrk) on a
-    C-order copy of the Jacobian, so fits move at the rounding level: on
-    example2 seeds 0-31 the weighted-LM sweeps' picks are unchanged and
-    their validation RMSE moves by at most 4.2e-8 relative.
+    Each evaluation runs the hidden layer over the transposed regressor rows,
+    forms A = w [1, tanh] over the stacked rows, and solves c from the
+    (1 + n_hidden)-square normal equations A^T A c = A^T (w y), both sides
+    from one small gemm, with ``np.linalg.solve``.  It counts one model
+    evaluation per stacked row; the linear solve is not counted.  At an
+    accepted point the Jacobian of E over the full theta is filled as its
+    (parameters, rows) transpose, as :func:`mlp_jacobian` fills it, below E
+    in one array, and one BLAS gemm gives J^T E and J^T J.  LM's system is
+    Kaufman's (1975) reduced one: the Schur complement of the output-layer
+    block, J_p^T J_p - J_p^T J_c (J_c^T J_c)^-1 J_c^T J_p, with its two
+    triangles averaged so that it is exactly symmetric, and the gradient
+    J_p^T E, since J_c^T E = 0 at the solved c.  (J_c^T J_c)^-1 is the
+    inverse of the point's own output-layer normal matrix.
 
-    A start whose initial cost or Jacobian goes non-finite is skipped; when
-    every start does, the first one's DivergenceError, naming the iteration,
-    is raised.  Numpy's overflow and invalid-value warnings are silenced
-    inside a start, since a non-finite start or trial is handled here.
+    Besides the gradient and step tests, LM stops before it accepts a step
+    whose output-layer normal matrix is conditioned worse than
+    ``_LM_MAX_OUTPUT_CONDITION`` (1-norm) and worse than at the current
+    point.  Past it a node turns linear while b0 and w_out grow to cancel
+    each other: on example2 seed 0 at lam 0.9 the cost falls by only 3e-5
+    relative while w_out grows to about 1600, and the free-run scores of
+    such a model no longer repeat to 1e-12 under another float evaluation
+    order.
+
+    A trial whose output layer cannot be solved (``np.linalg.solve`` finds
+    the normal matrix singular, or c is not finite) or whose cost is not
+    finite is rejected.  A start where either happens, or whose Jacobian
+    goes non-finite, is skipped; when every start is, the first one's
+    DivergenceError, naming the iteration (0 for the start itself), is
+    raised.  Numpy's overflow and invalid-value warnings are silenced inside
+    a start, since a non-finite start or trial is handled here.
     """
     config = config or LmConfig()
     q = model.n_params
@@ -334,41 +364,70 @@ def fit_weighted_lm(
         seeds = np.random.SeedSequence(init_seed).generate_state(config.n_starts, np.uint64)
         starts = [init_mlp_theta(model, int(s)) for s in seeds]
     stacked = build_stacked_system(model, zd, zs, lam)
-    psi, y, weights = stacked.psi, stacked.y, stacked.weights
+    y, weights = stacked.y, stacked.weights
     n_d, n_s = stacked.n_dynamic, stacked.n_static
     counter = counter if counter is not None else EvalCounter()
     trace_record = _trace_recorder(counter)
-    nh, x_t = model.n_hidden, np.ascontiguousarray(model._features(psi).T)
+    nh, x_t = model.n_hidden, np.ascontiguousarray(model._features(stacked.psi).T)
+    nc = 1 + nh  # the output layer's values lead theta
     neg_w = -weights
+    # A = w [1, tanh] transposed, one row per output-layer value, above w y,
+    # so that one matrix product with A gives both sides of c's equations
+    basis = np.empty((nc + 1, y.size))
+    basis[0] = weights
+    np.multiply(weights, y, out=basis[nc])
     # E in the first row and the Jacobian of E, one row per parameter, below
     # it, so that one matrix product gives both J^T E and J^T J: numpy sends
     # J^T J alone to BLAS syrk, which is slower than gemm at these sizes
     system = np.empty((1 + q, y.size))
     jac_t = system[1:]
 
-    # straight from theta: a model per trial would re-validate and copy it;
-    # the hidden activations are kept for the Jacobian at an accepted trial
-    def evaluate(theta):
-        r, t = _mlp_forward(theta, nh, x_t)
-        np.subtract(y, r, out=r)
+    # the point at hidden parameters p, or None when its output layer cannot
+    # be solved: (cost, theta, e, r, hidden, gram), the hidden activations and
+    # the output layer's normal matrix kept for the step system
+    def evaluate(p):
+        theta = np.empty(q)
+        theta[nc:] = p
+        hidden = _mlp_hidden(theta, nh, x_t)
         counter.add(y.size)
+        np.multiply(weights, hidden, out=basis[1:nc])
+        products = basis @ basis[:nc].T
+        gram = products[:nc]
+        try:
+            c = np.linalg.solve(gram, products[nc])
+        except np.linalg.LinAlgError:  # e.g. a node whose tanh is zero on every row
+            return None
+        if not np.isfinite(c).all():
+            return None
+        theta[:nc] = c
+        r = _mlp_output(theta, nh, hidden)
+        np.subtract(y, r, out=r)
         e = weights * r
-        return float(e @ e), e, r, t
+        return float(e @ e), theta, e, r, hidden, gram
 
-    def normal_equations(theta, e, hidden, it):
+    def invert(gram):
+        """The inverse of an output layer's normal matrix and its 1-norm
+        condition number (the matrix is symmetric)."""
+        inverse = np.linalg.inv(gram)
+        return inverse, np.abs(gram).sum(0).max() * np.abs(inverse).sum(0).max()
+
+    def step_system(point, inverse, it):
+        _, theta, e, _, hidden, _ = point
         system[0] = e
         _mlp_jacobian(theta, nh, x_t, hidden, neg_w, jac_t)
         products = system @ jac_t.T
         # a non-finite entry of J makes its diagonal entry of J^T J non-finite
         if not np.isfinite(products).all() and not np.isfinite(jac_t).all():
             raise DivergenceError(f"non-finite jacobian at iteration {it}", index=it)
-        grad, hess = products[0], products[1:]
+        grad, hess = products[0, nc:], products[1 + nc :, nc:]
+        hess -= products[1 + nc :, :nc] @ (inverse @ products[1 : 1 + nc, nc:])
         # gemm may round the two triangles differently
         hess += hess.T
         hess *= 0.5
         return grad, hess
 
-    def record(iteration, r, cost):
+    def record(iteration, point):
+        cost, r = point[0], point[3]
         j_d = float(np.add.reduce(r[:n_d] ** 2)) / n_d if n_d else 0.0
         j_s = float(np.add.reduce(r[n_d:] ** 2)) / n_s if n_s else 0.0
         return trace_record(iteration, j_d, j_s, (1.0 - lam) * j_d + lam * j_s, cost)
@@ -377,18 +436,21 @@ def fit_weighted_lm(
     # the start, rejection for a trial
     @np.errstate(over="ignore", invalid="ignore")
     def minimize_from(theta_start):
-        theta = np.array(theta_start, dtype=float)
-        cost, e, r, hidden = evaluate(theta)
-        if not math.isfinite(cost):
+        p = np.array(theta_start[nc:], dtype=float)
+        point = evaluate(p)
+        if point is None:
+            raise DivergenceError("singular output layer at the initial parameters", index=0)
+        if not math.isfinite(point[0]):
             raise DivergenceError("non-finite cost at the initial parameters", index=0)
-        trace = [record(0, r, cost)]
+        trace = [record(0, point)]
+        inverse, cond = invert(point[5])
         mu = _LM_INITIAL_DAMPING
         accepted = 0
         grad = None
-        identity = np.eye(q)
+        identity = np.eye(p.size)
         for it in range(1, config.max_iterations + 1):
             if grad is None:
-                grad, hess = normal_equations(theta, e, hidden, it)
+                grad, hess = step_system(point, inverse, it)
             if np.abs(grad).max() < _LM_GRADIENT_TOLERANCE:
                 break
             try:
@@ -399,22 +461,26 @@ def fit_weighted_lm(
                     break
                 continue
             if math.sqrt(delta @ delta) <= _LM_STEP_TOLERANCE * (
-                math.sqrt(theta @ theta) + _LM_STEP_TOLERANCE
+                math.sqrt(p @ p) + _LM_STEP_TOLERANCE
             ):
                 break
-            trial = theta + delta
-            cost_t, e_t, r_t, hidden_t = evaluate(trial)
-            if math.isfinite(cost_t) and cost_t < cost:
-                theta, e, r, hidden, cost = trial, e_t, r_t, hidden_t, cost_t
+            p_trial = p + delta
+            trial = evaluate(p_trial)
+            if trial is not None and math.isfinite(trial[0]) and trial[0] < point[0]:
+                inverse_t, cond_t = invert(trial[5])
+                # past the bound the output cancels more digits in every step
+                if cond_t > max(_LM_MAX_OUTPUT_CONDITION, cond):
+                    break
+                p, point, inverse, cond = p_trial, trial, inverse_t, cond_t
                 mu = max(mu / _LM_DAMPING_FACTOR, 1e-15)
                 accepted += 1
-                trace.append(record(accepted, r, cost))
+                trace.append(record(accepted, point))
                 grad = None
             else:
                 mu *= _LM_DAMPING_FACTOR
                 if mu > _LM_MAX_DAMPING:
                     break
-        return theta, cost, trace
+        return point[1], point[0], trace
 
     best = failure = None
     for theta_start in starts:

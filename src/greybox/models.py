@@ -327,7 +327,8 @@ class MlpModel:
 
     def predict(self, psi_rows: np.ndarray) -> np.ndarray:
         psi_rows = np.atleast_2d(np.asarray(psi_rows, dtype=float))
-        return _mlp_forward(self.theta, self.n_hidden, self._features(psi_rows).T)[0]
+        hidden = _mlp_hidden(self.theta, self.n_hidden, self._features(psi_rows).T)
+        return _mlp_output(self.theta, self.n_hidden, hidden)
 
     def _predict_psi(self, psi) -> float:
         b0, w_out, b_h, w_h = self.unpack()
@@ -365,17 +366,21 @@ def _mlp_unpack(theta: np.ndarray, n_hidden: int, n_features: int):
     return theta[0], theta[1 : 1 + n_hidden], blocks[:, 0], blocks[:, 1:]
 
 
-def _mlp_forward(theta: np.ndarray, n_hidden: int, x_t: np.ndarray):
-    """MLP outputs for packed parameters over the non-constant regressors
-    ``x_t``, one row per feature and one column per sample, and the hidden
-    layer's tanh activations, one row per node."""
-    b0, w_out, b_h, w_h = _mlp_unpack(theta, n_hidden, x_t.shape[0])
+def _mlp_hidden(theta: np.ndarray, n_hidden: int, x_t: np.ndarray) -> np.ndarray:
+    """The hidden layer's tanh activations, one row per node, for packed
+    parameters over the non-constant regressors ``x_t``, one row per feature
+    and one column per sample; the output layer's values are not read."""
+    _, _, b_h, w_h = _mlp_unpack(theta, n_hidden, x_t.shape[0])
     hidden = w_h @ x_t
     hidden += b_h[:, None]
-    np.tanh(hidden, out=hidden)
-    out = w_out @ hidden
-    out += b0
-    return out, hidden
+    return np.tanh(hidden, out=hidden)
+
+
+def _mlp_output(theta: np.ndarray, n_hidden: int, hidden: np.ndarray) -> np.ndarray:
+    """The network's outputs from its hidden activations."""
+    out = theta[1 : 1 + n_hidden] @ hidden
+    out += theta[0]
+    return out
 
 
 Model = Union[PolynomialModel, MlpModel]

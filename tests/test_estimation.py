@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import greybox as gb
@@ -17,7 +17,7 @@ from greybox.estimation import (
     mlp_jacobian,
     write_trace_csv,
 )
-from greybox.models import EXAMPLE1_TRUE_THETA
+from greybox.models import EXAMPLE1_TRUE_THETA, _mlp_hidden
 
 
 def noiseless_split(seed=7, n=400):
@@ -137,20 +137,34 @@ EPS = np.finfo(float).eps
 
 
 @st.composite
-def mlp_problems(draw):
-    """A 1-4 node MLP over 1-3 inputs with sorted random lags, with or
-    without the constant slot, at random parameters, and a generator for
-    its data."""
+def mlp_problems(draw, max_hidden=4):
+    """A 1 to ``max_hidden`` node MLP over 1-3 inputs with sorted random
+    lags, with or without the constant slot, at random parameters, and a
+    generator for its data."""
     lags = st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True).map(tuple)
     spec = gb.RegressorSpec(
         output_lags=tuple(sorted(draw(lags))),
         input_lags=tuple(tuple(sorted(draw(lags))) for _ in range(draw(st.integers(1, 3)))),
         include_constant=draw(st.booleans()),
     )
-    n_hidden = draw(st.integers(1, 4))
+    n_hidden = draw(st.integers(1, max_hidden))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     theta = rng.uniform(-2, 2, gb.MlpModel.n_params_for(spec, n_hidden))
     return gb.MlpModel(spec, n_hidden, theta), rng
+
+
+def random_records(spec, rng):
+    """A short random dynamic record and a few steady-state pairs for ``spec``."""
+    n = int(rng.integers(spec.max_lag + 5, spec.max_lag + 60))
+    zd = gb.DynDataset(
+        inputs=tuple(rng.standard_normal(n) for _ in range(spec.n_inputs)),
+        output=rng.standard_normal(n),
+    )
+    n_s = int(rng.integers(1, 8))
+    zs = gb.SteadyDataset(
+        u_bar=rng.standard_normal((n_s, spec.n_inputs)), y_bar=rng.standard_normal(n_s)
+    )
+    return zd, zs
 
 
 class TestJacobians:
@@ -172,22 +186,16 @@ class TestJacobians:
             scale = np.maximum(np.abs(fd), 1.0)
             assert np.max(np.abs(jac[:, j] - fd) / scale) < 1e-5
 
-    @given(problem=mlp_problems(), lam=st.floats(0.05, 0.95))
-    def test_lm_normal_equations_match_the_jacobian(self, problem, lam):
-        # E = w (y - F) has the Jacobian -diag(w) G, G = mlp_jacobian, so the
-        # LM's first system reads (G^T diag(w^2) G + mu I) delta = G^T diag(w^2) r;
-        # each side is within 8 n eps of its terms' magnitudes, n rows
+    @given(problem=mlp_problems(max_hidden=3), lam=st.floats(0.05, 0.95))
+    def test_lm_step_system_is_the_schur_complement(self, problem, lam):
+        # E = w (y - F) has the Jacobian -diag(w) G, G = mlp_jacobian, whose
+        # Gauss-Newton matrix H = G^T diag(w^2) G splits into the output-layer
+        # block c and the hidden block p.  At the start, with c solved, the
+        # LM's first system reads (S + mu I) delta = G_p^T diag(w^2) r, S the
+        # Schur complement H_pp - H_pc H_cc^-1 H_cp.  Each entry of S is
+        # within 8 n eps cond(H_cc) of its terms' magnitudes, n rows
         model, rng = problem
-        spec = model.spec
-        n = int(rng.integers(spec.max_lag + 5, spec.max_lag + 60))
-        zd = gb.DynDataset(
-            inputs=tuple(rng.standard_normal(n) for _ in range(spec.n_inputs)),
-            output=rng.standard_normal(n),
-        )
-        n_s = int(rng.integers(1, 8))
-        zs = gb.SteadyDataset(
-            u_bar=rng.standard_normal((n_s, spec.n_inputs)), y_bar=rng.standard_normal(n_s)
-        )
+        zd, zs = random_records(model.spec, rng)
         systems = []
         solve = np.linalg.solve
 
@@ -200,21 +208,49 @@ class TestJacobians:
             gb.fit_weighted_lm(
                 model, zd, zs, lam, gb.LmConfig(max_iterations=1), theta0=model.theta
             )
-        a, b = systems[0]
+        nc = 1 + model.n_hidden
+        n_p = model.n_params - nc
+        a, b = next(system for system in systems if system[0].shape == (n_p, n_p))
+        start, _ = gb.fit_weighted_lm(
+            model, zd, zs, lam, gb.LmConfig(max_iterations=0), theta0=model.theta
+        )
         stacked = build_stacked_system(model, zd, zs, lam)
         w2, y = stacked.weights**2, stacked.y
-        g = mlp_jacobian(model, stacked.psi)
-        r = y - model.predict(stacked.psi)
-        mu_eye = estimation._LM_INITIAL_DAMPING * np.eye(model.n_params)
-        bound = 8 * y.size * EPS
+        g = mlp_jacobian(start, stacked.psi)
+        r = y - start.predict(stacked.psi)
+        h = g.T @ (w2[:, None] * g)
+        x = np.linalg.solve(h[:nc, :nc], h[:nc, nc:])
+        schur = h[nc:, nc:] - h[nc:, :nc] @ x
+        magnitude = np.abs(g).T @ (w2[:, None] * np.abs(g))
+        terms = magnitude[nc:, nc:] + magnitude[nc:, :nc] @ np.abs(x)
+        mu_eye = estimation._LM_INITIAL_DAMPING * np.eye(n_p)
+        bound = 8 * y.size * EPS * np.linalg.cond(h[:nc, :nc])
         assert np.array_equal(a, a.T)
-        assert np.all(
-            np.abs(a - (g.T @ (w2[:, None] * g) + mu_eye))
-            <= bound * (np.abs(g).T @ (w2[:, None] * np.abs(g)) + mu_eye)
-        )
-        b0, w_out, _, _ = model.unpack()
+        assert np.all(np.abs(a - (schur + mu_eye)) <= bound * terms)
+        b0, w_out, _, _ = start.unpack()
         r_terms = np.abs(r) + np.abs(y) + abs(b0) + np.abs(w_out).sum()
-        assert np.all(np.abs(b - g.T @ (w2 * r)) <= bound * (np.abs(g).T @ (w2 * r_terms)))
+        g_p = g[:, nc:]
+        assert np.all(
+            np.abs(b - g_p.T @ (w2 * r)) <= 8 * y.size * EPS * (np.abs(g_p).T @ (w2 * r_terms))
+        )
+
+    @given(problem=mlp_problems(max_hidden=3), lam=st.floats(0.05, 0.95))
+    def test_output_layer_is_the_weighted_least_squares_solution(self, problem, lam):
+        model, rng = problem
+        zd, zs = random_records(model.spec, rng)
+        fitted, _ = gb.fit_weighted_lm(
+            model, zd, zs, lam, gb.LmConfig(max_iterations=3), theta0=model.theta
+        )
+        nc = 1 + model.n_hidden
+        stacked = build_stacked_system(model, zd, zs, lam)
+        x_t = fitted._features(stacked.psi).T
+        basis = np.vstack([np.ones(stacked.y.size), _mlp_hidden(fitted.theta, model.n_hidden, x_t)])
+        a = (stacked.weights * basis).T
+        # the solver's normal equations lose up to cond(a)^2 eps against
+        # lstsq's SVD; about 1 draw in 170 is conditioned worse than 1e4
+        assume(np.linalg.cond(a) <= 1e4)
+        expected = np.linalg.lstsq(a, stacked.weights * stacked.y, rcond=None)[0]
+        np.testing.assert_allclose(fitted.theta[:nc], expected, rtol=1e-8)
 
 
 class TestInitTheta:
@@ -259,13 +295,21 @@ class TestWeightedLm:
         assert np.array_equal(m1.theta, m2.theta)
 
     def test_explicit_start_is_respected(self, ex2_structure, ex2_data):
+        # theta0 supplies the hidden layer; the output layer is always solved
         zd, _, zs, _ = ex2_data
         theta0 = np.full(7, 0.05)
         config = gb.LmConfig(max_iterations=0)
         model, _ = gb.fit_weighted_lm(
             ex2_structure, zd, zs, 0.3, config, theta0=theta0
         )
-        assert np.array_equal(model.theta, theta0)
+        assert np.array_equal(model.theta[2:], theta0[2:])
+        stacked = build_stacked_system(model, zd, zs, 0.3)
+        w = stacked.weights
+        hidden = np.tanh(model._features(stacked.psi) @ theta0[3:] + theta0[2])
+        expected = np.linalg.lstsq(
+            np.column_stack([w, w * hidden]), w * stacked.y, rcond=None
+        )[0]
+        np.testing.assert_allclose(model.theta[:2], expected, rtol=1e-8)
 
     @pytest.mark.parametrize("theta0", [np.zeros(5), np.zeros((7, 1))])
     def test_rejects_a_start_of_the_wrong_shape(self, ex2_structure, ex2_data, theta0):
@@ -273,13 +317,52 @@ class TestWeightedLm:
         with pytest.raises(ValueError, match="7 parameters"):
             gb.fit_weighted_lm(ex2_structure, zd, zs, 0.3, theta0=theta0)
 
-    @pytest.mark.parametrize("value", [math.inf, 1e200])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
     def test_overflowing_start_diverges_without_warnings(self, ex2_structure, ex2_data, value):
+        # an infinite weight times inputs of both signs makes the hidden
+        # layer NaN.  A finite start no longer overflows: tanh bounds the
+        # hidden layer and the output layer is solved, not read
         zd, _, zs, _ = ex2_data
+        theta0 = np.full(7, value)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(gb.DivergenceError):
-                gb.fit_weighted_lm(ex2_structure, zd, zs, 0.3, theta0=np.full(7, value))
+                gb.fit_weighted_lm(ex2_structure, zd, zs, 0.3, theta0=theta0)
+
+    def test_start_with_a_dead_node_raises_at_index_zero(self, ex2_structure, ex2_data):
+        # with p = 0 the node's tanh column is exactly zero, so the output
+        # layer's normal matrix is singular
+        zd, _, zs, _ = ex2_data
+        theta0 = np.zeros(7)
+        theta0[:2] = 0.5  # never read
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(gb.DivergenceError, match="singular output layer") as exc:
+                gb.fit_weighted_lm(ex2_structure, zd, zs, 0.3, theta0=theta0)
+        assert exc.value.index == 0
+
+    def test_multistart_skips_a_start_with_a_dead_node(self, ex2_structure, ex2_data, monkeypatch):
+        zd, _, zs, _ = ex2_data
+        config = gb.LmConfig(max_iterations=10, n_starts=3)
+        starts = []
+
+        def second_start_dead(model, seed):
+            theta = init_mlp_theta(model, seed)
+            starts.append(theta)
+            return np.zeros_like(theta) if len(starts) == 2 else theta
+
+        monkeypatch.setattr(estimation, "init_mlp_theta", second_start_dead)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model, trace = gb.fit_weighted_lm(ex2_structure, zd, zs, 0.3, config)
+        monkeypatch.undo()
+        fits = [
+            gb.fit_weighted_lm(ex2_structure, zd, zs, 0.3, config, theta0=starts[i])
+            for i in (0, 2)
+        ]
+        best_model, best_trace = min(fits, key=lambda fit: fit[1][-1].cost)
+        assert np.array_equal(model.theta, best_model.theta)
+        assert trace[-1].cost == best_trace[-1].cost
 
     def test_multistart_never_worse_than_single(self, ex2_structure, ex2_data):
         zd, _, zs, _ = ex2_data
@@ -356,21 +439,33 @@ class TestWeightedLm:
         assert exc.value.index == 0
 
     def test_pinned_result(self, ex2_structure, ex2_data):
-        # criteria 2 and 3's settings at lambda 0.5, recorded before dynamic
-        # rows and static pseudo-samples were evaluated as one stack
+        # criteria 2 and 3's settings at lambda 0.5, recorded when the output
+        # layer became solved at every evaluation and LM moved the hidden
+        # layer alone
         zd, _, zs, _ = ex2_data
         model, trace = gb.fit_weighted_lm(ex2_structure, zd, zs, 0.5, gb.LmConfig(60, 3))
         expected_theta = [
-            -0.01133189088401438, -3.101896450593478, -0.0036482699008111934,
-            -0.4492961237324487, 0.132811185648003, 0.00043222979763700913,
-            -0.0015959653286392015,
+            -0.0436431370439036, -8.03319805921722, -0.005431423713733789,
+            -0.17347220905755745, 0.051861052264733226, 0.00026756224968947076,
+            -0.0005150983225739354,
         ]
         np.testing.assert_allclose(model.theta, expected_theta, rtol=1e-10)
         last = trace[-1]
-        assert last.j_sd == pytest.approx(9.338694414309226e-05, rel=1e-10)
-        assert last.cost == pytest.approx(0.03532025076540826, rel=1e-10)
-        assert last.iteration == 30
-        assert last.model_evaluations == 319884
+        assert last.j_sd == pytest.approx(6.682971472211054e-05, rel=1e-10)
+        assert last.cost == pytest.approx(0.035036266838219504, rel=1e-10)
+        assert last.iteration == 13
+        assert last.model_evaluations == 90896
+
+    def test_output_layer_stays_within_the_conditioning_bound(self, ex2_structure, ex2_data):
+        # at lambda 0.9 the cost keeps falling, by about 3e-5 relative, as
+        # the node turns linear and b0 and w_out grow to cancel each other
+        # (to |w_out| ~ 1600 and cond ~ 5e6 without the bound)
+        zd, _, zs, _ = ex2_data
+        model, _ = gb.fit_weighted_lm(ex2_structure, zd, zs, 0.9, gb.LmConfig(60, 3))
+        stacked = build_stacked_system(model, zd, zs, 0.9)
+        hidden = _mlp_hidden(model.theta, 1, model._features(stacked.psi).T)
+        a = stacked.weights * np.vstack([np.ones(stacked.y.size), hidden])
+        assert np.linalg.cond(a @ a.T, 1) <= estimation._LM_MAX_OUTPUT_CONDITION * (1 + 1e-9)
 
     def test_nonzero_lambda_needs_statics(self, ex2_structure, ex2_data):
         zd, _, _, _ = ex2_data
