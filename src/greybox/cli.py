@@ -58,6 +58,15 @@ from .sweep import (
 
 GENERATORS = {name: functools.partial(make_datasets, name) for name in SYSTEMS}
 
+# the keys a train or sweep config may hold, each command accepting all of
+# them so that one file can hold both a lambda and a grid
+_CONFIG_KEYS = (
+    "structure", "datasets", "lambda", "algorithm", "init_seed",
+    "lm", "ga", "fixed_point", "grid", "out",
+)
+_DATASET_KEYS = ("generator", "seed", "zd", "zt", "zs", "zv")
+_GRID_KEYS = ("start", "stop", "count")
+
 
 def _write_json(path, doc) -> None:
     with open(path, "w") as fh:
@@ -138,9 +147,16 @@ def _resolve_datasets(doc):
     return zd, zt, zs, zv
 
 
+def _check_keys(doc, allowed: tuple[str, ...], where: str) -> None:
+    """Refuse a key of the JSON object ``doc`` that is not ``allowed``; a
+    ``doc`` that is no object is left to the code that reads it."""
+    if isinstance(doc, dict) and (unknown := sorted(set(doc) - set(allowed))):
+        raise ConfigError(
+            f"unknown {where} key {', '.join(map(repr, unknown))}, expected {', '.join(allowed)}"
+        )
+
+
 def _subconfig(cls, doc, name):
-    if doc is None:
-        return cls()
     if not isinstance(doc, dict):
         raise ConfigError(f"{name} must be a JSON object")
     try:
@@ -150,37 +166,29 @@ def _subconfig(cls, doc, name):
 
 
 def _train_config(cfg: dict, args) -> TrainConfig:
-    lam = args.lam if args.lam is not None else cfg.get("lambda", 0.0)
-    algorithm = args.algorithm or cfg.get("algorithm", "wls")
-    init_seed = args.seed if args.seed is not None else cfg.get("init_seed", 0)
+    """The config's training block, flags first; an absent or null solver
+    block keeps :class:`TrainConfig`'s default."""
+    blocks = {
+        name: _subconfig(cls, cfg[name], name)
+        for name, cls in (("lm", LmConfig), ("ga", GaConfig), ("fixed_point", FixedPointConfig))
+        if cfg.get(name) is not None
+    }
     try:
         return TrainConfig(
-            lam=lam,
-            algorithm=algorithm,
-            lm=_subconfig(LmConfig, cfg.get("lm"), "lm"),
-            ga=_subconfig(GaConfig, cfg.get("ga"), "ga"),
-            init_seed=init_seed,
+            lam=args.lam if args.lam is not None else cfg.get("lambda", 0.0),
+            algorithm=args.algorithm or cfg.get("algorithm", "wls"),
+            init_seed=args.seed if args.seed is not None else cfg.get("init_seed", 0),
+            **blocks,
         )
     except (TypeError, ValueError) as exc:  # e.g. "lambda": 1.5
         raise ConfigError(str(exc)) from exc
 
 
-def _fp_config(cfg: dict) -> FixedPointConfig | None:
-    doc = cfg.get("fixed_point")
-    if doc is None:
-        return None
-    return _subconfig(FixedPointConfig, doc, "fixed_point")
-
-
-def _train_manifest(train: TrainConfig, fp_config: FixedPointConfig | None) -> dict:
+def _train_manifest(train: TrainConfig) -> dict:
     """The manifest's ``train`` block, less the lambda a sweep does not fix."""
-    return {
-        "algorithm": train.algorithm,
-        "init_seed": train.init_seed,
-        "lm": asdict(train.lm),
-        "ga": asdict(train.ga),
-        "fixed_point": None if fp_config is None else asdict(fp_config),
-    }
+    doc = asdict(train)
+    del doc["lam"]
+    return doc
 
 
 def _out_dir(args, cfg=None) -> Path:
@@ -214,18 +222,28 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
+def _training_inputs(args, needs: str):
+    """What train and sweep read first: the config, the output directory,
+    the structure and (zd, zt, zs, zv), of which ``needs`` requires zd.
+    A key that its block does not list is refused first."""
     cfg = _load_config(args.config) if args.config else {}
+    _check_keys(cfg, _CONFIG_KEYS, "config")
+    _check_keys(cfg.get("datasets"), _DATASET_KEYS, "datasets")
+    _check_keys(cfg.get("grid"), _GRID_KEYS, "grid")
     out = _out_dir(args, cfg)
     if "structure" not in cfg:
         raise ConfigError("config needs a 'structure' entry")
     structure = _resolve_structure(cfg["structure"])
-    zd, _, zs, _ = _resolve_datasets(cfg.get("datasets", {}))
-    if zd is None:
-        raise ConfigError("training needs a dynamical record 'zd'")
+    datasets = _resolve_datasets(cfg.get("datasets", {}))
+    if datasets[0] is None:
+        raise ConfigError(f"{needs} needs a dynamical record 'zd'")
+    return cfg, out, structure, datasets
+
+
+def cmd_train(args) -> int:
+    cfg, out, structure, (zd, _, zs, _) = _training_inputs(args, "training")
     train = _train_config(cfg, args)
-    fp_config = _fp_config(cfg)
-    model, trace = fit(structure, zd, zs, train, fp_config)
+    model, trace = fit(structure, zd, zs, train)
     save_model(out / "model.json", model)
     outputs = {"model": "model.json"}
     if trace is not None:
@@ -242,7 +260,7 @@ def cmd_train(args) -> int:
             "command": "train",
             "structure": cfg["structure"],
             "datasets": cfg.get("datasets", {}),
-            "train": {"lambda": train.lam, **_train_manifest(train, fp_config)},
+            "train": {"lambda": train.lam, **_train_manifest(train)},
             "outputs": outputs,
             "summary": summary,
         },
@@ -271,20 +289,10 @@ def _parse_grid(cfg: dict, args) -> LambdaGrid:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_config(args.config) if args.config else {}
-    out = _out_dir(args, cfg)
-    if "structure" not in cfg:
-        raise ConfigError("config needs a 'structure' entry")
-    structure = _resolve_structure(cfg["structure"])
-    zd, zt, zs, zv = _resolve_datasets(cfg.get("datasets", {}))
-    if zd is None:
-        raise ConfigError("sweeping needs a dynamical record 'zd'")
+    cfg, out, structure, (zd, zt, zs, zv) = _training_inputs(args, "sweeping")
     grid = _parse_grid(cfg, args)
     train = _train_config(cfg, args)
-    fp_config = _fp_config(cfg)
-    points = run_sweep(
-        structure, zd, zt, zs, grid, train, zv=zv, fp_config=fp_config
-    )
+    points = run_sweep(structure, zd, zt, zs, grid, train, zv=zv)
     write_sweep_csv(out / "sweep.csv", points)
     write_sweep_csv(out / "pareto.csv", pareto_front(points))
     outputs = {"sweep": "sweep.csv", "pareto": "pareto.csv"}
@@ -308,10 +316,10 @@ def cmd_sweep(args) -> int:
         out / "manifest.json",
         {
             "command": "sweep",
-            "structure": cfg.get("structure"),
+            "structure": cfg["structure"],
             "datasets": cfg.get("datasets", {}),
             "grid": list(grid),
-            "train": _train_manifest(train, fp_config),
+            "train": _train_manifest(train),
             "outputs": outputs,
             "selections": selections,
         },

@@ -377,38 +377,44 @@ def _classify_header(header: list[str]):
 def _read_cells(fh, header: list[str], file_name: str) -> np.ndarray:
     """The rows after the header of the CSV ``fh``, every cell read by
     ``float`` one by one, as a (rows, width) array.  Raises CsvFormatError
-    naming the first ragged row or non-numeric or non-finite cell."""
+    naming the first ragged row, non-numeric or non-finite cell, or row
+    that ``csv`` cannot split (such as a cell beyond its field limit)."""
     width = len(header)
     values = []
     reader = csv.reader(fh)
     next(reader)
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue  # blank line
-        if len(row) != width:
-            raise CsvFormatError(
-                f"{file_name}: expected {width} cells, found {len(row)}", row=line_no
-            )
-        for name, cell in zip(header, row):
-            try:
-                value = float(cell)
-            except ValueError:
+    line_no = 1
+    try:
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue  # blank line
+            if len(row) != width:
                 raise CsvFormatError(
-                    f"{file_name}: non-numeric cell {cell!r}", row=line_no, column=name
-                ) from None
-            if not math.isfinite(value):
-                raise CsvFormatError(
-                    f"{file_name}: non-finite cell {cell!r}", row=line_no, column=name
+                    f"{file_name}: expected {width} cells, found {len(row)}", row=line_no
                 )
-            values.append(value)
+            for name, cell in zip(header, row):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise CsvFormatError(
+                        f"{file_name}: non-numeric cell {cell!r}", row=line_no, column=name
+                    ) from None
+                if not math.isfinite(value):
+                    raise CsvFormatError(
+                        f"{file_name}: non-finite cell {cell!r}", row=line_no, column=name
+                    )
+                values.append(value)
+    except csv.Error as exc:  # raised while reading the row after the last one read
+        raise CsvFormatError(f"{file_name}: {exc}", row=line_no + 1) from None
     return np.array(values).reshape(-1, width)
 
 
 def read_csv(path) -> DynDataset | SteadyDataset:
     """Parse a dataset CSV written by :func:`write_csv`.
 
-    Raises CsvFormatError for a missing header, an unrecognized header, a
-    ragged row, or a non-numeric or non-finite cell, naming its location.
+    Raises CsvFormatError for bytes that do not decode, a missing header, an
+    unrecognized header, a ragged row, a non-numeric or non-finite cell, or
+    a cell beyond ``csv``'s field limit, naming its location where known.
     Blank lines are skipped and each cell is read as ``float`` reads it.
     The header is read by ``csv``, the rows by numpy's C reader; when that
     reader refuses the rows, or returns another width or a non-finite value,
@@ -417,25 +423,32 @@ def read_csv(path) -> DynDataset | SteadyDataset:
     non-ASCII digits, which the C reader refuses).
     """
     path = Path(path)
-    with open(path, newline="") as fh:
-        header = next(csv.reader(fh), None)
-        if not header:
-            raise CsvFormatError(f"{path.name}: no header")
-        header = [name.strip() for name in header]
-        kind = _classify_header(header)
-        if kind is None:
-            raise CsvFormatError(f"{path.name}: unrecognized header {','.join(header)!r}")
-        width = len(header)
-        try:
-            with warnings.catch_warnings():
-                # a file without rows is reported below, not as loadtxt's warning
-                warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
-        except ValueError:
-            data = None
-        if data is None or data.shape[1] != width or not np.isfinite(data).all():
-            fh.seek(0)
-            data = _read_cells(fh, header, path.name)
+    try:
+        with open(path, newline="") as fh:
+            header = next(csv.reader(fh), None)
+            if not header:
+                raise CsvFormatError(f"{path.name}: no header")
+            header = [name.strip() for name in header]
+            kind = _classify_header(header)
+            if kind is None:
+                raise CsvFormatError(f"{path.name}: unrecognized header {','.join(header)!r}")
+            width = len(header)
+            try:
+                with warnings.catch_warnings():
+                    # a file without rows is reported below, not as loadtxt's warning
+                    warnings.simplefilter("ignore", UserWarning)
+                    data = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
+            except ValueError:  # UnicodeDecodeError too, which the cells raise again
+                data = None
+            if data is None or data.shape[1] != width or not np.isfinite(data).all():
+                fh.seek(0)
+                data = _read_cells(fh, header, path.name)
+    except UnicodeDecodeError as exc:  # decoded a block at a time, so no row is known
+        raise CsvFormatError(
+            f"{path.name}: undecodable bytes ({exc.encoding}: {exc.reason})"
+        ) from None
+    except csv.Error as exc:  # only the header's; _read_cells names a later row
+        raise CsvFormatError(f"{path.name}: {exc}", row=1) from None
     if data.shape[0] < 1:
         raise CsvFormatError(f"{path.name}: dataset has no rows")
     if kind == "dyn":

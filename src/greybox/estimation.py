@@ -102,13 +102,20 @@ class GaConfig:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """One training run: weighting, algorithm, and per-algorithm knobs."""
+    """One training run: the config's whole training block.
+
+    The weighting, the algorithm, the seed of the LM multi-start, and each
+    solver's settings: ``lm`` for ``weighted_lm``, ``ga`` and ``fixed_point``
+    for ``ga_legacy``, whose iterated static cost runs ``fixed_point``
+    (None keeps :func:`fit_ga_legacy`'s 15-step horizon).
+    """
 
     lam: float = 0.0
     algorithm: str = "wls"
     lm: LmConfig = field(default_factory=LmConfig)
     ga: GaConfig = field(default_factory=GaConfig)
     init_seed: int = 0
+    fixed_point: FixedPointConfig | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "lam", _require_number(self.lam, "lambda", 0, 1))

@@ -36,7 +36,7 @@ from .models import (
     model_from_json,
     model_to_json,
 )
-from .steady_state import FixedPointConfig, cost_jd, cost_js_hat
+from .steady_state import cost_jd, cost_js_hat
 
 RMSE_CAP = 1e6
 
@@ -190,20 +190,21 @@ def fit(
     zd: DynDataset,
     zs: SteadyDataset | None,
     train: TrainConfig,
-    fp_config: FixedPointConfig | None = None,
     counter: EvalCounter | None = None,
     seed_model: Model | None = None,
 ) -> tuple[Model, list[TraceRecord] | None]:
-    """Train one model at ``train.lam`` with ``train.algorithm``.
+    """Train one model at ``train.lam`` with ``train.algorithm``, under the
+    solver settings ``train`` holds.
 
     Returns the fitted model and the solver trace (None for the closed-form
     ``ols`` and ``wls``).  ``counter`` receives every model evaluation of the
-    fit itself.  ``weighted_lm`` runs a single start from ``seed_model``'s
-    parameters when given, else its seeded multi-start.  ``ga_legacy``
-    starts from ``seed_model``, the lambda = 0 black-box fit, which is made
-    here when not given.  Raises ConfigError when the algorithm does not
-    suit the structure, the structure does not fit the data, or steady-state
-    data is missing.
+    fit itself.  ``weighted_lm`` runs ``train.lm``: a single start from
+    ``seed_model``'s parameters when given, else its seeded multi-start.
+    ``ga_legacy`` runs ``train.ga`` from ``seed_model``, the lambda = 0
+    black-box fit, which is made here when not given, and iterates each
+    steady state with ``train.fixed_point``.  Raises ConfigError when the
+    algorithm does not suit the structure, the structure does not fit the
+    data, or steady-state data is missing.
     """
     _check_trainable(structure, train.algorithm, train.lam, zd=zd, zs=zs)
     if train.algorithm == "ols":  # wls on the dynamic record alone, whatever lambda
@@ -218,7 +219,7 @@ def fit(
     if seed_model is None:
         seed_model = _ga_seed_model(structure, zd, train)
     return fit_ga_legacy(
-        seed_model, zd, zs, train.lam, train.ga, fp_config, counter=counter
+        seed_model, zd, zs, train.lam, train.ga, train.fixed_point, counter=counter
     )
 
 
@@ -230,9 +231,11 @@ def run_sweep(
     grid: LambdaGrid,
     train: TrainConfig,
     zv: DynDataset | None = None,
-    fp_config: FixedPointConfig | None = None,
 ) -> list[ParetoPoint]:
     """Train one model per lambda with :func:`fit` and score it.
+
+    Every point trains with ``train``'s algorithm and solver settings at its
+    own lambda; ``train.lam`` itself is not read.
 
     Lambdas run in ascending order.  ``weighted_lm`` continues along the
     grid: the first lambda runs the seeded multi-start, and each later one
@@ -260,17 +263,15 @@ def run_sweep(
         warm_from = None
         if train.algorithm == "weighted_lm":
             warm_from, seed_model = warm
-        ga_seed = int(
-            np.random.SeedSequence((train.ga.seed, i)).generate_state(1, np.uint64)[0]
-        )
-        point_train = replace(train, lam=lam, ga=replace(train.ga, seed=ga_seed))
+        ga = train.ga
+        if train.algorithm == "ga_legacy":
+            stream = np.random.SeedSequence((ga.seed, i)).generate_state(1, np.uint64)
+            ga = replace(ga, seed=int(stream[0]))
+        point_train = replace(train, lam=lam, ga=ga)
         counter = EvalCounter()
         start = time.perf_counter()
         try:
-            fitted, _ = fit(
-                structure, zd, zs, point_train, fp_config, counter=counter,
-                seed_model=seed_model,
-            )
+            fitted, _ = fit(structure, zd, zs, point_train, counter=counter, seed_model=seed_model)
         except GreyboxError as exc:
             points.append(ParetoPoint(
                 lam=lam,

@@ -123,8 +123,8 @@ def test_criterion_3_eval_accounting_and_speedup():
     t_ga = time.perf_counter()
     ga_points = gb.run_sweep(
         structure, zd, None, zs, grid,
-        gb.TrainConfig(algorithm="ga_legacy", ga=gb.GaConfig()),
-        fp_config=gb.FixedPointConfig(fixed_horizon=horizon),
+        gb.TrainConfig(algorithm="ga_legacy", ga=gb.GaConfig(),
+                       fixed_point=gb.FixedPointConfig(fixed_horizon=horizon)),
     )
     ga_wall = time.perf_counter() - t_ga
 

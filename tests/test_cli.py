@@ -423,6 +423,25 @@ def test_non_finite_cell_exits_2(command, name, row, column, cell, datadir, tmp_
     assert f"non-finite cell {cell!r}, row {row}, column {column}" in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["train", "sweep"])
+@pytest.mark.parametrize("typo", ["lamda", "datasets.zvv", "grid.cout"])
+def test_misspelt_config_key_exits_2(command, typo, datadir, tmp_path, capsys):
+    # a key no block knows was ignored, so the run went on without its entry
+    block, _, key = typo.rpartition(".")
+    entries = {
+        "": {"lamda": 0.5},
+        "datasets": {"datasets": {
+            **{name: str(datadir / f"{name}.csv") for name in ("zd", "zt", "zs")},
+            "zvv": str(datadir / "zv.csv"),
+        }},
+        "grid": {"grid": {"start": 0.1, "stop": 0.9, "cout": 3}},
+    }[block]
+    assert _run(datadir, tmp_path, command, entries) == 2
+    err = capsys.readouterr().err
+    assert f"unknown {block or 'config'} key {key!r}" in err, err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "key",
     ["structure.file", "datasets.zd", "datasets.zt", "datasets.zs", "datasets.zv", "out"],
@@ -465,6 +484,32 @@ def test_undecodable_json_exits_2(content, datadir, tmp_path, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "not valid JSON" in err and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize(
+    "content,named",
+    [
+        (b"u1,y\n1.0,2.0\n\xff\xfe,3\n", "zd.csv: undecodable bytes"),
+        (b"u1,y\n1.0,2.0\n" + b"1" * 200_000 + b",3\n", "zd.csv: field larger than field limit"),
+    ],
+    ids=["not-utf8", "over-long-cell"],
+)
+def test_unreadable_csv_exits_2(content, named, datadir, trained, tmp_path, capsys):
+    path = tmp_path / "zd.csv"
+    path.write_bytes(content)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(
+        {"structure": {"builtin": "example1"}, "datasets": {"zd": str(path)}, "algorithm": "ols"}
+    ))
+    out = str(tmp_path / "out")
+    for argv in (
+        ["train", "--config", str(config), "--out", out],
+        ["eval", "--model", str(trained / "model.json"), "--data", str(path), "--mode", "one-step",
+         "--out", out],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err, err
 
 
 @pytest.mark.parametrize(
@@ -621,6 +666,26 @@ def test_readme_config_trains(tmp_path):
     assert proc.returncode == 0, proc.stderr
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
     assert manifest["train"]["lm"] == config["lm"]
+    # the whole training block, every solver default filled in; a sweep
+    # writes the same block without the lambda it does not fix
+    block = {
+        "algorithm": "wls",
+        "fixed_point": {"divergence_bound": 1000000.0, "fixed_horizon": 15,
+                        "max_iterations": 500, "tolerance": 1e-10},
+        "ga": {"generations": 21, "init_spread": None, "population_size": 40, "seed": 0},
+        "init_seed": 0,
+        "lm": {"max_iterations": 60, "n_starts": 3},
+    }
+    assert manifest["train"] == {"lambda": 0.3, **block}
+    proc = run_cli("sweep", "--config", str(path), "--out", str(tmp_path / "sweep"))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "sweep" / "manifest.json").read_text())["train"] == block
+    del config["fixed_point"]
+    path.write_text(json.dumps(config))
+    proc = run_cli("train", "--config", str(path), "--out", str(tmp_path / "no_fp"))
+    assert proc.returncode == 0, proc.stderr
+    manifest = json.loads((tmp_path / "no_fp" / "manifest.json").read_text())
+    assert manifest["train"] == {"lambda": 0.3, **block, "fixed_point": None}
 
 
 def test_readme_solver_keys_match_configs():

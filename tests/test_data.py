@@ -301,6 +301,26 @@ class TestCsv:
             gb.read_csv(path)
         assert fragment in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "content, fragment",
+        [
+            (b"u1,y\n1.0,2.0\n\xff\xfe,3\n", "bad.csv: undecodable bytes"),
+            (b"u1,y\n1.0,2.0\n" + b"1" * 200_000 + b",3\n",
+             "bad.csv: field larger than field limit (131072), row 3"),
+            (b"u1," + b"y" * 200_000 + b"\n1.0,2.0\n",
+             "bad.csv: field larger than field limit (131072), row 1"),
+        ],
+        ids=["not-utf8", "over-long-cell", "over-long-header"],
+    )
+    def test_unreadable_bytes_name_the_file(self, tmp_path, content, fragment):
+        # csv and the text decoder raise their own errors, which read_csv
+        # must turn into CsvFormatError; text written as UTF-8 never reaches them
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content)
+        with pytest.raises(gb.CsvFormatError) as exc:
+            gb.read_csv(path)
+        assert fragment in str(exc.value)
+
     @given(
         values=st.lists(
             st.floats(
