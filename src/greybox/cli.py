@@ -25,9 +25,17 @@ from .data import (
     make_datasets,
     read_csv,
     write_csv,
+    write_json,
     write_table,
 )
-from .errors import ConfigError, CsvFormatError, GreyboxError, SelectionError, _require_count
+from .errors import (
+    ConfigError,
+    CsvFormatError,
+    GreyboxError,
+    SelectionError,
+    _check_keys,
+    _require_count,
+)
 from .estimation import ALGORITHMS, GaConfig, LmConfig, TrainConfig, write_trace_csv
 from .models import (
     _check_data_fits,
@@ -68,12 +76,6 @@ _DATASET_KEYS = ("generator", "seed", "zd", "zt", "zs", "zv")
 _GRID_KEYS = ("start", "stop", "count")
 
 
-def _write_json(path, doc) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _load_config(path) -> dict:
     try:
         with open(path) as fh:
@@ -108,11 +110,13 @@ def _resolve_structure(doc):
     if not isinstance(doc, dict):
         raise ConfigError("structure must be a JSON object")
     if "builtin" in doc:
+        _check_keys(doc, ("builtin",), "structure")
         try:
             return example_structure(doc["builtin"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     if "file" in doc:
+        _check_keys(doc, ("file",), "structure")
         return load_model(_path(doc["file"], "structure.file"))
     return model_from_json(doc)
 
@@ -145,15 +149,6 @@ def _resolve_datasets(doc):
     zs = load("zs", SteadyDataset)
     zv = load("zv", DynDataset)
     return zd, zt, zs, zv
-
-
-def _check_keys(doc, allowed: tuple[str, ...], where: str) -> None:
-    """Refuse a key of the JSON object ``doc`` that is not ``allowed``; a
-    ``doc`` that is no object is left to the code that reads it."""
-    if isinstance(doc, dict) and (unknown := sorted(set(doc) - set(allowed))):
-        raise ConfigError(
-            f"unknown {where} key {', '.join(map(repr, unknown))}, expected {', '.join(allowed)}"
-        )
 
 
 def _subconfig(cls, doc, name):
@@ -208,7 +203,7 @@ def cmd_generate(args) -> int:
     for name, ds in names.items():
         write_csv(out / f"{name}.csv", ds)
         rows[name] = ds.n_pairs if isinstance(ds, SteadyDataset) else ds.sample_count
-    _write_json(
+    write_json(
         out / "manifest.json",
         {
             "command": "generate",
@@ -225,19 +220,19 @@ def cmd_generate(args) -> int:
 def _training_inputs(args, needs: str):
     """What train and sweep read first: the config, the output directory,
     the structure and (zd, zt, zs, zv), of which ``needs`` requires zd.
-    A key that its block does not list is refused first."""
+    A key that its block does not list is refused first, and the output
+    directory is made last."""
     cfg = _load_config(args.config) if args.config else {}
     _check_keys(cfg, _CONFIG_KEYS, "config")
     _check_keys(cfg.get("datasets"), _DATASET_KEYS, "datasets")
     _check_keys(cfg.get("grid"), _GRID_KEYS, "grid")
-    out = _out_dir(args, cfg)
     if "structure" not in cfg:
         raise ConfigError("config needs a 'structure' entry")
     structure = _resolve_structure(cfg["structure"])
     datasets = _resolve_datasets(cfg.get("datasets", {}))
     if datasets[0] is None:
         raise ConfigError(f"{needs} needs a dynamical record 'zd'")
-    return cfg, out, structure, datasets
+    return cfg, _out_dir(args, cfg), structure, datasets
 
 
 def cmd_train(args) -> int:
@@ -254,7 +249,7 @@ def cmd_train(args) -> int:
     summary = {"j_d": j_d}
     if zs is not None:
         summary["j_s_hat"] = cost_js_hat(model, zs)
-    _write_json(
+    write_json(
         out / "manifest.json",
         {
             "command": "train",
@@ -309,10 +304,10 @@ def cmd_sweep(args) -> int:
         except SelectionError as exc:
             failures.append(f"{name}: {exc}")
             continue
-        _write_json(out / f"model_{name}.json", chosen.model)
+        write_json(out / f"model_{name}.json", chosen.model)
         outputs[f"model_{name}"] = f"model_{name}.json"
         selections[name] = {"lambda": chosen.lam, score: getattr(chosen, score)}
-    _write_json(
+    write_json(
         out / "manifest.json",
         {
             "command": "sweep",
@@ -384,8 +379,8 @@ def cmd_eval(args) -> int:
         mask = curve.converged
         if np.any(mask):
             metrics["rmse_static"] = rmse(curve.y_bar[mask], data.y_bar[mask])
-    _write_json(out / "metrics.json", metrics)
-    _write_json(
+    write_json(out / "metrics.json", metrics)
+    write_json(
         out / "manifest.json",
         {
             "command": "eval",

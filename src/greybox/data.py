@@ -13,6 +13,7 @@ estimation stack can run end to end without external data.
 from __future__ import annotations
 
 import csv
+import json
 import math
 import re
 import warnings
@@ -341,6 +342,14 @@ def write_table(path, header: Sequence[str], columns: Sequence[Iterable]) -> Non
         writer.writerow(header)
         for row in zip(*cols):
             writer.writerow([_cell(cell) for cell in row])
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` as indented JSON with sorted keys and a final newline,
+    encoded whole and written at once: ``json.dump`` would stream it through
+    many small writes."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def write_csv(path, dataset: DynDataset | SteadyDataset) -> None:

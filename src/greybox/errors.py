@@ -87,3 +87,12 @@ def _require_number(value, name: str, low: float, high: float) -> float:
     if not ok:
         raise ValueError(f"{name} must be a number in [{low}, {high}], got {value!r}")
     return float(value)
+
+
+def _check_keys(doc, allowed: tuple[str, ...], where: str) -> None:
+    """Refuse a key of the JSON object ``doc`` that is not ``allowed``; a
+    ``doc`` that is no object is left to the code that reads it."""
+    if isinstance(doc, dict) and (unknown := sorted(set(doc) - set(allowed))):
+        raise ConfigError(
+            f"unknown {where} key {', '.join(map(repr, unknown))}, expected {', '.join(allowed)}"
+        )

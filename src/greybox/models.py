@@ -13,12 +13,14 @@ of one step it writes the source of two functions, a free run and a
 fixed-point run at constant input, and compiles it.  Each loop gathers the
 lagged samples by zipping an ``islice`` of each list, offset by its lag.
 Each model generates its loops once (``_loops``), from a step over plain
-Python floats with one statement per polynomial term,
-``acc += t_j * x_a * x_b``, or per MLP node,
-``acc += w_i * tanh(b_i + v_i0 * x_a + ...)``, split into chunks of 32
-operands when longer.  Its parameters are bound as locals on entry from one
-tuple, never written as text, so no value is rounded and every fit of one
-structure shares the compiled code.  :func:`free_run` and
+Python floats that is one expression, a sum of the polynomial terms,
+``acc = 0.0 + t_0 * x_a * x_b + ...``, or of the MLP nodes,
+``acc = bias + w_0 * tanh(b_0 + v_0_0 * x_a + ...) + ...``, with any
+product or sum past 32 operands split into chunks of its own temporary.
+The free run checks no bound per sample: :func:`free_run` finds where the
+run left it afterwards.  The model's parameters are bound as locals on
+entry from one tuple, never written as text, so no value is rounded and
+every fit of one structure shares the compiled code.  :func:`free_run` and
 :mod:`~greybox.steady_state`'s fixed points run them.  ``_predict_psi``
 computes the same value but unpacks the parameters on every call; it is
 kept only as the deliberately unhoisted step of the GA baseline's
@@ -44,8 +46,8 @@ from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .data import DynDataset, SteadyDataset
-from .errors import _MAX_HELD_COUNT, ConfigError, _require_count, _require_number
+from .data import DynDataset, SteadyDataset, write_json
+from .errors import _MAX_HELD_COUNT, ConfigError, _check_keys, _require_count, _require_number
 
 MODEL_PACKING_VERSION = 1
 
@@ -239,14 +241,19 @@ class PolynomialModel:
         return PolynomialModel(spec=self.spec, terms=self.terms, theta=theta)
 
     def design_matrix(self, psi_rows: np.ndarray) -> np.ndarray:
-        """Expand regressor rows into per-term product columns."""
+        """Expand regressor rows into per-term product columns, each
+        multiplied in place left to right in term order, as
+        ``np.multiply.reduce`` over the term's columns would."""
         psi_rows = np.atleast_2d(np.asarray(psi_rows, dtype=float))
         cols = np.empty((psi_rows.shape[0], len(self.terms)))
         for j, term in enumerate(self.terms):
-            if term:
-                cols[:, j] = np.multiply.reduce(psi_rows[:, term], axis=1)
-            else:
-                cols[:, j] = 1.0
+            col = cols[:, j]
+            if len(term) < 2:
+                col[:] = psi_rows[:, term[0]] if term else 1.0
+                continue
+            np.multiply(psi_rows[:, term[0]], psi_rows[:, term[1]], out=col)
+            for i in term[2:]:
+                col *= psi_rows[:, i]
         return cols
 
     def predict(self, psi_rows: np.ndarray) -> np.ndarray:
@@ -265,13 +272,14 @@ class PolynomialModel:
     def _loops(self) -> "_Loops":
         """Free run and fixed point over ``_predict_psi``'s products and sum,
         in its order and over plain floats, so they return its bits."""
-        params = {}
-        body = ["acc = 0.0"]
+        params, body, products = {}, [], ["0.0"]
         for j, (weight, term) in enumerate(zip(self.theta.tolist(), self.terms)):
             params[f"t{j}"] = weight
-            factors = [f"t{j}", *(f"x{i}" for i in term)]
-            lines, product = _fold("p", "*", factors)
-            body += [*lines, f"acc += {product}"]
+            lines, product = _fold(f"p{j}", "*", [f"t{j}", *(f"x{i}" for i in term)])
+            body += lines
+            products.append(product)
+        lines, total = _fold("acc", "+", products)
+        body += [*lines, f"acc = {total}"]
         return _generate_loops(self.spec, body, params, {i for t in self.terms for i in t})
 
 
@@ -349,15 +357,18 @@ class MlpModel:
         b0, w_out, b_h, w_h = self.unpack()
         start = 1 if self.spec.include_constant else 0
         params = {"tanh": math.tanh, "bias": float(b0)}
-        body = ["acc = bias"]
+        body, nodes = [], ["bias"]
         for i, (w, b, weights) in enumerate(zip(w_out.tolist(), b_h.tolist(), w_h.tolist())):
             params[f"w{i}"], params[f"b{i}"] = w, b
             terms = [f"b{i}"]
             for j, v in enumerate(weights):
                 params[f"v{i}_{j}"] = v
                 terms.append(f"v{i}_{j} * x{start + j}")
-            lines, inner = _fold("z", "+", terms)
-            body += [*lines, f"acc += w{i} * tanh({inner})"]
+            lines, inner = _fold(f"z{i}", "+", terms)
+            body += lines
+            nodes.append(f"w{i} * tanh({inner})")
+        lines, total = _fold("acc", "+", nodes)
+        body += [*lines, f"acc = {total}"]
         return _generate_loops(self.spec, body, params, range(start, len(self.spec)))
 
 
@@ -409,8 +420,11 @@ def free_run(
 
     ``inputs`` is one sequence per input channel.  ``init`` seeds the first
     ``max_lag`` outputs (right-aligned, zero-padded; defaults to zeros).
-    The run stops early when a prediction leaves ``[-bound, bound]`` or goes
-    non-finite, and the result is flagged instead of raising.
+    A run whose prediction leaves ``[-bound, bound]`` or goes non-finite is
+    flagged instead of raising, with NaN from that sample on.  The loop
+    runs the whole record and the first such sample is found afterwards:
+    Python's float arithmetic and ``math.tanh`` overflow to inf and NaN
+    without raising, so every value before it keeps its bits.
     """
     spec = model.spec
     channels = [np.asarray(u, dtype=float) for u in inputs]
@@ -432,12 +446,14 @@ def free_run(
             raise ValueError(f"init has {head.size} values, max lag is {k0}")
         if head.size:
             y[k0 - head.size : k0] = head.tolist()
-    diverged_at = model._loops.free_run(y, *(c.tolist() for c in channels), bound)
-    if diverged_at is not None:
-        y[diverged_at:] = [math.nan] * (n - diverged_at)
-    return FreeRunResult(
-        y=np.array(y), diverged=diverged_at is not None, diverged_at=diverged_at
-    )
+    model._loops.free_run(y, *(c.tolist() for c in channels))
+    y = np.array(y)
+    outside = ~(np.abs(y[k0:]) <= bound)  # also catches NaN
+    first = int(outside.argmax())
+    if not outside[first]:
+        return FreeRunResult(y=y, diverged=False)
+    y[k0 + first :] = np.nan
+    return FreeRunResult(y=y, diverged=True, diverged_at=k0 + first)
 
 
 class _Loops(NamedTuple):
@@ -463,18 +479,19 @@ def _generate_loops(spec: RegressorSpec, body, params: dict, slots, extra: str =
     advances, so the output's slices see each y(k - 1) stored the step
     before.
 
-    ``free_run(y, u0, u1, ..., bound)`` steps k = max_lag, ..., len(y) - 1
-    over the output list ``y`` and the input lists, storing y(k) in place.
-    It returns the first k whose value leaves ``[-bound, bound]`` or is NaN,
-    stored too, or None.
+    ``free_run(y, u0, u1, ...)`` steps k = max_lag, ..., len(y) - 1 over
+    the output list ``y`` and the input lists, storing y(k) in place, and
+    tests no value: the caller finds where a run diverged.
 
     ``fixed_point(u0, u1, ..., budget, settle, tolerance, bound)`` runs from
     zero outputs at constant inputs, holding at most ``_WINDOW`` samples
     after the max(1, max_lag) initial ones and shifting the lagged outputs
-    back when the window is full.  It stops when a value diverges as above,
-    after ``budget`` steps, or once ``settle`` successive differences fall
-    below ``tolerance`` (``settle`` is -1 under a fixed horizon, where every
-    run that does not diverge converges), and returns
+    back when the window is full.  Each pass over the window is cut to the
+    budget left, so the step count is read off ``k`` and not kept per step.
+    It stops when a value leaves ``[-bound, bound]`` or is NaN, after
+    ``budget`` steps, or once ``settle`` successive differences fall inside
+    ``(-tolerance, tolerance)`` (``settle`` is -1 under a fixed horizon,
+    where every run that does not diverge converges), and returns
     ``(y_bar, iterations, converged)`` with the last value computed.
     """
     reads = {pos: (ch, lag) for pos, ch, lag in spec._gather}
@@ -484,7 +501,7 @@ def _generate_loops(spec: RegressorSpec, body, params: dict, slots, extra: str =
     run_head, fixed_head = list(bind), list(bind)
     run_names, fixed_names = ["k"], ["k"]
     run_sources = [f"range({spec.max_lag}, len(y))"]
-    fixed_sources = [f"range({k0}, n)"]
+    fixed_sources = [f"range({k0}, min(n, {k0} + budget - done))"]
     for pos in sorted(set(slots)):
         if pos not in reads:  # the constant slot
             run_head.append(f"x{pos} = 1.0")
@@ -502,31 +519,30 @@ def _generate_loops(spec: RegressorSpec, body, params: dict, slots, extra: str =
     tail = [extra] if extra else []
     # the trailing comma keeps k an int when no slot is gathered
     lines = [
-        f"def free_run({', '.join(['y', *inputs, 'bound', *tail])}):",
+        f"def free_run({', '.join(['y', *inputs, *tail])}):",
         *(f"    {line}" for line in run_head),
         f"    for {', '.join(run_names)}, in zip({', '.join(run_sources)}):",
         *(f"        {line}" for line in body),
         "        y[k] = acc",
-        "        if not (-bound <= acc <= bound):  # also catches NaN",
-        "            return k",
-        "    return None",
         "",
         f"def fixed_point({', '.join([*inputs, 'budget', 'settle', 'tolerance', 'bound', *tail])}):",
         *(f"    {line}" for line in fixed_head),
         f"    y = [0.0] * ({k0} + min(budget, {_WINDOW}))",
         "    n = len(y)",
         "    prev = 0.0",
-        "    settled = iterations = 0",
+        "    settled = done = 0",
         "    while True:",
         f"        for {', '.join(fixed_names)}, in zip({', '.join(fixed_sources)}):",
         *(f"            {line}" for line in body),
-        "            iterations += 1",
-        "            if not (-bound <= acc <= bound):",
-        "                return acc, iterations, False",
-        "            settled = settled + 1 if abs(acc - prev) < tolerance else 0",
+        "            if not (-bound <= acc <= bound):  # also catches NaN",
+        f"                return acc, done + k - {k0 - 1}, False",
+        "            settled = settled + 1 if -tolerance < acc - prev < tolerance else 0",
         "            y[k] = prev = acc",
-        "            if settled == settle or iterations == budget:",
-        "                return acc, iterations, settle < 0 or settled == settle",
+        "            if settled == settle:",
+        f"                return acc, done + k - {k0 - 1}, True",
+        f"        done += k - {k0 - 1}",
+        "        if done == budget:",
+        "            return acc, done, settle < 0",
         "        # the window is full: keep the lagged outputs and run on",
         f"        y[:{k0}] = y[-{k0}:]",
     ]
@@ -582,7 +598,15 @@ def model_to_json(model: Model) -> dict:
     return doc
 
 
+# the keys of a model document: these, and the kind's own shape key
+_MODEL_KEYS = ("packing_version", "kind", "regressors", "theta")
+_SHAPE_KEYS = {"polynomial": "terms", "mlp": "n_hidden"}
+_REGRESSOR_KEYS = ("output_lags", "input_lags", "include_constant")
+
+
 def model_from_json(doc: dict) -> Model:
+    """The model a :func:`model_to_json` document describes.  Raises
+    ConfigError for a bad document, also for a key it does not list."""
     try:
         version = doc["packing_version"]
         if type(version) is not int or version != MODEL_PACKING_VERSION:  # not true or 1.0
@@ -590,7 +614,12 @@ def model_from_json(doc: dict) -> Model:
                 f"unsupported packing version {version!r}: packing_version must be "
                 f"the integer {MODEL_PACKING_VERSION}"
             )
+        kind = doc["kind"]
+        if not isinstance(kind, str) or kind not in _SHAPE_KEYS:
+            raise ConfigError(f"unknown model kind {kind!r}")
+        _check_keys(doc, (*_MODEL_KEYS, _SHAPE_KEYS[kind]), "model")
         reg = doc["regressors"]
+        _check_keys(reg, _REGRESSOR_KEYS, "regressors")
         constant = reg.get("include_constant", True)
         if not isinstance(constant, bool):
             raise ValueError(f"include_constant must be true or false, got {constant!r}")
@@ -605,21 +634,16 @@ def model_from_json(doc: dict) -> Model:
         theta = np.array(
             [_require_number(v, "theta entry", -finite, finite) for v in doc["theta"]]
         )
-        kind = doc["kind"]
         if kind == "polynomial":
             terms = tuple(tuple(t) for t in doc["terms"])
             return PolynomialModel(spec=spec, terms=terms, theta=theta)
-        if kind == "mlp":
-            return MlpModel(spec=spec, n_hidden=doc["n_hidden"], theta=theta)
-        raise ConfigError(f"unknown model kind {kind!r}")
+        return MlpModel(spec=spec, n_hidden=doc["n_hidden"], theta=theta)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad model description: {exc}") from exc
 
 
 def save_model(path, model: Model) -> None:
-    with open(path, "w") as fh:
-        json.dump(model_to_json(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, model_to_json(model))
 
 
 def load_model(path) -> Model:

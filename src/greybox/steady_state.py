@@ -13,10 +13,10 @@ fixed-point loop (``model._loops``), which the same generator emits from the
 same step body as the model's free run (see
 :func:`~greybox.models._generate_loops`): the inputs are held in locals, the
 lagged outputs are gathered by ``islice`` over the sample window, and each
-step is one statement per polynomial term or MLP node over parameters bound
-as locals.  :func:`cost_js_legacy` runs the loop that same generator emits
-for the regressor spec with a call to ``_predict_psi`` as its step, which
-unpacks the parameters on every call:
+step is one expression over the polynomial terms or MLP nodes, with
+parameters bound as locals.  :func:`cost_js_legacy` runs the loop that
+same generator emits for the regressor spec with a call to
+``_predict_psi`` as its step, which unpacks the parameters on every call:
 the GA baseline is kept deliberately unhoisted, so it keeps paying per step
 what the original scheme paid.  A polynomial's two loops return the same
 bits; an MLP's plain-float step rounds differently from numpy's ``@`` and

@@ -442,6 +442,43 @@ def test_misspelt_config_key_exits_2(command, typo, datadir, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "sweep"])
+@pytest.mark.parametrize(
+    "where,key",
+    [
+        ("builtin", "buitin"),
+        ("file", "fiel"),
+        ("model file", "comment"),
+        ("inline model", "comment"),
+        ("inline model", "n_hidden"),
+        ("inline regressors", "include_constnt"),
+    ],
+)
+def test_misspelt_structure_key_exits_2(command, where, key, datadir, tmp_path, capsys):
+    # a key the structure block or a model document does not list was
+    # ignored: a second builtin went unread, a misspelt include_constant
+    # kept the constant slot
+    doc = gb.model_to_json(gb.example_structure("example1"))
+    model_path = tmp_path / "model.json"
+    if where == "model file":
+        doc[key] = "x"
+    model_path.write_text(json.dumps(doc))
+    if where == "inline regressors":
+        doc["regressors"][key] = False
+    elif where == "inline model":
+        doc[key] = 1
+    structure = {
+        "builtin": {"builtin": "example1", key: "example2"},
+        "file": {"file": str(model_path), key: str(model_path)},
+        "model file": {"file": str(model_path)},
+    }.get(where, doc)
+    assert _run(datadir, tmp_path, command, {"structure": structure}) == 2
+    block = {"builtin": "structure", "file": "structure", "inline regressors": "regressors"}
+    err = capsys.readouterr().err
+    assert f"unknown {block.get(where, 'model')} key {key!r}" in err, err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "key",
     ["structure.file", "datasets.zd", "datasets.zt", "datasets.zs", "datasets.zv", "out"],

@@ -119,6 +119,42 @@ class TestPolynomialModel:
         assert np.array_equal(design[:, 1], [6.0, 30.0])
         assert np.array_equal(design[:, 2], [16.0, 49.0])
 
+    @given(
+        terms=st.lists(
+            st.lists(st.integers(0, 4), max_size=4).map(tuple), min_size=1, max_size=6
+        ),
+        psi=st.lists(
+            st.lists(
+                st.one_of(
+                    st.floats(-3.0, 3.0),
+                    st.sampled_from([1e200, -1e200, 1e-300, -0.0, math.inf, -math.inf]),
+                    st.just(math.nan),
+                ),
+                min_size=5,
+                max_size=5,
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_design_matrix_is_bitwise_the_reduced_products(self, terms, psi):
+        # terms repeat slots; huge, infinite and NaN entries overflow, make
+        # inf * 0 and carry NaN.  Every NaN compares as one value: numpy's
+        # own multiply sets a NaN's sign by its SIMD path, so it can differ
+        # between a strided column and the reduction's contiguous copy
+        spec = gb.RegressorSpec(output_lags=(1, 2), input_lags=((1, 2),))
+        terms = list(dict.fromkeys(tuple(sorted(t)) for t in terms))
+        model = gb.PolynomialModel(spec, terms, np.ones(len(terms)))
+        psi = np.array(psi)
+        with np.errstate(all="ignore"):
+            design = model.design_matrix(psi)
+            for j, term in enumerate(model.terms):
+                got, want = (
+                    np.where(np.isnan(v), np.nan, v).tobytes()
+                    for v in (design[:, j], np.multiply.reduce(psi[:, term], axis=1))
+                )
+                assert got == want, term
+
     def test_scalar_and_matrix_paths_agree(self):
         spec = gb.RegressorSpec(output_lags=(1, 2), input_lags=((1, 2),))
         rng = np.random.default_rng(5)
@@ -263,7 +299,7 @@ def generated_step(model, psi):
     inputs = [[0.0] * (k0 + 1) for _ in range(spec.n_inputs)]
     for pos, ch, lag in spec._gather:
         (y if ch < 0 else inputs[ch])[k0 - lag] = psi[pos]
-    model._loops.free_run(y, *inputs, math.inf)
+    model._loops.free_run(y, *inputs)
     return y[k0]
 
 
@@ -429,6 +465,20 @@ class TestFreeRun:
         assert result.diverged and result.diverged_at == 7
         assert np.array_equal(result.y[:7], [1, 2, 4, 8, 16, 32, 64])
         assert np.all(np.isnan(result.y[7:]))
+        # y^2 - y from 3 leaves 1e30 at sample 7, overflows to inf at 10 and
+        # reads inf - inf = NaN from 11 on: the loop runs the whole record
+        # in inf and NaN without a warning, and the exit is still sample 7
+        square = gb.PolynomialModel(spec, ((1, 1), (1,)), np.array([1.0, -1.0]))
+        result = gb.free_run(square, [np.zeros(100_000)], init=[3.0], bound=1e30)
+        assert result.diverged and result.diverged_at == 7
+        assert np.array_equal(result.y[:4], [3, 6, 30, 870])
+        assert np.all(np.isfinite(result.y[:7])) and np.all(np.isnan(result.y[7:]))
+        # 3 - y from 0 leaves [-2, 2] at sample 1 and comes back at 2: the
+        # run is flagged at its first exit and NaN from there on
+        flip = gb.PolynomialModel(spec, ((), (1,)), np.array([3.0, -1.0]))
+        result = gb.free_run(flip, [np.zeros(10)], init=[0.0], bound=2.0)
+        assert result.diverged and result.diverged_at == 1
+        assert result.y[0] == 0.0 and np.all(np.isnan(result.y[1:]))
 
     def test_init_is_right_aligned(self):
         spec = gb.RegressorSpec(output_lags=(1, 2), input_lags=((1,),))
