@@ -42,7 +42,6 @@ from .models import (
     build_regression_matrix,
     build_static_regressors,
     example_structure,
-    free_run,
     free_run_on_dataset,
     load_model,
     model_from_json,
@@ -51,11 +50,9 @@ from .models import (
 )
 from .steady_state import (
     FixedPointConfig,
-    FixedPointResult,
     cost_jd,
     cost_js_hat,
     cost_js_legacy,
-    fixed_point_iterate,
     model_static_curve,
 )
 from .sweep import (
@@ -78,7 +75,6 @@ __all__ = [
     "DynDataset",
     "EvalCounter",
     "FixedPointConfig",
-    "FixedPointResult",
     "GaConfig",
     "GreyboxError",
     "LambdaGrid",
@@ -104,8 +100,6 @@ __all__ = [
     "fit_ga_legacy",
     "fit_weighted_lm",
     "fit_wls",
-    "fixed_point_iterate",
-    "free_run",
     "free_run_on_dataset",
     "load_model",
     "make_datasets",

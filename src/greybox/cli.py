@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from dataclasses import asdict
@@ -24,6 +23,7 @@ from .data import (
     SteadyDataset,
     make_datasets,
     read_csv,
+    read_json,
     write_csv,
     write_json,
     write_table,
@@ -78,15 +78,18 @@ _GRID_KEYS = ("start", "stop", "count")
 
 def _load_config(path) -> dict:
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        doc = read_json(path)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except ValueError as exc:  # also undecodable bytes and over-long integers
-        raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     return doc
+
+
+def _finite_or_none(value: float) -> float | None:
+    """A cost as the artefacts write it: null where it is not finite (it
+    overflowed), since strict JSON has no infinity or NaN."""
+    return value if math.isfinite(value) else None
 
 
 def _path(value, key: str) -> str:
@@ -257,7 +260,7 @@ def cmd_train(args) -> int:
             "datasets": cfg.get("datasets", {}),
             "train": {"lambda": train.lam, **_train_manifest(train)},
             "outputs": outputs,
-            "summary": summary,
+            "summary": {k: _finite_or_none(v) for k, v in summary.items()},
         },
     )
     print(
@@ -346,13 +349,11 @@ def cmd_eval(args) -> int:
             [target, predicted, target - predicted],
         )
         outputs["predictions"] = "predictions.csv"
-        metrics["j_d"] = cost_jd(model, data)
+        metrics["j_d"] = _finite_or_none(cost_jd(model, data))
         metrics["rmse_one_step"] = rmse(predicted, target)
     elif args.mode == "free-run":
         if not isinstance(data, DynDataset):
             raise ConfigError("free-run evaluation needs a dynamical record")
-        if not data.inputs:
-            raise ConfigError("free-run evaluation needs an input channel to set the run's length")
         result = free_run_on_dataset(model, data)
         write_table(
             out / "freerun.csv", ["y", "y_hat"], [data.output, result.y]
@@ -365,15 +366,14 @@ def cmd_eval(args) -> int:
     else:
         if not isinstance(data, SteadyDataset):
             raise ConfigError("static-curve evaluation needs steady-state data")
+        flags = {"max_iterations": args.fp_max_iterations, "fixed_horizon": args.fp_horizon}
         fp_config = _subconfig(
-            FixedPointConfig,
-            {"max_iterations": args.fp_max_iterations, "fixed_horizon": args.fp_horizon},
-            "fixed_point",
+            FixedPointConfig, {k: v for k, v in flags.items() if v is not None}, "fixed_point"
         )
         curve = model_static_curve(model, data.u_bar, fp_config)
         write_static_curve_csv(out / "static_curve.csv", curve)
         outputs["static_curve"] = "static_curve.csv"
-        metrics["j_s_hat"] = cost_js_hat(model, data)
+        metrics["j_s_hat"] = _finite_or_none(cost_js_hat(model, data))
         metrics["n_points"] = int(curve.converged.size)
         metrics["n_converged"] = int(np.count_nonzero(curve.converged))
         mask = curve.converged
@@ -429,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--mode", required=True, choices=["one-step", "free-run", "static-curve"])
-    p.add_argument("--fp-max-iterations", type=int, default=500)
+    p.add_argument("--fp-max-iterations", type=int, default=None)
     p.add_argument("--fp-horizon", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_eval)

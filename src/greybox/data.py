@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import CsvFormatError, DivergenceError, SingularityError
+from .errors import ConfigError, CsvFormatError, DivergenceError, SingularityError
 
 
 def _as_float_vector(values, name: str) -> np.ndarray:
@@ -350,6 +350,21 @@ def write_json(path, doc) -> None:
     many small writes."""
     with open(path, "w") as fh:
         fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def read_json(path):
+    """The document in a JSON file.  Raises ConfigError naming the file for
+    text that is not strict JSON, also for the ``NaN``, ``Infinity`` and
+    ``-Infinity`` that Python's ``json`` reads by default."""
+    with open(path) as fh:
+        try:
+            return json.load(fh, parse_constant=_refuse_constant)
+        except ValueError as exc:  # also undecodable bytes and over-long integers
+            raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
 
 
 def write_csv(path, dataset: DynDataset | SteadyDataset) -> None:

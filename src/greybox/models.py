@@ -1,4 +1,4 @@
-"""NARX model structures: lag layouts, polynomial and MLP predictors, free-run.
+"""NARX model structures: lag layouts, polynomial and MLP predictors, free runs.
 
 A regressor vector at sample k is laid out as
 
@@ -17,36 +17,37 @@ Python floats that is one expression, a sum of the polynomial terms,
 ``acc = 0.0 + t_0 * x_a * x_b + ...``, or of the MLP nodes,
 ``acc = bias + w_0 * tanh(b_0 + v_0_0 * x_a + ...) + ...``, with any
 product or sum past 32 operands split into chunks of its own temporary.
-The free run checks no bound per sample: :func:`free_run` finds where the
-run left it afterwards.  The model's parameters are bound as locals on
-entry from one tuple, never written as text, so no value is rounded and
-every fit of one structure shares the compiled code.  :func:`free_run` and
-:mod:`~greybox.steady_state`'s fixed points run them.  ``_predict_psi``
-computes the same value but unpacks the parameters on every call; it is
-kept only as the deliberately unhoisted step of the GA baseline's
-fixed-point cost, which runs the loops the same generator emits for the
-spec with ``step(psi)`` as the body (``RegressorSpec._legacy_loops``), and
-for the tests that check the scalar path against the batch one.  The
-polynomial loops return the same bits as ``_predict_psi``.  The MLP loops
-do not: ``math.tanh`` and left-to-right sums round differently from numpy's
-``np.tanh`` and ``@``, and one step of the two differs by at most
+The free run checks no bound per sample: :func:`free_run_on_dataset`
+finds where the run left it afterwards.  The model's parameters are bound
+as locals on entry from one tuple, never written as text, so no value is
+rounded and every fit of one structure shares the compiled code.
+:func:`free_run_on_dataset`, the one free run, and
+:func:`~greybox.steady_state.model_static_curve`, the one run to fixed
+points, call them.  ``_predict_psi`` computes the same value but unpacks
+the parameters on every call; it is kept only as the deliberately
+unhoisted step of the GA baseline's fixed-point cost, which runs the loops
+the same generator emits for the spec with ``step(psi)`` as the body
+(``RegressorSpec._legacy_loops``), and for the tests that check the scalar
+path against the batch one.  The polynomial loops return the same bits as
+``_predict_psi``.  The MLP loops do not: ``math.tanh`` and left-to-right
+sums round differently from numpy's ``np.tanh`` and ``@``, and one step of
+the two differs by at most
 8 eps (|b0| + sum_i |w_out_i| (1 + |b_i| + sum_j |w_ij psi_j|)), eps being
 the float64 machine epsilon.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import islice
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from .data import DynDataset, SteadyDataset, write_json
+from .data import DynDataset, SteadyDataset, read_json, write_json
 from .errors import _MAX_HELD_COUNT, ConfigError, _check_keys, _require_count, _require_number
 
 MODEL_PACKING_VERSION = 1
@@ -401,59 +402,45 @@ Model = Union[PolynomialModel, MlpModel]
 class FreeRunResult:
     """Free-run trajectory with divergence bookkeeping.
 
-    ``y[:max_lag]`` holds the initial history; entries from the divergence
-    point onward are NaN when ``diverged`` is set.
+    ``y[:max_lag]`` holds the initial history; entries from ``diverged_at``
+    onward are NaN when the run diverged.
     """
 
     y: np.ndarray
-    diverged: bool
     diverged_at: int | None = None
 
+    @property
+    def diverged(self) -> bool:
+        return self.diverged_at is not None
 
-def free_run(
-    model: Model,
-    inputs: Sequence[Sequence[float]],
-    init: Sequence[float] | None = None,
-    bound: float = 1e6,
-) -> FreeRunResult:
-    """Simulate the model on its own past predictions.
 
-    ``inputs`` is one sequence per input channel.  ``init`` seeds the first
-    ``max_lag`` outputs (right-aligned, zero-padded; defaults to zeros).
-    A run whose prediction leaves ``[-bound, bound]`` or goes non-finite is
-    flagged instead of raising, with NaN from that sample on.  The loop
-    runs the whole record and the first such sample is found afterwards:
-    Python's float arithmetic and ``math.tanh`` overflow to inf and NaN
-    without raising, so every value before it keeps its bits.
+def free_run_on_dataset(model: Model, data: DynDataset, bound: float = 1e6) -> FreeRunResult:
+    """Simulate the model on its own past predictions over a record.
+
+    The run takes the record's inputs and its length, and is seeded with
+    its first ``max_lag`` outputs; later outputs are not read.  A run whose
+    prediction leaves ``[-bound, bound]`` or goes non-finite is flagged
+    instead of raising, with NaN from that sample on.  The loop runs the
+    whole record and the first such sample is found afterwards: Python's
+    float arithmetic and ``math.tanh`` overflow to inf and NaN without
+    raising, so every value before it keeps its bits.
     """
     spec = model.spec
-    channels = [np.asarray(u, dtype=float) for u in inputs]
-    if len(channels) != spec.n_inputs:
-        raise ValueError(f"spec expects {spec.n_inputs} input channels, got {len(channels)}")
-    if channels:
-        n = channels[0].size
-        if any(c.size != n for c in channels):
-            raise ValueError("input channels must share one length")
-    else:
-        raise ValueError("free run needs at least one input channel for its length")
+    if data.n_inputs != spec.n_inputs:
+        raise ValueError(f"spec expects {spec.n_inputs} input channels, got {data.n_inputs}")
     k0 = spec.max_lag
+    n = data.sample_count
     if n <= k0:
         raise ValueError(f"need more than {k0} samples, got {n}")
-    y = [0.0] * n
-    if init is not None:
-        head = np.asarray(init, dtype=float).reshape(-1)
-        if head.size > k0:
-            raise ValueError(f"init has {head.size} values, max lag is {k0}")
-        if head.size:
-            y[k0 - head.size : k0] = head.tolist()
-    model._loops.free_run(y, *(c.tolist() for c in channels))
+    y = data.output[:k0].tolist() + [0.0] * (n - k0)
+    model._loops.free_run(y, *(c.tolist() for c in data.inputs))
     y = np.array(y)
     outside = ~(np.abs(y[k0:]) <= bound)  # also catches NaN
     first = int(outside.argmax())
     if not outside[first]:
-        return FreeRunResult(y=y, diverged=False)
+        return FreeRunResult(y=y)
     y[k0 + first :] = np.nan
-    return FreeRunResult(y=y, diverged=True, diverged_at=k0 + first)
+    return FreeRunResult(y=y, diverged_at=k0 + first)
 
 
 class _Loops(NamedTuple):
@@ -481,7 +468,7 @@ def _generate_loops(spec: RegressorSpec, body, params: dict, slots, extra: str =
 
     ``free_run(y, u0, u1, ...)`` steps k = max_lag, ..., len(y) - 1 over
     the output list ``y`` and the input lists, storing y(k) in place, and
-    tests no value: the caller finds where a run diverged.
+    tests no value: :func:`free_run_on_dataset` finds where a run diverged.
 
     ``fixed_point(u0, u1, ..., budget, settle, tolerance, bound)`` runs from
     zero outputs at constant inputs, holding at most ``_WINDOW`` samples
@@ -492,7 +479,9 @@ def _generate_loops(spec: RegressorSpec, body, params: dict, slots, extra: str =
     ``budget`` steps, or once ``settle`` successive differences fall inside
     ``(-tolerance, tolerance)`` (``settle`` is -1 under a fixed horizon,
     where every run that does not diverge converges), and returns
-    ``(y_bar, iterations, converged)`` with the last value computed.
+    ``(y_bar, iterations, converged)`` with the last value computed;
+    :func:`~greybox.steady_state.model_static_curve` calls it once per
+    input level.
     """
     reads = {pos: (ch, lag) for pos, ch, lag in spec._gather}
     inputs = [f"u{ch}" for ch in range(spec.n_inputs)]
@@ -569,13 +558,6 @@ def _compile_loops(source: str):
     return compile(source, "<greybox loops>", "exec")
 
 
-def free_run_on_dataset(model: Model, data: DynDataset, bound: float = 1e6) -> FreeRunResult:
-    """Free-run over a dataset's inputs, seeded with its measured outputs."""
-    k0 = model.spec.max_lag
-    init = data.output[:k0] if k0 else None
-    return free_run(model, data.inputs, init=init, bound=bound)
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -647,12 +629,7 @@ def save_model(path, model: Model) -> None:
 
 
 def load_model(path) -> Model:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:  # also undecodable bytes and over-long integers
-            raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
-    return model_from_json(doc)
+    return model_from_json(read_json(path))
 
 
 # ---------------------------------------------------------------------------

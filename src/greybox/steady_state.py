@@ -5,22 +5,22 @@ The identification method never solves it: :func:`cost_js_hat` plugs each
 measured pair into the one-step predictor, one evaluation per pair, and is
 zero exactly where the iterated static residual is zero.  Fixed points serve
 only the GA baseline's :func:`cost_js_legacy` and the static-curve check
-:func:`model_static_curve`; :func:`fixed_point_iterate` finds them as a free
-run at constant input.
+:func:`model_static_curve`, which finds them as free runs at constant input,
+one per input level; a single fixed point is a one-level curve.
 
-The static curve and :func:`fixed_point_iterate` run the model's generated
-fixed-point loop (``model._loops``), which the same generator emits from the
-same step body as the model's free run (see
-:func:`~greybox.models._generate_loops`): the inputs are held in locals, the
-lagged outputs are gathered by ``islice`` over the sample window, and each
-step is one expression over the polynomial terms or MLP nodes, with
-parameters bound as locals.  :func:`cost_js_legacy` runs the loop that
-same generator emits for the regressor spec with a call to
-``_predict_psi`` as its step, which unpacks the parameters on every call:
-the GA baseline is kept deliberately unhoisted, so it keeps paying per step
-what the original scheme paid.  A polynomial's two loops return the same
-bits; an MLP's plain-float step rounds differently from numpy's ``@`` and
-``np.tanh``, and the two differ by at most
+The static curve runs the model's generated fixed-point loop
+(``model._loops``), which the same generator emits from the same step body
+as the model's free run (see :func:`~greybox.models._generate_loops`): the
+inputs are held in locals, the lagged outputs are gathered by ``islice``
+over the sample window, and each step is one expression over the
+polynomial terms or MLP nodes, with parameters bound as locals.
+:func:`cost_js_legacy` runs the loop that same generator emits for the
+regressor spec with a call to ``_predict_psi`` as its step, which unpacks
+the parameters on every call: the GA baseline is kept deliberately
+unhoisted, so it keeps paying per step what the original scheme paid.  A
+polynomial's two loops return the same bits; an MLP's plain-float step
+rounds differently from numpy's ``@`` and ``np.tanh``, and the two differ
+by at most
 8 eps (|b0| + sum_i |w_out_i| (1 + |b_i| + sum_j |w_ij psi_j|)) per step
 (see :attr:`~greybox.models.MlpModel._loops`).
 
@@ -33,6 +33,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,50 +67,10 @@ class FixedPointConfig:
         if self.fixed_horizon is not None:
             _require_count(self.fixed_horizon, "fixed_horizon", 1)
         positive = math.ulp(0.0)  # the smallest positive float, so 0 is excluded
-        _require_number(self.tolerance, "tolerance", positive, math.inf)
+        _require_number(self.tolerance, "tolerance", positive, sys.float_info.max)
         _require_number(
             self.divergence_bound, "divergence_bound", positive, _MAX_DIVERGENCE_BOUND
         )
-
-
-@dataclass(frozen=True)
-class FixedPointResult:
-    y_bar: float
-    iterations: int
-    converged: bool
-
-
-def fixed_point_iterate(
-    model: Model,
-    u_bar,
-    config: FixedPointConfig | None = None,
-    counter: EvalCounter | None = None,
-) -> FixedPointResult:
-    """Free-run the model at constant input until the output settles.
-
-    ``u_bar`` is a scalar for single-input models or one value per channel.
-    Every output lag starts at 0, and the run stops as
-    :class:`FixedPointConfig` describes.  ``y_bar`` is the last value
-    computed, also when the run diverged.
-    """
-    return _fixed_point(
-        model.spec, model._loops.fixed_point, u_bar, config or FixedPointConfig(), counter
-    )
-
-
-def _fixed_point(spec, loop, u_bar, config: FixedPointConfig, counter) -> FixedPointResult:
-    u = np.atleast_1d(np.asarray(u_bar, dtype=float))
-    if u.size != spec.n_inputs:
-        raise ValueError(f"u_bar has {u.size} channels, spec needs {spec.n_inputs}")
-    horizon = config.fixed_horizon
-    budget = horizon if horizon is not None else config.max_iterations
-    settle = max(1, len(spec.output_lags)) if horizon is None else -1
-    y_bar, iterations, converged = loop(
-        *u.tolist(), budget, settle, config.tolerance, config.divergence_bound
-    )
-    if counter is not None:
-        counter.add(iterations)
-    return FixedPointResult(y_bar=y_bar, iterations=iterations, converged=converged)
 
 
 def cost_jd(model: Model, zd: DynDataset, counter: EvalCounter | None = None) -> float:
@@ -117,8 +78,9 @@ def cost_jd(model: Model, zd: DynDataset, counter: EvalCounter | None = None) ->
     psi, target = build_regression_matrix(model.spec, zd)
     if counter is not None:
         counter.add(psi.shape[0])
-    residual = target - model.predict(psi)
-    return float(np.mean(residual**2))
+    with np.errstate(over="ignore"):  # a cost that overflows is inf
+        residual = target - model.predict(psi)
+        return float(np.mean(residual**2))
 
 
 def cost_js_hat(model: Model, zs: SteadyDataset, counter: EvalCounter | None = None) -> float:
@@ -131,8 +93,9 @@ def cost_js_hat(model: Model, zs: SteadyDataset, counter: EvalCounter | None = N
     psi_bar = build_static_regressors(model.spec, zs)
     if counter is not None:
         counter.add(psi_bar.shape[0])
-    residual = zs.y_bar - model.predict(psi_bar)
-    return float(np.mean(residual**2))
+    with np.errstate(over="ignore"):  # a cost that overflows is inf
+        residual = zs.y_bar - model.predict(psi_bar)
+        return float(np.mean(residual**2))
 
 
 def cost_js_legacy(
@@ -183,7 +146,16 @@ def model_static_curve(
     config: FixedPointConfig | None = None,
     counter: EvalCounter | None = None,
 ) -> StaticCurve:
-    """Trace the model's static curve by fixed-point iteration per grid point."""
+    """Trace the model's static curve by fixed-point iteration per grid point.
+
+    ``u_bar_grid`` holds one row per input level and one column per input
+    channel (a 1-D grid is one channel; a model without inputs takes
+    ``np.empty((1, 0))``).  Each level's run starts with every output lag
+    at 0 and stops as :class:`FixedPointConfig` describes.  ``counter``
+    receives the steps of all levels, so a single fixed point is
+    ``model_static_curve(model, [[u1, ...]], config, counter)``: its value
+    is ``y_bar[0]``, NaN unless ``converged[0]``.
+    """
     return _static_curve(
         model.spec, model._loops.fixed_point, u_bar_grid, config or FixedPointConfig(), counter
     )
@@ -195,13 +167,24 @@ def _static_curve(spec, loop, u_bar_grid, config: FixedPointConfig, counter) -> 
         grid = grid.reshape(-1, 1)
     if grid.ndim != 2 or grid.shape[0] < 1:
         raise ValueError(f"grid must be (n_points, n_inputs), got shape {grid.shape}")
+    if grid.shape[1] != spec.n_inputs:
+        raise ValueError(f"u_bar has {grid.shape[1]} channels, spec needs {spec.n_inputs}")
+    horizon = config.fixed_horizon
+    budget = horizon if horizon is not None else config.max_iterations
+    settle = max(1, len(spec.output_lags)) if horizon is None else -1
     y = np.full(grid.shape[0], np.nan)
     flags = np.zeros(grid.shape[0], dtype=bool)
-    for j in range(grid.shape[0]):
-        res = _fixed_point(spec, loop, grid[j], config, counter)
-        if res.converged and math.isfinite(res.y_bar):
-            y[j] = res.y_bar
+    steps = 0
+    for j, u in enumerate(grid.tolist()):
+        y_bar, iterations, converged = loop(
+            *u, budget, settle, config.tolerance, config.divergence_bound
+        )
+        steps += iterations
+        if converged and math.isfinite(y_bar):
+            y[j] = y_bar
             flags[j] = True
+    if counter is not None:
+        counter.add(steps)
     return StaticCurve(u_bar=grid, y_bar=y, converged=flags)
 
 

@@ -112,7 +112,8 @@ def rmse(predicted, actual) -> float:
         raise ValueError(f"shape mismatch {predicted.shape} vs {actual.shape}")
     if predicted.size == 0:
         raise ValueError("rmse needs at least one sample")
-    return _root_mean_square(predicted - actual)
+    with np.errstate(over="ignore"):  # an error that overflows is capped
+        return _root_mean_square(predicted - actual)
 
 
 def _root_mean_square(diff: np.ndarray) -> float:

@@ -44,6 +44,16 @@ def run_cli(*argv):
     )
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def load_json(path):
+    """A JSON artefact, read as strict JSON: NaN and Infinity, which Python's
+    json reads and writes by default, fail the test."""
+    return json.loads(Path(path).read_text(), parse_constant=_refuse_constant)
+
+
 @pytest.fixture(scope="module")
 def datadir(tmp_path_factory):
     """Generated example 1 CSVs shared by the pipeline tests."""
@@ -119,9 +129,9 @@ def trained(datadir, tmp_path_factory):
 
 class TestTrain:
     def test_outputs_and_manifest(self, trained):
-        model = gb.load_model(trained / "model.json")
+        model = gb.model_from_json(load_json(trained / "model.json"))
         assert isinstance(model, gb.PolynomialModel)
-        manifest = json.loads((trained / "manifest.json").read_text())
+        manifest = load_json(trained / "manifest.json")
         assert manifest["command"] == "train"
         assert manifest["train"]["lambda"] == 0.3
         assert manifest["train"]["algorithm"] == "wls"
@@ -133,22 +143,22 @@ class TestTrain:
 
         from greybox.models import EXAMPLE1_TRUE_THETA
 
-        model = gb.load_model(trained / "model.json")
+        model = gb.model_from_json(load_json(trained / "model.json"))
         assert np.allclose(model.theta, EXAMPLE1_TRUE_THETA, atol=0.1)
 
     def test_lambda_flag_overrides_config(self, datadir, trained, tmp_path):
-        config = json.loads((trained / "config.json").read_text())
+        config = load_json(trained / "config.json")
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         proc = run_cli(
             "train", "--config", str(path), "--lambda", "0.6", "--out", str(tmp_path)
         )
         assert proc.returncode == 0
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest = load_json(tmp_path / "manifest.json")
         assert manifest["train"]["lambda"] == 0.6
 
     def test_singular_problem_exits_3(self, trained, tmp_path):
-        config = json.loads((trained / "config.json").read_text())
+        config = load_json(trained / "config.json")
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         proc = run_cli(
@@ -217,7 +227,7 @@ class TestTrain:
         lines = (tmp_path / "trace.csv").read_text().splitlines()
         assert lines[0] == "iteration,j_d,j_s_hat,j_sd,wall_time_ms,model_evaluations"
         assert len(lines) >= 2
-        model = gb.load_model(tmp_path / "model.json")
+        model = gb.model_from_json(load_json(tmp_path / "model.json"))
         assert isinstance(model, gb.MlpModel)
 
     def test_ga_legacy_writes_legacy_trace(self, tmp_path):
@@ -246,7 +256,7 @@ class TestEval:
             "--out", str(tmp_path),
         )
         assert proc.returncode == 0, proc.stderr
-        metrics = json.loads((tmp_path / "metrics.json").read_text())
+        metrics = load_json(tmp_path / "metrics.json")
         assert metrics["mode"] == "one-step"
         assert 0 < metrics["rmse_one_step"] < 1.0
         lines = (tmp_path / "predictions.csv").read_text().splitlines()
@@ -259,7 +269,7 @@ class TestEval:
             "--out", str(tmp_path),
         )
         assert proc.returncode == 0, proc.stderr
-        metrics = json.loads((tmp_path / "metrics.json").read_text())
+        metrics = load_json(tmp_path / "metrics.json")
         assert metrics["diverged"] is False
         assert metrics["rmse"] < 1.0
         lines = (tmp_path / "freerun.csv").read_text().splitlines()
@@ -272,7 +282,7 @@ class TestEval:
             "--out", str(tmp_path),
         )
         assert proc.returncode == 0, proc.stderr
-        metrics = json.loads((tmp_path / "metrics.json").read_text())
+        metrics = load_json(tmp_path / "metrics.json")
         assert metrics["n_points"] == 50
         assert metrics["n_converged"] > 0
         lines = (tmp_path / "static_curve.csv").read_text().splitlines()
@@ -306,10 +316,10 @@ class TestSweep:
         for name in ("sweep.csv", "pareto.csv", "model_min_corr.json",
                      "model_min_rmse_zt.json"):
             assert (tmp_path / name).exists()
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest = load_json(tmp_path / "manifest.json")
         assert set(manifest["selections"]) == {"min_corr", "min_rmse_zt"}
         assert manifest["grid"] == [0.1, 0.5, 0.9]
-        model = gb.load_model(tmp_path / "model_min_rmse_zt.json")
+        model = gb.model_from_json(load_json(tmp_path / "model_min_rmse_zt.json"))
         assert isinstance(model, gb.PolynomialModel)
 
     def test_sweep_without_zt_skips_that_selection(self, datadir, tmp_path):
@@ -324,7 +334,7 @@ class TestSweep:
         proc = run_cli("sweep", "--config", str(path), "--out", str(tmp_path))
         assert proc.returncode == 0, proc.stderr
         assert not (tmp_path / "model_min_rmse_zt.json").exists()
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest = load_json(tmp_path / "manifest.json")
         assert set(manifest["selections"]) == {"min_corr"}
 
     def test_grid_object_in_config(self, datadir, tmp_path):
@@ -504,17 +514,32 @@ def test_non_string_path_exits_2(key, datadir, tmp_path, capsys):
     assert key in err and "Traceback" not in err, err
 
 
+INFINITE_TOLERANCE = b"""{
+  "structure": {"builtin": "example1"},
+  "datasets": {"generator": "example1"},
+  "algorithm": "ga_legacy",
+  "lambda": 0.5,
+  "grid": [0.5],
+  "ga": {"population_size": 2, "generations": 0},
+  "fixed_point": {"tolerance": Infinity}
+}"""
+
+
 @pytest.mark.parametrize(
     "content",
-    [b'{"lambda": ' + b"1" * 5000 + b"}", b"\x80{}"],
-    ids=["long-integer", "not-utf8"],
+    [b'{"lambda": ' + b"1" * 5000 + b"}", b"\x80{}", INFINITE_TOLERANCE,
+     b'{"theta": [NaN], "lambda": -Infinity}'],
+    ids=["long-integer", "not-utf8", "infinite-tolerance", "nan-and-minus-infinity"],
 )
 def test_undecodable_json_exits_2(content, datadir, tmp_path, capsys):
+    # Python's json reads NaN and Infinity, which are not JSON: an infinite
+    # tolerance made every fixed point converge after two steps
     path = tmp_path / "doc.json"
     path.write_bytes(content)
     out = str(tmp_path / "out")
     for argv in (
         ["train", "--config", str(path), "--out", out],
+        ["sweep", "--config", str(path), "--out", out],
         ["eval", "--model", str(path), "--data", str(datadir / "zd.csv"), "--mode", "one-step",
          "--out", out],
     ):
@@ -651,9 +676,9 @@ def test_eval_structure_that_does_not_fit_the_data_exits_2(
     assert f"dataset {data!r} {named}" in err and "Traceback" not in err, err
 
 
-def test_free_run_of_an_input_free_record_exits_2(tmp_path, capsys):
-    # a y-only record fits an output-lag-only polynomial and scores one step
-    # ahead, but a free run has no input channel to take its length from
+def test_free_run_of_an_input_free_record_exits_0(tmp_path):
+    # a y-only record fits an output-lag-only polynomial, scores one step
+    # ahead and free-runs: the run takes its length from the output
     zd = tmp_path / "zd.csv"
     zd.write_text("y\n" + "\n".join(repr(0.5**k) for k in range(20)) + "\n")
     structure = {
@@ -671,11 +696,40 @@ def test_free_run_of_an_input_free_record_exits_2(tmp_path, capsys):
     evaluate = ["eval", "--model", str(tmp_path / "run" / "model.json"), "--data", str(zd),
                 "--out", str(tmp_path / "eval"), "--mode"]
     assert main([*evaluate, "one-step"]) == 0
-    capsys.readouterr()
-    assert main([*evaluate, "free-run"]) == 2
-    err = capsys.readouterr().err
-    assert "needs an input channel" in err and "Traceback" not in err, err
-    assert not (tmp_path / "eval" / "freerun.csv").exists()
+    assert main([*evaluate, "free-run"]) == 0
+    metrics = load_json(tmp_path / "eval" / "metrics.json")
+    assert metrics["diverged"] is False and math.isfinite(metrics["rmse"])
+    lines = (tmp_path / "eval" / "freerun.csv").read_text().splitlines()
+    assert lines[0] == "y,y_hat" and len(lines) == 21
+
+
+@pytest.mark.parametrize("mode,data,cost", [("one-step", "zd", "j_d"),
+                                            ("static-curve", "zs", "j_s_hat")])
+def test_overflowing_cost_is_written_as_null(mode, data, cost, tmp_path):
+    # y(k) = 1e200 + 0.5 y(k-1): squared residuals overflow to inf, which is
+    # the cost, without a numpy warning, and strict JSON holds it as null
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({
+        "kind": "polynomial",
+        "packing_version": 1,
+        "regressors": {"output_lags": [1], "input_lags": [[]]},
+        "terms": [[], [1]],
+        "theta": [1e200, 0.5],
+    }))
+    (tmp_path / "zd.csv").write_text(
+        "u1,y\n" + "".join(f"{k / 10!r},{0.5**k!r}\n" for k in range(20))
+    )
+    (tmp_path / "zs.csv").write_text("u1_bar,y_bar\n0.0,0.0\n1.0,0.5\n")
+    out = tmp_path / "eval"
+    argv = ["eval", "--model", str(model), "--data", str(tmp_path / f"{data}.csv"),
+            "--mode", mode, "--out", str(out)]
+    assert main(argv) == 0
+    metrics = load_json(out / "metrics.json")
+    assert metrics[cost] is None
+    if mode == "one-step":
+        assert metrics["rmse_one_step"] == 1e6
+    else:
+        assert metrics["n_converged"] == 0
 
 
 def test_import_does_not_load_scipy():
@@ -836,7 +890,7 @@ def _run(datadir, tmp, command, entries, flags=()):
     [
         ({"grid": [0.5]}, ["--grid", "nan"], "lambda"),
         ({"grid": [0.5]}, ["--grid", "0.5,nan"], "lambda"),
-        ({"grid": [0.2, math.nan]}, [], "lambda"),
+        ({"grid": [0.2, math.nan]}, [], "NaN is not a JSON number"),
         ({"grid": {"start": 0.1, "stop": 0.9, "count": 2.7}}, [], "count"),
         ({"grid": {"start": 0.1, "stop": 0.9, "count": True}}, [], "count"),
         ({"grid": [True, 0.5]}, [], "grid value"),
@@ -1034,7 +1088,7 @@ SOLVER_KEY_RULES = {
     "fixed_point": {
         "max_iterations": lambda v: is_count(v, 1),
         "fixed_horizon": lambda v: v is None or is_count(v, 1),
-        "tolerance": lambda v: is_real(v, 0.0, math.inf) and v > 0,
+        "tolerance": lambda v: is_real(v, 0.0, sys.float_info.max) and v > 0,
         "divergence_bound": lambda v: is_real(v, 0.0, 1e150) and v > 0,
     },
 }

@@ -403,7 +403,7 @@ class TestWeightedLm:
         target = gb.MlpModel(spec, 1, target_theta)
         rng = np.random.default_rng(11)
         u = rng.standard_normal(500)
-        run = gb.free_run(target, [u])
+        run = gb.free_run_on_dataset(target, gb.DynDataset(inputs=(u,), output=np.zeros(500)))
         assert not run.diverged
         zd = gb.DynDataset(inputs=(u,), output=run.y)
         fitted, trace = gb.fit_weighted_lm(

@@ -359,22 +359,22 @@ def reference_fixed_point(model, u_bar, config, step=None):
 
 
 def check_fixed_points(model, levels, config):
-    """Assert that fixed_point_iterate and model_static_curve at ``levels``
-    (one row per level) are bitwise the reference loop's, with its counts,
-    and that cost_js_legacy is the reference loop's over ``_predict_psi``."""
+    """Assert that model_static_curve at ``levels`` (one row per level), and
+    a one-level curve at each level, are bitwise the reference loop's, with
+    its counts, and that cost_js_legacy is the reference loop's over
+    ``_predict_psi``."""
     want = [reference_fixed_point(model, level, config) for level in levels]
     counter = gb.EvalCounter()
     curve = gb.model_static_curve(model, levels, config, counter=counter)
     assert counter.count == sum(iterations for _, iterations, _ in want)
     for j, (y_bar, iterations, converged) in enumerate(want):
         counter = gb.EvalCounter()
-        got = gb.fixed_point_iterate(model, levels[j], config, counter=counter)
-        assert same_bits(got.y_bar, y_bar), (got, y_bar)
-        assert (got.iterations, got.converged) == (iterations, converged)
+        one = gb.model_static_curve(model, [levels[j]], config, counter=counter)
         assert counter.count == iterations
         kept = converged and math.isfinite(y_bar)
-        assert curve.converged[j] == kept
-        assert same_bits(curve.y_bar[j], y_bar if kept else np.nan)
+        for got, index in ((curve, j), (one, 0)):
+            assert got.converged[index] == kept
+            assert same_bits(got.y_bar[index], y_bar if kept else np.nan), (got, y_bar)
     legacy = [reference_fixed_point(model, level, config, model._predict_psi) for level in levels]
     bound = config.divergence_bound
     total = 0.0
@@ -431,6 +431,16 @@ def faithful_free_run(model, inputs, init, bound, step=None):
     return y, None
 
 
+def run_on_record(model, inputs, init=(), bound=1e6):
+    """:func:`greybox.free_run_on_dataset` over a record with ``inputs``,
+    whose first ``max_lag`` outputs are ``init`` right-aligned over zeros."""
+    k0 = model.spec.max_lag
+    output = np.zeros(len(inputs[0]))
+    output[k0 - len(init) : k0] = init
+    data = gb.DynDataset(inputs=tuple(inputs), output=output)
+    return gb.free_run_on_dataset(model, data, bound=bound)
+
+
 # fixed cases with weights that round at every operation, so that a step
 # moved by one ulp (a polynomial's) or beyond the bound (an MLP's) fails
 # on every run, whatever hypothesis draws
@@ -461,7 +471,7 @@ class TestFreeRun:
     def test_divergence_flag_and_nan_tail(self):
         spec = gb.RegressorSpec(output_lags=(1,), input_lags=((1,),))
         doubling = gb.PolynomialModel(spec, ((1,),), np.array([2.0]))
-        result = gb.free_run(doubling, [np.zeros(10)], init=[1.0], bound=100.0)
+        result = run_on_record(doubling, [np.zeros(10)], init=[1.0], bound=100.0)
         assert result.diverged and result.diverged_at == 7
         assert np.array_equal(result.y[:7], [1, 2, 4, 8, 16, 32, 64])
         assert np.all(np.isnan(result.y[7:]))
@@ -469,24 +479,30 @@ class TestFreeRun:
         # reads inf - inf = NaN from 11 on: the loop runs the whole record
         # in inf and NaN without a warning, and the exit is still sample 7
         square = gb.PolynomialModel(spec, ((1, 1), (1,)), np.array([1.0, -1.0]))
-        result = gb.free_run(square, [np.zeros(100_000)], init=[3.0], bound=1e30)
+        result = run_on_record(square, [np.zeros(100_000)], init=[3.0], bound=1e30)
         assert result.diverged and result.diverged_at == 7
         assert np.array_equal(result.y[:4], [3, 6, 30, 870])
         assert np.all(np.isfinite(result.y[:7])) and np.all(np.isnan(result.y[7:]))
         # 3 - y from 0 leaves [-2, 2] at sample 1 and comes back at 2: the
         # run is flagged at its first exit and NaN from there on
         flip = gb.PolynomialModel(spec, ((), (1,)), np.array([3.0, -1.0]))
-        result = gb.free_run(flip, [np.zeros(10)], init=[0.0], bound=2.0)
+        result = run_on_record(flip, [np.zeros(10)], init=[0.0], bound=2.0)
         assert result.diverged and result.diverged_at == 1
         assert result.y[0] == 0.0 and np.all(np.isnan(result.y[1:]))
 
-    def test_init_is_right_aligned(self):
+    def test_only_the_first_max_lag_outputs_seed_the_run(self):
         spec = gb.RegressorSpec(output_lags=(1, 2), input_lags=((1,),))
-        carry = gb.PolynomialModel(spec, ((1,),), np.array([1.0]))
-        full = gb.free_run(carry, [np.zeros(5)], init=[3.0, 7.0])
-        assert np.array_equal(full.y, [3.0, 7.0, 7.0, 7.0, 7.0])
-        short = gb.free_run(carry, [np.zeros(5)], init=[7.0])
-        assert np.array_equal(short.y, [0.0, 7.0, 7.0, 7.0, 7.0])
+        carry = gb.PolynomialModel(spec, ((1,), (2,), (3,)), np.array([0.5, 0.25, 1.0]))
+        u = np.array([1.0, -2.0, 0.5, 3.0, 0.0, 1.5])
+        record = gb.DynDataset(inputs=(u,), output=[3.0, 7.0, 0.0, 0.0, 0.0, 0.0])
+        result = gb.free_run_on_dataset(carry, record)
+        want = [3.0, 7.0]
+        for k in range(2, 6):
+            want.append(0.5 * want[k - 1] + 0.25 * want[k - 2] + u[k - 1])
+        assert np.array_equal(result.y, want)
+        # the rest of the record's output is not read
+        other = gb.DynDataset(inputs=(u,), output=[3.0, 7.0, -1e300, 5.0, 1e-300, 2.0])
+        assert result.y.tobytes() == gb.free_run_on_dataset(carry, other).y.tobytes()
 
     def test_on_dataset_seeds_with_measured_prefix(self, ex1_true_model):
         u = np.linspace(-0.5, 0.5, 40)
@@ -499,7 +515,7 @@ class TestFreeRun:
         spec = gb.RegressorSpec(output_lags=(1,), input_lags=((1,),))
         # y - y^2 escapes to -inf from y0=2: 2 -> -2 -> -6 -> -42 ...
         quad = gb.PolynomialModel(spec, ((1,), (1, 1)), np.array([1.0, -1.0]))
-        result = gb.free_run(quad, [np.zeros(50)], init=[2.0], bound=1e6)
+        result = run_on_record(quad, [np.zeros(50)], init=[2.0], bound=1e6)
         assert result.diverged
         assert np.all(np.isnan(result.y[result.diverged_at :]))
 
@@ -539,7 +555,7 @@ class TestFreeRun:
             check_step(model, psi, value)
             return value
 
-        result = gb.free_run(model, inputs, init=init, bound=bound)
+        result = run_on_record(model, inputs, init=init, bound=bound)
         want, diverged_at = faithful_free_run(model, inputs, init, bound, step=checked)
         assert result.y.tobytes() == want.tobytes()
         assert result.diverged_at == diverged_at
@@ -646,7 +662,7 @@ class TestGeneratedLoops:
         step = reference_step(model)
         inputs = [level + amplitude * np.sin(0.3 * np.arange(200))]
         init = [0.1] * model.spec.max_lag
-        result = gb.free_run(model, inputs, init=init)
+        result = run_on_record(model, inputs, init=init)
         want, diverged_at = faithful_free_run(
             model, inputs, init, 1e6, step=lambda psi: step(psi.tolist())
         )
@@ -654,7 +670,7 @@ class TestGeneratedLoops:
         assert result.y.tobytes() == want.tobytes()
         # a bound the run crosses midway stops both loops at the same sample
         bound = float(np.median(np.abs(want[model.spec.max_lag :])))
-        result = gb.free_run(model, inputs, init=init, bound=bound)
+        result = run_on_record(model, inputs, init=init, bound=bound)
         want, diverged_at = faithful_free_run(
             model, inputs, init, bound, step=lambda psi: step(psi.tolist())
         )

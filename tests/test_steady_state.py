@@ -2,7 +2,6 @@
 
 import itertools
 import json
-import math
 
 import numpy as np
 import pytest
@@ -37,64 +36,66 @@ def true_model():
     return gb.PolynomialModel(structure.spec, structure.terms, EXAMPLE1_TRUE_THETA)
 
 
+def fixed_point(model, u_bar, config=None):
+    """One fixed point as a one-level static curve: ``(y_bar, steps,
+    converged)``, ``y_bar`` NaN unless converged."""
+    counter = gb.EvalCounter()
+    curve = gb.model_static_curve(model, [u_bar], config, counter=counter)
+    return curve.y_bar[0], counter.count, bool(curve.converged[0])
+
+
 class TestFixedPointIterate:
     def test_zero_model_settles_immediately(self):
         spec = gb.RegressorSpec(output_lags=(1,), input_lags=())
         model = gb.PolynomialModel(spec, ((1,),), np.zeros(1))
-        result = gb.fixed_point_iterate(model, ())
-        assert result == gb.FixedPointResult(y_bar=0.0, iterations=1, converged=True)
+        assert fixed_point(model, ()) == (0.0, 1, True)
 
     @given(
         a=st.floats(min_value=-0.9, max_value=0.9),
         b=st.floats(min_value=-5.0, max_value=5.0),
     )
     def test_affine_map_reaches_analytic_fixed_point(self, a, b):
-        result = gb.fixed_point_iterate(
+        y_bar, _, converged = fixed_point(
             scalar_affine(a, b),
             (0.0,),
             gb.FixedPointConfig(max_iterations=5000, tolerance=1e-13),
         )
-        assert result.converged
-        assert result.y_bar == pytest.approx(b / (1.0 - a), abs=1e-8)
+        assert converged
+        assert y_bar == pytest.approx(b / (1.0 - a), abs=1e-8)
 
     def test_oscillating_map_does_not_converge(self):
-        result = gb.fixed_point_iterate(
+        _, steps, converged = fixed_point(
             scalar_affine(-1.0, 1.0), (0.0,), gb.FixedPointConfig(max_iterations=40)
         )
-        assert not result.converged
-        assert result.iterations == 40
+        assert not converged
+        assert steps == 40
 
     def test_divergence_stops_early(self):
-        result = gb.fixed_point_iterate(
+        _, steps, converged = fixed_point(
             scalar_affine(2.0, 1.0), (0.0,), gb.FixedPointConfig(divergence_bound=50.0)
         )
-        assert not result.converged
-        assert result.iterations < 50
+        assert not converged
+        assert steps < 50
 
     def test_fixed_horizon_runs_exactly_n_steps(self):
         model = scalar_affine(0.0, 2.0)
-        result = gb.fixed_point_iterate(
-            model, (0.0,), gb.FixedPointConfig(fixed_horizon=7)
-        )
-        assert result.iterations == 7
-        assert result.converged
-        assert result.y_bar == 2.0
+        assert fixed_point(model, (0.0,), gb.FixedPointConfig(fixed_horizon=7)) == (2.0, 7, True)
 
     def test_budget_does_not_size_the_buffer(self):
         config = gb.FixedPointConfig(max_iterations=10**15, tolerance=1e-12)
-        result = gb.fixed_point_iterate(scalar_affine(0.5, 1.0), (0.0,), config)
-        assert result.converged
-        assert result.y_bar == pytest.approx(2.0, abs=1e-11)
+        y_bar, _, converged = fixed_point(scalar_affine(0.5, 1.0), (0.0,), config)
+        assert converged
+        assert y_bar == pytest.approx(2.0, abs=1e-11)
 
     def test_counter_tracks_evaluations(self):
         counter = gb.EvalCounter()
-        gb.fixed_point_iterate(
+        gb.model_static_curve(
             scalar_affine(0.5, 1.0),
-            (0.0,),
+            [(0.0,), (1.0,)],
             gb.FixedPointConfig(fixed_horizon=9),
             counter=counter,
         )
-        assert counter.count == 9
+        assert counter.count == 18
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow to inf is allowed
     @given(
@@ -115,24 +116,24 @@ class TestFixedPointIterate:
             theta = data.draw(st.lists(finite, min_size=n_params, max_size=n_params))
             model = gb.MlpModel(spec, 2, np.array(theta))
         config = gb.FixedPointConfig(fixed_horizon=horizon)
-        result = gb.fixed_point_iterate(model, u_bar, config)
-        run = gb.free_run(
-            model, [np.full(2 + horizon, u_bar)], bound=config.divergence_bound
-        )
+        y_bar, steps, converged = fixed_point(model, (u_bar,), config)
+        n = 2 + horizon
+        record = gb.DynDataset(inputs=(np.full(n, u_bar),), output=np.zeros(n))
+        run = gb.free_run_on_dataset(model, record, bound=config.divergence_bound)
         if run.diverged:
-            assert not result.converged
-            assert result.iterations == run.diverged_at - 1
+            assert not converged
+            assert steps == run.diverged_at - 1
         else:
-            assert result.converged and result.iterations == horizon
-            assert same_bits(result.y_bar, run.y[-1])
+            assert converged and steps == horizon
+            assert same_bits(y_bar, run.y[-1])
 
     def test_two_lag_model_converges_on_both_slots(self, true_model):
         # settling needs the last two iterates within tolerance, not just one
-        result = gb.fixed_point_iterate(
+        y_bar, _, converged = fixed_point(
             true_model, (1.0,), gb.FixedPointConfig(max_iterations=5000)
         )
-        assert result.converged
-        assert result.y_bar == pytest.approx(5.0 / 9.0, abs=1e-8)
+        assert converged
+        assert y_bar == pytest.approx(5.0 / 9.0, abs=1e-8)
 
 
 class TestStaticCosts:
@@ -182,11 +183,8 @@ class TestStaticCosts:
             cap = config.divergence_bound**2
             total = 0.0
             for u_row, y_meas in zip(zs.u_bar, zs.y_bar.tolist()):
-                res = gb.fixed_point_iterate(model, u_row, config)
-                if res.converged and math.isfinite(res.y_bar):
-                    total += min((y_meas - res.y_bar) ** 2, cap)
-                else:
-                    total += cap
+                y_bar, _, converged = fixed_point(model, u_row, config)
+                total += min((y_meas - y_bar) ** 2, cap) if converged else cap
             return total / zs.n_pairs
 
         zs = ex1_data[2]
@@ -240,9 +238,9 @@ class TestStaticCosts:
         fp_config = gb.FixedPointConfig(max_iterations=5000, tolerance=1e-14)
         assert gb.cost_js_hat(model, zs) < 1e-12
         assert gb.cost_js_legacy(model, zs, fp_config) < 1e-12
-        result = gb.fixed_point_iterate(model, (u_bar,), fp_config)
-        assert result.converged
-        assert result.y_bar == pytest.approx(y_bar, abs=1e-7)
+        fixed, _, converged = fixed_point(model, (u_bar,), fp_config)
+        assert converged
+        assert fixed == pytest.approx(y_bar, abs=1e-7)
 
     def test_evaluation_accounting(self, true_model):
         zs = steady_curve_of_system(EXAMPLE1, np.linspace(-1, 3, 10))
@@ -278,7 +276,6 @@ class TestStaticCosts:
         calls.clear()
         gb.free_run_on_dataset(model, zv)
         gb.model_static_curve(model, zs.u_bar)
-        gb.fixed_point_iterate(model, zs.u_bar[0])
         assert not calls
 
 
@@ -333,10 +330,11 @@ def test_init_at_target_config_exits_2(tmp_path, capsys):
         ("ga", {"population_size": 4.5}, "population_size"),
         ("ga", {"seed": -1}, "seed"),
         ("fixed_point", {"fixed_horizon": 15.0}, "fixed_horizon"),
-        ("fixed_point", {"tolerance": float("nan")}, "tolerance"),
+        # NaN and Infinity are not JSON: the reader refuses the constant
+        ("fixed_point", {"tolerance": float("nan")}, "NaN is not a JSON number"),
         ("fixed_point", {"divergence_bound": 1e200}, "divergence_bound"),
         ("ga", {"init_spread": "wide"}, "init_spread"),
-        ("ga", {"init_spread": float("inf")}, "init_spread"),
+        ("ga", {"init_spread": float("inf")}, "Infinity is not a JSON number"),
         ("datasets", {"generator": "example1", "seed": "x"}, "seed"),
         ("datasets", {"generator": "example1", "seed": -3}, "seed"),
         ("init_seed", -1, "init_seed"),
