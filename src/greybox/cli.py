@@ -307,7 +307,7 @@ def cmd_sweep(args) -> int:
         except SelectionError as exc:
             failures.append(f"{name}: {exc}")
             continue
-        write_json(out / f"model_{name}.json", chosen.model)
+        save_model(out / f"model_{name}.json", chosen.model)
         outputs[f"model_{name}"] = f"model_{name}.json"
         selections[name] = {"lambda": chosen.lam, score: getattr(chosen, score)}
     write_json(
@@ -342,7 +342,8 @@ def cmd_eval(args) -> int:
         if not isinstance(data, DynDataset):
             raise ConfigError("one-step evaluation needs a dynamical record")
         psi, target = build_regression_matrix(model.spec, data)
-        predicted = model.predict(psi)
+        with np.errstate(over="ignore"):  # as in cost_jd: a prediction that overflows is inf
+            predicted = model.predict(psi)
         write_table(
             out / "predictions.csv",
             ["y", "y_hat", "residual"],

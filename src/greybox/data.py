@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -309,10 +308,6 @@ def make_datasets(
 # Floats are written with repr(), the shortest digit string that round-trips,
 # so write/read is an exact identity on values.
 
-_STEADY_COL = re.compile(r"^u(\d+)_bar$")
-_DYN_COL = re.compile(r"^u(\d+)$")
-
-
 def _cell(value) -> str:
     """The one rule for a CSV cell.  A float (numpy float64 included) is the
     repr of its float, and is tested first since most cells are floats; None
@@ -381,19 +376,12 @@ def write_csv(path, dataset: DynDataset | SteadyDataset) -> None:
 
 
 def _classify_header(header: list[str]):
-    if header[-1] == "y" and all(
-        _DYN_COL.fullmatch(name) and int(_DYN_COL.fullmatch(name).group(1)) == i + 1
-        for i, name in enumerate(header[:-1])
-    ):
+    """The kind of record a header names, "dyn" or "steady", or None when
+    :func:`write_csv` writes no such header; names must match exactly."""
+    inputs = [f"u{i + 1}" for i in range(len(header) - 1)]
+    if header == [*inputs, "y"]:
         return "dyn"
-    if (
-        header[-1] == "y_bar"
-        and len(header) >= 2
-        and all(
-            _STEADY_COL.fullmatch(name) and int(_STEADY_COL.fullmatch(name).group(1)) == i + 1
-            for i, name in enumerate(header[:-1])
-        )
-    ):
+    if len(header) >= 2 and header == [f"{name}_bar" for name in inputs] + ["y_bar"]:
         return "steady"
     return None
 

@@ -131,25 +131,32 @@ class RegressorSpec:
         return _generate_loops(self, [f"psi = [{psi}]", "acc = step(psi)"], {},
                                range(len(self)), extra="step")
 
+    def check(self, data: DynDataset | SteadyDataset, name: str = "data") -> None:
+        """Raise ValueError unless ``data`` has this spec's input channel
+        count and, for a dynamical record, more samples than the largest
+        lag; ``name`` labels the message."""
+        if data.n_inputs != self.n_inputs:
+            raise ValueError(
+                f"{name} has {data.n_inputs} input channels, "
+                f"the structure expects {self.n_inputs}"
+            )
+        if isinstance(data, DynDataset) and data.sample_count <= self.max_lag:
+            raise ValueError(
+                f"{name} is too short: {data.sample_count} samples for max lag {self.max_lag}"
+            )
+
 
 def build_regression_matrix(spec: RegressorSpec, data: DynDataset):
     """One-step regressors and targets over every usable sample.
 
     Returns ``(psi, target)`` where row i of ``psi`` is psi(k-1) for
-    k = max_lag + i and ``target[i] = y(k)``.  Raises ValueError if the
-    dataset is too short to produce a single row or its channel count does
-    not match the spec.
+    k = max_lag + i and ``target[i] = y(k)``.  Raises ValueError as
+    :meth:`RegressorSpec.check` does.
     """
-    if data.n_inputs != spec.n_inputs:
-        raise ValueError(
-            f"spec expects {spec.n_inputs} input channels, dataset has {data.n_inputs}"
-        )
+    spec.check(data)
     k0 = spec.max_lag
     n = data.sample_count
-    rows = n - k0
-    if rows < 1:
-        raise ValueError(f"dataset too short: {n} samples for max lag {k0}")
-    psi = np.empty((rows, len(spec)))
+    psi = np.empty((n - k0, len(spec)))
     if spec.include_constant:
         psi[:, 0] = 1.0
     y = data.output
@@ -161,21 +168,14 @@ def build_regression_matrix(spec: RegressorSpec, data: DynDataset):
 
 def _check_data_fits(spec: RegressorSpec, datasets: dict) -> None:
     """Raise ConfigError naming the first dataset in ``datasets`` (name to
-    dataset, None skipped) whose channel count differs from the spec's, or
-    dynamical record no longer than the largest lag."""
+    dataset, None skipped) that ``spec`` does not fit, as
+    :meth:`RegressorSpec.check` decides."""
     for name, data in datasets.items():
-        if data is None:
-            continue
-        if data.n_inputs != spec.n_inputs:
-            raise ConfigError(
-                f"dataset {name!r} has {data.n_inputs} input channels, "
-                f"the structure expects {spec.n_inputs}"
-            )
-        if isinstance(data, DynDataset) and data.sample_count <= spec.max_lag:
-            raise ConfigError(
-                f"dataset {name!r} is too short: {data.sample_count} samples "
-                f"for max lag {spec.max_lag}"
-            )
+        if data is not None:
+            try:
+                spec.check(data, f"dataset {name!r}")
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
 
 
 def build_static_regressors(spec: RegressorSpec, zs: SteadyDataset) -> np.ndarray:
@@ -184,11 +184,9 @@ def build_static_regressors(spec: RegressorSpec, zs: SteadyDataset) -> np.ndarra
     At a fixed point every lagged output equals y_bar and every lagged input
     equals the pair's u_bar, so the row is the regressor vector with all
     output slots set to y_bar_j and all channel slots set to u_bar_j.
+    Raises ValueError as :meth:`RegressorSpec.check` does.
     """
-    if zs.n_inputs != spec.n_inputs:
-        raise ValueError(
-            f"spec expects {spec.n_inputs} input channels, dataset has {zs.n_inputs}"
-        )
+    spec.check(zs)
     psi = np.empty((zs.n_pairs, len(spec)))
     if spec.include_constant:
         psi[:, 0] = 1.0
@@ -425,13 +423,9 @@ def free_run_on_dataset(model: Model, data: DynDataset, bound: float = 1e6) -> F
     float arithmetic and ``math.tanh`` overflow to inf and NaN without
     raising, so every value before it keeps its bits.
     """
-    spec = model.spec
-    if data.n_inputs != spec.n_inputs:
-        raise ValueError(f"spec expects {spec.n_inputs} input channels, got {data.n_inputs}")
-    k0 = spec.max_lag
+    model.spec.check(data)
+    k0 = model.spec.max_lag
     n = data.sample_count
-    if n <= k0:
-        raise ValueError(f"need more than {k0} samples, got {n}")
     y = data.output[:k0].tolist() + [0.0] * (n - k0)
     model._loops.free_run(y, *(c.tolist() for c in data.inputs))
     y = np.array(y)

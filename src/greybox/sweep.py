@@ -33,8 +33,6 @@ from .models import (
     PolynomialModel,
     _check_data_fits,
     free_run_on_dataset,
-    model_from_json,
-    model_to_json,
 )
 from .steady_state import cost_jd, cost_js_hat
 
@@ -74,17 +72,18 @@ class LambdaGrid:
 
 @dataclass
 class ParetoPoint:
-    """One trained model on the sweep with its scores.
+    """One lambda on the sweep: its fitted model and the model's scores.
 
-    ``model`` is the serialized model document (None when training failed;
-    the failure text lands in ``error``).  Correlation and RMSE fields stay
-    None when their free-run diverged or was not computed.  ``warm_from`` is
-    the lambda whose fitted parameters started this fit, None for a seeded
-    start or an algorithm that does not warm-start.
+    ``model`` is the fitted model, None exactly when training failed, and
+    then the failure text lands in ``error``.  A free run that diverged
+    reads ``RMSE_CAP`` in its RMSE field, None in ``corr_dm``, and sets its
+    ``diverged_*`` flag; the RMSE fields stay None when their record was not
+    given.  ``warm_from`` is the lambda whose fitted parameters started this
+    fit, None for a seeded start or an algorithm that does not warm-start.
     """
 
     lam: float
-    model: dict | None = None
+    model: Model | None = None
     j_d: float = math.nan
     j_s_hat: float = math.nan
     rmse_zt: float | None = None
@@ -97,11 +96,6 @@ class ParetoPoint:
     eval_count: int = 0
     error: str | None = None
     warm_from: float | None = None
-
-    def fitted_model(self) -> Model:
-        if self.model is None:
-            raise ValueError(f"no model at lambda {self.lam} ({self.error})")
-        return model_from_json(self.model)
 
 
 def rmse(predicted, actual) -> float:
@@ -258,12 +252,13 @@ def run_sweep(
     seed_model = None
     if train.algorithm == "ga_legacy":
         seed_model = _ga_seed_model(structure, zd, train)
-    warm = (None, None)  # lambda and model of the last weighted_lm point that trained
     points = []
     for i, lam in enumerate(grid):
-        warm_from = None
+        point = ParetoPoint(lam=lam)
         if train.algorithm == "weighted_lm":
-            warm_from, seed_model = warm
+            last = next((p for p in reversed(points) if p.model is not None), None)
+            if last is not None:
+                seed_model, point.warm_from = last.model, last.lam
         ga = train.ga
         if train.algorithm == "ga_legacy":
             stream = np.random.SeedSequence((ga.seed, i)).generate_state(1, np.uint64)
@@ -272,39 +267,27 @@ def run_sweep(
         counter = EvalCounter()
         start = time.perf_counter()
         try:
-            fitted, _ = fit(structure, zd, zs, point_train, counter=counter, seed_model=seed_model)
+            point.model, _ = fit(structure, zd, zs, point_train, counter=counter,
+                                 seed_model=seed_model)
         except GreyboxError as exc:
-            points.append(ParetoPoint(
-                lam=lam,
-                error=f"{type(exc).__name__}: {exc}",
-                train_time_ms=int(round((time.perf_counter() - start) * 1e3)),
-                eval_count=counter.count,
-                warm_from=warm_from,
-            ))
-            continue
-        elapsed_ms = int(round((time.perf_counter() - start) * 1e3))
-        if train.algorithm == "weighted_lm":
-            warm = (lam, fitted)
-        point = ParetoPoint(
-            lam=lam,
-            model=model_to_json(fitted),
-            j_d=cost_jd(fitted, zd),
-            j_s_hat=cost_js_hat(fitted, zs),
-            train_time_ms=elapsed_ms,
-            eval_count=counter.count,
-            warm_from=warm_from,
-        )
-        _, point.diverged_zd, point.corr_dm = score_free_run(fitted, zd)
-        if zt is not None:
-            point.rmse_zt, point.diverged_zt, _ = score_free_run(fitted, zt)
-        if zv is not None:
-            point.rmse_zv, point.diverged_zv, _ = score_free_run(fitted, zv)
+            point.error = f"{type(exc).__name__}: {exc}"
+        point.train_time_ms = int(round((time.perf_counter() - start) * 1e3))
+        point.eval_count = counter.count
         points.append(point)
+        if point.model is None:
+            continue
+        point.j_d = cost_jd(point.model, zd)
+        point.j_s_hat = cost_js_hat(point.model, zs)
+        _, point.diverged_zd, point.corr_dm = score_free_run(point.model, zd)
+        if zt is not None:
+            point.rmse_zt, point.diverged_zt, _ = score_free_run(point.model, zt)
+        if zv is not None:
+            point.rmse_zv, point.diverged_zv, _ = score_free_run(point.model, zv)
     return points
 
 
 def _admissible(points: list[ParetoPoint]) -> list[ParetoPoint]:
-    return [p for p in points if p.error is None and p.model is not None]
+    return [p for p in points if p.model is not None]
 
 
 def _smallest(points: list[ParetoPoint], field: str, diverged: str, what: str) -> ParetoPoint:

@@ -732,6 +732,26 @@ def test_overflowing_cost_is_written_as_null(mode, data, cost, tmp_path):
         assert metrics["n_converged"] == 0
 
 
+def test_one_step_prediction_that_overflows_does_not_warn(tmp_path):
+    # y(k-1)^2 over outputs of 1e200 overflows in the prediction itself, not
+    # only in the cost: no RuntimeWarning, which the test settings make an error
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({
+        "kind": "polynomial",
+        "packing_version": 1,
+        "regressors": {"output_lags": [1], "input_lags": []},
+        "terms": [[1, 1]],
+        "theta": [1.0],
+    }))
+    (tmp_path / "zd.csv").write_text("y\n" + "1e200\n" * 20)
+    out = tmp_path / "eval"
+    argv = ["eval", "--model", str(model), "--data", str(tmp_path / "zd.csv"),
+            "--mode", "one-step", "--out", str(out)]
+    assert main(argv) == 0
+    metrics = load_json(out / "metrics.json")
+    assert metrics["j_d"] is None and metrics["rmse_one_step"] == 1e6
+
+
 def test_import_does_not_load_scipy():
     proc = subprocess.run(
         [sys.executable, "-c",

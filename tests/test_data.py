@@ -281,12 +281,16 @@ class TestCsv:
         assert isinstance(gb.read_csv(path), gb.SteadyDataset)
         path.write_text("u1,y\n1.0,2.0\n")
         assert isinstance(gb.read_csv(path), gb.DynDataset)
+        path.write_text("u1 , y\n1.0,2.0\n")  # names are stripped, then matched exactly
+        assert isinstance(gb.read_csv(path), gb.DynDataset)
 
     @pytest.mark.parametrize(
         "text, fragment",
         [
             ("u1,y\n1.0,2.0\nx,3.0\n", "non-numeric cell 'x', row 3, column u1"),
             ("u1,z\n1.0,2.0\n", "unrecognized header"),
+            ("u01,y\n1.0,2.0\n", "unrecognized header"),
+            ("u\u0661,y\n1.0,2.0\n", "unrecognized header"),
             ("u1,y\n1.0\n", "expected 2 cells, found 1, row 2"),
             ("", "no header"),
             ("u1,y\n", "no rows"),

@@ -57,8 +57,15 @@ class TestRegressionMatrix:
     def test_channel_count_must_match(self):
         spec = gb.RegressorSpec(output_lags=(1,), input_lags=((1,), (1,)))
         data = gb.DynDataset(inputs=(np.zeros(5),), output=np.zeros(5))
-        with pytest.raises(ValueError):
+        zs = gb.SteadyDataset(u_bar=np.zeros((2, 1)), y_bar=np.zeros(2))
+        model = gb.PolynomialModel(spec, ((1,),), np.array([0.5]))
+        expects = "has 1 input channels, the structure expects 2"
+        with pytest.raises(ValueError, match=expects):
             gb.build_regression_matrix(spec, data)
+        with pytest.raises(ValueError, match=expects):
+            gb.build_static_regressors(spec, zs)
+        with pytest.raises(ValueError, match=expects):
+            gb.free_run_on_dataset(model, data)
 
     def test_static_substitution(self):
         # every output slot takes y_bar, every input slot its channel's u_bar
@@ -703,7 +710,7 @@ class TestSweepScoring:
 def numpy_step_scores(point, zd, zt, zv):
     """``point`` with its free-run scores recomputed by :func:`faithful_free_run`,
     as :func:`greybox.sweep.score_free_run` computes them."""
-    model = point.fitted_model()
+    model = point.model
     k0 = model.spec.max_lag
 
     def score(data):

@@ -1,5 +1,6 @@
 """Lambda sweeps, scoring, decision makers, dominance filtering."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import greybox as gb
 import greybox.sweep as sweep_module
+from greybox.cli import main
 from greybox.sweep import RMSE_CAP, abs_error_correlation, score_free_run, write_sweep_csv
 
 
@@ -176,7 +178,7 @@ class TestRunSweep:
         for a, b in zip(wls_points, again):
             assert a.lam == b.lam and a.j_d == b.j_d and a.j_s_hat == b.j_s_hat
             assert a.rmse_zt == b.rmse_zt and a.rmse_zv == b.rmse_zv
-            assert a.model == b.model
+            assert gb.model_to_json(a.model) == gb.model_to_json(b.model)
 
     def test_failures_are_isolated(self, ex1_data):
         # lambda = 1 is singular for this structure; the rest must survive
@@ -225,12 +227,25 @@ class TestRunSweep:
         assert points[0].rmse_zv is None
         assert points[0].corr_dm is not None  # decision correlation uses zd
 
-    def test_fitted_model_round_trip(self, wls_points):
-        model = wls_points[0].fitted_model()
-        assert isinstance(model, gb.PolynomialModel)
-        failed = make_point(0.5, 1.0, 1.0, model=None, error="boom")
-        with pytest.raises(ValueError):
-            failed.fitted_model()
+    def test_picked_model_files_are_the_points_models(self, ex1_data, wls_points, tmp_path):
+        # the sweep command writes each pick with save_model, as train does
+        paths = {}
+        for name, data in zip(("zd", "zt", "zs", "zv"), ex1_data):
+            paths[name] = str(tmp_path / f"{name}.csv")
+            gb.write_csv(paths[name], data)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "structure": {"builtin": "example1"}, "datasets": paths, "algorithm": "wls",
+            "grid": [p.lam for p in wls_points],
+        }))
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        for name, decide in (("min_corr", gb.decide_min_corr),
+                             ("min_rmse_zt", gb.decide_min_rmse_zt)):
+            model = decide(wls_points).model
+            assert isinstance(model, gb.PolynomialModel)
+            gb.save_model(tmp_path / "want.json", model)
+            written = tmp_path / "out" / f"model_{name}.json"
+            assert written.read_bytes() == (tmp_path / "want.json").read_bytes()
 
 
 LM_TRAIN = gb.TrainConfig(algorithm="weighted_lm", lm=gb.LmConfig(max_iterations=60, n_starts=3))
@@ -266,7 +281,7 @@ class TestLmContinuation:
             counter=counter,
         )
         assert first.warm_from is None
-        assert first.model == gb.model_to_json(model)
+        assert gb.model_to_json(first.model) == gb.model_to_json(model)
         assert first.eval_count == counter.count
         assert [p.warm_from for p in lm_points[1:]] == [p.lam for p in lm_points[:-1]]
 
@@ -303,7 +318,7 @@ class TestLmContinuation:
         assert [p.error is None for p in points] == [True, True, False, True]
         assert [p.warm_from for p in points] == [None, 0.2, 0.4, 0.4]
         assert starts[0.2] is None
-        good = points[1].fitted_model().theta
+        good = points[1].model.theta
         assert np.array_equal(starts[0.6], good) and np.array_equal(starts[0.8], good)
 
     def test_failed_first_lambda_falls_back_to_the_multi_start(self, monkeypatch, ex2_data):
@@ -311,7 +326,7 @@ class TestLmContinuation:
         assert [p.error is None for p in points] == [False, True, True, True]
         assert [p.warm_from for p in points] == [None, None, 0.4, 0.6]
         assert starts[0.2] is None and starts[0.4] is None
-        assert np.array_equal(starts[0.6], points[1].fitted_model().theta)
+        assert np.array_equal(starts[0.6], points[1].model.theta)
 
 
 class TestDecisionMakers:
