@@ -10,28 +10,27 @@ the MLP feeds the non-constant slots through a tanh hidden layer.
 
 Time stepping has one generator, :func:`_generate_loops`.  From the lines
 of one step it writes the source of two functions, a free run and a
-fixed-point run at constant input, and compiles it.  Each loop gathers the
-lagged samples by zipping an ``islice`` of each list, offset by its lag.
-Each model generates its loops once (``_loops``), from a step over plain
-Python floats that is one expression, a sum of the polynomial terms,
+fixed-point run at constant input, and compiles it once per structure
+(:func:`_polynomial_loops`, :func:`_mlp_loops`).  The step is one
+expression over plain Python floats, a sum of the polynomial terms,
 ``acc = 0.0 + t_0 * x_a * x_b + ...``, or of the MLP nodes,
 ``acc = bias + w_0 * tanh(b_0 + v_0_0 * x_a + ...) + ...``, with any
 product or sum past 32 operands split into chunks of its own temporary.
-The free run checks no bound per sample: :func:`free_run_on_dataset`
-finds where the run left it afterwards.  The model's parameters are bound
-as locals on entry from one tuple, never written as text, so no value is
-rounded and every fit of one structure shares the compiled code.
-:func:`free_run_on_dataset`, the one free run, and
+A run takes the model's parameters as a list, never as text, so no value
+is rounded.  The free run gathers the lagged samples by zipping an
+``islice`` of each list, appends each y(k) to the output list and checks
+no bound per sample: :func:`free_run_on_dataset`, the one free run, finds
+where the run left it afterwards.  It and
 :func:`~greybox.steady_state.model_static_curve`, the one run to fixed
-points, call them.  ``_predict_psi`` computes the same value but unpacks
-the parameters on every call; it is kept only as the deliberately
+points, call the loops.  ``_predict_psi`` computes the same value but
+unpacks the parameters on every call; it is kept only as the deliberately
 unhoisted step of the GA baseline's fixed-point cost, which runs the loops
-the same generator emits for the spec with ``step(psi)`` as the body
-(``RegressorSpec._legacy_loops``), and for the tests that check the scalar
-path against the batch one.  The polynomial loops return the same bits as
-``_predict_psi``.  The MLP loops do not: ``math.tanh`` and left-to-right
-sums round differently from numpy's ``np.tanh`` and ``@``, and one step of
-the two differs by at most
+the same generator emits for the spec with ``step(psi)`` as the body and
+``(step,)`` as the parameters (``RegressorSpec._legacy_loops``), and for
+the tests that check the scalar path against the batch one.  The
+polynomial loops return the same bits as ``_predict_psi``.  The MLP loops
+do not: ``math.tanh`` and left-to-right sums round differently from
+numpy's ``np.tanh`` and ``@``, and one step of the two differs by at most
 8 eps (|b0| + sum_i |w_out_i| (1 + |b_i| + sum_j |w_ij psi_j|)), eps being
 the float64 machine epsilon.
 """
@@ -125,11 +124,11 @@ class RegressorSpec:
     @cached_property
     def _legacy_loops(self) -> "_Loops":
         """Loops that gather psi(k-1) into a fresh list at every sample and
-        call ``step(psi)``, their last argument, on it: the GA baseline's
-        per-call step, shared by every model over this spec."""
+        call ``step(psi)`` on it, ``step`` being their one parameter: the GA
+        baseline's per-call step, shared by every model over this spec."""
         psi = ", ".join(f"x{pos}" for pos in range(len(self)))
-        return _generate_loops(self, [f"psi = [{psi}]", "acc = step(psi)"], {},
-                               range(len(self)), extra="step")
+        return _generate_loops(self, ["[step] = params"],
+                               [f"psi = [{psi}]", "acc = step(psi)"], range(len(self)))
 
     def check(self, data: DynDataset | SteadyDataset, name: str = "data") -> None:
         """Raise ValueError unless ``data`` has this spec's input channel
@@ -269,17 +268,7 @@ class PolynomialModel:
 
     @cached_property
     def _loops(self) -> "_Loops":
-        """Free run and fixed point over ``_predict_psi``'s products and sum,
-        in its order and over plain floats, so they return its bits."""
-        params, body, products = {}, [], ["0.0"]
-        for j, (weight, term) in enumerate(zip(self.theta.tolist(), self.terms)):
-            params[f"t{j}"] = weight
-            lines, product = _fold(f"p{j}", "*", [f"t{j}", *(f"x{i}" for i in term)])
-            body += lines
-            products.append(product)
-        lines, total = _fold("acc", "+", products)
-        body += [*lines, f"acc = {total}"]
-        return _generate_loops(self.spec, body, params, {i for t in self.terms for i in t})
+        return _polynomial_loops(self.spec, self.terms)
 
 
 @dataclass(frozen=True)
@@ -345,30 +334,7 @@ class MlpModel:
 
     @cached_property
     def _loops(self) -> "_Loops":
-        """Free run and fixed point over
-        b0 + sum_i w_out_i tanh(b_i + sum_j w_ij psi_j), summed left to right
-        over plain floats, with ``math.tanh``.
-
-        They do not return the same bits as ``_predict_psi``, whose ``@`` and
-        ``np.tanh`` round differently; one step of the two differs by at most
-        8 eps (|b0| + sum_i |w_out_i| (1 + |b_i| + sum_j |w_ij psi_j|)).
-        """
-        b0, w_out, b_h, w_h = self.unpack()
-        start = 1 if self.spec.include_constant else 0
-        params = {"tanh": math.tanh, "bias": float(b0)}
-        body, nodes = [], ["bias"]
-        for i, (w, b, weights) in enumerate(zip(w_out.tolist(), b_h.tolist(), w_h.tolist())):
-            params[f"w{i}"], params[f"b{i}"] = w, b
-            terms = [f"b{i}"]
-            for j, v in enumerate(weights):
-                params[f"v{i}_{j}"] = v
-                terms.append(f"v{i}_{j} * x{start + j}")
-            lines, inner = _fold(f"z{i}", "+", terms)
-            body += lines
-            nodes.append(f"w{i} * tanh({inner})")
-        lines, total = _fold("acc", "+", nodes)
-        body += [*lines, f"acc = {total}"]
-        return _generate_loops(self.spec, body, params, range(start, len(self.spec)))
+        return _mlp_loops(self.spec, self.n_hidden)
 
 
 def _mlp_unpack(theta: np.ndarray, n_hidden: int, n_features: int):
@@ -412,7 +378,8 @@ class FreeRunResult:
         return self.diverged_at is not None
 
 
-def free_run_on_dataset(model: Model, data: DynDataset, bound: float = 1e6) -> FreeRunResult:
+def free_run_on_dataset(model: Model, data: DynDataset, bound: float = 1e6, *,
+                        _inputs: list | None = None) -> FreeRunResult:
     """Simulate the model on its own past predictions over a record.
 
     The run takes the record's inputs and its length, and is seeded with
@@ -421,14 +388,16 @@ def free_run_on_dataset(model: Model, data: DynDataset, bound: float = 1e6) -> F
     instead of raising, with NaN from that sample on.  The loop runs the
     whole record and the first such sample is found afterwards: Python's
     float arithmetic and ``math.tanh`` overflow to inf and NaN without
-    raising, so every value before it keeps its bits.
+    raising, so every value before it keeps its bits.  ``_inputs`` may
+    hold the record's input channels already converted to lists.
     """
     model.spec.check(data)
     k0 = model.spec.max_lag
     n = data.sample_count
-    y = data.output[:k0].tolist() + [0.0] * (n - k0)
-    model._loops.free_run(y, *(c.tolist() for c in data.inputs))
-    y = np.array(y)
+    y = data.output[:k0].tolist()
+    model._loops.free_run(model.theta.tolist(), y, n,
+                          *(_inputs or [c.tolist() for c in data.inputs]))
+    y = np.fromiter(y, float, n)
     outside = ~(np.abs(y[k0:]) <= bound)  # also catches NaN
     first = int(outside.argmax())
     if not outside[first]:
@@ -438,52 +407,52 @@ def free_run_on_dataset(model: Model, data: DynDataset, bound: float = 1e6) -> F
 
 
 class _Loops(NamedTuple):
-    """A model's time-stepping loops, generated by :func:`_generate_loops`."""
+    """A structure's time-stepping loops, generated by :func:`_generate_loops`."""
 
     free_run: Callable
     fixed_point: Callable
 
 
-def _generate_loops(spec: RegressorSpec, body, params: dict, slots, extra: str = "") -> _Loops:
+def _generate_loops(spec: RegressorSpec, head, body, slots) -> _Loops:
     """The one generator of the loops that run a model through time.
 
     ``body`` holds the lines of one step: they read regressor slot ``pos``
     of psi(k-1) as the local ``x{pos}`` (only the ``slots`` given are
-    gathered) and leave y(k) in ``acc``.  ``params`` maps names to values
-    that each function binds as locals on entry, from one tuple in its
-    globals, so parameters enter as names and never as text; the only text
-    that varies is the body and the spec's validated lags.  ``extra`` names
-    one more trailing argument, passed through to the body.
+    gathered) and leave y(k) in ``acc``.  ``head`` holds the lines run on
+    entry, which bind the names ``body`` reads from ``params``, the first
+    argument of each loop, so a parameter is never written as text and the
+    loops of a structure serve every fit of it.
 
-    The samples are gathered by one ``zip`` over ``range`` and an
-    ``islice`` per lagged slot.  A list iterator reads its element when it
-    advances, so the output's slices see each y(k - 1) stored the step
-    before.
+    The samples are gathered by one ``zip`` over an ``islice`` per lagged
+    slot.  A list iterator reads its element when it advances, so the
+    output's slices see each y(k - 1) stored the step before.
 
-    ``free_run(y, u0, u1, ...)`` steps k = max_lag, ..., len(y) - 1 over
-    the output list ``y`` and the input lists, storing y(k) in place, and
-    tests no value: :func:`free_run_on_dataset` finds where a run diverged.
+    ``free_run(params, y, n, u0, u1, ...)`` steps k = max_lag, ..., n - 1
+    over input lists of ``n`` samples and appends y(k) to ``y``, which
+    holds the first max_lag outputs.  Every slice stops at ``n - lag``, so
+    a run without input lists ends too, and a ``range`` drives the loop
+    only when no slot is gathered.  It tests no value:
+    :func:`free_run_on_dataset` finds where a run diverged.
 
-    ``fixed_point(u0, u1, ..., budget, settle, tolerance, bound)`` runs from
-    zero outputs at constant inputs, holding at most ``_WINDOW`` samples
-    after the max(1, max_lag) initial ones and shifting the lagged outputs
-    back when the window is full.  Each pass over the window is cut to the
-    budget left, so the step count is read off ``k`` and not kept per step.
-    It stops when a value leaves ``[-bound, bound]`` or is NaN, after
-    ``budget`` steps, or once ``settle`` successive differences fall inside
-    ``(-tolerance, tolerance)`` (``settle`` is -1 under a fixed horizon,
-    where every run that does not diverge converges), and returns
+    ``fixed_point(params, u0, u1, ..., budget, settle, tolerance, bound)``
+    runs from zero outputs at constant inputs, holding at most ``_WINDOW``
+    samples after the max(1, max_lag) initial ones and shifting the lagged
+    outputs back when the window is full.  Each pass over the window is cut
+    to the budget left, so the step count is read off ``k`` and not kept
+    per step.  It stops when a value leaves ``[-bound, bound]`` or is NaN,
+    after ``budget`` steps, or once ``settle`` successive differences fall
+    inside ``(-tolerance, tolerance)`` (``settle`` is -1 under a fixed
+    horizon, where every run that does not diverge converges), and returns
     ``(y_bar, iterations, converged)`` with the last value computed;
     :func:`~greybox.steady_state.model_static_curve` calls it once per
     input level.
     """
     reads = {pos: (ch, lag) for pos, ch, lag in spec._gather}
     inputs = [f"u{ch}" for ch in range(spec.n_inputs)]
-    k0 = max(1, spec.max_lag)
-    bind = [f"({', '.join(params)},) = _params"] if params else []
-    run_head, fixed_head = list(bind), list(bind)
-    run_names, fixed_names = ["k"], ["k"]
-    run_sources = [f"range({spec.max_lag}, len(y))"]
+    m, k0 = spec.max_lag, max(1, spec.max_lag)
+    run_head, fixed_head = [*head, "append = y.append"], list(head)
+    run_names, run_sources = [], []
+    fixed_names = ["k"]
     fixed_sources = [f"range({k0}, min(n, {k0} + budget - done))"]
     for pos in sorted(set(slots)):
         if pos not in reads:  # the constant slot
@@ -492,29 +461,29 @@ def _generate_loops(spec: RegressorSpec, body, params: dict, slots, extra: str =
             continue
         ch, lag = reads[pos]
         run_names.append(f"x{pos}")
+        run_sources.append(f"islice({'y' if ch < 0 else f'u{ch}'}, {m - lag}, n - {lag})")
         if ch < 0:
-            run_sources.append(f"islice(y, {spec.max_lag - lag}, None)")
             fixed_names.append(f"x{pos}")
             fixed_sources.append(f"islice(y, {k0 - lag}, None)")
         else:  # inputs are constant in a fixed point
-            run_sources.append(f"islice(u{ch}, {spec.max_lag - lag}, None)")
             fixed_head.append(f"x{pos} = u{ch}")
-    tail = [extra] if extra else []
-    # the trailing comma keeps k an int when no slot is gathered
+    if len(run_sources) != 1:  # a lone slice is looped over as it is
+        run_sources = [f"zip({', '.join(run_sources)})" if run_sources else f"range(n - {m})"]
     lines = [
-        f"def free_run({', '.join(['y', *inputs, *tail])}):",
+        f"def free_run({', '.join(['params', 'y', 'n', *inputs])}):",
         *(f"    {line}" for line in run_head),
-        f"    for {', '.join(run_names)}, in zip({', '.join(run_sources)}):",
+        f"    for {', '.join(run_names) or '_'} in {run_sources[0]}:",
         *(f"        {line}" for line in body),
-        "        y[k] = acc",
+        "        append(acc)",
         "",
-        f"def fixed_point({', '.join([*inputs, 'budget', 'settle', 'tolerance', 'bound', *tail])}):",
+        f"def fixed_point({', '.join(['params', *inputs, 'budget', 'settle', 'tolerance', 'bound'])}):",
         *(f"    {line}" for line in fixed_head),
         f"    y = [0.0] * ({k0} + min(budget, {_WINDOW}))",
         "    n = len(y)",
         "    prev = 0.0",
         "    settled = done = 0",
         "    while True:",
+        # the trailing comma keeps k an int when no slot is gathered
         f"        for {', '.join(fixed_names)}, in zip({', '.join(fixed_sources)}):",
         *(f"            {line}" for line in body),
         "            if not (-bound <= acc <= bound):  # also catches NaN",
@@ -529,9 +498,45 @@ def _generate_loops(spec: RegressorSpec, body, params: dict, slots, extra: str =
         "        # the window is full: keep the lagged outputs and run on",
         f"        y[:{k0}] = y[-{k0}:]",
     ]
-    namespace = {"_params": tuple(params.values()), "islice": islice}
-    exec(_compile_loops("\n".join(lines)), namespace)
+    namespace = {"islice": islice, "math": math}
+    exec(compile("\n".join(lines), "<greybox loops>", "exec"), namespace)
     return _Loops(namespace["free_run"], namespace["fixed_point"])
+
+
+@lru_cache(maxsize=64)
+def _polynomial_loops(spec: RegressorSpec, terms) -> _Loops:
+    """Loops over ``PolynomialModel._predict_psi``'s products and sum, in
+    its order and over plain floats, so they return its bits."""
+    body, products = [], ["0.0"]
+    for j, term in enumerate(terms):
+        lines, product = _fold(f"p{j}", "*", [f"t{j}", *(f"x{i}" for i in term)])
+        body += lines
+        products.append(product)
+    lines, total = _fold("acc", "+", products)
+    body += [*lines, f"acc = {total}"]
+    names = ", ".join(f"t{j}" for j in range(len(terms)))
+    return _generate_loops(spec, [f"[{names}] = params"], body, {i for t in terms for i in t})
+
+
+@lru_cache(maxsize=64)
+def _mlp_loops(spec: RegressorSpec, n_hidden: int) -> _Loops:
+    """Loops over b0 + sum_i w_out_i tanh(b_i + sum_j w_ij psi_j), summed
+    left to right over plain floats with ``math.tanh``, the parameters
+    named in :class:`MlpModel`'s packing order.  They differ from
+    ``_predict_psi`` by the rounding bound the module docstring gives."""
+    start = 1 if spec.include_constant else 0
+    names = ["bias", *(f"w{i}" for i in range(n_hidden))]
+    body, nodes = [], ["bias"]
+    for i in range(n_hidden):
+        terms = [f"b{i}", *(f"v{i}_{j} * x{start + j}" for j in range(spec.n_features))]
+        names += [f"b{i}", *(f"v{i}_{j}" for j in range(spec.n_features))]
+        lines, inner = _fold(f"z{i}", "+", terms)
+        body += lines
+        nodes.append(f"w{i} * tanh({inner})")
+    lines, total = _fold("acc", "+", nodes)
+    body += [*lines, f"acc = {total}"]
+    return _generate_loops(spec, ["tanh = math.tanh", f"[{', '.join(names)}] = params"],
+                           body, range(start, len(spec)))
 
 
 def _fold(target: str, op: str, operands: list[str]) -> tuple[list[str], str]:
@@ -544,12 +549,6 @@ def _fold(target: str, op: str, operands: list[str]) -> tuple[list[str], str]:
         lines.append(f"{target} = {f' {op} '.join(operands[:_CHUNK])}")
         operands = [target, *operands[_CHUNK:]]
     return lines, f" {op} ".join(operands)
-
-
-@lru_cache(maxsize=64)
-def _compile_loops(source: str):
-    # the text holds no parameter, so every fit of one structure shares it
-    return compile(source, "<greybox loops>", "exec")
 
 
 # ---------------------------------------------------------------------------

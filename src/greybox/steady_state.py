@@ -8,12 +8,12 @@ only the GA baseline's :func:`cost_js_legacy` and the static-curve check
 :func:`model_static_curve`, which finds them as free runs at constant input,
 one per input level; a single fixed point is a one-level curve.
 
-The static curve runs the model's generated fixed-point loop
-(``model._loops``), which the same generator emits from the same step body
-as the model's free run (see :func:`~greybox.models._generate_loops`): the
-inputs are held in locals, the lagged outputs are gathered by ``islice``
-over the sample window, and each step is one expression over the
-polynomial terms or MLP nodes, with parameters bound as locals.
+The static curve runs the fixed-point loop generated once per structure
+(``model._loops``) from the step body of the model's free run (see
+:func:`~greybox.models._generate_loops`): the inputs are held in locals,
+the lagged outputs are gathered by ``islice`` over the sample window, and
+each step is one expression over the polynomial terms or MLP nodes, with
+the parameters bound as locals on entry.
 :func:`cost_js_legacy` runs the loop that same generator emits for the
 regressor spec with a call to ``_predict_psi`` as its step, which unpacks
 the parameters on every call: the GA baseline is kept deliberately
@@ -22,7 +22,7 @@ polynomial's two loops return the same bits; an MLP's plain-float step
 rounds differently from numpy's ``@`` and ``np.tanh``, and the two differ
 by at most
 8 eps (|b0| + sum_i |w_out_i| (1 + |b_i| + sum_j |w_ij psi_j|)) per step
-(see :attr:`~greybox.models.MlpModel._loops`).
+(see :func:`~greybox.models._mlp_loops`).
 
 Every cost helper accepts an optional :class:`~greybox.models.EvalCounter`
 so callers can account model evaluations precisely.
@@ -113,7 +113,7 @@ def cost_js_legacy(
     """
     config = config or FixedPointConfig()
     # the faithful per-call step, not the model's own loop: this is the baseline
-    loop = functools.partial(model.spec._legacy_loops.fixed_point, step=model._predict_psi)
+    loop = functools.partial(model.spec._legacy_loops.fixed_point, (model._predict_psi,))
     curve = _static_curve(model.spec, loop, zs.u_bar, config, counter)
     bound = config.divergence_bound
     terms = [  # clipped before squaring, so a huge measured value cannot overflow
@@ -156,9 +156,8 @@ def model_static_curve(
     ``model_static_curve(model, [[u1, ...]], config, counter)``: its value
     is ``y_bar[0]``, NaN unless ``converged[0]``.
     """
-    return _static_curve(
-        model.spec, model._loops.fixed_point, u_bar_grid, config or FixedPointConfig(), counter
-    )
+    loop = functools.partial(model._loops.fixed_point, model.theta.tolist())
+    return _static_curve(model.spec, loop, u_bar_grid, config or FixedPointConfig(), counter)
 
 
 def _static_curve(spec, loop, u_bar_grid, config: FixedPointConfig, counter) -> StaticCurve:

@@ -75,17 +75,18 @@ class ParetoPoint:
     """One lambda on the sweep: its fitted model and the model's scores.
 
     ``model`` is the fitted model, None exactly when training failed, and
-    then the failure text lands in ``error``.  A free run that diverged
-    reads ``RMSE_CAP`` in its RMSE field, None in ``corr_dm``, and sets its
-    ``diverged_*`` flag; the RMSE fields stay None when their record was not
-    given.  ``warm_from`` is the lambda whose fitted parameters started this
-    fit, None for a seeded start or an algorithm that does not warm-start.
+    then the failure text lands in ``error`` and every score stays None.  A
+    free run that diverged reads ``RMSE_CAP`` in its RMSE field, None in
+    ``corr_dm``, and sets its ``diverged_*`` flag; the RMSE fields stay None
+    when their record was not given.  ``warm_from`` is the lambda whose
+    fitted parameters started this fit, None for a seeded start or an
+    algorithm that does not warm-start.
     """
 
     lam: float
     model: Model | None = None
-    j_d: float = math.nan
-    j_s_hat: float = math.nan
+    j_d: float | None = None
+    j_s_hat: float | None = None
     rmse_zt: float | None = None
     diverged_zt: bool = False
     rmse_zv: float | None = None
@@ -140,11 +141,11 @@ def abs_error_correlation(residual, reference) -> float:
     return abs(np.add.reduce(dr * dy, axis=None) / n / (r_std * y_std))
 
 
-def score_free_run(model: Model, data: DynDataset):
+def score_free_run(model: Model, data: DynDataset, inputs: list | None = None):
     """Free-run RMSE over the predicted region, the divergence flag, and
     the absolute error/output correlation (None when diverged), both from
-    one error vector."""
-    result = free_run_on_dataset(model, data, bound=RMSE_CAP)
+    one error vector; ``inputs`` may hold the record's input lists."""
+    result = free_run_on_dataset(model, data, bound=RMSE_CAP, _inputs=inputs)
     if result.diverged:
         return RMSE_CAP, True, None
     k0 = model.spec.max_lag
@@ -252,6 +253,8 @@ def run_sweep(
     seed_model = None
     if train.algorithm == "ga_legacy":
         seed_model = _ga_seed_model(structure, zd, train)
+    # each record's input lists, converted once for every point's free runs
+    zd_u, zt_u, zv_u = ([c.tolist() for c in d.inputs] if d else None for d in (zd, zt, zv))
     points = []
     for i, lam in enumerate(grid):
         point = ParetoPoint(lam=lam)
@@ -278,11 +281,11 @@ def run_sweep(
             continue
         point.j_d = cost_jd(point.model, zd)
         point.j_s_hat = cost_js_hat(point.model, zs)
-        _, point.diverged_zd, point.corr_dm = score_free_run(point.model, zd)
+        _, point.diverged_zd, point.corr_dm = score_free_run(point.model, zd, zd_u)
         if zt is not None:
-            point.rmse_zt, point.diverged_zt, _ = score_free_run(point.model, zt)
+            point.rmse_zt, point.diverged_zt, _ = score_free_run(point.model, zt, zt_u)
         if zv is not None:
-            point.rmse_zv, point.diverged_zv, _ = score_free_run(point.model, zv)
+            point.rmse_zv, point.diverged_zv, _ = score_free_run(point.model, zv, zv_u)
     return points
 
 

@@ -368,6 +368,26 @@ class TestSweep:
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert "rank deficient" in lines[3]
 
+    def test_failed_point_leaves_its_costs_empty(self, tmp_path):
+        # lambda = 1 is rank deficient for example1: its row names the error
+        # and, as every missing score, reads empty, not nan, in both costs
+        config = {
+            "structure": {"builtin": "example1"},
+            "datasets": {"generator": "example1", "seed": 0},
+            "algorithm": "wls",
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        proc = run_cli(
+            "sweep", "--config", str(path), "--grid", "0.5,1.0", "--out", str(tmp_path),
+        )
+        assert proc.returncode == 0, proc.stderr
+        with open(tmp_path / "sweep.csv", newline="") as fh:
+            trained, failed = csv.DictReader(fh)
+        assert failed["lambda"] == "1.0" and "SingularityError" in failed["error"]
+        assert failed["j_d"] == "" and failed["j_s_hat"] == ""
+        assert trained["error"] == "" and float(trained["j_d"]) > 0.0
+
     def test_sweep_without_statics_exits_2(self, datadir, tmp_path):
         # every point is scored on j_s_hat, even ols's, which trains without zs
         for algorithm in ("wls", "ols"):

@@ -1,5 +1,6 @@
 """Regressor layout, model prediction, free-run simulation, persistence."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -302,11 +303,11 @@ def generated_step(model, psi):
     lagged samples hold ``psi``: the raw value, also when it diverges."""
     spec = model.spec
     k0 = spec.max_lag
-    y = [0.0] * (k0 + 1)
+    y = [0.0] * k0
     inputs = [[0.0] * (k0 + 1) for _ in range(spec.n_inputs)]
     for pos, ch, lag in spec._gather:
         (y if ch < 0 else inputs[ch])[k0 - lag] = psi[pos]
-    model._loops.free_run(y, *inputs)
+    model._loops.free_run(model.theta.tolist(), y, k0 + 1, *inputs)
     return y[k0]
 
 
@@ -517,6 +518,59 @@ class TestFreeRun:
         result = gb.free_run_on_dataset(ex1_true_model, zd)
         assert np.array_equal(result.y[:2], zd.output[:2])
         assert np.max(np.abs(result.y - zd.output)) < 1e-10
+
+    def test_runs_with_no_input_list_or_no_gathered_slot_end(self):
+        # an output-only structure on a y-only record has no input list to
+        # stop its loop, and a constant-only model gathers no slot: each
+        # still runs to exactly the record's length
+        ar = gb.PolynomialModel(gb.RegressorSpec(output_lags=(1, 3), input_lags=()),
+                                ((), (1,), (2,)), np.array([0.5, 0.25, -0.125]))
+        record = gb.DynDataset(inputs=(), output=[1.0, 2.0, 3.0, *[0.0] * 7])
+        want = [1.0, 2.0, 3.0]
+        for k in range(3, 10):
+            want.append(0.0 + 0.5 + 0.25 * want[k - 1] + -0.125 * want[k - 3])
+        assert gb.free_run_on_dataset(ar, record).y.tobytes() == np.array(want).tobytes()
+        level = gb.PolynomialModel(EXAMPLE_SPEC, ((),), np.array([0.7]))
+        record = gb.DynDataset(inputs=(np.ones(9),), output=[4.0, 5.0, *[0.0] * 7])
+        assert np.array_equal(gb.free_run_on_dataset(level, record).y, [4.0, 5.0, *[0.7] * 7])
+        bias = gb.MlpModel(gb.RegressorSpec(output_lags=(), input_lags=()), 1,
+                           np.array([0.5, 2.0, 0.25]))
+        run = gb.free_run_on_dataset(bias, gb.DynDataset(inputs=(), output=np.zeros(6)))
+        assert np.array_equal(run.y, [0.5 + 2.0 * math.tanh(0.25)] * 6)
+
+    def test_fits_of_one_structure_share_their_loops(self, ex1_data, ex2_data):
+        # the loops are generated once per structure and take the parameters
+        # as an argument, so the fits share them and still run apart
+        for structure, (_, _, zs, zv) in (
+            (gb.example_structure("example1"), ex1_data),
+            (gb.example_structure("example2"), ex2_data),
+        ):
+            rng = np.random.default_rng(0)
+            a, b = (structure.with_theta(0.3 * rng.standard_normal(structure.n_params))
+                    for _ in range(2))
+            copy = gb.model_from_json(gb.model_to_json(a))  # an equal, new spec
+            assert a._loops is b._loops is copy._loops
+            run_a, run_b = (gb.free_run_on_dataset(m, zv).y for m in (a, b))
+            assert not np.array_equal(run_a, run_b)
+            assert run_a.tobytes() == gb.free_run_on_dataset(copy, zv).y.tobytes()
+            curve_a, curve_b = (gb.model_static_curve(m, zs.u_bar).y_bar for m in (a, b))
+            assert not np.array_equal(curve_a, curve_b, equal_nan=True)
+
+    def test_example1_truth_is_pinned(self, ex1_true_model, ex1_data):
+        # plain IEEE float arithmetic in a fixed order, so these digests of
+        # the seed-0 free run over zv and static curve over zs hold on every
+        # platform: a change to the loops that moves one bit fails here
+        _, _, zs, zv = ex1_data
+        run = gb.free_run_on_dataset(ex1_true_model, zv)
+        assert not run.diverged
+        assert hashlib.sha256(run.y.astype("<f8").tobytes()).hexdigest() == (
+            "7e24e55bd4759e7dcdcc35c594d378feeb2bfd685cd1214899906cdfdc52585e"
+        )
+        curve = gb.model_static_curve(ex1_true_model, zs.u_bar)
+        assert curve.converged.sum() == 48
+        assert hashlib.sha256(curve.y_bar.astype("<f8").tobytes()).hexdigest() == (
+            "70a669514447a1d5a1ffa7695ca77af7d8dfa4681719f408b292b693dd704ada"
+        )
 
     def test_nan_in_state_counts_as_divergence(self):
         spec = gb.RegressorSpec(output_lags=(1,), input_lags=((1,),))
