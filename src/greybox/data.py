@@ -332,7 +332,7 @@ def write_table(path, header: Sequence[str], columns: Sequence[Iterable]) -> Non
     cols = [list(c) for c in columns]
     if len(cols) != len(header):
         raise ValueError(f"{len(header)} header names for {len(cols)} columns")
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in zip(*cols):
@@ -422,7 +422,8 @@ def _read_cells(fh, header: list[str], file_name: str) -> np.ndarray:
 
 
 def read_csv(path) -> DynDataset | SteadyDataset:
-    """Parse a dataset CSV written by :func:`write_csv`.
+    """Parse a dataset CSV written by :func:`write_csv`, UTF-8 with or
+    without a leading byte-order mark.
 
     Raises CsvFormatError for bytes that do not decode, a missing header, an
     unrecognized header, a ragged row, a non-numeric or non-finite cell, or
@@ -436,7 +437,8 @@ def read_csv(path) -> DynDataset | SteadyDataset:
     """
     path = Path(path)
     try:
-        with open(path, newline="") as fh:
+        # utf-8-sig also reads the byte-order mark that spreadsheets write
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             header = next(csv.reader(fh), None)
             if not header:
                 raise CsvFormatError(f"{path.name}: no header")

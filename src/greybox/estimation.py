@@ -44,7 +44,7 @@ from .models import (
     PolynomialModel,
     _mlp_hidden,
     _mlp_output,
-    _mlp_unpack,
+    _mlp_split,
     build_regression_matrix,
     build_static_regressors,
 )
@@ -118,7 +118,8 @@ class TrainConfig:
     fixed_point: FixedPointConfig | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", _require_number(self.lam, "lambda", 0, 1))
+        # + 0.0 turns a -0.0 into 0.0, which the artefacts would write signed
+        object.__setattr__(self, "lam", _require_number(self.lam, "lambda", 0, 1) + 0.0)
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}, expected {ALGORITHMS}")
         _require_count(self.init_seed, "init_seed", 0, math.inf)
@@ -219,21 +220,23 @@ def mlp_jacobian(model: MlpModel, psi_rows: np.ndarray) -> np.ndarray:
     The result is the transpose of a C-order (parameters, rows) array."""
     psi_rows = np.atleast_2d(np.asarray(psi_rows, dtype=float))
     x_t = model._features(psi_rows).T
-    hidden = _mlp_hidden(model.theta, model.n_hidden, x_t)
+    c, blocks = _mlp_split(model.theta, model.n_hidden)
     jac_t = np.empty((model.n_params, x_t.shape[1]))
-    return _mlp_jacobian(model.theta, model.n_hidden, x_t, hidden, 1.0, jac_t).T
+    jac_t[0] = 1.0
+    return _mlp_jacobian(c[1:], x_t, _mlp_hidden(blocks, x_t), 1.0, jac_t).T
 
 
 def _mlp_jacobian(
-    theta: np.ndarray, nh: int, x_t: np.ndarray, t: np.ndarray, scale, out: np.ndarray
+    w_out: np.ndarray, x_t: np.ndarray, t: np.ndarray, scale, out: np.ndarray
 ) -> np.ndarray:
-    """Fill ``out`` with the transposed Jacobian at ``theta``, one row per
-    parameter, each column multiplied by ``scale`` (a scalar or one value
-    per regressor row), and return it.  ``x_t`` holds the features and
-    ``t`` the hidden activations, one row per feature or node."""
-    nf = x_t.shape[0]
-    _, w_out, _, _ = _mlp_unpack(theta, nh, nf)
-    out[0] = scale
+    """Fill ``out`` below its first row with the transposed Jacobian of a
+    network with output weights ``w_out``, one row per parameter, each
+    column multiplied by ``scale`` (a scalar or one value per regressor row),
+    and return it.  ``x_t`` holds the features and ``t`` the hidden
+    activations, one row per feature or node.  The first row, b0's, is
+    ``scale`` itself and left to the caller, who may set it once for many
+    fills."""
+    nh, nf = w_out.size, x_t.shape[0]
     np.multiply(scale, t, out=out[1 : 1 + nh])
     slopes = 1.0 - t**2
     for i, slope in enumerate(slopes):
@@ -243,6 +246,14 @@ def _mlp_jacobian(
         rows = np.multiply(slope, x_t, out=out[base + 1 : base + 1 + nf])
         rows *= scale
     return out
+
+
+def _norm_1(a: np.ndarray) -> float:
+    """The 1-norm (largest absolute column sum) of a small matrix, summed in
+    numpy's order on Python floats, which beats numpy's reductions at this
+    size; NaN when an entry is NaN, as numpy's maximum gives it."""
+    sums = [sum(map(abs, column)) for column in a.T.tolist()]
+    return math.nan if math.isnan(sum(sums)) else max(sums)
 
 
 def init_mlp_theta(model: MlpModel, seed: int) -> np.ndarray:
@@ -327,19 +338,28 @@ def fit_weighted_lm(
     least squares fit for the start's hidden layer.  The trace holds the
     initial state plus one record per accepted step.
 
-    Each evaluation runs the hidden layer over the transposed regressor rows,
-    forms A = w [1, tanh] over the stacked rows, and solves c from the
-    (1 + n_hidden)-square normal equations A^T A c = A^T (w y), both sides
-    from one small gemm, with ``np.linalg.solve``.  It counts one model
-    evaluation per stacked row; the linear solve is not counted.  At an
-    accepted point the Jacobian of E over the full theta is filled as its
-    (parameters, rows) transpose, as :func:`mlp_jacobian` fills it, below E
-    in one array, and one BLAS gemm gives J^T E and J^T J.  LM's system is
-    Kaufman's (1975) reduced one: the Schur complement of the output-layer
-    block, J_p^T J_p - J_p^T J_c (J_c^T J_c)^-1 J_c^T J_p, with its two
-    triangles averaged so that it is exactly symmetric, and the gradient
-    J_p^T E, since J_c^T E = 0 at the solved c.  (J_c^T J_c)^-1 is the
-    inverse of the point's own output-layer normal matrix.
+    Each evaluation (a start or a trial) works on p alone, as one block per
+    node, its bias then its weights: it runs the hidden layer over the
+    transposed regressor rows, forms A = w [1, tanh] over the stacked rows,
+    solves c from the (1 + n_hidden)-square normal equations
+    A^T A c = A^T (w y), both sides from one small gemm, with
+    ``np.linalg.solve``, and forms the output c[1:] tanh + c[0].  It counts
+    one model evaluation per stacked row; the linear solve is not counted.
+    theta is assembled once, when a start returns.  Set once per fit: the
+    rows w and w y of that gemm, the view of A^T, and the Jacobian's b0 row,
+    which is -w at every point.  Taken once per accepted point: the
+    Jacobian of E over the full theta, filled as its (parameters, rows)
+    transpose, as :func:`mlp_jacobian` fills it, below E in one array, so
+    that one BLAS gemm gives J^T E and J^T J; the gradient test; the step's
+    right-hand side; and |p| for the step test.  Checks on a few numbers
+    (c finite, the gradient test, the 1-norms) run on Python floats, summed
+    in numpy's order, so they decide as numpy's reductions would.
+
+    LM's system is Kaufman's (1975) reduced one: the Schur complement of
+    the output-layer block, J_p^T J_p - J_p^T J_c (J_c^T J_c)^-1 J_c^T J_p,
+    with its two triangles averaged so that it is exactly symmetric, and the
+    gradient J_p^T E, since J_c^T E = 0 at the solved c.  (J_c^T J_c)^-1 is
+    the inverse of the point's own output-layer normal matrix.
 
     Besides the gradient and step tests, LM stops before it accepts a step
     whose output-layer normal matrix is conditioned worse than
@@ -383,45 +403,45 @@ def fit_weighted_lm(
     basis = np.empty((nc + 1, y.size))
     basis[0] = weights
     np.multiply(weights, y, out=basis[nc])
+    basis_t = basis[:nc].T
     # E in the first row and the Jacobian of E, one row per parameter, below
     # it, so that one matrix product gives both J^T E and J^T J: numpy sends
-    # J^T J alone to BLAS syrk, which is slower than gemm at these sizes
+    # J^T J alone to BLAS syrk, which is slower than gemm at these sizes.
+    # b0's row of the Jacobian is -w at every point
     system = np.empty((1 + q, y.size))
     jac_t = system[1:]
+    jac_t[0] = neg_w
 
     # the point at hidden parameters p, or None when its output layer cannot
-    # be solved: (cost, theta, e, r, hidden, gram), the hidden activations and
+    # be solved: (cost, c, e, r, hidden, gram), the hidden activations and
     # the output layer's normal matrix kept for the step system
     def evaluate(p):
-        theta = np.empty(q)
-        theta[nc:] = p
-        hidden = _mlp_hidden(theta, nh, x_t)
+        hidden = _mlp_hidden(p.reshape(nh, -1), x_t)
         counter.add(y.size)
         np.multiply(weights, hidden, out=basis[1:nc])
-        products = basis @ basis[:nc].T
+        products = basis @ basis_t
         gram = products[:nc]
         try:
             c = np.linalg.solve(gram, products[nc])
         except np.linalg.LinAlgError:  # e.g. a node whose tanh is zero on every row
             return None
-        if not np.isfinite(c).all():
+        if not all(map(math.isfinite, c.tolist())):
             return None
-        theta[:nc] = c
-        r = _mlp_output(theta, nh, hidden)
+        r = _mlp_output(c, hidden)
         np.subtract(y, r, out=r)
         e = weights * r
-        return float(e @ e), theta, e, r, hidden, gram
+        return float(e @ e), c, e, r, hidden, gram
 
     def invert(gram):
         """The inverse of an output layer's normal matrix and its 1-norm
         condition number (the matrix is symmetric)."""
         inverse = np.linalg.inv(gram)
-        return inverse, np.abs(gram).sum(0).max() * np.abs(inverse).sum(0).max()
+        return inverse, _norm_1(gram) * _norm_1(inverse)
 
     def step_system(point, inverse, it):
-        _, theta, e, _, hidden, _ = point
+        _, c, e, _, hidden, _ = point
         system[0] = e
-        _mlp_jacobian(theta, nh, x_t, hidden, neg_w, jac_t)
+        _mlp_jacobian(c[1:], x_t, hidden, neg_w, jac_t)
         products = system @ jac_t.T
         # a non-finite entry of J makes its diagonal entry of J^T J non-finite
         if not np.isfinite(products).all() and not np.isfinite(jac_t).all():
@@ -453,23 +473,24 @@ def fit_weighted_lm(
         inverse, cond = invert(point[5])
         mu = _LM_INITIAL_DAMPING
         accepted = 0
-        grad = None
+        neg_grad = None
         identity = np.eye(p.size)
         for it in range(1, config.max_iterations + 1):
-            if grad is None:
+            # the gradient, the system and |p| change only with the point
+            if neg_grad is None:
                 grad, hess = step_system(point, inverse, it)
-            if np.abs(grad).max() < _LM_GRADIENT_TOLERANCE:
-                break
+                if all(abs(g) < _LM_GRADIENT_TOLERANCE for g in grad.tolist()):
+                    break
+                neg_grad = -grad
+                step_floor = _LM_STEP_TOLERANCE * (math.sqrt(p @ p) + _LM_STEP_TOLERANCE)
             try:
-                delta = np.linalg.solve(hess + mu * identity, -grad)
+                delta = np.linalg.solve(hess + mu * identity, neg_grad)
             except np.linalg.LinAlgError:
                 mu *= _LM_DAMPING_FACTOR
                 if mu > _LM_MAX_DAMPING:
                     break
                 continue
-            if math.sqrt(delta @ delta) <= _LM_STEP_TOLERANCE * (
-                math.sqrt(p @ p) + _LM_STEP_TOLERANCE
-            ):
+            if math.sqrt(delta @ delta) <= step_floor:
                 break
             p_trial = p + delta
             trial = evaluate(p_trial)
@@ -482,12 +503,12 @@ def fit_weighted_lm(
                 mu = max(mu / _LM_DAMPING_FACTOR, 1e-15)
                 accepted += 1
                 trace.append(record(accepted, point))
-                grad = None
+                neg_grad = None
             else:
                 mu *= _LM_DAMPING_FACTOR
                 if mu > _LM_MAX_DAMPING:
                     break
-        return point[1], point[0], trace
+        return np.concatenate((point[1], p)), point[0], trace
 
     best = failure = None
     for theta_start in starts:

@@ -315,7 +315,11 @@ class MlpModel:
 
     def unpack(self):
         """Views (output_bias, output_weights, hidden_bias, hidden_weights)."""
-        return _mlp_unpack(self.theta, self.n_hidden, self.spec.n_features)
+        # sliced from theta directly, not through _mlp_split's c: the GA
+        # baseline's fixed-point loop unpacks once per step
+        theta, nh = self.theta, self.n_hidden
+        blocks = theta[1 + nh :].reshape(nh, -1)
+        return theta[0], theta[1 : 1 + nh], blocks[:, 0], blocks[:, 1:]
 
     def _features(self, psi_rows: np.ndarray) -> np.ndarray:
         start = 1 if self.spec.include_constant else 0
@@ -323,8 +327,8 @@ class MlpModel:
 
     def predict(self, psi_rows: np.ndarray) -> np.ndarray:
         psi_rows = np.atleast_2d(np.asarray(psi_rows, dtype=float))
-        hidden = _mlp_hidden(self.theta, self.n_hidden, self._features(psi_rows).T)
-        return _mlp_output(self.theta, self.n_hidden, hidden)
+        c, blocks = _mlp_split(self.theta, self.n_hidden)
+        return _mlp_output(c, _mlp_hidden(blocks, self._features(psi_rows).T))
 
     def _predict_psi(self, psi) -> float:
         b0, w_out, b_h, w_h = self.unpack()
@@ -337,25 +341,27 @@ class MlpModel:
         return _mlp_loops(self.spec, self.n_hidden)
 
 
-def _mlp_unpack(theta: np.ndarray, n_hidden: int, n_features: int):
-    blocks = theta[1 + n_hidden :].reshape(n_hidden, 1 + n_features)
-    return theta[0], theta[1 : 1 + n_hidden], blocks[:, 0], blocks[:, 1:]
+def _mlp_split(theta: np.ndarray, n_hidden: int):
+    """Views of packed parameters: the output layer c = (b0, w_out) and the
+    hidden layer's blocks, one row per node holding its bias then its
+    weights."""
+    return theta[: 1 + n_hidden], theta[1 + n_hidden :].reshape(n_hidden, -1)
 
 
-def _mlp_hidden(theta: np.ndarray, n_hidden: int, x_t: np.ndarray) -> np.ndarray:
-    """The hidden layer's tanh activations, one row per node, for packed
-    parameters over the non-constant regressors ``x_t``, one row per feature
-    and one column per sample; the output layer's values are not read."""
-    _, _, b_h, w_h = _mlp_unpack(theta, n_hidden, x_t.shape[0])
-    hidden = w_h @ x_t
-    hidden += b_h[:, None]
+def _mlp_hidden(blocks: np.ndarray, x_t: np.ndarray) -> np.ndarray:
+    """The hidden layer's tanh activations, one row per node, for the
+    hidden layer's ``blocks`` (see :func:`_mlp_split`) over the non-constant
+    regressors ``x_t``, one row per feature and one column per sample."""
+    hidden = blocks[:, 1:] @ x_t
+    hidden += blocks[:, :1]
     return np.tanh(hidden, out=hidden)
 
 
-def _mlp_output(theta: np.ndarray, n_hidden: int, hidden: np.ndarray) -> np.ndarray:
-    """The network's outputs from its hidden activations."""
-    out = theta[1 : 1 + n_hidden] @ hidden
-    out += theta[0]
+def _mlp_output(c: np.ndarray, hidden: np.ndarray) -> np.ndarray:
+    """The network's outputs from the output layer ``c`` = (b0, w_out) and
+    the hidden activations."""
+    out = c[1:] @ hidden
+    out += c[0]
     return out
 
 

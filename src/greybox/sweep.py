@@ -46,7 +46,8 @@ class LambdaGrid:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        vals = {_require_number(v, "grid value", 0, 1) for v in self.values}
+        # + 0.0 turns a -0.0 into 0.0, which the artefacts would write signed
+        vals = {_require_number(v, "grid value", 0, 1) + 0.0 for v in self.values}
         if not vals:
             raise ValueError("lambda grid must not be empty")
         object.__setattr__(self, "values", tuple(sorted(vals)))

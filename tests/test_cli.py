@@ -572,9 +572,10 @@ def test_undecodable_json_exits_2(content, datadir, tmp_path, capsys):
     "content,named",
     [
         (b"u1,y\n1.0,2.0\n\xff\xfe,3\n", "zd.csv: undecodable bytes"),
+        (b"\xef\xbb\xbfu1,y\n1.0,2.0\n\xff\xfe,3\n", "zd.csv: undecodable bytes"),
         (b"u1,y\n1.0,2.0\n" + b"1" * 200_000 + b",3\n", "zd.csv: field larger than field limit"),
     ],
-    ids=["not-utf8", "over-long-cell"],
+    ids=["not-utf8", "bom-then-not-utf8", "over-long-cell"],
 )
 def test_unreadable_csv_exits_2(content, named, datadir, trained, tmp_path, capsys):
     path = tmp_path / "zd.csv"
@@ -592,6 +593,39 @@ def test_unreadable_csv_exits_2(content, named, datadir, trained, tmp_path, caps
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err, err
+
+
+def test_negative_zero_lambda_is_written_as_zero(datadir, tmp_path):
+    # -0.0 == 0.0, so it passes every range check, but json and the CSV
+    # writer keep its sign
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "structure": {"builtin": "example1"}, "algorithm": "wls",
+        "datasets": {name: str(datadir / f"{name}.csv") for name in ("zd", "zt", "zs")},
+    }))
+    swept, trained = tmp_path / "sweep", tmp_path / "train"
+    assert main(["sweep", "--config", str(config), "--grid=-0.0,0.5", "--out", str(swept)]) == 0
+    with open(swept / "sweep.csv", newline="") as fh:
+        assert [row["lambda"] for row in csv.DictReader(fh)] == ["0.0", "0.5"]
+    assert main(["train", "--config", str(config), "--lambda", "-0.0", "--out", str(trained)]) == 0
+    for manifest in (swept / "manifest.json", trained / "manifest.json"):
+        assert "-0.0" not in manifest.read_text()
+    assert load_json(swept / "manifest.json")["grid"] == [0.0, 0.5]
+    assert load_json(trained / "manifest.json")["train"]["lambda"] == 0.0
+
+
+def test_csv_with_a_byte_order_mark_reads_as_without(datadir, trained, tmp_path):
+    # spreadsheets save "CSV UTF-8" with a leading byte-order mark
+    for name, content in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(content + (datadir / "zd.csv").read_bytes())
+        out = tmp_path / name
+        argv = ["eval", "--model", str(trained / "model.json"), "--data", str(path),
+                "--mode", "one-step", "--out", str(out)]
+        assert main(argv) == 0
+    assert (tmp_path / "bom" / "predictions.csv").read_bytes() == (
+        tmp_path / "plain" / "predictions.csv"
+    ).read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -309,12 +309,13 @@ class TestCsv:
         "content, fragment",
         [
             (b"u1,y\n1.0,2.0\n\xff\xfe,3\n", "bad.csv: undecodable bytes"),
+            (b"\xef\xbb\xbfu1,y\n1.0,2.0\n\xff\xfe,3\n", "bad.csv: undecodable bytes"),
             (b"u1,y\n1.0,2.0\n" + b"1" * 200_000 + b",3\n",
              "bad.csv: field larger than field limit (131072), row 3"),
             (b"u1," + b"y" * 200_000 + b"\n1.0,2.0\n",
              "bad.csv: field larger than field limit (131072), row 1"),
         ],
-        ids=["not-utf8", "over-long-cell", "over-long-header"],
+        ids=["not-utf8", "bom-then-not-utf8", "over-long-cell", "over-long-header"],
     )
     def test_unreadable_bytes_name_the_file(self, tmp_path, content, fragment):
         # csv and the text decoder raise their own errors, which read_csv
@@ -367,7 +368,7 @@ def reference_read_csv(path):
     """:func:`greybox.read_csv` as it read every cell one by one before it
     read the rows with numpy's C reader, kept to check that the two agree."""
     path = Path(path)
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = list(csv.reader(fh))
     if not rows or not rows[0]:
         raise gb.CsvFormatError(f"{path.name}: no header")
@@ -437,9 +438,10 @@ bad_cells = st.sampled_from(
 
 @st.composite
 def csv_files(draw):
-    """Dataset CSV text: a dynamical or steady header, then rows of its
-    width, blank and whitespace-only lines, ended by \\n, \\r\\n or a bare
-    \\r; in some files, bad cells and ragged rows."""
+    """Dataset CSV text, in some files after a byte-order mark: a dynamical
+    or steady header, then rows of its width, blank and whitespace-only
+    lines, ended by \\n, \\r\\n or a bare \\r; in some files, bad cells
+    and ragged rows."""
     channels = draw(st.integers(1, 2))
     if draw(st.booleans()):
         header = [f"u{i + 1}" for i in range(channels)] + ["y"]
@@ -451,7 +453,8 @@ def csv_files(draw):
     blank = st.sampled_from(["", "", " ", "\t", "  "])
     rows = draw(st.lists(st.one_of(line, blank), max_size=12))
     end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
-    return end.join([",".join(header), *rows]) + end * draw(st.integers(0, 2))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + end.join([",".join(header), *rows]) + end * draw(st.integers(0, 2))
 
 
 class TestOnePassCsv:
@@ -461,10 +464,11 @@ class TestOnePassCsv:
     @example(text="y\r")
     @example(text="u1,y\n1_0,\u0661\u0662\n")
     @example(text="u1,y\n1,1.5#2\n")
+    @example(text="\ufeffu1,y\n1_0,2\n")
     def test_same_arrays_or_same_error_as_the_cell_loop(self, text):
         with tempfile.TemporaryDirectory() as workdir:
             path = os.path.join(workdir, "d.csv")
-            with open(path, "w", newline="") as fh:
+            with open(path, "w", newline="", encoding="utf-8") as fh:
                 fh.write(text)
             try:
                 want = reference_read_csv(path)

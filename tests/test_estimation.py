@@ -17,7 +17,7 @@ from greybox.estimation import (
     mlp_jacobian,
     write_trace_csv,
 )
-from greybox.models import EXAMPLE1_TRUE_THETA, _mlp_hidden
+from greybox.models import EXAMPLE1_TRUE_THETA, _mlp_hidden, _mlp_split
 
 
 def noiseless_split(seed=7, n=400):
@@ -244,7 +244,8 @@ class TestJacobians:
         nc = 1 + model.n_hidden
         stacked = build_stacked_system(model, zd, zs, lam)
         x_t = fitted._features(stacked.psi).T
-        basis = np.vstack([np.ones(stacked.y.size), _mlp_hidden(fitted.theta, model.n_hidden, x_t)])
+        _, blocks = _mlp_split(fitted.theta, model.n_hidden)
+        basis = np.vstack([np.ones(stacked.y.size), _mlp_hidden(blocks, x_t)])
         a = (stacked.weights * basis).T
         # the solver's normal equations lose up to cond(a)^2 eps against
         # lstsq's SVD; about 1 draw in 170 is conditioned worse than 1e4
@@ -456,6 +457,58 @@ class TestWeightedLm:
         assert last.iteration == 13
         assert last.model_evaluations == 90896
 
+    def test_pinned_result_three_nodes_without_constant(self, ex2_data):
+        # the hidden blocks of several nodes, over regressors without the
+        # constant slot, at lambda 0.5; recorded before the trials worked on
+        # the hidden blocks alone
+        zd, _, zs, _ = ex2_data
+        spec = gb.RegressorSpec(output_lags=(1, 2), input_lags=((1, 2),), include_constant=False)
+        structure = gb.MlpModel(spec, 3, np.zeros(gb.MlpModel.n_params_for(spec, 3)))
+        model, trace = gb.fit_weighted_lm(structure, zd, zs, 0.5, gb.LmConfig(60, 3))
+        expected_theta = [
+            0.15905394003617426, -0.0044394260409430265, 6.994110621422928,
+            -0.028021461513474278, -0.20634464806752437, -0.9352637694851833,
+            -0.22617573115122985, -0.3246493277646977, 0.3859644265398713,
+            -0.023326893770967312, 0.1866910435611669, -0.05015533727321699,
+            -0.0009883111424121927, 0.0011973050265056703, -0.11518330035380221,
+            -0.042312149806025365, 0.6610682679334641, -0.8322781830595657,
+            -0.5529862290012573,
+        ]
+        np.testing.assert_allclose(model.theta, expected_theta, rtol=1e-10)
+        last = trace[-1]
+        assert last.j_sd == pytest.approx(4.488760872969725e-05, rel=1e-10)
+        assert last.cost == pytest.approx(0.02759921166356919, rel=1e-10)
+        assert last.iteration == 23
+        assert last.model_evaluations == 131100
+
+    def test_pinned_warm_started_chain(self, ex2_structure, ex2_data):
+        # a sweep's chain: lambda 0.1 from the seeded starts, then 0.5 and
+        # 0.9 each from the fit before; recorded when the previous test was
+        zd, _, zs, _ = ex2_data
+        theta0, fits = None, []
+        for lam in (0.1, 0.5, 0.9):
+            model, trace = gb.fit_weighted_lm(
+                ex2_structure, zd, zs, lam, gb.LmConfig(60, 3), theta0=theta0
+            )
+            theta0 = model.theta
+            fits.append((trace[-1].cost, trace[-1].iteration, trace[-1].model_evaluations))
+        expected_theta = [
+            -0.015822348298308146, 37.20436345237409, 0.00042518493764732334,
+            0.037862911492298965, -0.01099276797030191, -8.061713801290163e-05,
+            8.159335102443901e-05,
+        ]
+        np.testing.assert_allclose(model.theta, expected_theta, rtol=1e-10)
+        expected_fits = [
+            (0.08886828572980622, 7, 96140),
+            (0.03503626683821951, 15, 40204),
+            (0.0014434843516891675, 5, 17480),
+        ]
+        for (cost, iteration, evals), (want_cost, want_iteration, want_evals) in zip(
+            fits, expected_fits, strict=True
+        ):
+            assert cost == pytest.approx(want_cost, rel=1e-10)
+            assert (iteration, evals) == (want_iteration, want_evals)
+
     def test_output_layer_stays_within_the_conditioning_bound(self, ex2_structure, ex2_data):
         # at lambda 0.9 the cost keeps falling, by about 3e-5 relative, as
         # the node turns linear and b0 and w_out grow to cancel each other
@@ -463,7 +516,7 @@ class TestWeightedLm:
         zd, _, zs, _ = ex2_data
         model, _ = gb.fit_weighted_lm(ex2_structure, zd, zs, 0.9, gb.LmConfig(60, 3))
         stacked = build_stacked_system(model, zd, zs, 0.9)
-        hidden = _mlp_hidden(model.theta, 1, model._features(stacked.psi).T)
+        hidden = _mlp_hidden(_mlp_split(model.theta, 1)[1], model._features(stacked.psi).T)
         a = stacked.weights * np.vstack([np.ones(stacked.y.size), hidden])
         assert np.linalg.cond(a @ a.T, 1) <= estimation._LM_MAX_OUTPUT_CONDITION * (1 + 1e-9)
 
