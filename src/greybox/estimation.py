@@ -29,6 +29,16 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+# The LAPACK gesv gufuncs that np.linalg.solve (for a vector right-hand side)
+# and np.linalg.inv call, without those wrappers' per-call argument checks,
+# which cost several times the solve at the LM's sizes.  Called with the
+# wrappers' signature they return the same bits.  They do not raise on a
+# singular matrix: they fill the whole result with NaN and set the invalid
+# flag, which the LM's errstate ignores.  This import is private to numpy;
+# tests/test_estimation.py::TestLapackGufuncs fails if it moves or changes.
+from numpy.linalg._umath_linalg import inv as _lapack_inv
+from numpy.linalg._umath_linalg import solve1 as _lapack_solve
+
 from .data import DynDataset, SteadyDataset, write_table
 from .errors import (
     _MAX_HELD_COUNT,
@@ -342,9 +352,10 @@ def fit_weighted_lm(
     node, its bias then its weights: it runs the hidden layer over the
     transposed regressor rows, forms A = w [1, tanh] over the stacked rows,
     solves c from the (1 + n_hidden)-square normal equations
-    A^T A c = A^T (w y), both sides from one small gemm, with
-    ``np.linalg.solve``, and forms the output c[1:] tanh + c[0].  It counts
-    one model evaluation per stacked row; the linear solve is not counted.
+    A^T A c = A^T (w y), both sides from one small gemm, with LAPACK's gesv
+    gufunc, the one ``np.linalg.solve`` wraps, and forms the output
+    c[1:] tanh + c[0].  It counts one model evaluation per stacked row; the
+    linear solve is not counted.
     theta is assembled once, when a start returns.  Set once per fit: the
     rows w and w y of that gemm, the view of A^T, and the Jacobian's b0 row,
     which is -w at every point.  Taken once per accepted point: the
@@ -370,13 +381,16 @@ def fit_weighted_lm(
     such a model no longer repeat to 1e-12 under another float evaluation
     order.
 
-    A trial whose output layer cannot be solved (``np.linalg.solve`` finds
-    the normal matrix singular, or c is not finite) or whose cost is not
-    finite is rejected.  A start where either happens, or whose Jacobian
-    goes non-finite, is skipped; when every start is, the first one's
-    DivergenceError, naming the iteration (0 for the start itself), is
-    raised.  Numpy's overflow and invalid-value warnings are silenced inside
-    a start, since a non-finite start or trial is handled here.
+    A trial whose output layer cannot be solved (c is not finite, which
+    includes the all-NaN c that gesv returns for a singular normal matrix)
+    or whose cost is not finite is rejected.  A start where either happens,
+    or whose Jacobian goes non-finite, is skipped; when every start is, the
+    first one's DivergenceError, naming the iteration (0 for the start
+    itself), is raised.  A step that holds a NaN, as the step of a singular
+    system does, is rejected without an evaluation.  Numpy's floating-point
+    warnings are silenced inside a start, as ``np.linalg.solve`` silences
+    them around its solve, since a non-finite start or trial and a singular
+    solve are handled here.
     """
     config = config or LmConfig()
     q = model.n_params
@@ -421,10 +435,8 @@ def fit_weighted_lm(
         np.multiply(weights, hidden, out=basis[1:nc])
         products = basis @ basis_t
         gram = products[:nc]
-        try:
-            c = np.linalg.solve(gram, products[nc])
-        except np.linalg.LinAlgError:  # e.g. a node whose tanh is zero on every row
-            return None
+        # all NaN when gram is singular, e.g. a node whose tanh is zero on every row
+        c = _lapack_solve(gram, products[nc], signature="dd->d")
         if not all(map(math.isfinite, c.tolist())):
             return None
         r = _mlp_output(c, hidden)
@@ -434,8 +446,9 @@ def fit_weighted_lm(
 
     def invert(gram):
         """The inverse of an output layer's normal matrix and its 1-norm
-        condition number (the matrix is symmetric)."""
-        inverse = np.linalg.inv(gram)
+        condition number (the matrix is symmetric).  gram is never singular:
+        its solve for c just succeeded, and inv factors it the same way."""
+        inverse = _lapack_inv(gram, signature="d->d")
         return inverse, _norm_1(gram) * _norm_1(inverse)
 
     def step_system(point, inverse, it):
@@ -460,8 +473,8 @@ def fit_weighted_lm(
         return trace_record(iteration, j_d, j_s, (1.0 - lam) * j_d + lam * j_s, cost)
 
     # a start or trial that overflows is handled below: DivergenceError for
-    # the start, rejection for a trial
-    @np.errstate(over="ignore", invalid="ignore")
+    # the start, rejection for a trial; so is a singular solve's NaN
+    @np.errstate(all="ignore")
     def minimize_from(theta_start):
         p = np.array(theta_start[nc:], dtype=float)
         point = evaluate(p)
@@ -483,14 +496,16 @@ def fit_weighted_lm(
                     break
                 neg_grad = -grad
                 step_floor = _LM_STEP_TOLERANCE * (math.sqrt(p @ p) + _LM_STEP_TOLERANCE)
-            try:
-                delta = np.linalg.solve(hess + mu * identity, neg_grad)
-            except np.linalg.LinAlgError:
+            delta = _lapack_solve(hess + mu * identity, neg_grad, signature="dd->d")
+            # NaN when the system is singular (or holds a NaN); inf squares
+            # to inf, never to NaN
+            step_squared = delta @ delta
+            if math.isnan(step_squared):
                 mu *= _LM_DAMPING_FACTOR
                 if mu > _LM_MAX_DAMPING:
                     break
                 continue
-            if math.sqrt(delta @ delta) <= step_floor:
+            if math.sqrt(step_squared) <= step_floor:
                 break
             p_trial = p + delta
             trial = evaluate(p_trial)

@@ -197,14 +197,14 @@ class TestJacobians:
         model, rng = problem
         zd, zs = random_records(model.spec, rng)
         systems = []
-        solve = np.linalg.solve
+        solve = estimation._lapack_solve
 
-        def spy(a, b):
+        def spy(a, b, signature):
             systems.append((a.copy(), b.copy()))
-            return solve(a, b)
+            return solve(a, b, signature=signature)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(np.linalg, "solve", spy)
+            mp.setattr(estimation, "_lapack_solve", spy)
             gb.fit_weighted_lm(
                 model, zd, zs, lam, gb.LmConfig(max_iterations=1), theta0=model.theta
             )
@@ -252,6 +252,32 @@ class TestJacobians:
         assume(np.linalg.cond(a) <= 1e4)
         expected = np.linalg.lstsq(a, stacked.weights * stacked.y, rcond=None)[0]
         np.testing.assert_allclose(fitted.theta[:nc], expected, rtol=1e-8)
+
+
+class TestLapackGufuncs:
+    # the LM calls numpy's private gesv gufuncs directly; these tests fail if
+    # a numpy release moves them or changes what they return
+
+    @given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_same_bits_as_numpy_solve_and_inv(self, n, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, n))
+        b = rng.standard_normal(n)
+        assume(np.linalg.cond(a) < 1e12)
+        x = estimation._lapack_solve(a, b, signature="dd->d")
+        assert x.tobytes() == np.linalg.solve(a, b).tobytes()
+        inverse = estimation._lapack_inv(a, signature="d->d")
+        assert inverse.tobytes() == np.linalg.inv(a).tobytes()
+
+    @pytest.mark.parametrize("a", [np.zeros((2, 2)), np.ones((2, 2))])
+    def test_singular_matrix_is_all_nan_without_warnings(self, a):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="ignore"):
+                x = estimation._lapack_solve(a, np.ones(2), signature="dd->d")
+                inverse = estimation._lapack_inv(a, signature="d->d")
+        assert np.isnan(x).all()
+        assert np.isnan(inverse).all()
 
 
 class TestInitTheta:
@@ -422,6 +448,31 @@ class TestWeightedLm:
         )
         assert counter.count > 0
         assert counter.count % per_call == 0
+
+    def test_singular_step_is_rejected_without_an_evaluation(
+        self, ex2_structure, ex2_data, monkeypatch
+    ):
+        # the step system comes back all NaN, as gesv returns it when singular;
+        # the output layer's system, (1 + n_hidden)-square, is solved as usual
+        zd, _, zs, _ = ex2_data
+        solve = estimation._lapack_solve
+        nc = 1 + ex2_structure.n_hidden
+        n_p = ex2_structure.n_params - nc
+
+        def singular_step(a, b, signature):
+            x = solve(a, b, signature=signature)
+            return np.full_like(x, np.nan) if a.shape == (n_p, n_p) else x
+
+        monkeypatch.setattr(estimation, "_lapack_solve", singular_step)
+        theta0 = init_mlp_theta(ex2_structure, 0)
+        counter = gb.EvalCounter()
+        model, trace = gb.fit_weighted_lm(
+            ex2_structure, zd, zs, 0.3, gb.LmConfig(max_iterations=1),
+            theta0=theta0, counter=counter,
+        )
+        assert counter.count == (zd.sample_count - 2) + zs.n_pairs
+        assert np.array_equal(model.theta[nc:], theta0[nc:])
+        assert len(trace) == 1
 
     def test_divergent_start_raises_with_index(self, ex2_structure, ex2_data, monkeypatch):
         zd, _, zs, _ = ex2_data
