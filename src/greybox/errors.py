@@ -50,9 +50,11 @@ class SelectionError(GreyboxError):
 
 # Counts that size what is held whole in memory before the work starts: the
 # LM starts (their seeds and parameter vectors), the GA population (two
-# population_size x n_params arrays) and the regressor lags (every fixed point
-# builds an output buffer of max_lag samples plus its window).  Far beyond any
-# useful run, and a larger one is refused before memory is taken.
+# population_size x n_params arrays) and the regressor lags (a fixed point
+# reads an output lag after a gap in the lags from a ring of as many outputs
+# as the largest such lag; a record must be longer than its largest lag).
+# Far beyond any useful run, and a larger one is refused before memory is
+# taken.
 _MAX_HELD_COUNT = 10**6
 
 

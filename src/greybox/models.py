@@ -17,10 +17,16 @@ expression over plain Python floats, a sum of the polynomial terms,
 ``acc = bias + w_0 * tanh(b_0 + v_0_0 * x_a + ...) + ...``, with any
 product or sum past 32 operands split into chunks of its own temporary.
 A run takes the model's parameters as a list, never as text, so no value
-is rounded.  The free run gathers the lagged samples by zipping an
-``islice`` of each list, appends each y(k) to the output list and checks
-no bound per sample: :func:`free_run_on_dataset`, the one free run, finds
-where the run left it afterwards.  It and
+is rounded.  Each lagged sample is held in a local and shifted at the end
+of a step: the output's lag 1 takes y(k), and any lag whose predecessor
+(lag - 1 of the same source) is gathered takes that local.  Only a lag
+without a gathered predecessor is read from its list: the free run zips an
+``islice`` of the list per such lag, so for the built-in structures it
+iterates the input list alone; the fixed point reads such an output lag
+from a ring of the last outputs, and holds no list otherwise.  The free
+run appends each y(k) to the output list and checks no bound per sample:
+:func:`free_run_on_dataset`, the one free run, finds where the run left it
+afterwards.  It and
 :func:`~greybox.steady_state.model_static_curve`, the one run to fixed
 points, call the loops.  ``_predict_psi`` computes the same value but
 unpacks the parameters on every call; it is kept only as the deliberately
@@ -51,7 +57,6 @@ from .errors import _MAX_HELD_COUNT, ConfigError, _check_keys, _require_count, _
 
 MODEL_PACKING_VERSION = 1
 
-_WINDOW = 1024  # fixed-point samples held at once, whatever the step budget
 _CHUNK = 32  # operands in one generated sum or product
 
 
@@ -429,80 +434,90 @@ def _generate_loops(spec: RegressorSpec, head, body, slots) -> _Loops:
     argument of each loop, so a parameter is never written as text and the
     loops of a structure serve every fit of it.
 
-    The samples are gathered by one ``zip`` over an ``islice`` per lagged
-    slot.  A list iterator reads its element when it advances, so the
-    output's slices see each y(k - 1) stored the step before.
+    Each gathered lag is held in its local from one step to the next and
+    shifted at the end of the step: the output's lag 1 takes the step's
+    ``acc``, and a lag whose predecessor (lag - 1 of the same source) is
+    gathered takes that local.  Only a lag without a gathered predecessor
+    is read from its list.  Neither the code nor the work of a step grows
+    with the size of a lag.
 
     ``free_run(params, y, n, u0, u1, ...)`` steps k = max_lag, ..., n - 1
     over input lists of ``n`` samples and appends y(k) to ``y``, which
-    holds the first max_lag outputs.  Every slice stops at ``n - lag``, so
-    a run without input lists ends too, and a ``range`` drives the loop
-    only when no slot is gathered.  It tests no value:
+    holds the first max_lag outputs.  The shifted locals start from those
+    lists.  Each lag read from a list is an ``islice`` of it that stops at
+    ``n - lag``, zipped with the others.  A list iterator reads its element
+    when it advances, so an output slice sees each y(k - lag) stored
+    before.  A lone slice is looped over as it is, and a ``range`` drives
+    the loop when no lag is read from a list.  It tests no value:
     :func:`free_run_on_dataset` finds where a run diverged.
 
     ``fixed_point(params, u0, u1, ..., budget, settle, tolerance, bound)``
-    runs from zero outputs at constant inputs, holding at most ``_WINDOW``
-    samples after the max(1, max_lag) initial ones and shifting the lagged
-    outputs back when the window is full.  Each pass over the window is cut
-    to the budget left, so the step count is read off ``k`` and not kept
-    per step.  It stops when a value leaves ``[-bound, bound]`` or is NaN,
-    after ``budget`` steps, or once ``settle`` successive differences fall
-    inside ``(-tolerance, tolerance)`` (``settle`` is -1 under a fixed
-    horizon, where every run that does not diverge converges), and returns
-    ``(y_bar, iterations, converged)`` with the last value computed;
-    :func:`~greybox.steady_state.model_static_curve` calls it once per
-    input level.
+    runs ``for k in range(1, budget + 1)`` from zero outputs at constant
+    inputs, which are locals set on entry.  Output lags read from a list
+    (a gap in the gathered lags) are read from a ring of the last h
+    outputs, h the largest of them, at index ``(k - lag) % h``; no other
+    structure holds a list.  It stops when a value leaves ``[-bound,
+    bound]`` or is NaN, after ``budget`` steps, or once ``settle``
+    successive differences fall inside ``(-tolerance, tolerance)``
+    (``settle`` is -1 under a fixed horizon, where every run that does not
+    diverge converges), and returns ``(y_bar, iterations, converged)`` with
+    the last value computed; :func:`~greybox.steady_state.model_static_curve`
+    calls it once per input level.
     """
     reads = {pos: (ch, lag) for pos, ch, lag in spec._gather}
+    gathered = {reads[pos]: f"x{pos}" for pos in set(slots) if pos in reads}
     inputs = [f"u{ch}" for ch in range(spec.n_inputs)]
-    m, k0 = spec.max_lag, max(1, spec.max_lag)
-    run_head, fixed_head = [*head, "append = y.append"], list(head)
-    run_names, run_sources = [], []
-    fixed_names = ["k"]
-    fixed_sources = [f"range({k0}, min(n, {k0} + budget - done))"]
-    for pos in sorted(set(slots)):
-        if pos not in reads:  # the constant slot
-            run_head.append(f"x{pos} = 1.0")
-            fixed_head.append(f"x{pos} = 1.0")
-            continue
-        ch, lag = reads[pos]
-        run_names.append(f"x{pos}")
-        run_sources.append(f"islice({'y' if ch < 0 else f'u{ch}'}, {m - lag}, n - {lag})")
-        if ch < 0:
-            fixed_names.append(f"x{pos}")
-            fixed_sources.append(f"islice(y, {k0 - lag}, None)")
-        else:  # inputs are constant in a fixed point
-            fixed_head.append(f"x{pos} = u{ch}")
+    m = spec.max_lag
+    constant = [f"x{pos} = 1.0" for pos in sorted(set(slots) - reads.keys())]
+    run_head, fixed_head = [*head, *constant, "append = y.append"], [*head, *constant]
+    run_names, run_sources, run_shifts = [], [], []
+    ring, fixed_shifts = [], []
+    # within a source the higher lags shift first, so each takes the old value
+    for (ch, lag), name in sorted(gathered.items(), key=lambda item: (item[0][0], -item[0][1])):
+        source = "y" if ch < 0 else f"u{ch}"
+        before = gathered.get((ch, lag - 1), "acc" if (ch, lag) == (-1, 1) else None)
+        if before is None:
+            run_names.append(name)
+            run_sources.append(f"islice({source}, {m - lag}, n - {lag})")
+        else:
+            run_head.append(f"{name} = {source}[{m - lag}]")
+            run_shifts.append(f"{name} = {before}")
+        if ch >= 0:  # inputs are constant in a fixed point
+            fixed_head.append(f"{name} = {source}")
+        elif before is None:
+            ring.append((name, lag))
+        else:
+            fixed_head.append(f"{name} = 0.0")
+            fixed_shifts.append(f"{name} = {before}")
     if len(run_sources) != 1:  # a lone slice is looped over as it is
         run_sources = [f"zip({', '.join(run_sources)})" if run_sources else f"range(n - {m})"]
+    h = max((lag for _, lag in ring), default=0)
+    if ring:
+        fixed_head.append(f"y = [0.0] * {h}")
+        fixed_shifts.append(f"y[k % {h}] = acc")
     lines = [
         f"def free_run({', '.join(['params', 'y', 'n', *inputs])}):",
         *(f"    {line}" for line in run_head),
         f"    for {', '.join(run_names) or '_'} in {run_sources[0]}:",
         *(f"        {line}" for line in body),
         "        append(acc)",
+        *(f"        {line}" for line in run_shifts),
         "",
         f"def fixed_point({', '.join(['params', *inputs, 'budget', 'settle', 'tolerance', 'bound'])}):",
         *(f"    {line}" for line in fixed_head),
-        f"    y = [0.0] * ({k0} + min(budget, {_WINDOW}))",
-        "    n = len(y)",
         "    prev = 0.0",
-        "    settled = done = 0",
-        "    while True:",
-        # the trailing comma keeps k an int when no slot is gathered
-        f"        for {', '.join(fixed_names)}, in zip({', '.join(fixed_sources)}):",
-        *(f"            {line}" for line in body),
-        "            if not (-bound <= acc <= bound):  # also catches NaN",
-        f"                return acc, done + k - {k0 - 1}, False",
-        "            settled = settled + 1 if -tolerance < acc - prev < tolerance else 0",
-        "            y[k] = prev = acc",
-        "            if settled == settle:",
-        f"                return acc, done + k - {k0 - 1}, True",
-        f"        done += k - {k0 - 1}",
-        "        if done == budget:",
-        "            return acc, done, settle < 0",
-        "        # the window is full: keep the lagged outputs and run on",
-        f"        y[:{k0}] = y[-{k0}:]",
+        "    settled = 0",
+        "    for k in range(1, budget + 1):",
+        *(f"        {name} = y[(k - {lag}) % {h}]" for name, lag in ring),
+        *(f"        {line}" for line in body),
+        "        if not (-bound <= acc <= bound):  # also catches NaN",
+        "            return acc, k, False",
+        "        settled = settled + 1 if -tolerance < acc - prev < tolerance else 0",
+        "        if settled == settle:",
+        "            return acc, k, True",
+        *(f"        {line}" for line in fixed_shifts),
+        "        prev = acc",
+        "    return acc, budget, settle < 0",
     ]
     namespace = {"islice": islice, "math": math}
     exec(compile("\n".join(lines), "<greybox loops>", "exec"), namespace)

@@ -10,10 +10,13 @@ one per input level; a single fixed point is a one-level curve.
 
 The static curve runs the fixed-point loop generated once per structure
 (``model._loops``) from the step body of the model's free run (see
-:func:`~greybox.models._generate_loops`): the inputs are held in locals,
-the lagged outputs are gathered by ``islice`` over the sample window, and
-each step is one expression over the polynomial terms or MLP nodes, with
-the parameters bound as locals on entry.
+:func:`~greybox.models._generate_loops`): a plain loop over the step
+count, with the inputs and the lagged outputs held in locals, each output
+lag shifted from the one before it at the end of a step, and each step one
+expression over the polynomial terms or MLP nodes, with the parameters
+bound as locals on entry.  It holds no list, except that an output lag
+whose predecessor is not gathered (a gap in the lags) is read from a ring
+of the last outputs, as many as the largest such lag.
 :func:`cost_js_legacy` runs the loop that same generator emits for the
 regressor spec with a call to ``_predict_psi`` as its step, which unpacks
 the parameters on every call: the GA baseline is kept deliberately

@@ -142,18 +142,33 @@ def abs_error_correlation(residual, reference) -> float:
     return abs(np.add.reduce(dr * dy, axis=None) / n / (r_std * y_std))
 
 
+def _free_run_error(model: Model, data: DynDataset, inputs: list | None = None):
+    """``(error, measured)`` over the free run's predicted region, the error
+    being measured minus predicted, or None when the run diverged;
+    ``inputs`` may hold the record's input lists."""
+    result = free_run_on_dataset(model, data, bound=RMSE_CAP, _inputs=inputs)
+    if result.diverged:
+        return None
+    k0 = model.spec.max_lag
+    measured = data.output[k0:]
+    return measured - result.y[k0:], measured
+
+
+def _free_run_rmse(model: Model, data: DynDataset, inputs: list | None = None):
+    """The free-run RMSE and the divergence flag of :func:`score_free_run`."""
+    scored = _free_run_error(model, data, inputs)
+    # squaring -error gives the bits of squaring error, so this is rmse(predicted, measured)
+    return (RMSE_CAP, True) if scored is None else (_root_mean_square(scored[0]), False)
+
+
 def score_free_run(model: Model, data: DynDataset, inputs: list | None = None):
     """Free-run RMSE over the predicted region, the divergence flag, and
     the absolute error/output correlation (None when diverged), both from
     one error vector; ``inputs`` may hold the record's input lists."""
-    result = free_run_on_dataset(model, data, bound=RMSE_CAP, _inputs=inputs)
-    if result.diverged:
+    scored = _free_run_error(model, data, inputs)
+    if scored is None:
         return RMSE_CAP, True, None
-    k0 = model.spec.max_lag
-    measured = data.output[k0:]
-    error = measured - result.y[k0:]
-    # squaring -error gives the bits of squaring error, so this is rmse(predicted, measured)
-    return _root_mean_square(error), False, abs_error_correlation(error, measured)
+    return _root_mean_square(scored[0]), False, abs_error_correlation(*scored)
 
 
 # structure kind each closed-form or gradient algorithm needs; the GA takes any
@@ -282,11 +297,15 @@ def run_sweep(
             continue
         point.j_d = cost_jd(point.model, zd)
         point.j_s_hat = cost_js_hat(point.model, zs)
-        _, point.diverged_zd, point.corr_dm = score_free_run(point.model, zd, zd_u)
+        # only the scores a point keeps: the correlation on zd, the RMSE on zt and zv
+        scored = _free_run_error(point.model, zd, zd_u)
+        point.diverged_zd = scored is None
+        if scored is not None:
+            point.corr_dm = abs_error_correlation(*scored)
         if zt is not None:
-            point.rmse_zt, point.diverged_zt, _ = score_free_run(point.model, zt, zt_u)
+            point.rmse_zt, point.diverged_zt = _free_run_rmse(point.model, zt, zt_u)
         if zv is not None:
-            point.rmse_zv, point.diverged_zv, _ = score_free_run(point.model, zv, zv_u)
+            point.rmse_zv, point.diverged_zv = _free_run_rmse(point.model, zv, zv_u)
     return points
 
 

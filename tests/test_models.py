@@ -626,8 +626,8 @@ class TestFreeRun:
 @st.composite
 def fixed_point_cases(draw):
     """A model, one to three constant-input levels and a config: short runs
-    and runs past the 1024-sample window, under the settle rule or a fixed
-    horizon."""
+    and runs past the 1024 samples the reference loop's list buffer holds,
+    under the settle rule or a fixed horizon."""
     model = draw(random_models())
     row = st.lists(signals(model), min_size=model.spec.n_inputs, max_size=model.spec.n_inputs)
     steps = st.one_of(st.integers(1, 40), st.integers(1020, 2100))
@@ -647,6 +647,9 @@ SCALAR_SPEC = gb.RegressorSpec(output_lags=(1,), input_lags=((1,),))
 WIDE_SPEC = gb.RegressorSpec(output_lags=(1, 2, 3, 4, 5), input_lags=((1, 2, 3, 4, 5),))
 SPEC_40 = gb.RegressorSpec(output_lags=tuple(range(1, 21)), input_lags=(tuple(range(1, 21)),))
 GAPPED_SPEC = gb.RegressorSpec(output_lags=(1, 7), input_lags=((3, 5),))
+# output lags 1 and 2 and input lag 3 are shifted locals; output lag 5 and
+# input lags 2 and 7 are read from their lists
+CHAINED_SPEC = gb.RegressorSpec(output_lags=(1, 2, 5), input_lags=((2, 3, 7),))
 WIDE_TERMS = tuple(itertools.islice(
     (t for d in (1, 2, 3) for t in itertools.combinations_with_replacement(range(11), d)), 350
 ))
@@ -689,6 +692,20 @@ LARGE_STRUCTURES = {
         0.0,
         0.5,
     ),
+    "polynomial-chained-lags": (
+        gb.PolynomialModel(
+            CHAINED_SPEC,
+            ((), (1,), (2,), (3,), (4,), (5,), (6,), (1, 4), (2, 6, 6)),
+            np.array([0.1, 0.4, -0.2, 0.15, 0.3, -0.25, 0.2, -0.15, 0.05]),
+        ),
+        0.2,
+        0.5,
+    ),
+    "mlp-chained-lags": (
+        gb.MlpModel(CHAINED_SPEC, 2, np.random.default_rng(4).normal(0.0, 0.4, 1 + 2 + 2 * 7)),
+        0.0,
+        0.5,
+    ),
     "mlp-10-nodes-10-regressors": (
         gb.MlpModel(
             replace(WIDE_SPEC, include_constant=False),
@@ -708,7 +725,8 @@ class TestGeneratedLoops:
                    [[0.0]], gb.FixedPointConfig()))  # diverges
     @example(case=(gb.PolynomialModel(SCALAR_SPEC, ((1,), (0,)), np.array([-1.0, 1.0])),
                    # 0, 1, 0, ...: steps of exactly the tolerance never settle,
-                   # so the run shifts the window twice
+                   # so the run takes its whole budget and the reference
+                   # loop shifts its window twice
                    [[0.0]], gb.FixedPointConfig(max_iterations=3000, tolerance=1.0)))
     @example(case=(POLY_EXAMPLE, [[0.3], [-1.1]], gb.FixedPointConfig(fixed_horizon=1500)))
     @example(case=(MLP1_EXAMPLE, [[0.5], [2.0]], gb.FixedPointConfig()))
@@ -740,6 +758,19 @@ class TestGeneratedLoops:
         assert result.y.tobytes() == want.tobytes()
         levels = level + amplitude * np.linspace(-1.0, 1.0, 5).reshape(-1, 1)
         check_fixed_points(model, levels, gb.FixedPointConfig())
+
+    def test_code_does_not_grow_with_a_lag(self):
+        # a lag is a constant in the generated code, never a run of locals
+        # or lines, so the largest lag allowed compiles to loops of one size
+        loops = [
+            gb.PolynomialModel(gb.RegressorSpec(output_lags=(1, lag), input_lags=((1,),)),
+                               ((1,), (2,), (1, 3)), np.zeros(3))._loops
+            for lag in (7, 10**6)
+        ]
+        for name in ("free_run", "fixed_point"):
+            small, large = (getattr(pair, name).__code__ for pair in loops)
+            assert small.co_nlocals == large.co_nlocals, name
+            assert len(small.co_code) == len(large.co_code), name
 
 
 class TestSweepScoring:

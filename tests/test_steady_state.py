@@ -102,7 +102,7 @@ class TestFixedPointIterate:
         data=st.data(),
         kind=st.sampled_from(["polynomial", "mlp"]),
         u_bar=finite,
-        # short runs, and runs past the 1024-sample window
+        # short runs, and runs of over a thousand steps
         horizon=st.one_of(st.integers(1, 40), st.integers(1020, 2100)),
     )
     def test_fixed_horizon_is_free_run_at_constant_input(self, data, kind, u_bar, horizon):

@@ -58,6 +58,30 @@ class TestScores:
         unstable = gb.PolynomialModel(spec, ((1,), (0,)), np.array([2.0, 1.0]))
         value, diverged, corr = score_free_run(unstable, zv)
         assert diverged and value == RMSE_CAP and corr is None
+        # the helpers a sweep scores its points with read the same
+        assert sweep_module._free_run_error(unstable, zv) is None
+        assert sweep_module._free_run_rmse(unstable, zv) == (RMSE_CAP, True)
+
+    @pytest.mark.parametrize("example, algorithm", [("example1", "wls"),
+                                                    ("example2", "weighted_lm")])
+    def test_sweep_points_keep_the_bits_of_score_free_run(self, example, algorithm):
+        # a sweep computes only the scores a point keeps, each from the
+        # free run score_free_run makes
+        zd, zt, zs, zv = gb.make_datasets(example, 0)
+        train = gb.TrainConfig(algorithm=algorithm, lm=gb.LmConfig(60, 3))
+        grid = gb.LambdaGrid((0.0, 0.3, 0.7, 1.0))
+        points = gb.run_sweep(gb.example_structure(example), zd, zt, zs, grid, train, zv=zv)
+        scored = [p for p in points if p.model is not None]
+        assert len(scored) >= 3
+        for point in scored:
+            _, diverged_zd, corr_dm = score_free_run(point.model, zd)
+            rmse_zt, diverged_zt, _ = score_free_run(point.model, zt)
+            rmse_zv, diverged_zv, _ = score_free_run(point.model, zv)
+            assert (point.diverged_zd, point.diverged_zt, point.diverged_zv) == (
+                diverged_zd, diverged_zt, diverged_zv)
+            assert same_bits(point.rmse_zt, rmse_zt) and same_bits(point.rmse_zv, rmse_zv)
+            assert (point.corr_dm is None) == (corr_dm is None)
+            assert corr_dm is None or same_bits(point.corr_dm, corr_dm)
 
 
 def reference_abs_error_correlation(residual, reference):
