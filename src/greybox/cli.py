@@ -342,7 +342,8 @@ def cmd_eval(args) -> int:
         if not isinstance(data, DynDataset):
             raise ConfigError("one-step evaluation needs a dynamical record")
         psi, target = build_regression_matrix(model.spec, data)
-        with np.errstate(over="ignore"):  # as in cost_jd: a prediction that overflows is inf
+        # as in cost_jd: a prediction that overflows, or an inf * 0 in it, is not finite
+        with np.errstate(over="ignore", invalid="ignore"):
             predicted = model.predict(psi)
         write_table(
             out / "predictions.csv",

@@ -58,7 +58,7 @@ from .models import (
     build_regression_matrix,
     build_static_regressors,
 )
-from .steady_state import FixedPointConfig, cost_js_legacy
+from .steady_state import FixedPointConfig, _mean_squared_residual, cost_js_legacy
 
 ALGORITHMS = ("ols", "wls", "weighted_lm", "ga_legacy")
 
@@ -218,7 +218,9 @@ def fit_wls(
     if not isinstance(model, PolynomialModel):
         raise TypeError("closed-form least squares needs a linear-in-parameters model")
     stacked = build_stacked_system(model, zd, zs, lam)
-    theta = _solve_weighted(model.design_matrix(stacked.psi), stacked.y, stacked.weights)
+    # a design matrix that overflows is not finite, which the solve reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = _solve_weighted(model.design_matrix(stacked.psi), stacked.y, stacked.weights)
     if counter is not None:
         counter.add(stacked.y.size)
     return model.with_theta(theta)
@@ -387,10 +389,11 @@ def fit_weighted_lm(
     or whose Jacobian goes non-finite, is skipped; when every start is, the
     first one's DivergenceError, naming the iteration (0 for the start
     itself), is raised.  A step that holds a NaN, as the step of a singular
-    system does, is rejected without an evaluation.  Numpy's floating-point
-    warnings are silenced inside a start, as ``np.linalg.solve`` silences
-    them around its solve, since a non-finite start or trial and a singular
-    solve are handled here.
+    system does, is a rejected trial that is never evaluated: it inflates
+    the damping on the same path as a rejected evaluation.  Numpy's
+    floating-point warnings are silenced inside a start, as
+    ``np.linalg.solve`` silences them around its solve, since a non-finite
+    start or trial and a singular solve are handled here.
     """
     config = config or LmConfig()
     q = model.n_params
@@ -468,7 +471,7 @@ def fit_weighted_lm(
 
     def record(iteration, point):
         cost, r = point[0], point[3]
-        j_d = float(np.add.reduce(r[:n_d] ** 2)) / n_d if n_d else 0.0
+        j_d = float(np.add.reduce(r[:n_d] ** 2)) / n_d
         j_s = float(np.add.reduce(r[n_d:] ** 2)) / n_s if n_s else 0.0
         return trace_record(iteration, j_d, j_s, (1.0 - lam) * j_d + lam * j_s, cost)
 
@@ -497,19 +500,15 @@ def fit_weighted_lm(
                 neg_grad = -grad
                 step_floor = _LM_STEP_TOLERANCE * (math.sqrt(p @ p) + _LM_STEP_TOLERANCE)
             delta = _lapack_solve(hess + mu * identity, neg_grad, signature="dd->d")
-            # NaN when the system is singular (or holds a NaN); inf squares
-            # to inf, never to NaN
+            # NaN when the system is singular (or holds a NaN): a rejected
+            # trial, never evaluated; inf squares to inf, never to NaN
             step_squared = delta @ delta
-            if math.isnan(step_squared):
-                mu *= _LM_DAMPING_FACTOR
-                if mu > _LM_MAX_DAMPING:
-                    break
-                continue
             if math.sqrt(step_squared) <= step_floor:
                 break
             p_trial = p + delta
-            trial = evaluate(p_trial)
-            if trial is not None and math.isfinite(trial[0]) and trial[0] < point[0]:
+            trial = None if math.isnan(step_squared) else evaluate(p_trial)
+            # the current cost is finite, so this also rejects a NaN or inf one
+            if trial is not None and trial[0] < point[0]:
                 inverse_t, cond_t = invert(trial[5])
                 # past the bound the output cancels more digits in every step
                 if cond_t > max(_LM_MAX_OUTPUT_CONDITION, cond):
@@ -573,9 +572,7 @@ def fit_ga_legacy(
 
     def objective(theta):
         cand = seed_model.with_theta(theta)
-        r_d = y_d - cand.predict(psi_d)
-        counter.add(y_d.size)
-        j_d = float(np.mean(r_d**2))
+        j_d = _mean_squared_residual(cand, psi_d, y_d, counter)
         j_s = cost_js_legacy(cand, zs, fp_config, counter=counter)
         cost = (1.0 - lam) * j_d + lam * j_s
         return (math.inf if math.isnan(cost) else cost), j_d, j_s  # NaN never wins

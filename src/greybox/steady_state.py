@@ -1,9 +1,11 @@
 """Steady states of NARX models and the static/dynamic cost functions.
 
 A model's steady state at constant input u_bar solves y = F(psi_bar(u_bar, y)).
-The identification method never solves it: :func:`cost_js_hat` plugs each
-measured pair into the one-step predictor, one evaluation per pair, and is
-zero exactly where the iterated static residual is zero.  Fixed points serve
+The identification method never solves it.  It rests on two one-step costs,
+each the mean squared residual of the one-step predictor: :func:`cost_jd`
+over the dynamical record, and :func:`cost_js_hat`, which plugs each
+measured pair into the predictor, one evaluation per pair, and is zero
+exactly where the iterated static residual is zero.  Fixed points serve
 only the GA baseline's :func:`cost_js_legacy` and the static-curve check
 :func:`model_static_curve`, which finds them as free runs at constant input,
 one per input level; a single fixed point is a one-level curve.
@@ -28,7 +30,8 @@ by at most
 (see :func:`~greybox.models._mlp_loops`).
 
 Every cost helper accepts an optional :class:`~greybox.models.EvalCounter`
-so callers can account model evaluations precisely.
+so callers can account model evaluations precisely.  A one-step cost whose
+prediction or square overflows is non-finite, never a warning.
 """
 
 from __future__ import annotations
@@ -79,11 +82,7 @@ class FixedPointConfig:
 def cost_jd(model: Model, zd: DynDataset, counter: EvalCounter | None = None) -> float:
     """Mean squared one-step prediction error over the usable samples."""
     psi, target = build_regression_matrix(model.spec, zd)
-    if counter is not None:
-        counter.add(psi.shape[0])
-    with np.errstate(over="ignore"):  # a cost that overflows is inf
-        residual = target - model.predict(psi)
-        return float(np.mean(residual**2))
+    return _mean_squared_residual(model, psi, target, counter)
 
 
 def cost_js_hat(model: Model, zs: SteadyDataset, counter: EvalCounter | None = None) -> float:
@@ -94,10 +93,18 @@ def cost_js_hat(model: Model, zs: SteadyDataset, counter: EvalCounter | None = N
     so no fixed-point iteration happens: one evaluation per pair.
     """
     psi_bar = build_static_regressors(model.spec, zs)
+    return _mean_squared_residual(model, psi_bar, zs.y_bar, counter)
+
+
+def _mean_squared_residual(model: Model, psi, target, counter: EvalCounter | None) -> float:
+    """Mean of (target - F(psi))^2, one model evaluation per row of ``psi``.
+
+    A prediction or cost that overflows, or an inf * 0 inside a design
+    matrix, comes out non-finite without a warning."""
     if counter is not None:
-        counter.add(psi_bar.shape[0])
-    with np.errstate(over="ignore"):  # a cost that overflows is inf
-        residual = zs.y_bar - model.predict(psi_bar)
+        counter.add(psi.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = target - model.predict(psi)
         return float(np.mean(residual**2))
 
 

@@ -155,20 +155,11 @@ def _free_run_error(model: Model, data: DynDataset, inputs: list | None = None):
 
 
 def _free_run_rmse(model: Model, data: DynDataset, inputs: list | None = None):
-    """The free-run RMSE and the divergence flag of :func:`score_free_run`."""
+    """The free-run RMSE over the predicted region and the divergence flag,
+    ``RMSE_CAP`` when the run diverged."""
     scored = _free_run_error(model, data, inputs)
     # squaring -error gives the bits of squaring error, so this is rmse(predicted, measured)
     return (RMSE_CAP, True) if scored is None else (_root_mean_square(scored[0]), False)
-
-
-def score_free_run(model: Model, data: DynDataset, inputs: list | None = None):
-    """Free-run RMSE over the predicted region, the divergence flag, and
-    the absolute error/output correlation (None when diverged), both from
-    one error vector; ``inputs`` may hold the record's input lists."""
-    scored = _free_run_error(model, data, inputs)
-    if scored is None:
-        return RMSE_CAP, True, None
-    return _root_mean_square(scored[0]), False, abs_error_correlation(*scored)
 
 
 # structure kind each closed-form or gradient algorithm needs; the GA takes any

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import greybox as gb
 from greybox.cli import build_parser, main
-from greybox.estimation import write_trace_csv
+from greybox.estimation import ALGORITHMS, write_trace_csv
 from greybox.steady_state import write_static_curve_csv
 from greybox.sweep import write_sweep_csv
 
@@ -806,6 +806,47 @@ def test_one_step_prediction_that_overflows_does_not_warn(tmp_path):
     assert metrics["j_d"] is None and metrics["rmse_one_step"] == 1e6
 
 
+@pytest.mark.parametrize("command, code", [("sweep", 3), ("train", 3), ("eval", 0)])
+def test_overflow_keeps_the_exit_code_without_a_warning(command, code, tmp_path):
+    # over outputs of 1e200, y(k-1)^2 overflows in the design matrix and
+    # y(k-1)^2 u(k-1) multiplies inf by 0: each is non-finite without a
+    # RuntimeWarning, which the test settings make an error, so a fit fails
+    # as singular and a one-step evaluation writes a null cost
+    def polynomial(input_lags, terms):
+        return {"kind": "polynomial", "packing_version": 1,
+                "regressors": {"output_lags": [1], "input_lags": input_lags},
+                "terms": terms, "theta": [1.0] * len(terms)}
+
+    zd, out = tmp_path / "zd.csv", tmp_path / "out"
+    datasets, flags = {"zd": str(zd)}, []
+    if command == "eval":
+        zd.write_text("u1,y\n" + "0.0,1e200\n" * 20)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(polynomial([[1]], [[1, 1, 2]])))
+        argv = ["eval", "--model", str(model), "--data", str(zd), "--mode", "one-step"]
+    else:
+        if command == "sweep":
+            zd.write_text("u1,y\n" + "".join(f"{k / 10!r},1e200\n" for k in range(20)))
+            (tmp_path / "zs.csv").write_text("u1_bar,y_bar\n0.0,0.0\n1.0,0.5\n")
+            datasets["zs"] = str(tmp_path / "zs.csv")
+            structure, flags = polynomial([[1]], [[1, 1], [2]]), ["--grid", "0.0,0.5"]
+        else:
+            zd.write_text("y\n" + "1e200\n" * 20)
+            structure = polynomial([], [[1, 1]])
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"structure": structure, "datasets": datasets, "algorithm": "wls"}
+        ))
+        argv = [command, "--config", str(config)]
+    assert main([*argv, *flags, "--out", str(out)]) == code
+    if command == "sweep":
+        rows = list(csv.DictReader((out / "sweep.csv").read_text().splitlines()))
+        assert [row["error"].split(":")[0] for row in rows] == ["SingularityError"] * 2
+    if command == "eval":
+        metrics = load_json(out / "metrics.json")
+        assert metrics["j_d"] is None and metrics["rmse_one_step"] == 1e6
+
+
 def test_import_does_not_load_scipy():
     proc = subprocess.run(
         [sys.executable, "-c",
@@ -1187,7 +1228,8 @@ def config_entries(draw):
 
 @given(
     command=st.sampled_from(["train", "sweep"]),
-    algorithm=st.sampled_from(["wls", "ols", "ga_legacy", "weighted_lm"]),
+    # out of the set: a misspelt name, null and a list
+    algorithm=st.sampled_from(["wls", "ols", "ga_legacy", "weighted_lm", "lm", None, ["wls"]]),
     entries=config_entries(),
 )
 @example(
@@ -1202,11 +1244,15 @@ def config_entries(draw):
 @example(
     command="sweep", algorithm="wls", entries={"lambda": 0.5, "lm": {"n_starts": 10**400}}
 )
+@example(command="train", algorithm="lm", entries={"lambda": 0.5})
 def test_fuzzed_config_exits_0_2_or_3(datadir, command, algorithm, entries):
     with tempfile.TemporaryDirectory() as tmp:
         code = _run(datadir, tmp, command, {"algorithm": algorithm, **entries})
     assert code in (0, 2, 3)
-    if not all(valid_entry(key, value) for key, value in entries.items()):
+    valid = algorithm in ALGORITHMS and all(
+        valid_entry(key, value) for key, value in entries.items()
+    )
+    if not valid:
         assert code == 2  # an invalid entry is refused, never run or ignored
 
 

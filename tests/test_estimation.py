@@ -99,9 +99,9 @@ class TestLeastSquares:
             gb.fit_wls(ex1_structure, zd, zs, 1.0)
         assert exc.value.cond > 1e12
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the cubic column overflows
     def test_overflowing_design_matrix_is_singular(self, capfd):
-        # finite outputs near 1e120 put inf into the cubic output column
+        # finite outputs near 1e120 put inf into the cubic output column, with
+        # no RuntimeWarning, which the test settings make an error
         spec = gb.RegressorSpec(output_lags=(1,), input_lags=((1,),))
         model = gb.PolynomialModel(spec, ((1, 1, 1), (2,)), np.zeros(2))
         rng = np.random.default_rng(0)
@@ -453,26 +453,35 @@ class TestWeightedLm:
         self, ex2_structure, ex2_data, monkeypatch
     ):
         # the step system comes back all NaN, as gesv returns it when singular;
-        # the output layer's system, (1 + n_hidden)-square, is solved as usual
+        # the output layer's system, (1 + n_hidden)-square, is solved as usual.
+        # Each such step is a rejected trial, never evaluated, so with enough
+        # iterations the damping grows until 1e-3 * 10**18 passes the 1e14 cap
         zd, _, zs, _ = ex2_data
         solve = estimation._lapack_solve
         nc = 1 + ex2_structure.n_hidden
         n_p = ex2_structure.n_params - nc
+        step_solves = []
 
         def singular_step(a, b, signature):
             x = solve(a, b, signature=signature)
-            return np.full_like(x, np.nan) if a.shape == (n_p, n_p) else x
+            if a.shape != (n_p, n_p):
+                return x
+            step_solves.append(a)
+            return np.full_like(x, np.nan)
 
         monkeypatch.setattr(estimation, "_lapack_solve", singular_step)
         theta0 = init_mlp_theta(ex2_structure, 0)
-        counter = gb.EvalCounter()
-        model, trace = gb.fit_weighted_lm(
-            ex2_structure, zd, zs, 0.3, gb.LmConfig(max_iterations=1),
-            theta0=theta0, counter=counter,
-        )
-        assert counter.count == (zd.sample_count - 2) + zs.n_pairs
-        assert np.array_equal(model.theta[nc:], theta0[nc:])
-        assert len(trace) == 1
+        for max_iterations, solves in ((1, 1), (50, 18)):
+            step_solves.clear()
+            counter = gb.EvalCounter()
+            model, trace = gb.fit_weighted_lm(
+                ex2_structure, zd, zs, 0.3, gb.LmConfig(max_iterations=max_iterations),
+                theta0=theta0, counter=counter,
+            )
+            assert len(step_solves) == solves
+            assert counter.count == (zd.sample_count - 2) + zs.n_pairs
+            assert np.array_equal(model.theta[nc:], theta0[nc:])
+            assert len(trace) == 1
 
     def test_divergent_start_raises_with_index(self, ex2_structure, ex2_data, monkeypatch):
         zd, _, zs, _ = ex2_data

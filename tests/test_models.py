@@ -794,7 +794,8 @@ class TestSweepScoring:
 
 def numpy_step_scores(point, zd, zt, zv):
     """``point`` with its free-run scores recomputed by :func:`faithful_free_run`,
-    as :func:`greybox.sweep.score_free_run` computes them."""
+    with ``rmse`` and ``abs_error_correlation`` as :func:`greybox.run_sweep`
+    scores its points."""
     model = point.model
     k0 = model.spec.max_lag
 

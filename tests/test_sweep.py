@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import greybox as gb
 import greybox.sweep as sweep_module
 from greybox.cli import main
-from greybox.sweep import RMSE_CAP, abs_error_correlation, score_free_run, write_sweep_csv
+from greybox.sweep import RMSE_CAP, abs_error_correlation, write_sweep_csv
 
 
 def make_point(lam, j_d, j_s, **kw):
@@ -48,7 +48,7 @@ class TestScores:
 
     def test_score_free_run_on_perfect_model(self, ex1_true_model, ex1_data):
         _, _, _, zv = ex1_data
-        value, diverged, corr = score_free_run(ex1_true_model, zv)
+        value, diverged = sweep_module._free_run_rmse(ex1_true_model, zv)
         assert value < 1e-10
         assert not diverged
 
@@ -56,17 +56,16 @@ class TestScores:
         _, _, _, zv = ex1_data
         spec = gb.RegressorSpec(output_lags=(1, 2), input_lags=((1, 2),))
         unstable = gb.PolynomialModel(spec, ((1,), (0,)), np.array([2.0, 1.0]))
-        value, diverged, corr = score_free_run(unstable, zv)
-        assert diverged and value == RMSE_CAP and corr is None
+        assert reference_scores(unstable, zv) == (RMSE_CAP, True, None)
         # the helpers a sweep scores its points with read the same
         assert sweep_module._free_run_error(unstable, zv) is None
         assert sweep_module._free_run_rmse(unstable, zv) == (RMSE_CAP, True)
 
     @pytest.mark.parametrize("example, algorithm", [("example1", "wls"),
                                                     ("example2", "weighted_lm")])
-    def test_sweep_points_keep_the_bits_of_score_free_run(self, example, algorithm):
-        # a sweep computes only the scores a point keeps, each from the
-        # free run score_free_run makes
+    def test_sweep_points_keep_the_bits_of_rmse_and_correlation(self, example, algorithm):
+        # a sweep computes only the scores a point keeps, with the bits the
+        # public free run, rmse and correlation give them
         zd, zt, zs, zv = gb.make_datasets(example, 0)
         train = gb.TrainConfig(algorithm=algorithm, lm=gb.LmConfig(60, 3))
         grid = gb.LambdaGrid((0.0, 0.3, 0.7, 1.0))
@@ -74,14 +73,27 @@ class TestScores:
         scored = [p for p in points if p.model is not None]
         assert len(scored) >= 3
         for point in scored:
-            _, diverged_zd, corr_dm = score_free_run(point.model, zd)
-            rmse_zt, diverged_zt, _ = score_free_run(point.model, zt)
-            rmse_zv, diverged_zv, _ = score_free_run(point.model, zv)
+            _, diverged_zd, corr_dm = reference_scores(point.model, zd)
+            rmse_zt, diverged_zt, _ = reference_scores(point.model, zt)
+            rmse_zv, diverged_zv, _ = reference_scores(point.model, zv)
             assert (point.diverged_zd, point.diverged_zt, point.diverged_zv) == (
                 diverged_zd, diverged_zt, diverged_zv)
             assert same_bits(point.rmse_zt, rmse_zt) and same_bits(point.rmse_zv, rmse_zv)
             assert (point.corr_dm is None) == (corr_dm is None)
             assert corr_dm is None or same_bits(point.corr_dm, corr_dm)
+
+
+def reference_scores(model, data):
+    """A free run's RMSE, divergence flag and absolute error correlation
+    (None when diverged), from the public ``free_run_on_dataset``, ``rmse``
+    and ``abs_error_correlation``."""
+    run = gb.free_run_on_dataset(model, data, bound=RMSE_CAP)
+    if run.diverged:
+        return RMSE_CAP, True, None
+    k0 = model.spec.max_lag
+    measured = data.output[k0:]
+    error = measured - run.y[k0:]
+    return gb.rmse(run.y[k0:], measured), False, abs_error_correlation(error, measured)
 
 
 def reference_abs_error_correlation(residual, reference):
@@ -138,13 +150,14 @@ class TestOnePassScores:
         model = replace(ex1_true_model, theta=theta)
         k0 = model.spec.max_lag
         for data in (zt, zv):
-            value, diverged, corr = score_free_run(model, data)
+            value, diverged = sweep_module._free_run_rmse(model, data)
             result = gb.free_run_on_dataset(model, data, bound=RMSE_CAP)
             assert diverged == result.diverged
             if diverged:
                 continue
             measured = data.output[k0:]
             assert same_bits(value, gb.rmse(result.y[k0:], measured))
+            corr = abs_error_correlation(*sweep_module._free_run_error(model, data))
             want = reference_abs_error_correlation(measured - result.y[k0:], measured)
             assert same_bits(corr, want)
 
