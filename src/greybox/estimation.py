@@ -66,14 +66,16 @@ ALGORITHMS = ("ols", "wls", "weighted_lm", "ga_legacy")
 # Levenberg-Marquardt damping: the first trial's damping, the factor a
 # rejected step multiplies it by and an accepted one divides it by, and the
 # damping at which the solver gives up.  It also stops once the gradient or
-# the step falls below its tolerance, and before it accepts a step whose
-# output layer's normal matrix is conditioned worse than the bound (1-norm)
-# and worse than at the current point.
+# the step falls below its tolerance, once the step's predicted fall in the
+# cost is at most _LM_FTOL of the cost (MINPACK's ftol test), and before it
+# accepts a step whose output layer's normal matrix is conditioned worse
+# than the bound (1-norm) and worse than at the current point.
 _LM_INITIAL_DAMPING = 1e-3
 _LM_DAMPING_FACTOR = 10.0
 _LM_MAX_DAMPING = 1e14
 _LM_GRADIENT_TOLERANCE = 1e-10
 _LM_STEP_TOLERANCE = 1e-12
+_LM_FTOL = 1e-12
 _LM_MAX_OUTPUT_CONDITION = 1e4
 
 # GA operators: per-gene mutation scale relative to the population spread
@@ -374,14 +376,25 @@ def fit_weighted_lm(
     gradient J_p^T E, since J_c^T E = 0 at the solved c.  (J_c^T J_c)^-1 is
     the inverse of the point's own output-layer normal matrix.
 
-    Besides the gradient and step tests, LM stops before it accepts a step
-    whose output-layer normal matrix is conditioned worse than
-    ``_LM_MAX_OUTPUT_CONDITION`` (1-norm) and worse than at the current
-    point.  Past it a node turns linear while b0 and w_out grow to cancel
-    each other: on example2 seed 0 at lam 0.9 the cost falls by only 3e-5
-    relative while w_out grows to about 1600, and the free-run scores of
-    such a model no longer repeat to 1e-12 under another float evaluation
-    order.
+    LM also stops, without evaluating the trial, when the step's predicted
+    reduction is at most ``_LM_FTOL`` (1e-12) of the cost e^T e, the test
+    on the predicted reduction in MINPACK (Moré, 1978).  For the step
+    delta that solves (H + mu I) delta = -g, with H and g the reduced
+    system and gradient above, the quadratic model of e^T e predicts the
+    fall delta^T H delta + 2 mu delta^T delta, which is
+    delta^T (-g) + mu delta^T delta.  This ends the streak of rejected
+    trials after a start's last useful step, whose damping otherwise grows
+    tenfold per evaluation until the step test fires, and tails of accepted
+    steps that each gain less than that share of the cost.
+
+    Besides the gradient, step and predicted-reduction tests, LM stops
+    before it accepts a step whose output-layer normal matrix is
+    conditioned worse than ``_LM_MAX_OUTPUT_CONDITION`` (1-norm) and worse
+    than at the current point.  Past it a node turns linear while b0 and
+    w_out grow to cancel each other: on example2 seed 0 at lam 0.9 the cost
+    falls by only 3e-5 relative while w_out grows to about 1600, and the
+    free-run scores of such a model no longer repeat to 1e-12 under another
+    float evaluation order.
 
     A trial whose output layer cannot be solved (c is not finite, which
     includes the all-NaN c that gesv returns for a singular normal matrix)
@@ -504,6 +517,10 @@ def fit_weighted_lm(
             # trial, never evaluated; inf squares to inf, never to NaN
             step_squared = delta @ delta
             if math.sqrt(step_squared) <= step_floor:
+                break
+            # the fall in e^T e the quadratic model predicts for delta,
+            # delta^T H delta + 2 mu delta^T delta; a NaN step fails the test
+            if delta @ neg_grad + mu * step_squared <= _LM_FTOL * point[0]:
                 break
             p_trial = p + delta
             trial = None if math.isnan(step_squared) else evaluate(p_trial)

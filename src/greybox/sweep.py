@@ -79,7 +79,11 @@ class ParetoPoint:
     then the failure text lands in ``error`` and every score stays None.  A
     free run that diverged reads ``RMSE_CAP`` in its RMSE field, None in
     ``corr_dm``, and sets its ``diverged_*`` flag; the RMSE fields stay None
-    when their record was not given.  ``warm_from`` is the lambda whose
+    when their record was not given.  A run that did not diverge but whose
+    error against the record overflows, e.g. a measured output of 1e200,
+    also reads ``RMSE_CAP`` in its RMSE field, without the flag, and None in
+    ``corr_dm`` when the correlation is not finite: an empty cell, which
+    :func:`decide_min_corr` skips.  ``warm_from`` is the lambda whose
     fitted parameters started this fit, None for a seeded start or an
     algorithm that does not warm-start.
     """
@@ -288,15 +292,19 @@ def run_sweep(
             continue
         point.j_d = cost_jd(point.model, zd)
         point.j_s_hat = cost_js_hat(point.model, zs)
-        # only the scores a point keeps: the correlation on zd, the RMSE on zt and zv
-        scored = _free_run_error(point.model, zd, zd_u)
-        point.diverged_zd = scored is None
-        if scored is not None:
-            point.corr_dm = abs_error_correlation(*scored)
-        if zt is not None:
-            point.rmse_zt, point.diverged_zt = _free_run_rmse(point.model, zt, zt_u)
-        if zv is not None:
-            point.rmse_zv, point.diverged_zv = _free_run_rmse(point.model, zv, zv_u)
+        # only the scores a point keeps: the correlation on zd, the RMSE on zt
+        # and zv; an error that overflows when squared caps the RMSE and
+        # leaves the correlation not finite, which is stored as None
+        with np.errstate(over="ignore", invalid="ignore"):
+            scored = _free_run_error(point.model, zd, zd_u)
+            point.diverged_zd = scored is None
+            if scored is not None:
+                corr = abs_error_correlation(*scored)
+                point.corr_dm = corr if math.isfinite(corr) else None
+            if zt is not None:
+                point.rmse_zt, point.diverged_zt = _free_run_rmse(point.model, zt, zt_u)
+            if zv is not None:
+                point.rmse_zv, point.diverged_zv = _free_run_rmse(point.model, zv, zv_u)
     return points
 
 

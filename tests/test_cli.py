@@ -11,6 +11,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1290,6 +1291,55 @@ def test_fuzzed_csv_cell_exits_0_2_or_3(datadir, command, algorithm, name, row, 
         if not finite:
             assert code == 2
 
+
+
+def _sweep_with_output(datadir, tmp, name, row, structure, grid):
+    """``main``'s sweep with the measured output of ``row`` of ``name``'s
+    record set to 1e200, warnings as errors and no ``np.errstate`` around
+    it; the exit code and the rows of sweep.csv."""
+    lines = (datadir / f"{name}.csv").read_text().splitlines()
+    cells = lines[row].split(",")
+    cells[lines[0].split(",").index("y")] = "1e200"
+    lines[row] = ",".join(cells)
+    datasets = {key: str(datadir / f"{key}.csv") for key in ("zd", "zt", "zs")}
+    datasets[name] = str(Path(tmp) / f"{name}.csv")
+    Path(datasets[name]).write_text("\n".join(lines) + "\n")
+    config, out = Path(tmp) / "config.json", Path(tmp) / "out"
+    config.write_text(
+        json.dumps({"structure": structure, "datasets": datasets, "algorithm": "wls"})
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["sweep", "--config", str(config), "--grid", grid, "--out", str(out)])
+    with open(out / "sweep.csv", newline="") as fh:
+        return code, list(csv.DictReader(fh))
+
+
+def test_sweep_caps_the_rmse_of_an_overflowing_record(datadir, tmp_path):
+    # the free run over zt is finite, but its error against the measured
+    # 1e200 overflows when squared: the RMSE caps, as rmse() caps it
+    code, rows = _sweep_with_output(
+        datadir, tmp_path, "zt", 11, {"builtin": "example1"}, "0.3,0.5"
+    )
+    assert code == 0
+    assert [(r["rmse_zt"], r["diverged_zt"]) for r in rows] == [("1000000.0", "false")] * 2
+
+
+def test_sweep_leaves_a_correlation_that_is_not_finite_empty(datadir, tmp_path):
+    # fitted on the steady states alone, a linear model free-runs finitely
+    # over zd, whose last measured output is 1e200, so the correlation of
+    # the error with it is NaN: an empty cell that min-corr skips
+    linear = {
+        "kind": "polynomial", "packing_version": 1,
+        "regressors": {"output_lags": [1], "input_lags": [[1]]},
+        "terms": [[1], [2]], "theta": [0.0, 0.0],
+    }
+    n_rows = len((datadir / "zd.csv").read_text().splitlines())
+    code, rows = _sweep_with_output(datadir, tmp_path, "zd", n_rows - 1, linear, "1.0")
+    assert code == 0
+    assert [(r["corr_dm"], r["diverged_zd"]) for r in rows] == [("", "false")]
+    assert math.isfinite(float(rows[0]["rmse_zt"]))
+    assert list(load_json(tmp_path / "out" / "manifest.json")["selections"]) == ["min_rmse_zt"]
 
 @given(
     mode=st.sampled_from(["one-step", "free-run", "static-curve"]),

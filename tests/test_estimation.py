@@ -500,22 +500,24 @@ class TestWeightedLm:
         assert exc.value.index == 0
 
     def test_pinned_result(self, ex2_structure, ex2_data):
-        # criteria 2 and 3's settings at lambda 0.5, recorded when the output
-        # layer became solved at every evaluation and LM moved the hidden
-        # layer alone
+        # criteria 2 and 3's settings at lambda 0.5, recorded when LM began
+        # to stop on the quadratic model's predicted reduction; the winning
+        # start reaches the sign-flipped twin of the earlier optimum
         zd, _, zs, _ = ex2_data
         model, trace = gb.fit_weighted_lm(ex2_structure, zd, zs, 0.5, gb.LmConfig(60, 3))
         expected_theta = [
-            -0.0436431370439036, -8.03319805921722, -0.005431423713733789,
-            -0.17347220905755745, 0.051861052264733226, 0.00026756224968947076,
-            -0.0005150983225739354,
+            -0.043642633539219, 8.033145072483803, 0.00543139685809951,
+            0.17347335258809568, -0.0518613933107989, -0.0002675637579811781,
+            0.000515101990505055,
         ]
         np.testing.assert_allclose(model.theta, expected_theta, rtol=1e-10)
         last = trace[-1]
-        assert last.j_sd == pytest.approx(6.682971472211054e-05, rel=1e-10)
-        assert last.cost == pytest.approx(0.035036266838219504, rel=1e-10)
-        assert last.iteration == 13
-        assert last.model_evaluations == 90896
+        assert last.j_sd == pytest.approx(6.68297673018072e-05, rel=1e-10)
+        assert last.cost == pytest.approx(0.03503626683822132, rel=1e-10)
+        assert last.iteration == 11
+        assert last.model_evaluations == 71668
+        # no worse an optimum than the one recorded before the stop
+        assert last.cost == pytest.approx(0.035036266838219504, rel=1e-8)
 
     def test_pinned_result_three_nodes_without_constant(self, ex2_data):
         # the hidden blocks of several nodes, over regressors without the
@@ -553,21 +555,24 @@ class TestWeightedLm:
             theta0 = model.theta
             fits.append((trace[-1].cost, trace[-1].iteration, trace[-1].model_evaluations))
         expected_theta = [
-            -0.015822348298308146, 37.20436345237409, 0.00042518493764732334,
-            0.037862911492298965, -0.01099276797030191, -8.061713801290163e-05,
-            8.159335102443901e-05,
+            -0.015822194684221566, 37.20419751351195, 0.00042518270572427,
+            0.03786308064017989, -0.010992817109274685, -8.061750013939865e-05,
+            8.159370881432924e-05,
         ]
         np.testing.assert_allclose(model.theta, expected_theta, rtol=1e-10)
+        # each fit's cost, accepted steps, evaluations, and the cost recorded
+        # before the predicted-reduction stop, which it may not exceed by 1e-8
         expected_fits = [
-            (0.08886828572980622, 7, 96140),
-            (0.03503626683821951, 15, 40204),
-            (0.0014434843516891675, 5, 17480),
+            (0.08886828572980648, 12, 31464, 0.08886828572980622),
+            (0.03503626683823024, 10, 20976, 0.03503626683821951),
+            (0.0014434843582259995, 5, 17480, 0.0014434843516891675),
         ]
-        for (cost, iteration, evals), (want_cost, want_iteration, want_evals) in zip(
+        for (cost, iteration, evals), (want_cost, want_iteration, want_evals, before) in zip(
             fits, expected_fits, strict=True
         ):
             assert cost == pytest.approx(want_cost, rel=1e-10)
             assert (iteration, evals) == (want_iteration, want_evals)
+            assert cost == pytest.approx(before, rel=1e-8)
 
     def test_output_layer_stays_within_the_conditioning_bound(self, ex2_structure, ex2_data):
         # at lambda 0.9 the cost keeps falling, by about 3e-5 relative, as
