@@ -14,15 +14,33 @@ fixed-point run at constant input, and compiles it once per structure
 (:func:`_polynomial_loops`, :func:`_mlp_loops`).  The step is one
 expression over plain Python floats, a sum of the polynomial terms,
 ``acc = 0.0 + t_0 * x_a * x_b + ...``, or of the MLP nodes,
-``acc = bias + w_0 * tanh(b_0 + v_0_0 * x_a + ...) + ...``, with any
+``acc = bias + w_0 * tanh(z_0 + v_0_0 * x_a + ...) + ...``, with any
 product or sum past 32 operands split into chunks of its own temporary.
 A run takes the model's parameters as a list, never as text, so no value
-is rounded.  Each lagged sample is held in a local and shifted at the end
-of a step: the output's lag 1 takes y(k), and any lag whose predecessor
-(lag - 1 of the same source) is gathered takes that local.  Only a lag
-without a gathered predecessor is read from its list: the free run zips an
-``islice`` of the list per such lag, so for the built-in structures it
-iterates the input list alone; the fixed point reads such an output lag
+is rounded.
+
+An MLP node sums its bias, then its input-lag terms, then its output-lag
+terms, each group in slot order.  The bias and the input-lag terms do not
+depend on the recurrence: they are the node's *part* ``z_i``, which the
+loops compute outside the per-sample loop.  The free run computes each
+part over the record's input arrays with numpy's elementwise ``+`` and
+``*``, which round as Python's float operations do, and iterates the
+part's list; the fixed point computes it once on entry from its constant
+inputs, with the same expression text.  Such loops *hoist* their inputs:
+:func:`free_run_on_dataset` hands them the input arrays.  A polynomial's
+loops have no parts and read their inputs per sample, from lists: moving
+its input-only terms, or a term's input factors, into parts would change
+the order of its sum or products, so the loops would lose the bits of
+``_predict_psi`` that ``test_example1_truth_is_pinned`` pins, and for
+example1's five small terms the parts did not pay for themselves.
+
+Each lagged sample the step reads is held in a local and shifted at the
+end of a step: the output's lag 1 takes y(k), and any lag whose
+predecessor (lag - 1 of the same source) is gathered takes that local.
+Only a lag without a gathered predecessor is read from its list: the free
+run zips an ``islice`` of the list per such lag with the parts' lists, so
+for the built-in structures it iterates the one part's list (example2) or
+the input list (example1) alone; the fixed point reads such an output lag
 from a ring of the last outputs, and holds no list otherwise.  The free
 run appends each y(k) to the output list and checks no bound per sample:
 :func:`free_run_on_dataset`, the one free run, finds where the run left it
@@ -35,10 +53,10 @@ the same generator emits for the spec with ``step(psi)`` as the body and
 ``(step,)`` as the parameters (``RegressorSpec._legacy_loops``), and for
 the tests that check the scalar path against the batch one.  The
 polynomial loops return the same bits as ``_predict_psi``.  The MLP loops
-do not: ``math.tanh`` and left-to-right sums round differently from
-numpy's ``np.tanh`` and ``@``, and one step of the two differs by at most
-8 eps (|b0| + sum_i |w_out_i| (1 + |b_i| + sum_j |w_ij psi_j|)), eps being
-the float64 machine epsilon.
+do not: ``math.tanh`` and sums in the node order above round differently
+from numpy's ``np.tanh`` and ``@``, and one step of the two differs by at
+most 8 eps (|b0| + sum_i |w_out_i| (1 + |b_i| + sum_j |w_ij psi_j|)), eps
+being the float64 machine epsilon.
 """
 
 from __future__ import annotations
@@ -209,6 +227,34 @@ class EvalCounter:
         self.count += n
 
 
+# (terms, slot count) -> the canonical terms tuple built for them, so that a
+# model rebuilt from its own terms (``with_theta``) does not check them again
+_CANONICAL_TERMS: dict = {}
+
+
+def _canonical_terms(terms, n_slots: int) -> tuple[tuple[int, ...], ...]:
+    """``terms`` with each term's slot indices sorted, each checked to be an
+    integer in [0, n_slots); raises ValueError for a bad index or two equal
+    terms.  A tuple this function returned for ``n_slots`` is returned as
+    it is: only that very object skips the checks, since an equal key may
+    hold other types (``1.0`` or ``True`` for ``1``) that must still raise."""
+    try:
+        if _CANONICAL_TERMS.get((terms, n_slots)) is terms:
+            return terms
+    except TypeError:  # unhashable, e.g. terms given as lists
+        pass
+    canon = tuple(
+        tuple(sorted(_require_count(i, "term index", 0, n_slots - 1) for i in t))
+        for t in terms
+    )
+    if len(set(canon)) != len(canon):
+        raise ValueError("duplicate polynomial terms after canonicalization")
+    if len(_CANONICAL_TERMS) >= 64:
+        _CANONICAL_TERMS.pop(next(iter(_CANONICAL_TERMS)))
+    _CANONICAL_TERMS[canon, n_slots] = canon
+    return canon
+
+
 @dataclass(frozen=True)
 class PolynomialModel:
     """Linear-in-parameters polynomial NARX model.
@@ -223,13 +269,7 @@ class PolynomialModel:
     theta: np.ndarray
 
     def __post_init__(self):
-        last = len(self.spec) - 1
-        canon = tuple(
-            tuple(sorted(_require_count(i, "term index", 0, last) for i in t))
-            for t in self.terms
-        )
-        if len(set(canon)) != len(canon):
-            raise ValueError("duplicate polynomial terms after canonicalization")
+        canon = _canonical_terms(self.terms, len(self.spec))
         theta = np.asarray(self.theta, dtype=float).reshape(-1).copy()
         if theta.size != len(canon):
             raise ValueError(f"{len(canon)} terms but {theta.size} parameters")
@@ -399,15 +439,20 @@ def free_run_on_dataset(model: Model, data: DynDataset, bound: float = 1e6, *,
     instead of raising, with NaN from that sample on.  The loop runs the
     whole record and the first such sample is found afterwards: Python's
     float arithmetic and ``math.tanh`` overflow to inf and NaN without
-    raising, so every value before it keeps its bits.  ``_inputs`` may
-    hold the record's input channels already converted to lists.
+    raising, so every value before it keeps its bits.  A loop that hoists
+    takes the record's input arrays; one that reads its inputs per sample
+    takes them as lists, which ``_inputs`` may hold already converted.
     """
     model.spec.check(data)
     k0 = model.spec.max_lag
     n = data.sample_count
     y = data.output[:k0].tolist()
-    model._loops.free_run(model.theta.tolist(), y, n,
-                          *(_inputs or [c.tolist() for c in data.inputs]))
+    loops = model._loops
+    if loops.hoists:
+        inputs = data.inputs
+    else:
+        inputs = _inputs or [c.tolist() for c in data.inputs]
+    loops.free_run(model.theta.tolist(), y, n, *inputs)
     y = np.fromiter(y, float, n)
     outside = ~(np.abs(y[k0:]) <= bound)  # also catches NaN
     first = int(outside.argmax())
@@ -418,13 +463,17 @@ def free_run_on_dataset(model: Model, data: DynDataset, bound: float = 1e6, *,
 
 
 class _Loops(NamedTuple):
-    """A structure's time-stepping loops, generated by :func:`_generate_loops`."""
+    """A structure's time-stepping loops, generated by :func:`_generate_loops`;
+    ``hoists`` says whether ``free_run`` takes the input channels as numpy
+    arrays (it computes its parts from them) or as lists it reads per
+    sample."""
 
     free_run: Callable
     fixed_point: Callable
+    hoists: bool
 
 
-def _generate_loops(spec: RegressorSpec, head, body, slots) -> _Loops:
+def _generate_loops(spec: RegressorSpec, head, body, slots, parts=None) -> _Loops:
     """The one generator of the loops that run a model through time.
 
     ``body`` holds the lines of one step: they read regressor slot ``pos``
@@ -434,6 +483,19 @@ def _generate_loops(spec: RegressorSpec, head, body, slots) -> _Loops:
     argument of each loop, so a parameter is never written as text and the
     loops of a structure serve every fit of it.
 
+    ``parts`` maps a name to the lines that compute it from the input slots
+    among ``slots`` alone, with ``+`` and ``*``; the body reads the part by
+    its name and no input slot.  A part does not depend on the recurrence,
+    so it leaves the loop: the free run computes each over whole input
+    arrays before it starts, slot ``x{pos}`` being the slice
+    ``u{ch}[max_lag - lag : n - lag]``, under ``np.errstate(over="ignore",
+    invalid="ignore")``, and iterates the part's ``.tolist()``; the fixed
+    point computes it once on entry from its constant inputs.  Both run the
+    same text, and numpy's elementwise ``+`` and ``*`` round as Python's
+    float operations do, so a part holds the same bits in both.  Loops with
+    parts hoist their inputs; without parts the input slots are gathered
+    per sample like the output slots.
+
     Each gathered lag is held in its local from one step to the next and
     shifted at the end of the step: the output's lag 1 takes the step's
     ``acc``, and a lag whose predecessor (lag - 1 of the same source) is
@@ -442,13 +504,14 @@ def _generate_loops(spec: RegressorSpec, head, body, slots) -> _Loops:
     with the size of a lag.
 
     ``free_run(params, y, n, u0, u1, ...)`` steps k = max_lag, ..., n - 1
-    over input lists of ``n`` samples and appends y(k) to ``y``, which
-    holds the first max_lag outputs.  The shifted locals start from those
-    lists.  Each lag read from a list is an ``islice`` of it that stops at
-    ``n - lag``, zipped with the others.  A list iterator reads its element
-    when it advances, so an output slice sees each y(k - lag) stored
-    before.  A lone slice is looped over as it is, and a ``range`` drives
-    the loop when no lag is read from a list.  It tests no value:
+    over input channels of ``n`` samples (arrays for loops that hoist,
+    lists otherwise) and appends y(k) to ``y``, which holds the first
+    max_lag outputs.  The shifted locals start from those lists.  Each lag
+    read from a list is an ``islice`` of it that stops at ``n - lag``,
+    zipped with the others and with the parts' lists.  A list iterator
+    reads its element when it advances, so an output slice sees each
+    y(k - lag) stored before.  A lone source is looped over as it is, and a
+    ``range`` drives the loop when there is none.  It tests no value:
     :func:`free_run_on_dataset` finds where a run diverged.
 
     ``fixed_point(params, u0, u1, ..., budget, settle, tolerance, bound)``
@@ -464,14 +527,27 @@ def _generate_loops(spec: RegressorSpec, head, body, slots) -> _Loops:
     the last value computed; :func:`~greybox.steady_state.model_static_curve`
     calls it once per input level.
     """
+    parts = parts or {}
     reads = {pos: (ch, lag) for pos, ch, lag in spec._gather}
     gathered = {reads[pos]: f"x{pos}" for pos in set(slots) if pos in reads}
+    # with parts, the input slots are read by the parts alone
+    hoisted = {key: name for key, name in gathered.items() if parts and key[0] >= 0}
+    gathered = {key: name for key, name in gathered.items() if key not in hoisted}
     inputs = [f"u{ch}" for ch in range(spec.n_inputs)]
     m = spec.max_lag
     constant = [f"x{pos} = 1.0" for pos in sorted(set(slots) - reads.keys())]
-    run_head, fixed_head = [*head, *constant, "append = y.append"], [*head, *constant]
-    run_names, run_sources, run_shifts = [], [], []
-    ring, fixed_shifts = [], []
+    run_head, fixed_head = [*head, *constant], [*head, *constant]
+    if parts:
+        run_head.append('with np.errstate(over="ignore", invalid="ignore"):')
+        run_head += [f"    {name} = u{ch}[{m - lag}:n - {lag}]"
+                     for (ch, lag), name in sorted(hoisted.items())]
+        run_head += [f"    {line}" for lines in parts.values() for line in lines]
+        fixed_head += [f"{name} = u{ch}" for (ch, _), name in sorted(hoisted.items())]
+        fixed_head += [line for lines in parts.values() for line in lines]
+    run_head.append("append = y.append")
+    run_names = list(parts)
+    run_sources = [f"{name}.tolist()" for name in parts]
+    run_shifts, ring, fixed_shifts = [], [], []
     # within a source the higher lags shift first, so each takes the old value
     for (ch, lag), name in sorted(gathered.items(), key=lambda item: (item[0][0], -item[0][1])):
         source = "y" if ch < 0 else f"u{ch}"
@@ -489,7 +565,7 @@ def _generate_loops(spec: RegressorSpec, head, body, slots) -> _Loops:
         else:
             fixed_head.append(f"{name} = 0.0")
             fixed_shifts.append(f"{name} = {before}")
-    if len(run_sources) != 1:  # a lone slice is looped over as it is
+    if len(run_sources) != 1:  # a lone source is looped over as it is
         run_sources = [f"zip({', '.join(run_sources)})" if run_sources else f"range(n - {m})"]
     h = max((lag for _, lag in ring), default=0)
     if ring:
@@ -519,15 +595,16 @@ def _generate_loops(spec: RegressorSpec, head, body, slots) -> _Loops:
         "        prev = acc",
         "    return acc, budget, settle < 0",
     ]
-    namespace = {"islice": islice, "math": math}
+    namespace = {"islice": islice, "math": math, "np": np}
     exec(compile("\n".join(lines), "<greybox loops>", "exec"), namespace)
-    return _Loops(namespace["free_run"], namespace["fixed_point"])
+    return _Loops(namespace["free_run"], namespace["fixed_point"], bool(parts))
 
 
 @lru_cache(maxsize=64)
 def _polynomial_loops(spec: RegressorSpec, terms) -> _Loops:
     """Loops over ``PolynomialModel._predict_psi``'s products and sum, in
-    its order and over plain floats, so they return its bits."""
+    its order and over plain floats, so they return its bits.  They have
+    no parts and read their inputs per sample (see the module docstring)."""
     body, products = [], ["0.0"]
     for j, term in enumerate(terms):
         lines, product = _fold(f"p{j}", "*", [f"t{j}", *(f"x{i}" for i in term)])
@@ -543,21 +620,32 @@ def _polynomial_loops(spec: RegressorSpec, terms) -> _Loops:
 def _mlp_loops(spec: RegressorSpec, n_hidden: int) -> _Loops:
     """Loops over b0 + sum_i w_out_i tanh(b_i + sum_j w_ij psi_j), summed
     left to right over plain floats with ``math.tanh``, the parameters
-    named in :class:`MlpModel`'s packing order.  They differ from
-    ``_predict_psi`` by the rounding bound the module docstring gives."""
+    named in :class:`MlpModel`'s packing order.  Each node sums its bias,
+    then its input-lag terms, then its output-lag terms, each group in
+    slot order; the bias and the input-lag terms are the node's part
+    ``z{i}`` (see :func:`_generate_loops`) when the spec has an input
+    slot.  They differ from ``_predict_psi`` by the rounding bound the
+    module docstring gives."""
     start = 1 if spec.include_constant else 0
+    outputs = [pos for pos, ch, _ in spec._gather if ch < 0]
+    inputs = [pos for pos, ch, _ in spec._gather if ch >= 0]
     names = ["bias", *(f"w{i}" for i in range(n_hidden))]
-    body, nodes = [], ["bias"]
+    body, nodes, parts = [], ["bias"], {}
     for i in range(n_hidden):
-        terms = [f"b{i}", *(f"v{i}_{j} * x{start + j}" for j in range(spec.n_features))]
         names += [f"b{i}", *(f"v{i}_{j}" for j in range(spec.n_features))]
-        lines, inner = _fold(f"z{i}", "+", terms)
+        terms = [f"b{i}", *(f"v{i}_{pos - start} * x{pos}" for pos in inputs)]
+        if inputs:
+            lines, part = _fold(f"z{i}", "+", terms)
+            parts[f"z{i}"] = [*lines, f"z{i} = {part}"]
+            terms = [f"z{i}"]
+        lines, inner = _fold(f"s{i}", "+", [*terms, *(f"v{i}_{pos - start} * x{pos}"
+                                                      for pos in outputs)])
         body += lines
         nodes.append(f"w{i} * tanh({inner})")
     lines, total = _fold("acc", "+", nodes)
     body += [*lines, f"acc = {total}"]
     return _generate_loops(spec, ["tanh = math.tanh", f"[{', '.join(names)}] = params"],
-                           body, range(start, len(spec)))
+                           body, range(start, len(spec)), parts)
 
 
 def _fold(target: str, op: str, operands: list[str]) -> tuple[list[str], str]:

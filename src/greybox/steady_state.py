@@ -16,7 +16,10 @@ The static curve runs the fixed-point loop generated once per structure
 count, with the inputs and the lagged outputs held in locals, each output
 lag shifted from the one before it at the end of a step, and each step one
 expression over the polynomial terms or MLP nodes, with the parameters
-bound as locals on entry.  It holds no list, except that an output lag
+bound as locals on entry.  An MLP node's part, its bias plus its input-lag
+terms, is computed once on entry from the level's inputs, with the text
+the free run computes over whole input arrays, so the step adds only the
+output-lag terms to it.  It holds no list, except that an output lag
 whose predecessor is not gathered (a gap in the lags) is read from a ring
 of the last outputs, as many as the largest such lag.
 :func:`cost_js_legacy` runs the loop that same generator emits for the

@@ -264,8 +264,12 @@ def run_sweep(
     seed_model = None
     if train.algorithm == "ga_legacy":
         seed_model = _ga_seed_model(structure, zd, train)
-    # each record's input lists, converted once for every point's free runs
-    zd_u, zt_u, zv_u = ([c.tolist() for c in d.inputs] if d else None for d in (zd, zt, zv))
+    # each record's input lists, converted once for every point's free runs,
+    # for loops that read their inputs per sample; loops that hoist them
+    # take the record's arrays
+    lists = not structure._loops.hoists
+    zd_u, zt_u, zv_u = ([c.tolist() for c in d.inputs] if d and lists else None
+                        for d in (zd, zt, zv))
     points = []
     for i, lam in enumerate(grid):
         point = ParetoPoint(lam=lam)

@@ -1,9 +1,11 @@
 """Regressor layout, model prediction, free-run simulation, persistence."""
 
+import csv
 import hashlib
 import itertools
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import greybox as gb
+from greybox.cli import main
 from greybox.data import EXAMPLE1, simulate_system
 from greybox.models import EXAMPLE1_TRUE_THETA
 from greybox.sweep import RMSE_CAP, abs_error_correlation, rmse
@@ -112,6 +115,22 @@ class TestPolynomialModel:
         spec = gb.RegressorSpec(output_lags=(1,), input_lags=((1,),))
         with pytest.raises(ValueError):
             gb.PolynomialModel(spec, ((5,),), np.array([1.0]))
+
+    def test_with_theta_reuses_the_checked_terms(self):
+        # with_theta passes the model's own canonical terms, which are not
+        # checked again; terms equal to them but of other types still raise,
+        # every time, and a smaller spec still refuses an index
+        spec = gb.RegressorSpec(output_lags=(1,), input_lags=((1,),))
+        model = gb.PolynomialModel(spec, ((2, 1), (1,)), np.array([0.5, 0.25]))
+        again = model.with_theta([0.75, -0.5])
+        assert again.terms is model.terms and again.theta.tolist() == [0.75, -0.5]
+        for bad in (((1.0, 2), (1,)), ((1, 2), (True,))):
+            for _ in range(2):
+                with pytest.raises(ValueError, match="term index"):
+                    gb.PolynomialModel(spec, bad, np.array([1.0, 2.0]))
+        small = gb.RegressorSpec(output_lags=(1,), input_lags=())
+        with pytest.raises(ValueError, match="term index"):
+            gb.PolynomialModel(small, model.terms, np.array([1.0, 2.0]))
 
     def test_theta_length_must_match_terms(self):
         spec = gb.RegressorSpec(output_lags=(1,), input_lags=((1,),))
@@ -307,21 +326,26 @@ def generated_step(model, psi):
     inputs = [[0.0] * (k0 + 1) for _ in range(spec.n_inputs)]
     for pos, ch, lag in spec._gather:
         (y if ch < 0 else inputs[ch])[k0 - lag] = psi[pos]
+    if model._loops.hoists:  # its parts are computed over input arrays
+        inputs = [np.array(channel) for channel in inputs]
     model._loops.free_run(model.theta.tolist(), y, k0 + 1, *inputs)
     return y[k0]
 
 
 def reference_step(model):
-    """The step each model took before its loops were generated: a
-    polynomial's ``_predict_psi``, and an MLP's plain-float loop
-    b0 + sum_i w_out_i tanh(b_i + sum_j w_ij psi_j), summed left to right."""
+    """The step the generated loops must take, written as a plain loop: a
+    polynomial's ``_predict_psi``, and an MLP's plain-float
+    b0 + sum_i w_out_i tanh(b_i + sum_j w_ij psi_j), summed left to right,
+    each node over its bias, then its input-lag terms, then its output-lag
+    terms, in slot order within each group."""
     if isinstance(model, gb.PolynomialModel):
         return model._predict_psi
     b0, w_out, b_h, w_h = model.unpack()
     start = 1 if model.spec.include_constant else 0
-    slots = range(start, len(model.spec))
+    # the input slots first: their terms are the part the loops hoist
+    order = sorted(model.spec._gather, key=lambda slot: slot[1] < 0)
     nodes = tuple(
-        (w, b, tuple(zip(weights, slots)))
+        (w, b, tuple((weights[pos - start], pos) for pos, _, _ in order))
         for w, b, weights in zip(w_out.tolist(), b_h.tolist(), w_h.tolist())
     )
 
@@ -465,6 +489,14 @@ MLP1_EXAMPLE = gb.MlpModel(
     EXAMPLE_SPEC, 1, np.array([0.047, 2.31, -0.113, 0.61, -0.27, 0.83, 0.19])
 )
 EXAMPLE_INPUT = [np.sin(0.7 * np.arange(30)) * 1.3]
+# three input channels with different lags into four nodes: four parts
+MLP3_EXAMPLE = gb.MlpModel(
+    gb.RegressorSpec(output_lags=(1, 2), input_lags=((1,), (1, 2), (2, 3))),
+    4,
+    np.random.default_rng(5).normal(0.0, 0.6, 1 + 4 + 4 * 8),
+)
+MLP3_INPUT = [np.sin(0.7 * np.arange(30)) * 1.3, np.cos(0.4 * np.arange(30)),
+              0.5 * np.sin(1.1 * np.arange(30) + 0.3)]
 
 
 class TestFreeRun:
@@ -580,11 +612,56 @@ class TestFreeRun:
         assert result.diverged
         assert np.all(np.isnan(result.y[result.diverged_at :]))
 
+    def test_an_overflowing_part_does_not_warn(self, tmp_path):
+        # input weights of 1e308 and -1e308 on inputs of 1e300 make each
+        # node's input-driven sum inf when the inputs differ in sign and
+        # inf - inf = NaN when they agree; with warnings as errors and no
+        # np.errstate around them, the free run, the static curve and the
+        # CLI's eval give the flags and values of the plain-float step
+        spec = gb.RegressorSpec(output_lags=(1,), input_lags=((1, 2),), include_constant=False)
+        model = gb.MlpModel(spec, 1, np.array([0.1, 0.5, 0.2, 0.3, 1e308, -1e308]))
+        u = np.array([0.0] * 20 + [1e300, -1e300, 1e300, -1e300, 1e300, 1e300, 0.0, 0.0])
+        record = gb.DynDataset(inputs=(u,), output=[0.4, 0.0, *[0.0] * 26])
+        want = [0.4, 0.0]  # zero inputs add exact zeros, in either order
+        for k in range(2, 21):
+            want.append(0.1 + 0.5 * math.tanh(0.2 + 0.3 * want[k - 1]))
+        want += [0.6, -0.4, 0.6, -0.4, 0.6]  # a part of +-inf saturates tanh
+        levels = [[0.0], [1e300], [-1e300]]
+        fixed = reference_fixed_point(model, 0.0, gb.FixedPointConfig())
+        gb.save_model(tmp_path / "model.json", model)
+        gb.write_csv(tmp_path / "zv.csv", record)
+        gb.write_csv(tmp_path / "zs.csv", gb.SteadyDataset(u_bar=np.array(levels),
+                                                           y_bar=np.zeros(3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run = gb.free_run_on_dataset(model, record)
+            curve = gb.model_static_curve(model, levels)
+            codes = [
+                main(["eval", "--model", str(tmp_path / "model.json"), "--data",
+                      str(tmp_path / f"{data}.csv"), "--mode", mode, "--out",
+                      str(tmp_path / mode)])
+                for mode, data in (("free-run", "zv"), ("static-curve", "zs"))
+            ]
+        assert run.diverged_at == 26
+        assert run.y[:26].tobytes() == np.array(want).tobytes()
+        assert np.all(np.isnan(run.y[26:]))
+        assert fixed[2] and curve.converged.tolist() == [True, False, False]
+        assert same_bits(curve.y_bar[0], fixed[0]) and np.all(np.isnan(curve.y_bar[1:]))
+        assert codes == [0, 0]
+        metrics = json.loads((tmp_path / "free-run" / "metrics.json").read_text())
+        assert (metrics["diverged"], metrics["diverged_at"]) == (True, 26)
+        with open(tmp_path / "free-run" / "freerun.csv", newline="") as fh:
+            written = [float(row["y_hat"]) for row in csv.DictReader(fh)]
+        assert np.array(written).tobytes() == run.y.tobytes()
+        metrics = json.loads((tmp_path / "static-curve" / "metrics.json").read_text())
+        assert (metrics["n_points"], metrics["n_converged"]) == (3, 1)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow to inf is allowed
     @given(case=step_cases())
     @example(case=(POLY_EXAMPLE, [1.0, 0.3, -1.7, 0.45, 2.9]))
     @example(case=(MLP_EXAMPLE, [0.3, -1.7, 0.45, 2.9]))
     @example(case=(MLP1_EXAMPLE, [1.0, 0.61, -0.35, 1.1, 0.7]))
+    @example(case=(MLP3_EXAMPLE, [1.0, 0.61, -0.35, 1.1, 0.7, -0.9, 0.45, 1.6]))
     @example(case=(  # a zero output weight on a node whose inner sum is infinite
         gb.MlpModel(
             gb.RegressorSpec(output_lags=(1,), input_lags=((),), include_constant=False),
@@ -604,6 +681,7 @@ class TestFreeRun:
     @example(case=(POLY_EXAMPLE, EXAMPLE_INPUT, [0.2, -0.1]), bound=1e6)
     @example(case=(MLP_EXAMPLE, EXAMPLE_INPUT, [0.5]), bound=1e6)
     @example(case=(MLP1_EXAMPLE, EXAMPLE_INPUT, [0.4, 0.3]), bound=1e6)
+    @example(case=(MLP3_EXAMPLE, MLP3_INPUT, [0.4, 0.3, -0.2]), bound=1e6)
     def test_free_run_is_bitwise_the_faithful_loop(self, case, bound):
         # the faithful loop steps with the reference step, each value checked
         # against _predict_psi, so a polynomial run is bitwise the
@@ -646,6 +724,8 @@ SCALAR_SPEC = gb.RegressorSpec(output_lags=(1,), input_lags=((1,),))
 # widest MLP layer the examples come near, and lags with gaps
 WIDE_SPEC = gb.RegressorSpec(output_lags=(1, 2, 3, 4, 5), input_lags=((1, 2, 3, 4, 5),))
 SPEC_40 = gb.RegressorSpec(output_lags=tuple(range(1, 21)), input_lags=(tuple(range(1, 21)),))
+SPEC_40_INPUTS = gb.RegressorSpec(output_lags=tuple(range(1, 36)),
+                                  input_lags=(tuple(range(1, 41)),))
 GAPPED_SPEC = gb.RegressorSpec(output_lags=(1, 7), input_lags=((3, 5),))
 # output lags 1 and 2 and input lag 3 are shifted locals; output lag 5 and
 # input lags 2 and 7 are read from their lists
@@ -672,9 +752,16 @@ LARGE_STRUCTURES = {
         1.0,
         1e-3,
     ),
-    # a bias and 40 weighted regressors per node, so each sum spills over
+    # 20 output and 20 input lags: a part and a node's sum of 21 operands
     "mlp-40-regressors": (
         gb.MlpModel(SPEC_40, 2, np.random.default_rng(2).normal(0.0, 0.05, 1 + 2 + 2 * 41)),
+        0.0,
+        0.5,
+    ),
+    # a bias and 40 input terms per part and 35 output terms per node, so
+    # each part and each node's sum spills past 32 operands in both loops
+    "mlp-40-input-lags": (
+        gb.MlpModel(SPEC_40_INPUTS, 2, np.random.default_rng(5).normal(0.0, 0.05, 1 + 2 + 2 * 76)),
         0.0,
         0.5,
     ),
@@ -730,6 +817,7 @@ class TestGeneratedLoops:
                    [[0.0]], gb.FixedPointConfig(max_iterations=3000, tolerance=1.0)))
     @example(case=(POLY_EXAMPLE, [[0.3], [-1.1]], gb.FixedPointConfig(fixed_horizon=1500)))
     @example(case=(MLP1_EXAMPLE, [[0.5], [2.0]], gb.FixedPointConfig()))
+    @example(case=(MLP3_EXAMPLE, [[0.5, -0.3, 1.2], [2.0, 0.1, -0.7]], gb.FixedPointConfig()))
     def test_fixed_point_is_bitwise_the_list_buffer_loop(self, case):
         model, levels, config = case
         check_fixed_points(model, levels, config)
