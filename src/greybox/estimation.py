@@ -598,10 +598,6 @@ def fit_ga_legacy(
     base_theta = np.asarray(seed_model.theta, dtype=float)
     spread = config.init_spread if config.init_spread is not None else _GA_MUTATION_SCALE
     scale = np.maximum(np.abs(base_theta), 1.0)
-    pop = np.empty((config.population_size, q))
-    pop[0] = base_theta
-    pop[1:] = base_theta + spread * scale * rng.standard_normal((config.population_size - 1, q))
-    scores = np.array([objective(ind) for ind in pop])
 
     def best_index():
         return int(np.argmin(scores[:, 0]))
@@ -614,32 +610,40 @@ def fit_ga_legacy(
         picks = rng.integers(config.population_size, size=_GA_TOURNAMENT_SIZE)
         return picks[np.argmin(scores[picks, 0])]
 
-    trace = [trace_record(0)]
-    for gen in range(1, config.generations + 1):
-        sigma = _GA_MUTATION_SCALE * np.maximum(np.std(pop, axis=0), 1e-8)
-        new_pop = np.empty_like(pop)
-        new_scores = np.empty_like(scores)
-        b = best_index()
-        new_pop[0] = pop[b]
-        new_scores[0] = scores[b]
-        for i in range(1, config.population_size):
-            pa = pop[tournament()]
-            pb = pop[tournament()]
-            if rng.random() < _GA_CROSSOVER_RATE:
-                lo = np.minimum(pa, pb)
-                hi = np.maximum(pa, pb)
-                margin = _GA_BLEND_ALPHA * (hi - lo)
-                try:
-                    child = rng.uniform(lo - margin, hi + margin)
-                except OverflowError as exc:  # parents beyond the float range
-                    raise DivergenceError(f"GA overflowed in generation {gen}") from exc
-            else:
-                child = pa.copy()
-            child = child + sigma * rng.standard_normal(q)
-            new_pop[i] = child
-            new_scores[i] = objective(child)
-        pop, scores = new_pop, new_scores
-        trace.append(trace_record(gen))
+    # a population past the float range overflows silently, to inf and NaN;
+    # the blend below then raises DivergenceError
+    with np.errstate(over="ignore", invalid="ignore"):
+        pop = np.empty((config.population_size, q))
+        pop[0] = base_theta
+        draws = rng.standard_normal((config.population_size - 1, q))
+        pop[1:] = base_theta + spread * scale * draws
+        scores = np.array([objective(ind) for ind in pop])
+        trace = [trace_record(0)]
+        for gen in range(1, config.generations + 1):
+            sigma = _GA_MUTATION_SCALE * np.maximum(np.std(pop, axis=0), 1e-8)
+            new_pop = np.empty_like(pop)
+            new_scores = np.empty_like(scores)
+            b = best_index()
+            new_pop[0] = pop[b]
+            new_scores[0] = scores[b]
+            for i in range(1, config.population_size):
+                pa = pop[tournament()]
+                pb = pop[tournament()]
+                if rng.random() < _GA_CROSSOVER_RATE:
+                    lo = np.minimum(pa, pb)
+                    hi = np.maximum(pa, pb)
+                    margin = _GA_BLEND_ALPHA * (hi - lo)
+                    try:
+                        child = rng.uniform(lo - margin, hi + margin)
+                    except OverflowError as exc:  # parents beyond the float range
+                        raise DivergenceError(f"GA overflowed in generation {gen}") from exc
+                else:
+                    child = pa.copy()
+                child = child + sigma * rng.standard_normal(q)
+                new_pop[i] = child
+                new_scores[i] = objective(child)
+            pop, scores = new_pop, new_scores
+            trace.append(trace_record(gen))
 
     b = best_index()
     return seed_model.with_theta(pop[b]), trace

@@ -8,55 +8,17 @@ with the leading constant slot optional.  Both model families consume this
 layout: the polynomial model multiplies selected slots together per term,
 the MLP feeds the non-constant slots through a tanh hidden layer.
 
-Time stepping has one generator, :func:`_generate_loops`.  From the lines
-of one step it writes the source of two functions, a free run and a
-fixed-point run at constant input, and compiles it once per structure
-(:func:`_polynomial_loops`, :func:`_mlp_loops`).  The step is one
-expression over plain Python floats, a sum of the polynomial terms,
-``acc = 0.0 + t_0 * x_a * x_b + ...``, or of the MLP nodes,
-``acc = bias + w_0 * tanh(z_0 + v_0_0 * x_a + ...) + ...``, with any
-product or sum past 32 operands split into chunks of its own temporary.
-A run takes the model's parameters as a list, never as text, so no value
-is rounded.
+A model checks its terms or node count and its parameters when it is
+built.  ``with_theta`` checks only the new parameters' length: it copies
+the model with them, so the spec, the terms and any loops already resolved
+carry over.
 
-An MLP node sums its bias, then its input-lag terms, then its output-lag
-terms, each group in slot order.  The bias and the input-lag terms do not
-depend on the recurrence: they are the node's *part* ``z_i``, which the
-loops compute outside the per-sample loop.  The free run computes each
-part over the record's input arrays with numpy's elementwise ``+`` and
-``*``, which round as Python's float operations do, and iterates the
-part's list; the fixed point computes it once on entry from its constant
-inputs, with the same expression text.  Such loops *hoist* their inputs:
-:func:`free_run_on_dataset` hands them the input arrays.  A polynomial's
-loops have no parts and read their inputs per sample, from lists: moving
-its input-only terms, or a term's input factors, into parts would change
-the order of its sum or products, so the loops would lose the bits of
-``_predict_psi`` that ``test_example1_truth_is_pinned`` pins, and for
-example1's five small terms the parts did not pay for themselves.
-
-Each lagged sample the step reads is held in a local and shifted at the
-end of a step: the output's lag 1 takes y(k), and any lag whose
-predecessor (lag - 1 of the same source) is gathered takes that local.
-Only a lag without a gathered predecessor is read from its list: the free
-run zips an ``islice`` of the list per such lag with the parts' lists, so
-for the built-in structures it iterates the one part's list (example2) or
-the input list (example1) alone; the fixed point reads such an output lag
-from a ring of the last outputs, and holds no list otherwise.  The free
-run appends each y(k) to the output list and checks no bound per sample:
-:func:`free_run_on_dataset`, the one free run, finds where the run left it
-afterwards.  It and
-:func:`~greybox.steady_state.model_static_curve`, the one run to fixed
-points, call the loops.  ``_predict_psi`` computes the same value but
-unpacks the parameters on every call; it is kept only as the deliberately
-unhoisted step of the GA baseline's fixed-point cost, which runs the loops
-the same generator emits for the spec with ``step(psi)`` as the body and
-``(step,)`` as the parameters (``RegressorSpec._legacy_loops``), and for
-the tests that check the scalar path against the batch one.  The
-polynomial loops return the same bits as ``_predict_psi``.  The MLP loops
-do not: ``math.tanh`` and sums in the node order above round differently
-from numpy's ``np.tanh`` and ``@``, and one step of the two differs by at
-most 8 eps (|b0| + sum_i |w_out_i| (1 + |b_i| + sum_j |w_ij psi_j|)), eps
-being the float64 machine epsilon.
+Time stepping has one generator, :func:`_generate_loops`, which compiles a
+free run and a fixed-point run once per structure as plain loops over
+Python floats; its docstring is the one full account of those loops, of
+how they round against ``_predict_psi`` and of what they cost.
+:func:`free_run_on_dataset` and
+:func:`~greybox.steady_state.model_static_curve` run them.
 """
 
 from __future__ import annotations
@@ -227,36 +189,40 @@ class EvalCounter:
         self.count += n
 
 
-# (terms, slot count) -> the canonical terms tuple built for them, so that a
-# model rebuilt from its own terms (``with_theta``) does not check them again
-_CANONICAL_TERMS: dict = {}
+def _flat_theta(theta, size: int, needs: str) -> np.ndarray:
+    """``theta`` as a new flat float array, the one rule for a model's
+    parameters; raises ValueError unless it holds ``size`` values, ``needs``
+    saying what asks for them."""
+    theta = np.asarray(theta, dtype=float).reshape(-1).copy()
+    if theta.size != size:
+        raise ValueError(f"{needs} {size} parameters, got {theta.size}")
+    return theta
 
 
-def _canonical_terms(terms, n_slots: int) -> tuple[tuple[int, ...], ...]:
-    """``terms`` with each term's slot indices sorted, each checked to be an
-    integer in [0, n_slots); raises ValueError for a bad index or two equal
-    terms.  A tuple this function returned for ``n_slots`` is returned as
-    it is: only that very object skips the checks, since an equal key may
-    hold other types (``1.0`` or ``True`` for ``1``) that must still raise."""
-    try:
-        if _CANONICAL_TERMS.get((terms, n_slots)) is terms:
-            return terms
-    except TypeError:  # unhashable, e.g. terms given as lists
-        pass
-    canon = tuple(
-        tuple(sorted(_require_count(i, "term index", 0, n_slots - 1) for i in t))
-        for t in terms
-    )
-    if len(set(canon)) != len(canon):
-        raise ValueError("duplicate polynomial terms after canonicalization")
-    if len(_CANONICAL_TERMS) >= 64:
-        _CANONICAL_TERMS.pop(next(iter(_CANONICAL_TERMS)))
-    _CANONICAL_TERMS[canon, n_slots] = canon
-    return canon
+class _Model:
+    """What both model kinds share: their parameter count and ``with_theta``."""
+
+    @property
+    def n_params(self) -> int:
+        return self.theta.size
+
+    def with_theta(self, theta):
+        """A copy of this model with ``theta`` as its parameters.  The spec,
+        the structure and any loops already resolved carry over unchecked,
+        since the model's constructor checked them and none depends on
+        ``theta``."""
+        theta = _flat_theta(theta, self.theta.size, "the model takes")
+        # set one by one: copy.copy's one __dict__ update slows every
+        # attribute load of the copy on CPython 3.11, and the GA baseline's
+        # per-call step loads several
+        model = object.__new__(type(self))
+        for name, value in {**vars(self), "theta": theta}.items():
+            object.__setattr__(model, name, value)
+        return model
 
 
 @dataclass(frozen=True)
-class PolynomialModel:
+class PolynomialModel(_Model):
     """Linear-in-parameters polynomial NARX model.
 
     Each term is a tuple of regressor-slot indices whose values are
@@ -269,19 +235,16 @@ class PolynomialModel:
     theta: np.ndarray
 
     def __post_init__(self):
-        canon = _canonical_terms(self.terms, len(self.spec))
-        theta = np.asarray(self.theta, dtype=float).reshape(-1).copy()
-        if theta.size != len(canon):
-            raise ValueError(f"{len(canon)} terms but {theta.size} parameters")
+        last = len(self.spec) - 1
+        canon = tuple(
+            tuple(sorted(_require_count(i, "term index", 0, last) for i in t))
+            for t in self.terms
+        )
+        if len(set(canon)) != len(canon):
+            raise ValueError("duplicate polynomial terms after canonicalization")
+        theta = _flat_theta(self.theta, len(canon), f"{len(canon)} terms take")
         object.__setattr__(self, "terms", canon)
         object.__setattr__(self, "theta", theta)
-
-    @property
-    def n_params(self) -> int:
-        return self.theta.size
-
-    def with_theta(self, theta) -> "PolynomialModel":
-        return PolynomialModel(spec=self.spec, terms=self.terms, theta=theta)
 
     def design_matrix(self, psi_rows: np.ndarray) -> np.ndarray:
         """Expand regressor rows into per-term product columns, each
@@ -317,7 +280,7 @@ class PolynomialModel:
 
 
 @dataclass(frozen=True)
-class MlpModel:
+class MlpModel(_Model):
     """Single-hidden-layer tanh NARX model.
 
     Parameter packing (stable across save/load, version 1):
@@ -337,26 +300,15 @@ class MlpModel:
     theta: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "n_hidden", _require_count(self.n_hidden, "n_hidden", 1))
-        theta = np.asarray(self.theta, dtype=float).reshape(-1).copy()
-        expected = self.n_params_for(self.spec, self.n_hidden)
-        if theta.size != expected:
-            raise ValueError(
-                f"packing needs {expected} parameters for {self.n_hidden} hidden "
-                f"nodes over {self.spec.n_features} regressors, got {theta.size}"
-            )
+        nh = _require_count(self.n_hidden, "n_hidden", 1)
+        theta = _flat_theta(self.theta, self.n_params_for(self.spec, nh),
+                            f"{nh} hidden nodes over {self.spec.n_features} regressors take")
+        object.__setattr__(self, "n_hidden", nh)
         object.__setattr__(self, "theta", theta)
 
     @staticmethod
     def n_params_for(spec: RegressorSpec, n_hidden: int) -> int:
         return 1 + n_hidden + n_hidden * (1 + spec.n_features)
-
-    @property
-    def n_params(self) -> int:
-        return self.theta.size
-
-    def with_theta(self, theta) -> "MlpModel":
-        return MlpModel(spec=self.spec, n_hidden=self.n_hidden, theta=theta)
 
     def unpack(self):
         """Views (output_bias, output_weights, hidden_bias, hidden_weights)."""
@@ -476,12 +428,23 @@ class _Loops(NamedTuple):
 def _generate_loops(spec: RegressorSpec, head, body, slots, parts=None) -> _Loops:
     """The one generator of the loops that run a model through time.
 
+    It writes Python source for two functions, a free run and a
+    fixed-point run at constant input, the way :mod:`dataclasses` builds
+    its methods, and compiles it once per structure:
+    :func:`_polynomial_loops` and :func:`_mlp_loops` cache it per
+    polynomial spec and terms or MLP spec and node count, and every fit of
+    that structure shares it.
+
     ``body`` holds the lines of one step: they read regressor slot ``pos``
     of psi(k-1) as the local ``x{pos}`` (only the ``slots`` given are
     gathered) and leave y(k) in ``acc``.  ``head`` holds the lines run on
     entry, which bind the names ``body`` reads from ``params``, the first
-    argument of each loop, so a parameter is never written as text and the
-    loops of a structure serve every fit of it.
+    argument of each loop, so a parameter is never written as text and
+    rounded.  The step is one expression over plain Python floats, the sum
+    of the polynomial terms, ``acc = 0.0 + t_0 * x_a * x_b + ...``, or of
+    the MLP nodes, ``acc = bias + w_0 * tanh(z_0 + v_0_0 * x_a + ...) +
+    ...``, with any product or sum past ``_CHUNK`` (32) operands split into
+    chunks of its own temporary (:func:`_fold`).
 
     ``parts`` maps a name to the lines that compute it from the input slots
     among ``slots`` alone, with ``+`` and ``*``; the body reads the part by
@@ -493,8 +456,21 @@ def _generate_loops(spec: RegressorSpec, head, body, slots, parts=None) -> _Loop
     point computes it once on entry from its constant inputs.  Both run the
     same text, and numpy's elementwise ``+`` and ``*`` round as Python's
     float operations do, so a part holds the same bits in both.  Loops with
-    parts hoist their inputs; without parts the input slots are gathered
-    per sample like the output slots.
+    parts hoist their inputs (``_Loops.hoists``): :func:`free_run_on_dataset`
+    hands them the record's input arrays.  Without parts the input slots
+    are gathered per sample like the output slots, from lists.  A free
+    run's parts are whole-record arrays and then lists, so its memory grows
+    with the number of parts (an MLP's ``n_hidden``) times the record's
+    length.
+
+    An MLP node is a part ``z_i`` whenever its spec has an input slot: the
+    node sums its bias, then its input-lag terms (the part), then its
+    output-lag terms, each group in slot order.  A polynomial's loops have
+    no parts and read their inputs per sample: moving its input-only terms,
+    or a term's input factors, into parts would change the order of its sum
+    or products, so the loops would lose the bits of ``_predict_psi`` that
+    ``test_example1_truth_is_pinned`` pins, and for example1's five small
+    terms the parts did not pay for themselves.
 
     Each gathered lag is held in its local from one step to the next and
     shifted at the end of the step: the output's lag 1 takes the step's
@@ -508,11 +484,15 @@ def _generate_loops(spec: RegressorSpec, head, body, slots, parts=None) -> _Loop
     lists otherwise) and appends y(k) to ``y``, which holds the first
     max_lag outputs.  The shifted locals start from those lists.  Each lag
     read from a list is an ``islice`` of it that stops at ``n - lag``,
-    zipped with the others and with the parts' lists.  A list iterator
-    reads its element when it advances, so an output slice sees each
-    y(k - lag) stored before.  A lone source is looped over as it is, and a
-    ``range`` drives the loop when there is none.  It tests no value:
-    :func:`free_run_on_dataset` finds where a run diverged.
+    zipped with the others and with the parts' lists, so for the built-in
+    structures the loop iterates the one part's list (example2) or the
+    input list (example1) alone.  A list iterator reads its element when it
+    advances, so an output slice sees each y(k - lag) stored before.  A
+    lone source is looped over as it is, and a ``range`` drives the loop
+    when there is none.  It tests no value: Python's float arithmetic and
+    ``math.tanh`` overflow to inf and NaN without raising, and the parts
+    are computed with numpy's warnings off, so the run goes on to the end
+    of the record and :func:`free_run_on_dataset` finds where it diverged.
 
     ``fixed_point(params, u0, u1, ..., budget, settle, tolerance, bound)``
     runs ``for k in range(1, budget + 1)`` from zero outputs at constant
@@ -526,6 +506,18 @@ def _generate_loops(spec: RegressorSpec, head, body, slots, parts=None) -> _Loop
     diverge converges), and returns ``(y_bar, iterations, converged)`` with
     the last value computed; :func:`~greybox.steady_state.model_static_curve`
     calls it once per input level.
+
+    ``_predict_psi`` computes a step's value too, but unpacks the
+    parameters on every call.  It is kept as the deliberately unhoisted
+    step of the GA baseline's fixed-point cost, which runs the loops this
+    generator emits for the spec with ``step(psi)`` as the body and
+    ``(step,)`` as the parameters (``RegressorSpec._legacy_loops``), and
+    for the tests that check the scalar path against the batch one.  The
+    polynomial loops return the same bits as ``_predict_psi``.  The MLP
+    loops do not: ``math.tanh`` and sums in the node order above round
+    differently from numpy's ``np.tanh`` and ``@``, and one step of the two
+    differs by at most 8 eps (|b0| + sum_i |w_out_i| (1 + |b_i| + sum_j
+    |w_ij psi_j|)), eps being the float64 machine epsilon.
     """
     parts = parts or {}
     reads = {pos: (ch, lag) for pos, ch, lag in spec._gather}
@@ -604,7 +596,7 @@ def _generate_loops(spec: RegressorSpec, head, body, slots, parts=None) -> _Loop
 def _polynomial_loops(spec: RegressorSpec, terms) -> _Loops:
     """Loops over ``PolynomialModel._predict_psi``'s products and sum, in
     its order and over plain floats, so they return its bits.  They have
-    no parts and read their inputs per sample (see the module docstring)."""
+    no parts and read their inputs per sample (see :func:`_generate_loops`)."""
     body, products = [], ["0.0"]
     for j, term in enumerate(terms):
         lines, product = _fold(f"p{j}", "*", [f"t{j}", *(f"x{i}" for i in term)])
@@ -624,8 +616,8 @@ def _mlp_loops(spec: RegressorSpec, n_hidden: int) -> _Loops:
     then its input-lag terms, then its output-lag terms, each group in
     slot order; the bias and the input-lag terms are the node's part
     ``z{i}`` (see :func:`_generate_loops`) when the spec has an input
-    slot.  They differ from ``_predict_psi`` by the rounding bound the
-    module docstring gives."""
+    slot.  They differ from ``_predict_psi`` by the rounding bound
+    :func:`_generate_loops` gives."""
     start = 1 if spec.include_constant else 0
     outputs = [pos for pos, ch, _ in spec._gather if ch < 0]
     inputs = [pos for pos, ch, _ in spec._gather if ch >= 0]

@@ -11,26 +11,14 @@ only the GA baseline's :func:`cost_js_legacy` and the static-curve check
 one per input level; a single fixed point is a one-level curve.
 
 The static curve runs the fixed-point loop generated once per structure
-(``model._loops``) from the step body of the model's free run (see
-:func:`~greybox.models._generate_loops`): a plain loop over the step
-count, with the inputs and the lagged outputs held in locals, each output
-lag shifted from the one before it at the end of a step, and each step one
-expression over the polynomial terms or MLP nodes, with the parameters
-bound as locals on entry.  An MLP node's part, its bias plus its input-lag
-terms, is computed once on entry from the level's inputs, with the text
-the free run computes over whole input arrays, so the step adds only the
-output-lag terms to it.  It holds no list, except that an output lag
-whose predecessor is not gathered (a gap in the lags) is read from a ring
-of the last outputs, as many as the largest such lag.
-:func:`cost_js_legacy` runs the loop that same generator emits for the
-regressor spec with a call to ``_predict_psi`` as its step, which unpacks
-the parameters on every call: the GA baseline is kept deliberately
-unhoisted, so it keeps paying per step what the original scheme paid.  A
-polynomial's two loops return the same bits; an MLP's plain-float step
-rounds differently from numpy's ``@`` and ``np.tanh``, and the two differ
-by at most
-8 eps (|b0| + sum_i |w_out_i| (1 + |b_i| + sum_j |w_ij psi_j|)) per step
-(see :func:`~greybox.models._mlp_loops`).
+(``model._loops``): a plain loop over the step count with the inputs, the
+lagged outputs and an MLP node's input-driven part held in locals.
+:func:`cost_js_legacy` runs the loop the same generator emits with a call
+to ``_predict_psi`` as its step, which unpacks the parameters on every
+call: the GA baseline is kept deliberately unhoisted, so it keeps paying
+per step what the original scheme paid.  How the loops work, and how far
+an MLP's two loops differ in rounding, is told once, in
+:func:`~greybox.models._generate_loops`.
 
 Every cost helper accepts an optional :class:`~greybox.models.EvalCounter`
 so callers can account model evaluations precisely.  A one-step cost whose
@@ -122,12 +110,14 @@ def cost_js_legacy(
     The model's static curve at the pairs' inputs, each point costing as
     many model evaluations as its iteration takes.  Non-converged or
     diverged points contribute the divergence bound squared; converged
-    residuals are capped at the same value.
+    residuals are capped at the same value.  A step that overflows fails
+    its point without a floating-point warning.
     """
     config = config or FixedPointConfig()
     # the faithful per-call step, not the model's own loop: this is the baseline
     loop = functools.partial(model.spec._legacy_loops.fixed_point, (model._predict_psi,))
-    curve = _static_curve(model.spec, loop, zs.u_bar, config, counter)
+    with np.errstate(over="ignore", invalid="ignore"):
+        curve = _static_curve(model.spec, loop, zs.u_bar, config, counter)
     bound = config.divergence_bound
     terms = [  # clipped before squaring, so a huge measured value cannot overflow
         min(abs(y_meas - y_fp), bound) ** 2 if ok else bound**2

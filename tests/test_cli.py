@@ -997,8 +997,7 @@ def _run(datadir, tmp, command, entries, flags=()):
     }
     path = Path(tmp) / "config.json"
     path.write_text(json.dumps(config))
-    with np.errstate(all="ignore"):
-        return main([command, "--config", str(path), *flags, "--out", str(Path(tmp) / "out")])
+    return main([command, "--config", str(path), *flags, "--out", str(Path(tmp) / "out")])
 
 
 @pytest.mark.parametrize(
@@ -1246,6 +1245,11 @@ def config_entries(draw):
     command="sweep", algorithm="wls", entries={"lambda": 0.5, "lm": {"n_starts": 10**400}}
 )
 @example(command="train", algorithm="lm", entries={"lambda": 0.5})
+@example(
+    command="train", algorithm="ga_legacy",
+    entries={"lambda": 0.5, "ga": {"population_size": 3, "generations": 3, "init_spread": 1e200},
+             "fixed_point": {"max_iterations": 3}},
+)
 def test_fuzzed_config_exits_0_2_or_3(datadir, command, algorithm, entries):
     with tempfile.TemporaryDirectory() as tmp:
         code = _run(datadir, tmp, command, {"algorithm": algorithm, **entries})
@@ -1255,6 +1259,26 @@ def test_fuzzed_config_exits_0_2_or_3(datadir, command, algorithm, entries):
     )
     if not valid:
         assert code == 2  # an invalid entry is refused, never run or ignored
+
+
+@pytest.mark.parametrize("example", ["example1", "example2"])
+def test_overflowing_ga_exits_3_without_warnings(example, tmp_path, capsys):
+    # a population past the float range is a numerical failure, reported
+    # without a floating-point warning on the way
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "structure": {"builtin": example},
+        "datasets": {"generator": example, "seed": 0},
+        "algorithm": "ga_legacy",
+        "lambda": 0.5,
+        "ga": {"population_size": 3, "generations": 3, "init_spread": 1e200},
+        "fixed_point": {"max_iterations": 3},
+    }))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["train", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "numerical failure: GA overflowed" in capsys.readouterr().err
 
 
 @given(

@@ -639,8 +639,7 @@ class TestGaLegacy:
         seed_model = gb.fit_wls(ex1_structure, zd, None, 0.0)
         config = gb.GaConfig(population_size=3, generations=1, init_spread=1e300)
         fp = gb.FixedPointConfig(max_iterations=3)
-        with np.errstate(all="ignore"):
-            out, trace = gb.fit_ga_legacy(seed_model, zd, zs, 1.0, config, fp)
+        out, trace = gb.fit_ga_legacy(seed_model, zd, zs, 1.0, config, fp)
         assert np.array_equal(out.theta, seed_model.theta)
         assert all(math.isfinite(record.cost) for record in trace)
 
@@ -649,7 +648,7 @@ class TestGaLegacy:
         seed_model = gb.fit_wls(ex1_structure, zd, None, 0.0)
         config = gb.GaConfig(population_size=3, generations=3, init_spread=1e300)
         fp = gb.FixedPointConfig(max_iterations=3)
-        with np.errstate(all="ignore"), pytest.raises(gb.DivergenceError, match="overflowed"):
+        with pytest.raises(gb.DivergenceError, match="overflowed"):
             gb.fit_ga_legacy(seed_model, zd, zs, 0.5, config, fp)
 
 

@@ -117,13 +117,28 @@ class TestPolynomialModel:
             gb.PolynomialModel(spec, ((5,),), np.array([1.0]))
 
     def test_with_theta_reuses_the_checked_terms(self):
-        # with_theta passes the model's own canonical terms, which are not
-        # checked again; terms equal to them but of other types still raise,
-        # every time, and a smaller spec still refuses an index
+        # with_theta copies the model with the new theta: the spec, the
+        # canonical terms and the resolved loops carry over, not checked
+        # again, and only theta's length is; terms equal to canonical ones
+        # but of other types still raise, every time, and a smaller spec
+        # still refuses an index
         spec = gb.RegressorSpec(output_lags=(1,), input_lags=((1,),))
         model = gb.PolynomialModel(spec, ((2, 1), (1,)), np.array([0.5, 0.25]))
+        mlp = gb.MlpModel(spec, 2, np.arange(9.0))
+        for built in (model, mlp):
+            built._loops
+            theta = np.arange(built.n_params) - 0.5
+            again = built.with_theta(theta.tolist())
+            assert type(again) is type(built) and again.spec is built.spec
+            assert vars(again)["_loops"] is vars(built)["_loops"]
+            assert again.theta.tolist() == theta.tolist() and again.theta is not built.theta
+            for size in (built.n_params - 1, built.n_params + 1):
+                with pytest.raises(ValueError, match=f"takes {built.n_params} parameters"):
+                    built.with_theta(np.zeros(size))
+        assert mlp.with_theta(np.zeros((3, 3))).n_hidden == 2
         again = model.with_theta([0.75, -0.5])
         assert again.terms is model.terms and again.theta.tolist() == [0.75, -0.5]
+        assert model.theta.tolist() == [0.5, 0.25]
         for bad in (((1.0, 2), (1,)), ((1, 2), (True,))):
             for _ in range(2):
                 with pytest.raises(ValueError, match="term index"):

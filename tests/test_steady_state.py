@@ -2,6 +2,8 @@
 
 import itertools
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -175,6 +177,19 @@ class TestStaticCosts:
         zs = gb.SteadyDataset(u_bar=np.array([[0.5]]), y_bar=np.array([1e300]))
         cost = gb.cost_js_legacy(scalar_affine(0.0, 5.0), zs)
         assert cost == 1e12
+
+    @pytest.mark.parametrize("example", ["example1", "example2"])
+    def test_legacy_cost_of_an_overflowing_model_does_not_warn(self, example):
+        # _predict_psi's numpy products overflow to inf, which fails a pair
+        structure = gb.example_structure(example)
+        model = structure.with_theta(np.full(structure.n_params, 1e308))
+        zs = gb.make_datasets(example, 0)[2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cost = gb.cost_js_legacy(model, zs, gb.FixedPointConfig(max_iterations=3))
+        assert math.isfinite(cost) and cost > 0.0
+        if example == "example1":  # every pair diverges
+            assert cost == 1e12
 
     def test_legacy_cost_matches_per_pair_iteration(self, ex1_data):
         # the per-pair loop cost_js_legacy ran before it was folded onto

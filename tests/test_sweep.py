@@ -46,13 +46,13 @@ class TestScores:
         assert abs_error_correlation(np.ones(4), x) == 0.0
         assert abs_error_correlation(x, np.ones(4)) == 0.0
 
-    def test_score_free_run_on_perfect_model(self, ex1_true_model, ex1_data):
+    def test_free_run_rmse_of_the_true_model(self, ex1_true_model, ex1_data):
         _, _, _, zv = ex1_data
         value, diverged = sweep_module._free_run_rmse(ex1_true_model, zv)
         assert value < 1e-10
         assert not diverged
 
-    def test_score_free_run_divergence(self, ex1_data):
+    def test_free_run_scores_of_a_diverging_model(self, ex1_data):
         _, _, _, zv = ex1_data
         spec = gb.RegressorSpec(output_lags=(1, 2), input_lags=((1, 2),))
         unstable = gb.PolynomialModel(spec, ((1,), (0,)), np.array([2.0, 1.0]))
