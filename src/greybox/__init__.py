@@ -28,11 +28,6 @@ from .estimation import (
     GaConfig,
     LmConfig,
     TrainConfig,
-    build_stacked_system,
-    fit_ga_legacy,
-    fit_weighted_lm,
-    fit_wls,
-    mlp_jacobian,
 )
 from .models import (
     EvalCounter,
@@ -88,7 +83,6 @@ __all__ = [
     "SteadyDataset",
     "TrainConfig",
     "build_regression_matrix",
-    "build_stacked_system",
     "build_static_regressors",
     "cost_jd",
     "cost_js_hat",
@@ -97,13 +91,9 @@ __all__ = [
     "decide_min_rmse_zt",
     "example_structure",
     "fit",
-    "fit_ga_legacy",
-    "fit_weighted_lm",
-    "fit_wls",
     "free_run_on_dataset",
     "load_model",
     "make_datasets",
-    "mlp_jacobian",
     "model_from_json",
     "model_static_curve",
     "model_to_json",

@@ -182,7 +182,7 @@ def _static_curve(spec, loop, u_bar_grid, config: FixedPointConfig, counter) -> 
             *u, budget, settle, config.tolerance, config.divergence_bound
         )
         steps += iterations
-        if converged and math.isfinite(y_bar):
+        if converged:
             y[j] = y_bar
             flags[j] = True
     if counter is not None:

@@ -14,7 +14,7 @@ import numpy as np
 
 import greybox as gb
 from greybox.data import EXAMPLE1, EXAMPLE2, simulate_system, steady_curve_of_system
-from greybox.estimation import build_stacked_system, mlp_jacobian
+from greybox.estimation import build_stacked_system, fit_weighted_lm, fit_wls, mlp_jacobian
 from greybox.models import EXAMPLE1_TRUE_THETA
 
 
@@ -51,7 +51,7 @@ def test_criterion_1_polynomial_greybox_beats_blackbox():
         zd, _, _, zv = datasets
         structure = gb.example_structure("example1")
         chosen = sweep_and_select(structure, datasets, gb.TrainConfig(algorithm="wls"))
-        blackbox = gb.fit_wls(structure, zd, None, 0.0)
+        blackbox = fit_wls(structure, zd, None, 0.0)
         bb_rmse = free_run_rmse(blackbox, zv)
         selected_rmse.append(chosen.rmse_zv)
         if bb_rmse >= 3.0 * chosen.rmse_zv:
@@ -80,7 +80,7 @@ def test_criterion_2_mlp_greybox_beats_blackbox():
             structure=structure,
             train=gb.TrainConfig(algorithm="weighted_lm", lm=lm),
         )
-        blackbox, _ = gb.fit_weighted_lm(structure, zd, None, 0.0, lm, init_seed=0)
+        blackbox, _ = fit_weighted_lm(structure, zd, None, 0.0, lm, init_seed=0)
         bb_rmse = free_run_rmse(blackbox, zv)
         ratios.append(chosen.rmse_zv / bb_rmse)
     elapsed = time.perf_counter() - t0
@@ -98,7 +98,7 @@ def test_criterion_3_eval_accounting_and_speedup():
     t0 = time.perf_counter()
     zd, _, zs, _ = gb.make_datasets("example2", 0)
     structure = gb.example_structure("example2")
-    model, _ = gb.fit_weighted_lm(
+    model, _ = fit_weighted_lm(
         structure, zd, None, 0.0, gb.LmConfig(max_iterations=5), init_seed=0
     )
     horizon = 15
@@ -244,8 +244,8 @@ def test_criterion_5_weighting_equals_pseudo_sample_appending():
     dev = float(
         np.max(
             np.abs(
-                gb.fit_wls(structure, zd, zs, 0.0).theta
-                - gb.fit_wls(structure, zd, None, 0.0).theta
+                fit_wls(structure, zd, zs, 0.0).theta
+                - fit_wls(structure, zd, None, 0.0).theta
             )
         )
     )

@@ -961,6 +961,19 @@ def test_readme_api_table_is_the_package_exports():
     assert set(names) == set(gb.__all__)
 
 
+def test_readme_python_blocks_run():
+    # README's Python examples run as written, in one namespace (the second
+    # uses the first's datasets), so a name the package stops exporting
+    # cannot linger in them
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) == 2, "expected the Quick start and the gb.fit blocks"
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["model"].theta.shape == namespace["blackbox"].theta.shape
+
+
 def test_readme_example2_evaluation_count():
     # the weighted-LM evaluation count quoted in README.md's example2 section
     # must be what its sweep makes, so the figure cannot go stale

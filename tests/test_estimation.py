@@ -13,6 +13,9 @@ from greybox import estimation
 from greybox.data import EXAMPLE1, simulate_system, steady_curve_of_system
 from greybox.estimation import (
     build_stacked_system,
+    fit_ga_legacy,
+    fit_weighted_lm,
+    fit_wls,
     init_mlp_theta,
     mlp_jacobian,
     write_trace_csv,
@@ -48,20 +51,20 @@ class TestLeastSquares:
         spec = gb.RegressorSpec(output_lags=(1,), input_lags=((1,),))
         model = gb.PolynomialModel(spec, ((1,),), np.zeros(1))
         zd = gb.DynDataset(inputs=(np.zeros(2),), output=np.array([2.0, 4.0]))
-        fit = gb.fit_wls(model, zd, None, 0.0)
+        fit = fit_wls(model, zd, None, 0.0)
         assert fit.theta[0] == pytest.approx(2.0, abs=1e-14)
 
     def test_recovers_true_parameters_without_noise(self, ex1_structure):
         zd, zs = noiseless_split()
         for lam in (0.0, 0.1, 0.5, 0.9):
-            fit = gb.fit_wls(ex1_structure, zd, zs, lam)
+            fit = fit_wls(ex1_structure, zd, zs, lam)
             assert np.max(np.abs(fit.theta - EXAMPLE1_TRUE_THETA)) < 1e-6
 
     def test_wls_lambda_zero_matches_ols(self, ex1_structure, ex1_data):
         zd, _, zs, _ = ex1_data
         ols_count, wls_count = gb.EvalCounter(), gb.EvalCounter()
         a, _ = gb.fit(ex1_structure, zd, zs, gb.TrainConfig(algorithm="ols"), counter=ols_count)
-        b = gb.fit_wls(ex1_structure, zd, zs, 0.0, counter=wls_count)
+        b = fit_wls(ex1_structure, zd, zs, 0.0, counter=wls_count)
         assert np.max(np.abs(a.theta - b.theta)) < 1e-12
         # one evaluation per solved row; ols ignores the static pseudo-samples
         assert ols_count.count == zd.sample_count - ex1_structure.spec.max_lag
@@ -69,15 +72,15 @@ class TestLeastSquares:
 
     def test_wls_without_statics_requires_lambda_zero(self, ex1_structure, ex1_data):
         zd, _, _, _ = ex1_data
-        fit = gb.fit_wls(ex1_structure, zd, None, 0.0)
+        fit = fit_wls(ex1_structure, zd, None, 0.0)
         assert fit.theta.shape == (5,)
         with pytest.raises(ValueError):
-            gb.fit_wls(ex1_structure, zd, None, 0.3)
+            fit_wls(ex1_structure, zd, None, 0.3)
 
     def test_weighted_normal_equations_hold_at_optimum(self, ex1_structure, ex1_data):
         zd, _, zs, _ = ex1_data
         lam = 0.3
-        fit = gb.fit_wls(ex1_structure, zd, zs, lam)
+        fit = fit_wls(ex1_structure, zd, zs, lam)
         stacked = build_stacked_system(fit, zd, zs, lam)
         phi = fit.design_matrix(stacked.psi)
         residual = stacked.y - phi @ fit.theta
@@ -96,7 +99,7 @@ class TestLeastSquares:
         # the three cross-term columns collapse to u_bar*y_bar at steady state
         zd, _, zs, _ = ex1_data
         with pytest.raises(gb.SingularityError) as exc:
-            gb.fit_wls(ex1_structure, zd, zs, 1.0)
+            fit_wls(ex1_structure, zd, zs, 1.0)
         assert exc.value.cond > 1e12
 
     def test_overflowing_design_matrix_is_singular(self, capfd):
@@ -109,7 +112,7 @@ class TestLeastSquares:
             inputs=(rng.standard_normal(20),), output=1e120 * rng.uniform(1.0, 2.0, 20)
         )
         with pytest.raises(gb.SingularityError) as exc:
-            gb.fit_wls(model, zd, None, 0.0)
+            fit_wls(model, zd, None, 0.0)
         assert exc.value.cond == np.inf
         # rejected before LAPACK sees it, which would print DLASCL complaints
         out, err = capfd.readouterr()
@@ -119,7 +122,7 @@ class TestLeastSquares:
     def test_perturbations_never_beat_the_optimum(self, lam):
         rng = np.random.default_rng(int(lam * 1e6) + 1)
         model, zd, zs = random_poly_problem(rng)
-        fit = gb.fit_wls(model, zd, zs, lam)
+        fit = fit_wls(model, zd, zs, lam)
         stacked = build_stacked_system(fit, zd, zs, lam)
         phi = fit.design_matrix(stacked.psi)
 
@@ -205,13 +208,13 @@ class TestJacobians:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(estimation, "_lapack_solve", spy)
-            gb.fit_weighted_lm(
+            fit_weighted_lm(
                 model, zd, zs, lam, gb.LmConfig(max_iterations=1), theta0=model.theta
             )
         nc = 1 + model.n_hidden
         n_p = model.n_params - nc
         a, b = next(system for system in systems if system[0].shape == (n_p, n_p))
-        start, _ = gb.fit_weighted_lm(
+        start, _ = fit_weighted_lm(
             model, zd, zs, lam, gb.LmConfig(max_iterations=0), theta0=model.theta
         )
         stacked = build_stacked_system(model, zd, zs, lam)
@@ -238,7 +241,7 @@ class TestJacobians:
     def test_output_layer_is_the_weighted_least_squares_solution(self, problem, lam):
         model, rng = problem
         zd, zs = random_records(model.spec, rng)
-        fitted, _ = gb.fit_weighted_lm(
+        fitted, _ = fit_weighted_lm(
             model, zd, zs, lam, gb.LmConfig(max_iterations=3), theta0=model.theta
         )
         nc = 1 + model.n_hidden
@@ -297,11 +300,11 @@ class TestWeightedLm:
     def test_zero_budget_returns_initial_point(self, ex2_structure, ex2_data):
         zd, _, zs, _ = ex2_data
         config = gb.LmConfig(max_iterations=0)
-        model, trace = gb.fit_weighted_lm(ex2_structure, zd, zs, 0.3, config)
+        model, trace = fit_weighted_lm(ex2_structure, zd, zs, 0.3, config)
         assert len(trace) == 1
-        again, _ = gb.fit_weighted_lm(ex2_structure, zd, zs, 0.3, config)
+        again, _ = fit_weighted_lm(ex2_structure, zd, zs, 0.3, config)
         assert np.array_equal(model.theta, again.theta)
-        other, _ = gb.fit_weighted_lm(
+        other, _ = fit_weighted_lm(
             ex2_structure, zd, zs, 0.3, config, init_seed=1
         )
         assert not np.array_equal(model.theta, other.theta)
@@ -309,7 +312,7 @@ class TestWeightedLm:
     def test_trace_costs_strictly_improve(self, ex2_structure, ex2_data):
         zd, _, zs, _ = ex2_data
         config = gb.LmConfig(max_iterations=25)
-        _, trace = gb.fit_weighted_lm(ex2_structure, zd, zs, 0.3, config)
+        _, trace = fit_weighted_lm(ex2_structure, zd, zs, 0.3, config)
         costs = [record.cost for record in trace]
         assert len(costs) >= 2
         assert all(b < a for a, b in zip(costs, costs[1:]))
@@ -317,8 +320,8 @@ class TestWeightedLm:
     def test_deterministic_given_seed(self, ex2_structure, ex2_data):
         zd, _, zs, _ = ex2_data
         config = gb.LmConfig(max_iterations=15)
-        m1, _ = gb.fit_weighted_lm(ex2_structure, zd, zs, 0.2, config, init_seed=1)
-        m2, _ = gb.fit_weighted_lm(ex2_structure, zd, zs, 0.2, config, init_seed=1)
+        m1, _ = fit_weighted_lm(ex2_structure, zd, zs, 0.2, config, init_seed=1)
+        m2, _ = fit_weighted_lm(ex2_structure, zd, zs, 0.2, config, init_seed=1)
         assert np.array_equal(m1.theta, m2.theta)
 
     def test_explicit_start_is_respected(self, ex2_structure, ex2_data):
@@ -326,7 +329,7 @@ class TestWeightedLm:
         zd, _, zs, _ = ex2_data
         theta0 = np.full(7, 0.05)
         config = gb.LmConfig(max_iterations=0)
-        model, _ = gb.fit_weighted_lm(
+        model, _ = fit_weighted_lm(
             ex2_structure, zd, zs, 0.3, config, theta0=theta0
         )
         assert np.array_equal(model.theta[2:], theta0[2:])
@@ -342,7 +345,7 @@ class TestWeightedLm:
     def test_rejects_a_start_of_the_wrong_shape(self, ex2_structure, ex2_data, theta0):
         zd, _, zs, _ = ex2_data
         with pytest.raises(ValueError, match="7 parameters"):
-            gb.fit_weighted_lm(ex2_structure, zd, zs, 0.3, theta0=theta0)
+            fit_weighted_lm(ex2_structure, zd, zs, 0.3, theta0=theta0)
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf])
     def test_overflowing_start_diverges_without_warnings(self, ex2_structure, ex2_data, value):
@@ -354,7 +357,7 @@ class TestWeightedLm:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(gb.DivergenceError):
-                gb.fit_weighted_lm(ex2_structure, zd, zs, 0.3, theta0=theta0)
+                fit_weighted_lm(ex2_structure, zd, zs, 0.3, theta0=theta0)
 
     def test_start_with_a_dead_node_raises_at_index_zero(self, ex2_structure, ex2_data):
         # with p = 0 the node's tanh column is exactly zero, so the output
@@ -365,7 +368,7 @@ class TestWeightedLm:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(gb.DivergenceError, match="singular output layer") as exc:
-                gb.fit_weighted_lm(ex2_structure, zd, zs, 0.3, theta0=theta0)
+                fit_weighted_lm(ex2_structure, zd, zs, 0.3, theta0=theta0)
         assert exc.value.index == 0
 
     def test_multistart_skips_a_start_with_a_dead_node(self, ex2_structure, ex2_data, monkeypatch):
@@ -381,10 +384,10 @@ class TestWeightedLm:
         monkeypatch.setattr(estimation, "init_mlp_theta", second_start_dead)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            model, trace = gb.fit_weighted_lm(ex2_structure, zd, zs, 0.3, config)
+            model, trace = fit_weighted_lm(ex2_structure, zd, zs, 0.3, config)
         monkeypatch.undo()
         fits = [
-            gb.fit_weighted_lm(ex2_structure, zd, zs, 0.3, config, theta0=starts[i])
+            fit_weighted_lm(ex2_structure, zd, zs, 0.3, config, theta0=starts[i])
             for i in (0, 2)
         ]
         best_model, best_trace = min(fits, key=lambda fit: fit[1][-1].cost)
@@ -394,10 +397,10 @@ class TestWeightedLm:
     def test_multistart_never_worse_than_single(self, ex2_structure, ex2_data):
         zd, _, zs, _ = ex2_data
         lam = 0.3
-        single, t1 = gb.fit_weighted_lm(
+        single, t1 = fit_weighted_lm(
             ex2_structure, zd, zs, lam, gb.LmConfig(max_iterations=30, n_starts=1)
         )
-        multi, t3 = gb.fit_weighted_lm(
+        multi, t3 = fit_weighted_lm(
             ex2_structure, zd, zs, lam, gb.LmConfig(max_iterations=30, n_starts=3)
         )
         assert t3[-1].cost <= t1[-1].cost + 1e-15
@@ -413,10 +416,10 @@ class TestWeightedLm:
             return np.full_like(theta, np.nan) if len(starts) == 2 else theta
 
         monkeypatch.setattr(estimation, "init_mlp_theta", second_start_nan)
-        model, trace = gb.fit_weighted_lm(ex2_structure, zd, zs, 0.3, config)
+        model, trace = fit_weighted_lm(ex2_structure, zd, zs, 0.3, config)
         monkeypatch.undo()
         fits = [
-            gb.fit_weighted_lm(ex2_structure, zd, zs, 0.3, config, theta0=starts[i])
+            fit_weighted_lm(ex2_structure, zd, zs, 0.3, config, theta0=starts[i])
             for i in (0, 2)
         ]
         best_model, best_trace = min(fits, key=lambda fit: fit[1][-1].cost)
@@ -433,7 +436,7 @@ class TestWeightedLm:
         run = gb.free_run_on_dataset(target, gb.DynDataset(inputs=(u,), output=np.zeros(500)))
         assert not run.diverged
         zd = gb.DynDataset(inputs=(u,), output=run.y)
-        fitted, trace = gb.fit_weighted_lm(
+        fitted, trace = fit_weighted_lm(
             target, zd, None, 0.0, gb.LmConfig(max_iterations=300, n_starts=5)
         )
         assert trace[-1].j_d < 1e-12
@@ -442,7 +445,7 @@ class TestWeightedLm:
         zd, _, zs, _ = ex2_data
         counter = gb.EvalCounter()
         per_call = (zd.sample_count - 2) + zs.n_pairs
-        gb.fit_weighted_lm(
+        fit_weighted_lm(
             ex2_structure, zd, zs, 0.3, gb.LmConfig(max_iterations=10),
             counter=counter,
         )
@@ -474,7 +477,7 @@ class TestWeightedLm:
         for max_iterations, solves in ((1, 1), (50, 18)):
             step_solves.clear()
             counter = gb.EvalCounter()
-            model, trace = gb.fit_weighted_lm(
+            model, trace = fit_weighted_lm(
                 ex2_structure, zd, zs, 0.3, gb.LmConfig(max_iterations=max_iterations),
                 theta0=theta0, counter=counter,
             )
@@ -487,14 +490,14 @@ class TestWeightedLm:
         zd, _, zs, _ = ex2_data
         bad = np.array([np.nan, 0, 0, 0, 0, 0, 0])
         with pytest.raises(gb.DivergenceError) as exc:
-            gb.fit_weighted_lm(
+            fit_weighted_lm(
                 ex2_structure, zd, zs, 0.3, gb.LmConfig(max_iterations=5), theta0=bad
             )
         assert exc.value.index == 0
         # with several starts the fit raises only when every one diverges
         monkeypatch.setattr(estimation, "init_mlp_theta", lambda model, seed: bad)
         with pytest.raises(gb.DivergenceError) as exc:
-            gb.fit_weighted_lm(
+            fit_weighted_lm(
                 ex2_structure, zd, zs, 0.3, gb.LmConfig(max_iterations=5, n_starts=3)
             )
         assert exc.value.index == 0
@@ -504,7 +507,7 @@ class TestWeightedLm:
         # to stop on the quadratic model's predicted reduction; the winning
         # start reaches the sign-flipped twin of the earlier optimum
         zd, _, zs, _ = ex2_data
-        model, trace = gb.fit_weighted_lm(ex2_structure, zd, zs, 0.5, gb.LmConfig(60, 3))
+        model, trace = fit_weighted_lm(ex2_structure, zd, zs, 0.5, gb.LmConfig(60, 3))
         expected_theta = [
             -0.043642633539219, 8.033145072483803, 0.00543139685809951,
             0.17347335258809568, -0.0518613933107989, -0.0002675637579811781,
@@ -526,7 +529,7 @@ class TestWeightedLm:
         zd, _, zs, _ = ex2_data
         spec = gb.RegressorSpec(output_lags=(1, 2), input_lags=((1, 2),), include_constant=False)
         structure = gb.MlpModel(spec, 3, np.zeros(gb.MlpModel.n_params_for(spec, 3)))
-        model, trace = gb.fit_weighted_lm(structure, zd, zs, 0.5, gb.LmConfig(60, 3))
+        model, trace = fit_weighted_lm(structure, zd, zs, 0.5, gb.LmConfig(60, 3))
         expected_theta = [
             0.15905394003617426, -0.0044394260409430265, 6.994110621422928,
             -0.028021461513474278, -0.20634464806752437, -0.9352637694851833,
@@ -549,7 +552,7 @@ class TestWeightedLm:
         zd, _, zs, _ = ex2_data
         theta0, fits = None, []
         for lam in (0.1, 0.5, 0.9):
-            model, trace = gb.fit_weighted_lm(
+            model, trace = fit_weighted_lm(
                 ex2_structure, zd, zs, lam, gb.LmConfig(60, 3), theta0=theta0
             )
             theta0 = model.theta
@@ -579,7 +582,7 @@ class TestWeightedLm:
         # the node turns linear and b0 and w_out grow to cancel each other
         # (to |w_out| ~ 1600 and cond ~ 5e6 without the bound)
         zd, _, zs, _ = ex2_data
-        model, _ = gb.fit_weighted_lm(ex2_structure, zd, zs, 0.9, gb.LmConfig(60, 3))
+        model, _ = fit_weighted_lm(ex2_structure, zd, zs, 0.9, gb.LmConfig(60, 3))
         stacked = build_stacked_system(model, zd, zs, 0.9)
         hidden = _mlp_hidden(_mlp_split(model.theta, 1)[1], model._features(stacked.psi).T)
         a = stacked.weights * np.vstack([np.ones(stacked.y.size), hidden])
@@ -588,7 +591,7 @@ class TestWeightedLm:
     def test_nonzero_lambda_needs_statics(self, ex2_structure, ex2_data):
         zd, _, _, _ = ex2_data
         with pytest.raises(ValueError, match="steady-state"):
-            gb.fit_weighted_lm(
+            fit_weighted_lm(
                 ex2_structure, zd, None, 0.3, gb.LmConfig(max_iterations=1)
             )
 
@@ -596,36 +599,36 @@ class TestWeightedLm:
 class TestGaLegacy:
     def test_zero_spread_zero_generations_returns_seed(self, ex1_data, ex1_structure):
         zd, _, zs, _ = ex1_data
-        seed_model = gb.fit_wls(ex1_structure, zd, None, 0.0)
+        seed_model = fit_wls(ex1_structure, zd, None, 0.0)
         config = gb.GaConfig(population_size=6, generations=0, init_spread=0.0)
-        out, trace = gb.fit_ga_legacy(seed_model, zd, zs, 0.3, config)
+        out, trace = fit_ga_legacy(seed_model, zd, zs, 0.3, config)
         assert np.array_equal(out.theta, seed_model.theta)
         assert len(trace) == 1
 
     def test_deterministic_given_seed(self, ex1_data, ex1_structure):
         zd, _, zs, _ = ex1_data
-        seed_model = gb.fit_wls(ex1_structure, zd, None, 0.0)
+        seed_model = fit_wls(ex1_structure, zd, None, 0.0)
         config = gb.GaConfig(population_size=8, generations=3, seed=5)
-        a, _ = gb.fit_ga_legacy(seed_model, zd, zs, 0.3, config)
-        b, _ = gb.fit_ga_legacy(seed_model, zd, zs, 0.3, config)
+        a, _ = fit_ga_legacy(seed_model, zd, zs, 0.3, config)
+        b, _ = fit_ga_legacy(seed_model, zd, zs, 0.3, config)
         assert np.array_equal(a.theta, b.theta)
 
     def test_elitism_makes_trace_monotone(self, ex1_data, ex1_structure):
         zd, _, zs, _ = ex1_data
-        seed_model = gb.fit_wls(ex1_structure, zd, None, 0.0)
+        seed_model = fit_wls(ex1_structure, zd, None, 0.0)
         config = gb.GaConfig(population_size=10, generations=5, seed=2)
-        _, trace = gb.fit_ga_legacy(seed_model, zd, zs, 0.3, config)
+        _, trace = fit_ga_legacy(seed_model, zd, zs, 0.3, config)
         assert len(trace) == 6  # initial scoring plus one record per generation
         costs = [record.cost for record in trace]
         assert all(b <= a for a, b in zip(costs, costs[1:]))
 
     def test_uses_settling_cost_not_substitution(self, ex1_data, ex1_structure):
         zd, _, zs, _ = ex1_data
-        seed_model = gb.fit_wls(ex1_structure, zd, None, 0.0)
+        seed_model = fit_wls(ex1_structure, zd, None, 0.0)
         counter = gb.EvalCounter()
         config = gb.GaConfig(population_size=4, generations=1, seed=0)
         horizon = gb.FixedPointConfig(fixed_horizon=15)
-        gb.fit_ga_legacy(
+        fit_ga_legacy(
             seed_model, zd, zs, 0.3, config, fp_config=horizon, counter=counter
         )
         per_call = (zd.sample_count - 2) + zs.n_pairs * 15
@@ -636,26 +639,26 @@ class TestGaLegacy:
         # at lambda 1 an overflowing candidate scores 0 * inf = NaN; the
         # finite seed stays the elite instead
         zd, _, zs, _ = ex1_data
-        seed_model = gb.fit_wls(ex1_structure, zd, None, 0.0)
+        seed_model = fit_wls(ex1_structure, zd, None, 0.0)
         config = gb.GaConfig(population_size=3, generations=1, init_spread=1e300)
         fp = gb.FixedPointConfig(max_iterations=3)
-        out, trace = gb.fit_ga_legacy(seed_model, zd, zs, 1.0, config, fp)
+        out, trace = fit_ga_legacy(seed_model, zd, zs, 1.0, config, fp)
         assert np.array_equal(out.theta, seed_model.theta)
         assert all(math.isfinite(record.cost) for record in trace)
 
     def test_overflowing_population_diverges(self, ex1_data, ex1_structure):
         zd, _, zs, _ = ex1_data
-        seed_model = gb.fit_wls(ex1_structure, zd, None, 0.0)
+        seed_model = fit_wls(ex1_structure, zd, None, 0.0)
         config = gb.GaConfig(population_size=3, generations=3, init_spread=1e300)
         fp = gb.FixedPointConfig(max_iterations=3)
         with pytest.raises(gb.DivergenceError, match="overflowed"):
-            gb.fit_ga_legacy(seed_model, zd, zs, 0.5, config, fp)
+            fit_ga_legacy(seed_model, zd, zs, 0.5, config, fp)
 
 
 class TestTraceCsv:
     def test_columns_and_length(self, tmp_path, ex2_structure, ex2_data):
         zd, _, zs, _ = ex2_data
-        _, trace = gb.fit_weighted_lm(
+        _, trace = fit_weighted_lm(
             ex2_structure, zd, zs, 0.3, gb.LmConfig(max_iterations=8)
         )
         path = tmp_path / "trace.csv"
@@ -663,3 +666,82 @@ class TestTraceCsv:
         lines = path.read_text().splitlines()
         assert lines[0] == "iteration,j_d,j_s_hat,j_sd,wall_time_ms,model_evaluations"
         assert len(lines) == len(trace) + 1
+
+
+def counted(run):
+    """``run(counter)``'s θ, its trace records without their wall times
+    (None for a closed-form fit), and its evaluation count, every float as
+    its repr, so that equal results are equal bits."""
+    counter = gb.EvalCounter()
+    model, trace = run(counter)
+    records = None if trace is None else [
+        [repr(v) for k, v in vars(record).items() if k != "wall_time_ms"] for record in trace
+    ]
+    return [repr(v) for v in model.theta.tolist()], records, counter.count
+
+
+class TestFitDispatch:
+    """``gb.fit`` returns what the estimator it dispatches to returns for the
+    same inputs: the same θ, trace costs and evaluation counts."""
+
+    @pytest.mark.parametrize("lam", [0.0, 0.4])
+    def test_ols_and_wls_are_fit_wls(self, ex1_structure, ex1_data, lam):
+        zd, _, zs, _ = ex1_data
+        for algorithm, direct in (("ols", (None, 0.0)), ("wls", (zs, lam))):
+            train = gb.TrainConfig(lam=lam, algorithm=algorithm)
+            via_fit = counted(lambda c: gb.fit(ex1_structure, zd, zs, train, counter=c))
+            alone = counted(lambda c: (fit_wls(ex1_structure, zd, *direct, counter=c), None))
+            assert via_fit == alone, algorithm
+
+    def test_weighted_lm_from_a_seed_model_is_one_start_from_its_theta(
+        self, ex2_structure, ex2_data
+    ):
+        zd, _, zs, _ = ex2_data
+        lm = gb.LmConfig(max_iterations=20, n_starts=3)
+        train = gb.TrainConfig(lam=0.3, algorithm="weighted_lm", lm=lm, init_seed=2)
+        theta = init_mlp_theta(ex2_structure, 5)
+        seed_model = ex2_structure.with_theta(theta)
+        via_fit = counted(
+            lambda c: gb.fit(ex2_structure, zd, zs, train, counter=c, seed_model=seed_model)
+        )
+        alone = counted(lambda c: fit_weighted_lm(
+            ex2_structure, zd, zs, 0.3, lm, init_seed=2, theta0=theta, counter=c
+        ))
+        assert via_fit == alone
+
+    def test_weighted_lm_without_a_seed_model_is_the_multi_start(self, ex2_structure, ex2_data):
+        zd, _, zs, _ = ex2_data
+        lm = gb.LmConfig(max_iterations=20, n_starts=3)
+        train = gb.TrainConfig(lam=0.3, algorithm="weighted_lm", lm=lm, init_seed=2)
+        via_fit = counted(lambda c: gb.fit(ex2_structure, zd, zs, train, counter=c))
+        alone = counted(
+            lambda c: fit_weighted_lm(ex2_structure, zd, zs, 0.3, lm, init_seed=2, counter=c)
+        )
+        assert via_fit == alone
+
+    @pytest.mark.parametrize("fixed_point", [None, gb.FixedPointConfig(fixed_horizon=5)])
+    def test_ga_legacy_from_a_seed_model(self, ex1_structure, ex1_data, fixed_point):
+        zd, _, zs, _ = ex1_data
+        seed_model = fit_wls(ex1_structure, zd, None, 0.0)
+        ga = gb.GaConfig(population_size=6, generations=2, seed=1)
+        train = gb.TrainConfig(lam=0.3, algorithm="ga_legacy", ga=ga, fixed_point=fixed_point)
+        via_fit = counted(
+            lambda c: gb.fit(ex1_structure, zd, zs, train, counter=c, seed_model=seed_model)
+        )
+        alone = counted(
+            lambda c: fit_ga_legacy(seed_model, zd, zs, 0.3, ga, fixed_point, counter=c)
+        )
+        assert via_fit == alone
+
+    def test_fit_refuses_what_the_estimators_do_not_check(
+        self, ex1_structure, ex2_structure, ex1_data, ex2_data
+    ):
+        zd1, _, zs1, _ = ex1_data
+        zd2, _, zs2, _ = ex2_data
+        for structure, zd, zs, algorithm in (
+            (ex1_structure, zd1, None, "ga_legacy"),
+            (ex1_structure, zd1, zs1, "weighted_lm"),
+            (ex2_structure, zd2, zs2, "wls"),
+        ):
+            with pytest.raises(gb.ConfigError):
+                gb.fit(structure, zd, zs, gb.TrainConfig(lam=0.5, algorithm=algorithm))
