@@ -15,7 +15,9 @@ carry over.
 
 Time stepping has one generator, :func:`_generate_loops`, which compiles a
 free run and a fixed-point run once per structure as plain loops over
-Python floats; its docstring is the one full account of those loops, of
+Python floats, with the input-driven work of a step (an MLP node's input
+sum, a polynomial's coefficient of each output monomial) computed outside
+the recurrence; its docstring is the one full account of those loops, of
 how they round against ``_predict_psi`` and of what they cost.
 :func:`free_run_on_dataset` and
 :func:`~greybox.steady_state.model_static_curve` run them.
@@ -26,8 +28,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import islice
+from operator import add, mul
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
@@ -38,6 +41,7 @@ from .errors import _MAX_HELD_COUNT, ConfigError, _check_keys, _require_count, _
 MODEL_PACKING_VERSION = 1
 
 _CHUNK = 32  # operands in one generated sum or product
+_BLOCK = 4096  # samples whose parts a free run holds at once
 
 
 def _check_lags(lags, name: str) -> tuple[int, ...]:
@@ -108,9 +112,9 @@ class RegressorSpec:
 
     @cached_property
     def _legacy_loops(self) -> "_Loops":
-        """Loops that gather psi(k-1) into a fresh list at every sample and
-        call ``step(psi)`` on it, ``step`` being their one parameter: the GA
-        baseline's per-call step, shared by every model over this spec."""
+        """A fixed point, without a free run, that gathers psi(k-1) into a
+        fresh list at every step and calls ``step(psi)``, its one parameter,
+        on it: the GA baseline's per-call step, shared over this spec."""
         psi = ", ".join(f"x{pos}" for pos in range(len(self)))
         return _generate_loops(self, ["[step] = params"],
                                [f"psi = [{psi}]", "acc = step(psi)"], range(len(self)))
@@ -266,17 +270,31 @@ class PolynomialModel(_Model):
         return self.design_matrix(psi_rows) @ self.theta
 
     def _predict_psi(self, psi) -> float:
-        acc = 0.0
-        for weight, term in zip(self.theta, self.terms):
-            p = weight
-            for i in term:
-                p *= psi[i]
-            acc += p
-        return float(acc)
+        """The prediction at one regressor vector, in the loops' order: the
+        sum over ``_groups`` of each coefficient times its ``monomial``, the
+        coefficient summing its terms' parameters times their ``factors``."""
+        values = []
+        for monomial, coefficient in self._groups:
+            c = reduce(add, [reduce(mul, [psi[i] for i in factors], self.theta[j])
+                             for j, factors in coefficient])
+            values.append(reduce(mul, [psi[i] for i in monomial], c))
+        return float(reduce(add, values)) if values else 0.0
+
+    @cached_property
+    def _groups(self) -> tuple:
+        """The terms grouped by their output slots, ``monomial``, in order of
+        first appearance: ``((monomial, ((j, factors), ...)), ...)``, the
+        term j's other slots being its ``factors``."""
+        outputs = {pos for pos, ch, _ in self.spec._gather if ch < 0}
+        groups = {}
+        for j, term in enumerate(self.terms):
+            monomial = tuple(i for i in term if i in outputs)
+            groups.setdefault(monomial, []).append((j, tuple(i for i in term if i not in outputs)))
+        return tuple((monomial, tuple(coefficient)) for monomial, coefficient in groups.items())
 
     @cached_property
     def _loops(self) -> "_Loops":
-        return _polynomial_loops(self.spec, self.terms)
+        return _polynomial_loops(self.spec, self._groups)
 
 
 @dataclass(frozen=True)
@@ -381,8 +399,7 @@ class FreeRunResult:
         return self.diverged_at is not None
 
 
-def free_run_on_dataset(model: Model, data: DynDataset, bound: float = 1e6, *,
-                        _inputs: list | None = None) -> FreeRunResult:
+def free_run_on_dataset(model: Model, data: DynDataset, bound: float = 1e6) -> FreeRunResult:
     """Simulate the model on its own past predictions over a record.
 
     The run takes the record's inputs and its length, and is seeded with
@@ -391,20 +408,13 @@ def free_run_on_dataset(model: Model, data: DynDataset, bound: float = 1e6, *,
     instead of raising, with NaN from that sample on.  The loop runs the
     whole record and the first such sample is found afterwards: Python's
     float arithmetic and ``math.tanh`` overflow to inf and NaN without
-    raising, so every value before it keeps its bits.  A loop that hoists
-    takes the record's input arrays; one that reads its inputs per sample
-    takes them as lists, which ``_inputs`` may hold already converted.
+    raising, so every value before it keeps its bits.
     """
     model.spec.check(data)
     k0 = model.spec.max_lag
     n = data.sample_count
     y = data.output[:k0].tolist()
-    loops = model._loops
-    if loops.hoists:
-        inputs = data.inputs
-    else:
-        inputs = _inputs or [c.tolist() for c in data.inputs]
-    loops.free_run(model.theta.tolist(), y, n, *inputs)
+    model._loops.free_run(model.theta.tolist(), y, n, *data.inputs)
     y = np.fromiter(y, float, n)
     outside = ~(np.abs(y[k0:]) <= bound)  # also catches NaN
     first = int(outside.argmax())
@@ -415,14 +425,10 @@ def free_run_on_dataset(model: Model, data: DynDataset, bound: float = 1e6, *,
 
 
 class _Loops(NamedTuple):
-    """A structure's time-stepping loops, generated by :func:`_generate_loops`;
-    ``hoists`` says whether ``free_run`` takes the input channels as numpy
-    arrays (it computes its parts from them) or as lists it reads per
-    sample."""
+    """A structure's loops from :func:`_generate_loops`; the GA baseline's have no free run."""
 
-    free_run: Callable
+    free_run: Callable | None
     fixed_point: Callable
-    hoists: bool
 
 
 def _generate_loops(spec: RegressorSpec, head, body, slots, parts=None) -> _Loops:
@@ -432,8 +438,8 @@ def _generate_loops(spec: RegressorSpec, head, body, slots, parts=None) -> _Loop
     fixed-point run at constant input, the way :mod:`dataclasses` builds
     its methods, and compiles it once per structure:
     :func:`_polynomial_loops` and :func:`_mlp_loops` cache it per
-    polynomial spec and terms or MLP spec and node count, and every fit of
-    that structure shares it.
+    polynomial spec and term groups or MLP spec and node count, and every
+    fit of that structure shares it.
 
     ``body`` holds the lines of one step: they read regressor slot ``pos``
     of psi(k-1) as the local ``x{pos}`` (only the ``slots`` given are
@@ -441,83 +447,62 @@ def _generate_loops(spec: RegressorSpec, head, body, slots, parts=None) -> _Loop
     entry, which bind the names ``body`` reads from ``params``, the first
     argument of each loop, so a parameter is never written as text and
     rounded.  The step is one expression over plain Python floats, the sum
-    of the polynomial terms, ``acc = 0.0 + t_0 * x_a * x_b + ...``, or of
-    the MLP nodes, ``acc = bias + w_0 * tanh(z_0 + v_0_0 * x_a + ...) +
-    ...``, with any product or sum past ``_CHUNK`` (32) operands split into
-    chunks of its own temporary (:func:`_fold`).
+    of a polynomial's groups, ``acc = c0 * x_a + c1 + ...``, or of the MLP
+    nodes, ``acc = bias + w0 * tanh(z0 + v0_0 * x_a + ...) + ...``, with
+    any product or sum past ``_CHUNK`` (32) operands split into chunks of
+    its own temporary (:func:`_fold`).
 
     ``parts`` maps a name to the lines that compute it from the input slots
-    among ``slots`` alone, with ``+`` and ``*``; the body reads the part by
-    its name and no input slot.  A part does not depend on the recurrence,
-    so it leaves the loop: the free run computes each over whole input
-    arrays before it starts, slot ``x{pos}`` being the slice
-    ``u{ch}[max_lag - lag : n - lag]``, under ``np.errstate(over="ignore",
-    invalid="ignore")``, and iterates the part's ``.tolist()``; the fixed
-    point computes it once on entry from its constant inputs.  Both run the
-    same text, and numpy's elementwise ``+`` and ``*`` round as Python's
-    float operations do, so a part holds the same bits in both.  Loops with
-    parts hoist their inputs (``_Loops.hoists``): :func:`free_run_on_dataset`
-    hands them the record's input arrays.  Without parts the input slots
-    are gathered per sample like the output slots, from lists.  A free
-    run's parts are whole-record arrays and then lists, so its memory grows
-    with the number of parts (an MLP's ``n_hidden``) times the record's
-    length.
+    among ``slots`` alone, with ``+`` and ``*``: an MLP node's bias and
+    input-lag terms, a polynomial's coefficient that reads an input.  The
+    body reads a part by its name and no input slot, so the part leaves the
+    loop.  The free run computes the parts over the record's input arrays
+    one block of ``_BLOCK`` samples at a time, slot ``x{pos}`` being the
+    slice ``u{ch}[start - lag : stop - lag]``, under ``np.errstate(over=
+    "ignore", invalid="ignore")``, and iterates their ``.tolist()``: what it
+    holds besides the trajectory is bounded by the block, not the record.
+    The fixed point computes them once on entry.  Both run the same text,
+    and numpy's elementwise ``+`` and ``*`` round as Python's float
+    operations do, in any block, so a part holds the same bits in both.
+    Only the GA baseline's loops (``RegressorSpec._legacy_loops``) read
+    input slots without parts, and they have no free run (None).
 
-    An MLP node is a part ``z_i`` whenever its spec has an input slot: the
-    node sums its bias, then its input-lag terms (the part), then its
-    output-lag terms, each group in slot order.  A polynomial's loops have
-    no parts and read their inputs per sample: moving its input-only terms,
-    or a term's input factors, into parts would change the order of its sum
-    or products, so the loops would lose the bits of ``_predict_psi`` that
-    ``test_example1_truth_is_pinned`` pins, and for example1's five small
-    terms the parts did not pay for themselves.
-
-    Each gathered lag is held in its local from one step to the next and
-    shifted at the end of the step: the output's lag 1 takes the step's
-    ``acc``, and a lag whose predecessor (lag - 1 of the same source) is
-    gathered takes that local.  Only a lag without a gathered predecessor
-    is read from its list.  Neither the code nor the work of a step grows
-    with the size of a lag.
+    Each gathered output lag is held in its local from one step to the next
+    and shifted at the end of the step: lag 1 takes the step's ``acc``, and
+    a lag whose predecessor (lag - 1) is gathered takes that local.  Only a
+    lag without a gathered predecessor is read from the outputs.  Neither
+    the code nor the work of a step grows with the size of a lag.
 
     ``free_run(params, y, n, u0, u1, ...)`` steps k = max_lag, ..., n - 1
-    over input channels of ``n`` samples (arrays for loops that hoist,
-    lists otherwise) and appends y(k) to ``y``, which holds the first
-    max_lag outputs.  The shifted locals start from those lists.  Each lag
-    read from a list is an ``islice`` of it that stops at ``n - lag``,
-    zipped with the others and with the parts' lists, so for the built-in
-    structures the loop iterates the one part's list (example2) or the
-    input list (example1) alone.  A list iterator reads its element when it
-    advances, so an output slice sees each y(k - lag) stored before.  A
-    lone source is looped over as it is, and a ``range`` drives the loop
-    when there is none.  It tests no value: Python's float arithmetic and
-    ``math.tanh`` overflow to inf and NaN without raising, and the parts
-    are computed with numpy's warnings off, so the run goes on to the end
-    of the record and :func:`free_run_on_dataset` finds where it diverged.
+    over input arrays of ``n`` samples and appends y(k) to the list ``y``,
+    which holds the first max_lag outputs.  In each block an output lag
+    read from ``y`` is an ``islice`` of it, zipped with the others and the
+    parts' lists (a lone source is looped over as it is, a ``range`` drives
+    a loop without one); a list iterator reads its element when it
+    advances, so each y(k - lag) is stored before it is read.  It tests no
+    value: Python's float arithmetic and ``math.tanh`` overflow to inf and
+    NaN without raising, and numpy's warnings are off for the parts, so the
+    run goes on to the end of the record and :func:`free_run_on_dataset`
+    finds where it diverged.
 
     ``fixed_point(params, u0, u1, ..., budget, settle, tolerance, bound)``
     runs ``for k in range(1, budget + 1)`` from zero outputs at constant
-    inputs, which are locals set on entry.  Output lags read from a list
-    (a gap in the gathered lags) are read from a ring of the last h
-    outputs, h the largest of them, at index ``(k - lag) % h``; no other
-    structure holds a list.  It stops when a value leaves ``[-bound,
-    bound]`` or is NaN, after ``budget`` steps, or once ``settle``
-    successive differences fall inside ``(-tolerance, tolerance)``
-    (``settle`` is -1 under a fixed horizon, where every run that does not
-    diverge converges), and returns ``(y_bar, iterations, converged)`` with
-    the last value computed; :func:`~greybox.steady_state.model_static_curve`
-    calls it once per input level.
+    inputs.  An output lag without a gathered predecessor is read from a
+    ring of the last h outputs, h the largest such lag, at index ``(k -
+    lag) % h``.  It stops when a value leaves ``[-bound, bound]`` or is
+    NaN, after ``budget`` steps, or once ``settle`` successive differences
+    fall inside ``(-tolerance, tolerance)`` (``settle`` is -1 under a fixed
+    horizon, where every run that does not diverge converges), and returns
+    ``(y_bar, iterations, converged)`` with the last value computed.
 
     ``_predict_psi`` computes a step's value too, but unpacks the
-    parameters on every call.  It is kept as the deliberately unhoisted
-    step of the GA baseline's fixed-point cost, which runs the loops this
-    generator emits for the spec with ``step(psi)`` as the body and
-    ``(step,)`` as the parameters (``RegressorSpec._legacy_loops``), and
-    for the tests that check the scalar path against the batch one.  The
-    polynomial loops return the same bits as ``_predict_psi``.  The MLP
-    loops do not: ``math.tanh`` and sums in the node order above round
-    differently from numpy's ``np.tanh`` and ``@``, and one step of the two
-    differs by at most 8 eps (|b0| + sum_i |w_out_i| (1 + |b_i| + sum_j
-    |w_ij psi_j|)), eps being the float64 machine epsilon.
+    parameters on every call: it is the GA baseline's deliberately
+    unhoisted step, and the tests' scalar path.  A polynomial's loops
+    return its bits, since it sums in their grouped order.  An MLP's do
+    not: ``math.tanh`` and sums in the node order above round differently
+    from numpy's ``np.tanh`` and ``@``, and one step of the two differs by
+    at most 8 eps (|b0| + sum_i |w_out_i| (1 + |b_i| + sum_j |w_ij
+    psi_j|)), eps being the float64 machine epsilon.
     """
     parts = parts or {}
     reads = {pos: (ch, lag) for pos, ch, lag in spec._gather}
@@ -528,49 +513,53 @@ def _generate_loops(spec: RegressorSpec, head, body, slots, parts=None) -> _Loop
     inputs = [f"u{ch}" for ch in range(spec.n_inputs)]
     m = spec.max_lag
     constant = [f"x{pos} = 1.0" for pos in sorted(set(slots) - reads.keys())]
-    run_head, fixed_head = [*head, *constant], [*head, *constant]
+    run_head, fixed_head, block = [*head, *constant], [*head, *constant], []
     if parts:
-        run_head.append('with np.errstate(over="ignore", invalid="ignore"):')
-        run_head += [f"    {name} = u{ch}[{m - lag}:n - {lag}]"
-                     for (ch, lag), name in sorted(hoisted.items())]
-        run_head += [f"    {line}" for lines in parts.values() for line in lines]
+        block = ['with np.errstate(over="ignore", invalid="ignore"):',
+                 *(f"    {name} = u{ch}[start - {lag}:stop - {lag}]"
+                   for (ch, lag), name in sorted(hoisted.items())),
+                 *(f"    {line}" for lines in parts.values() for line in lines)]
         fixed_head += [f"{name} = u{ch}" for (ch, _), name in sorted(hoisted.items())]
         fixed_head += [line for lines in parts.values() for line in lines]
     run_head.append("append = y.append")
-    run_names = list(parts)
-    run_sources = [f"{name}.tolist()" for name in parts]
     run_shifts, ring, fixed_shifts = [], [], []
     # within a source the higher lags shift first, so each takes the old value
     for (ch, lag), name in sorted(gathered.items(), key=lambda item: (item[0][0], -item[0][1])):
-        source = "y" if ch < 0 else f"u{ch}"
-        before = gathered.get((ch, lag - 1), "acc" if (ch, lag) == (-1, 1) else None)
-        if before is None:
-            run_names.append(name)
-            run_sources.append(f"islice({source}, {m - lag}, n - {lag})")
-        else:
-            run_head.append(f"{name} = {source}[{m - lag}]")
-            run_shifts.append(f"{name} = {before}")
         if ch >= 0:  # inputs are constant in a fixed point
-            fixed_head.append(f"{name} = {source}")
-        elif before is None:
+            fixed_head.append(f"{name} = u{ch}")
+            continue
+        before = gathered.get((ch, lag - 1), "acc" if lag == 1 else None)
+        if before is None:
             ring.append((name, lag))
         else:
+            run_head.append(f"{name} = y[{m - lag}]")
+            run_shifts.append(f"{name} = {before}")
             fixed_head.append(f"{name} = 0.0")
             fixed_shifts.append(f"{name} = {before}")
+    run_names = [*parts, *(name for name, _ in ring)]
+    run_sources = [*(f"{name}.tolist()" for name in parts),
+                   *(f"islice(y, start - {lag}, stop - {lag})" for _, lag in ring)]
     if len(run_sources) != 1:  # a lone source is looped over as it is
-        run_sources = [f"zip({', '.join(run_sources)})" if run_sources else f"range(n - {m})"]
+        run_sources = [f"zip({', '.join(run_sources)})" if run_sources else "range(stop - start)"]
     h = max((lag for _, lag in ring), default=0)
     if ring:
         fixed_head.append(f"y = [0.0] * {h}")
         fixed_shifts.append(f"y[k % {h}] = acc")
-    lines = [
-        f"def free_run({', '.join(['params', 'y', 'n', *inputs])}):",
-        *(f"    {line}" for line in run_head),
-        f"    for {', '.join(run_names) or '_'} in {run_sources[0]}:",
-        *(f"        {line}" for line in body),
-        "        append(acc)",
-        *(f"        {line}" for line in run_shifts),
-        "",
+    lines = []
+    if not any(ch >= 0 for ch, _ in gathered):  # no input is read per sample
+        lines = [
+            f"def free_run({', '.join(['params', 'y', 'n', *inputs])}):",
+            *(f"    {line}" for line in run_head),
+            f"    for start in range({m}, n, {_BLOCK}):",
+            f"        stop = min(start + {_BLOCK}, n)",
+            *(f"        {line}" for line in block),
+            f"        for {', '.join(run_names) or '_'} in {run_sources[0]}:",
+            *(f"            {line}" for line in body),
+            "            append(acc)",
+            *(f"            {line}" for line in run_shifts),
+            "",
+        ]
+    lines += [
         f"def fixed_point({', '.join(['params', *inputs, 'budget', 'settle', 'tolerance', 'bound'])}):",
         *(f"    {line}" for line in fixed_head),
         "    prev = 0.0",
@@ -589,23 +578,41 @@ def _generate_loops(spec: RegressorSpec, head, body, slots, parts=None) -> _Loop
     ]
     namespace = {"islice": islice, "math": math, "np": np}
     exec(compile("\n".join(lines), "<greybox loops>", "exec"), namespace)
-    return _Loops(namespace["free_run"], namespace["fixed_point"], bool(parts))
+    return _Loops(namespace.get("free_run"), namespace["fixed_point"])
 
 
 @lru_cache(maxsize=64)
-def _polynomial_loops(spec: RegressorSpec, terms) -> _Loops:
-    """Loops over ``PolynomialModel._predict_psi``'s products and sum, in
-    its order and over plain floats, so they return its bits.  They have
-    no parts and read their inputs per sample (see :func:`_generate_loops`)."""
-    body, products = [], ["0.0"]
-    for j, term in enumerate(terms):
-        lines, product = _fold(f"p{j}", "*", [f"t{j}", *(f"x{i}" for i in term)])
-        body += lines
-        products.append(product)
-    lines, total = _fold("acc", "+", products)
-    body += [*lines, f"acc = {total}"]
-    names = ", ".join(f"t{j}" for j in range(len(terms)))
-    return _generate_loops(spec, [f"[{names}] = params"], body, {i for t in terms for i in t})
+def _polynomial_loops(spec: RegressorSpec, groups) -> _Loops:
+    """Loops over ``PolynomialModel._predict_psi``'s products and sums, in
+    the order of its ``groups`` and over plain floats, so they return its
+    bits.  A coefficient that reads an input is a part (see
+    :func:`_generate_loops`), one that reads none is computed on entry; the
+    constant slot is the literal 1.0.  Example1 steps ``acc = c0 * x2 + c1
+    + c2 * x1`` over the parts ``c0 = t0 + t2 * x3``, ``c1 = t1 * x3`` and
+    ``c2 = t3 * x3 + t4 * x4``."""
+    inputs = {pos for pos, ch, _ in spec._gather if ch >= 0}
+    head, parts, body, values, slots = [], {}, [], [], set()
+    for g, (monomial, coefficient) in enumerate(groups):
+        lines, products = [], []
+        for j, factors in coefficient:
+            spill, product = _fold(f"p{j}", "*", [f"t{j}", *(
+                f"x{i}" if i in inputs else "1.0" for i in factors)])
+            lines += spill
+            products.append(product)
+        spill, c = _fold(f"c{g}", "+", products)
+        read = {i for _, factors in coefficient for i in factors if i in inputs}
+        if len(coefficient) > 1 or coefficient[0][1]:  # more than a bare parameter
+            lines += [*spill, f"c{g} = {c}"]
+            c = f"c{g}"
+            (parts.setdefault(c, []) if read else head).extend(lines)
+        spill, value = _fold(f"g{g}", "*", [c, *(f"x{i}" for i in monomial)])
+        body += spill
+        values.append(value)
+        slots |= read | set(monomial)
+    spill, total = _fold("acc", "+", values or ["0.0"])
+    body += [*spill, f"acc = {total}"]
+    names = ", ".join(f"t{j}" for j in range(sum(len(c) for _, c in groups)))
+    return _generate_loops(spec, [f"[{names}] = params", *head], body, slots, parts)
 
 
 @lru_cache(maxsize=64)

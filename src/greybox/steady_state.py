@@ -11,8 +11,8 @@ only the GA baseline's :func:`cost_js_legacy` and the static-curve check
 one per input level; a single fixed point is a one-level curve.
 
 The static curve runs the fixed-point loop generated once per structure
-(``model._loops``): a plain loop over the step count with the inputs, the
-lagged outputs and an MLP node's input-driven part held in locals.
+(``model._loops``): a plain loop over the step count with the lagged
+outputs and the model's input-driven parts, computed on entry, in locals.
 :func:`cost_js_legacy` runs the loop the same generator emits with a call
 to ``_predict_psi`` as its step, which unpacks the parameters on every
 call: the GA baseline is kept deliberately unhoisted, so it keeps paying

@@ -146,11 +146,10 @@ def abs_error_correlation(residual, reference) -> float:
     return abs(np.add.reduce(dr * dy, axis=None) / n / (r_std * y_std))
 
 
-def _free_run_error(model: Model, data: DynDataset, inputs: list | None = None):
+def _free_run_error(model: Model, data: DynDataset):
     """``(error, measured)`` over the free run's predicted region, the error
-    being measured minus predicted, or None when the run diverged;
-    ``inputs`` may hold the record's input lists."""
-    result = free_run_on_dataset(model, data, bound=RMSE_CAP, _inputs=inputs)
+    being measured minus predicted, or None when the run diverged."""
+    result = free_run_on_dataset(model, data, bound=RMSE_CAP)
     if result.diverged:
         return None
     k0 = model.spec.max_lag
@@ -158,10 +157,10 @@ def _free_run_error(model: Model, data: DynDataset, inputs: list | None = None):
     return measured - result.y[k0:], measured
 
 
-def _free_run_rmse(model: Model, data: DynDataset, inputs: list | None = None):
+def _free_run_rmse(model: Model, data: DynDataset):
     """The free-run RMSE over the predicted region and the divergence flag,
     ``RMSE_CAP`` when the run diverged."""
-    scored = _free_run_error(model, data, inputs)
+    scored = _free_run_error(model, data)
     # squaring -error gives the bits of squaring error, so this is rmse(predicted, measured)
     return (RMSE_CAP, True) if scored is None else (_root_mean_square(scored[0]), False)
 
@@ -264,12 +263,6 @@ def run_sweep(
     seed_model = None
     if train.algorithm == "ga_legacy":
         seed_model = _ga_seed_model(structure, zd, train)
-    # each record's input lists, converted once for every point's free runs,
-    # for loops that read their inputs per sample; loops that hoist them
-    # take the record's arrays
-    lists = not structure._loops.hoists
-    zd_u, zt_u, zv_u = ([c.tolist() for c in d.inputs] if d and lists else None
-                        for d in (zd, zt, zv))
     points = []
     for i, lam in enumerate(grid):
         point = ParetoPoint(lam=lam)
@@ -300,15 +293,15 @@ def run_sweep(
         # and zv; an error that overflows when squared caps the RMSE and
         # leaves the correlation not finite, which is stored as None
         with np.errstate(over="ignore", invalid="ignore"):
-            scored = _free_run_error(point.model, zd, zd_u)
+            scored = _free_run_error(point.model, zd)
             point.diverged_zd = scored is None
             if scored is not None:
                 corr = abs_error_correlation(*scored)
                 point.corr_dm = corr if math.isfinite(corr) else None
             if zt is not None:
-                point.rmse_zt, point.diverged_zt = _free_run_rmse(point.model, zt, zt_u)
+                point.rmse_zt, point.diverged_zt = _free_run_rmse(point.model, zt)
             if zv is not None:
-                point.rmse_zv, point.diverged_zv = _free_run_rmse(point.model, zv, zv_u)
+                point.rmse_zv, point.diverged_zv = _free_run_rmse(point.model, zv)
     return points
 
 

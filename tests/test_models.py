@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 import greybox as gb
 from greybox.cli import main
 from greybox.data import EXAMPLE1, simulate_system
-from greybox.models import EXAMPLE1_TRUE_THETA
+from greybox.models import _BLOCK, EXAMPLE1_TRUE_THETA
 from greybox.sweep import RMSE_CAP, abs_error_correlation, rmse
 
 
@@ -338,11 +339,9 @@ def generated_step(model, psi):
     spec = model.spec
     k0 = spec.max_lag
     y = [0.0] * k0
-    inputs = [[0.0] * (k0 + 1) for _ in range(spec.n_inputs)]
+    inputs = np.zeros((spec.n_inputs, k0 + 1))
     for pos, ch, lag in spec._gather:
         (y if ch < 0 else inputs[ch])[k0 - lag] = psi[pos]
-    if model._loops.hoists:  # its parts are computed over input arrays
-        inputs = [np.array(channel) for channel in inputs]
     model._loops.free_run(model.theta.tolist(), y, k0 + 1, *inputs)
     return y[k0]
 
@@ -512,6 +511,27 @@ MLP3_EXAMPLE = gb.MlpModel(
 )
 MLP3_INPUT = [np.sin(0.7 * np.arange(30)) * 1.3, np.cos(0.4 * np.arange(30)),
               0.5 * np.sin(1.1 * np.arange(30) + 0.3)]
+# polynomials whose terms group by their output factors in each way the
+# loops treat apart; over EXAMPLE_SPEC slot 0 is the constant, 1 and 2 are
+# y(k-1) and y(k-2), 3 and 4 are u(k-1) and u(k-2)
+POLY_CONSTANT_SLOT = gb.PolynomialModel(  # coefficients that read only the constant slot
+    EXAMPLE_SPEC, ((0,), (0, 1), (0, 0, 2)), np.array([0.37, 1.3, -0.71])
+)
+POLY_SHARED = gb.PolynomialModel(  # an input-only term; three terms on y(k-1); y(k-1)^2
+    EXAMPLE_SPEC, ((3,), (1, 3), (1,), (1, 4), (1, 1), (1, 1, 3)),
+    np.array([0.37, 1.3, -0.71, 0.055, 0.13, -0.29]),
+)
+POLY_NO_INPUT = gb.PolynomialModel(  # reads no input slot at all
+    EXAMPLE_SPEC, ((1,), (), (1, 2), (2, 2)), np.array([0.37, 0.13, -0.71, 0.055])
+)
+# output lags 1 and 3 (a gap) and two channels: slots y(k-1), y(k-3),
+# u1(k-1), u2(k-1), u2(k-2); one coefficient reads both channels
+TWO_INPUT_SPEC = gb.RegressorSpec(output_lags=(1, 3), input_lags=((1,), (1, 2)))
+POLY_TWO_INPUTS = gb.PolynomialModel(
+    TWO_INPUT_SPEC, ((), (1,), (2,), (1, 3), (2, 4), (1, 5), (3, 4, 5), (1, 1, 4)),
+    np.array([0.1, 0.3, -0.2, 0.13, 0.05, -0.11, 0.2, 0.017]),
+)
+TWO_INPUT = [np.sin(0.7 * np.arange(30)) * 1.3, np.cos(0.4 * np.arange(30))]
 
 
 class TestFreeRun:
@@ -611,12 +631,12 @@ class TestFreeRun:
         run = gb.free_run_on_dataset(ex1_true_model, zv)
         assert not run.diverged
         assert hashlib.sha256(run.y.astype("<f8").tobytes()).hexdigest() == (
-            "7e24e55bd4759e7dcdcc35c594d378feeb2bfd685cd1214899906cdfdc52585e"
+            "8e8a8a5ae26219821732bbdaa70fc8d4fea8bba9931dacb9a0be3d12fcdaec02"
         )
         curve = gb.model_static_curve(ex1_true_model, zs.u_bar)
         assert curve.converged.sum() == 48
         assert hashlib.sha256(curve.y_bar.astype("<f8").tobytes()).hexdigest() == (
-            "70a669514447a1d5a1ffa7695ca77af7d8dfa4681719f408b292b693dd704ada"
+            "2c4227116c6a1075b272b5739c5301554a89820b95b05f9201fa8b925d8cc3e3"
         )
 
     def test_nan_in_state_counts_as_divergence(self):
@@ -671,9 +691,109 @@ class TestFreeRun:
         metrics = json.loads((tmp_path / "static-curve" / "metrics.json").read_text())
         assert (metrics["n_points"], metrics["n_converged"]) == (3, 1)
 
+    def test_an_overflowing_coefficient_does_not_warn(self, tmp_path):
+        # a polynomial's twin of the test above: weights of 1e308 and -1e308
+        # on u(k-1) y(k-1) and u(k-2) y(k-1) make the coefficient of y(k-1)
+        # +inf or -inf when the inputs of 1e300 differ in sign and
+        # inf - inf = NaN when they agree; with warnings as errors, the free
+        # run, the static curve and the CLI's eval give the flags and values
+        # of the plain-float step
+        spec = gb.RegressorSpec(output_lags=(1,), input_lags=((1, 2),))
+        model = gb.PolynomialModel(spec, ((0,), (2,), (1,), (1, 2), (1, 3)),
+                                   np.array([0.1, 0.2, 0.5, 1e308, -1e308]))
+        u = np.array([0.0] * 20 + [1e300, -1e300, 1e300, 1e300, 0.0, 0.0])
+        record = gb.DynDataset(inputs=(u,), output=[0.4, 0.0, *[0.0] * 24])
+        want = [0.4, 0.0]  # zero inputs add exact zeros
+        for k in range(2, 21):
+            want.append(0.1 + 0.5 * want[k - 1])
+        levels = [[0.0], [1e300], [-1e300]]
+        with np.errstate(all="ignore"):  # _predict_psi's numpy scalars warn
+            faithful = faithful_free_run(model, [u], [0.4, 0.0], 1e6)
+            fixed = [reference_fixed_point(model, level, gb.FixedPointConfig())
+                     for level in levels]
+        gb.save_model(tmp_path / "model.json", model)
+        gb.write_csv(tmp_path / "zv.csv", record)
+        gb.write_csv(tmp_path / "zs.csv", gb.SteadyDataset(u_bar=np.array(levels),
+                                                           y_bar=np.zeros(3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run = gb.free_run_on_dataset(model, record)
+            curve = gb.model_static_curve(model, levels)
+            codes = [
+                main(["eval", "--model", str(tmp_path / "model.json"), "--data",
+                      str(tmp_path / f"{data}.csv"), "--mode", mode, "--out",
+                      str(tmp_path / mode)])
+                for mode, data in (("free-run", "zv"), ("static-curve", "zs"))
+            ]
+        assert run.diverged_at == faithful[1] == 21
+        assert run.y[:21].tobytes() == np.array(want).tobytes()
+        assert run.y.tobytes() == faithful[0].tobytes()
+        assert [converged for _, _, converged in fixed] == [True, False, False]
+        assert [math.isnan(y_bar) for y_bar, _, _ in fixed[1:]] == [True, True]
+        assert curve.converged.tolist() == [True, False, False]
+        assert same_bits(curve.y_bar[0], fixed[0][0]) and np.all(np.isnan(curve.y_bar[1:]))
+        assert codes == [0, 0]
+        metrics = json.loads((tmp_path / "free-run" / "metrics.json").read_text())
+        assert (metrics["diverged"], metrics["diverged_at"]) == (True, 21)
+        with open(tmp_path / "free-run" / "freerun.csv", newline="") as fh:
+            written = [float(row["y_hat"]) for row in csv.DictReader(fh)]
+        assert np.array(written).tobytes() == run.y.tobytes()
+        metrics = json.loads((tmp_path / "static-curve" / "metrics.json").read_text())
+        assert (metrics["n_points"], metrics["n_converged"]) == (3, 1)
+
+    @pytest.mark.parametrize("name", ["polynomial-gapped-lags", "mlp-gapped-lags",
+                                      "polynomial-chained-lags", "mlp-chained-lags"])
+    def test_blocks_keep_the_bits_of_one_pass(self, name):
+        # the free run computes its parts a block of _BLOCK samples at a
+        # time; on records that end just before, at and just after a block
+        # boundary it is bitwise the faithful loop, which has no blocks
+        model, level, amplitude = LARGE_STRUCTURES[name]
+        step = reference_step(model)
+        k0 = model.spec.max_lag
+        for n in (2 * _BLOCK - 1, 2 * _BLOCK, 2 * _BLOCK + 1):
+            inputs = [level + amplitude * np.sin(0.3 * np.arange(n))]
+            init = [0.1] * k0
+            result = run_on_record(model, inputs, init=init)
+            want, diverged_at = faithful_free_run(
+                model, inputs, init, 1e6, step=lambda psi: step(psi.tolist())
+            )
+            assert diverged_at is None and not result.diverged
+            assert result.y.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("model, n", [
+        # 200 000 samples of a 10-node MLP take about a minute under
+        # tracemalloc, which charges each traced allocation in proportion to
+        # its offset in the generated function on CPython 3.11: five blocks
+        (gb.MlpModel(EXAMPLE_SPEC, 10, np.random.default_rng(1).normal(0.0, 0.3, 61)),
+         5 * _BLOCK + 1),
+        (POLY_TWO_INPUTS, 200_000),
+    ])
+    def test_free_run_memory_is_bounded_by_the_block(self, model, n):
+        # the parts of a block, not of the record, are held at once: beyond
+        # the trajectory itself (a list of floats, then an array, about
+        # 40 bytes a sample) the run's peak stays under 2 MB, where parts
+        # held over the whole record took about 40 bytes a sample each
+        # (80 MB for this MLP, 21 MB for this polynomial, over 200 000)
+        rng = np.random.default_rng(0)
+        inputs = tuple(0.5 * rng.standard_normal(n) for _ in range(model.spec.n_inputs))
+        record = gb.DynDataset(inputs=inputs, output=np.zeros(n))
+        model._loops
+        tracemalloc.start()
+        try:
+            run = gb.free_run_on_dataset(model, record)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not run.diverged
+        assert peak < 48 * n + 2_000_000, peak
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow to inf is allowed
     @given(case=step_cases())
     @example(case=(POLY_EXAMPLE, [1.0, 0.3, -1.7, 0.45, 2.9]))
+    @example(case=(POLY_CONSTANT_SLOT, [1.0, 0.3, -1.7, 0.45, 2.9]))
+    @example(case=(POLY_SHARED, [1.0, 0.3, -1.7, 0.45, 2.9]))
+    @example(case=(POLY_NO_INPUT, [1.0, 0.3, -1.7, 0.45, 2.9]))
+    @example(case=(POLY_TWO_INPUTS, [1.0, 0.3, -1.7, 0.45, 2.9, -0.6]))
     @example(case=(MLP_EXAMPLE, [0.3, -1.7, 0.45, 2.9]))
     @example(case=(MLP1_EXAMPLE, [1.0, 0.61, -0.35, 1.1, 0.7]))
     @example(case=(MLP3_EXAMPLE, [1.0, 0.61, -0.35, 1.1, 0.7, -0.9, 0.45, 1.6]))
@@ -694,6 +814,10 @@ class TestFreeRun:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @given(case=free_run_cases(), bound=st.sampled_from([1e6, 2.0, 1e300]))
     @example(case=(POLY_EXAMPLE, EXAMPLE_INPUT, [0.2, -0.1]), bound=1e6)
+    @example(case=(POLY_CONSTANT_SLOT, EXAMPLE_INPUT, [0.2, -0.1]), bound=1e6)
+    @example(case=(POLY_SHARED, EXAMPLE_INPUT, [0.2, -0.1]), bound=1e6)
+    @example(case=(POLY_NO_INPUT, EXAMPLE_INPUT, [0.2, -0.1]), bound=1e6)
+    @example(case=(POLY_TWO_INPUTS, TWO_INPUT, [0.2, -0.1, 0.3]), bound=1e6)
     @example(case=(MLP_EXAMPLE, EXAMPLE_INPUT, [0.5]), bound=1e6)
     @example(case=(MLP1_EXAMPLE, EXAMPLE_INPUT, [0.4, 0.3]), bound=1e6)
     @example(case=(MLP3_EXAMPLE, MLP3_INPUT, [0.4, 0.3, -0.2]), bound=1e6)
@@ -831,6 +955,8 @@ class TestGeneratedLoops:
                    # loop shifts its window twice
                    [[0.0]], gb.FixedPointConfig(max_iterations=3000, tolerance=1.0)))
     @example(case=(POLY_EXAMPLE, [[0.3], [-1.1]], gb.FixedPointConfig(fixed_horizon=1500)))
+    @example(case=(POLY_SHARED, [[0.3], [-1.1]], gb.FixedPointConfig()))
+    @example(case=(POLY_TWO_INPUTS, [[0.3, -0.5], [-1.1, 0.8]], gb.FixedPointConfig()))
     @example(case=(MLP1_EXAMPLE, [[0.5], [2.0]], gb.FixedPointConfig()))
     @example(case=(MLP3_EXAMPLE, [[0.5, -0.3, 1.2], [2.0, 0.1, -0.7]], gb.FixedPointConfig()))
     def test_fixed_point_is_bitwise_the_list_buffer_loop(self, case):
