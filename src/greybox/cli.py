@@ -414,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit one model from a JSON config")
     p.add_argument("--config", help="JSON config path")
     p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None, help="override init_seed")
+    p.add_argument("--seed", type=int, default=None, help="override init_seed, every draw's seed")
     p.add_argument("--algorithm", choices=ALGORITHMS)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=cmd_train)
@@ -422,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="train across a lambda grid and select")
     p.add_argument("--config", help="JSON config path")
     p.add_argument("--grid", help="comma-separated lambda values")
-    p.add_argument("--seed", type=int, default=None, help="override init_seed")
+    p.add_argument("--seed", type=int, default=None, help="override init_seed, every draw's seed")
     p.add_argument("--algorithm", choices=ALGORITHMS)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=cmd_sweep, lam=None)

@@ -1,10 +1,11 @@
 """Parameter estimation: weighted least squares, damped least squares, GA.
 
-Three fitting routes; the first two share :func:`build_stacked_system`, which
-stacks the dynamic rows and one static pseudo-sample row per steady-state pair:
+Three fitting routes, one per algorithm; the first two share
+:func:`build_stacked_system`, which stacks the dynamic rows and one static
+pseudo-sample row per steady-state pair:
 
 - :func:`fit_wls` solves linear-in-parameter models in closed form under the
-  diagonal weighting W = diag[(1-lam) I_Nd, lam I_Ns];
+  diagonal weighting W = diag[(1-lam) I_Nd, lam I_Ns] (lam = 0: the black box);
 - :func:`fit_weighted_lm` minimizes the squared norm of the stacked error
   vector E = [(1-lam)(y - F(psi)); lam(y_bar - F(psi_bar))] for MLP models:
   it solves the linear output layer exactly at every evaluation and takes
@@ -60,7 +61,7 @@ from .models import (
 )
 from .steady_state import FixedPointConfig, _mean_squared_residual, cost_js_legacy
 
-ALGORITHMS = ("ols", "wls", "weighted_lm", "ga_legacy")
+ALGORITHMS = ("wls", "weighted_lm", "ga_legacy")
 
 
 # Levenberg-Marquardt damping: the first trial's damping, the factor a
@@ -101,7 +102,6 @@ class GaConfig:
     population_size: int = 40
     generations: int = 21
     init_spread: float | None = None
-    seed: int = 0
 
     def __post_init__(self):
         _require_count(self.population_size, "population_size", 2, _MAX_HELD_COUNT)
@@ -109,17 +109,16 @@ class GaConfig:
         if self.init_spread is not None:
             finite = sys.float_info.max
             _require_number(self.init_spread, "init_spread", -finite, finite)
-        _require_count(self.seed, "seed", 0, math.inf)
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     """One training run: the config's whole training block.
 
-    The weighting, the algorithm, the seed of the LM multi-start, and each
-    solver's settings: ``lm`` for ``weighted_lm``, ``ga`` and ``fixed_point``
-    for ``ga_legacy``, whose iterated static cost runs ``fixed_point``
-    (None keeps :func:`fit_ga_legacy`'s 15-step horizon).
+    The weighting, the algorithm, the seed of every random draw (LM starts
+    and GA), and each solver's settings: ``lm`` for ``weighted_lm``, ``ga``
+    and ``fixed_point`` for ``ga_legacy``, whose iterated static cost runs
+    ``fixed_point`` (None keeps :func:`fit_ga_legacy`'s 15-step horizon).
     """
 
     lam: float = 0.0
@@ -563,11 +562,13 @@ def fit_ga_legacy(
     config: GaConfig | None = None,
     fp_config: FixedPointConfig | None = None,
     counter: EvalCounter | None = None,
+    seed: int = 0,
 ) -> tuple[Model, list[TraceRecord]]:
     """Real-coded GA minimizing (1-lam) J_d + lam J_s with iterated statics.
 
     The seed model's parameters join the initial population unchanged; the
-    rest are Gaussian perturbations of them.  Selection is by tournament,
+    rest are Gaussian perturbations of them.  Every draw comes from one
+    generator seeded with ``seed``.  Selection is by tournament,
     recombination by blend crossover, mutation Gaussian with a per-gene
     scale of a tenth of the population spread, and the best
     individual is carried over unchanged each generation.  The static cost
@@ -582,7 +583,7 @@ def fit_ga_legacy(
     _require_number(lam, "lambda", 0, 1)
     config = config or GaConfig()
     fp_config = fp_config or FixedPointConfig(fixed_horizon=15)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     psi_d, y_d = build_regression_matrix(seed_model.spec, zd)
     counter = counter if counter is not None else EvalCounter()
     record = _trace_recorder(counter)

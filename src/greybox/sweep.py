@@ -166,7 +166,7 @@ def _free_run_rmse(model: Model, data: DynDataset):
 
 
 # structure kind each closed-form or gradient algorithm needs; the GA takes any
-_STRUCTURE_FOR = {"ols": PolynomialModel, "wls": PolynomialModel, "weighted_lm": MlpModel}
+_STRUCTURE_FOR = {"wls": PolynomialModel, "weighted_lm": MlpModel}
 
 
 def _check_trainable(structure: Model, algorithm: str, lam: float, **datasets) -> None:
@@ -179,15 +179,14 @@ def _check_trainable(structure: Model, algorithm: str, lam: float, **datasets) -
         raise ConfigError(
             f"{algorithm} needs a {kind} structure, got {type(structure).__name__}"
         )
-    needs_zs = algorithm == "ga_legacy" or (lam > 0 and algorithm != "ols")
-    if needs_zs and datasets.get("zs") is None:
+    if (algorithm == "ga_legacy" or lam > 0) and datasets.get("zs") is None:
         raise ConfigError(f"{algorithm} at lambda {lam} needs steady-state data 'zs'")
     _check_data_fits(structure.spec, datasets)
 
 
 def _ga_seed_model(structure: Model, zd: DynDataset, train: TrainConfig) -> Model:
-    """The lambda = 0 black-box fit that seeds the GA baseline's population."""
-    algorithm = "weighted_lm" if isinstance(structure, MlpModel) else "ols"
+    """The lambda = 0 black-box fit, by the structure's own algorithm, that seeds the GA."""
+    algorithm = next(a for a, kind in _STRUCTURE_FOR.items() if isinstance(structure, kind))
     return fit(structure, zd, None, replace(train, lam=0.0, algorithm=algorithm))[0]
 
 
@@ -203,18 +202,17 @@ def fit(
     solver settings ``train`` holds.
 
     Returns the fitted model and the solver trace (None for the closed-form
-    ``ols`` and ``wls``).  ``counter`` receives every model evaluation of the
-    fit itself.  ``weighted_lm`` runs ``train.lm``: a single start from
-    ``seed_model``'s parameters when given, else its seeded multi-start.
-    ``ga_legacy`` runs ``train.ga`` from ``seed_model``, the lambda = 0
-    black-box fit, which is made here when not given, and iterates each
-    steady state with ``train.fixed_point``.  Raises ConfigError when the
-    algorithm does not suit the structure, the structure does not fit the
-    data, or steady-state data is missing.
+    ``wls``, which at lambda 0 with ``zs`` None is the black box).
+    ``counter`` receives every model evaluation of the fit itself.
+    ``weighted_lm`` runs ``train.lm``: a single start from ``seed_model``'s
+    parameters when given, else its multi-start seeded with ``init_seed``.
+    ``ga_legacy`` runs ``train.ga``, seeded with ``init_seed``, from
+    ``seed_model``, the lambda = 0 black-box fit, which is made here when
+    not given, and iterates each steady state with ``train.fixed_point``.
+    Raises ConfigError when the algorithm does not suit the structure, the
+    structure does not fit the data, or steady-state data is missing.
     """
     _check_trainable(structure, train.algorithm, train.lam, zd=zd, zs=zs)
-    if train.algorithm == "ols":  # wls on the dynamic record alone, whatever lambda
-        return fit_wls(structure, zd, None, 0.0, counter=counter), None
     if train.algorithm == "wls":
         return fit_wls(structure, zd, zs, train.lam, counter=counter), None
     if train.algorithm == "weighted_lm":
@@ -225,7 +223,7 @@ def fit(
     if seed_model is None:
         seed_model = _ga_seed_model(structure, zd, train)
     return fit_ga_legacy(
-        seed_model, zd, zs, train.lam, train.ga, train.fixed_point, counter=counter
+        seed_model, zd, zs, train.lam, train.ga, train.fixed_point, counter, seed=train.init_seed
     )
 
 
@@ -248,9 +246,9 @@ def run_sweep(
     runs a single start from the parameters of the last lambda that trained
     (its ``warm_from``), since neighbouring lambdas have neighbouring optima.
     Until some lambda has trained, each one runs the seeded multi-start.
-    ``ols`` and ``wls`` are closed-form and every lambda is independent; for
-    the GA baseline the black-box seed model is trained once up front and
-    shared, and each lambda gets its own GA stream.
+    ``wls`` is closed-form and every lambda is independent; the GA baseline
+    shares one black-box seed model, and lambda number i seeds its GA from
+    ``SeedSequence((train.init_seed, i))``.
 
     A per-lambda SingularityError or DivergenceError is recorded on the
     point instead of aborting the sweep; a structure or dataset the
@@ -270,11 +268,10 @@ def run_sweep(
             last = next((p for p in reversed(points) if p.model is not None), None)
             if last is not None:
                 seed_model, point.warm_from = last.model, last.lam
-        ga = train.ga
+        point_train = replace(train, lam=lam)
         if train.algorithm == "ga_legacy":
-            stream = np.random.SeedSequence((ga.seed, i)).generate_state(1, np.uint64)
-            ga = replace(ga, seed=int(stream[0]))
-        point_train = replace(train, lam=lam, ga=ga)
+            stream = np.random.SeedSequence((train.init_seed, i)).generate_state(1, np.uint64)
+            point_train = replace(point_train, init_seed=int(stream[0]))
         counter = EvalCounter()
         start = time.perf_counter()
         try:

@@ -190,14 +190,6 @@ class TestTrain:
         proc = run_cli("train", "--config", str(path), "--out", str(tmp_path))
         assert proc.returncode == 2
         assert "steady-state" in proc.stderr
-        # ols fits the dynamical record alone, so it trains at any lambda
-        for lam in ("0.5", "0"):
-            out = tmp_path / f"ols{lam}"
-            argv = ["train", "--config", str(path), "--algorithm", "ols", "--lambda", lam]
-            assert main([*argv, "--out", str(out)]) == 0
-        assert (tmp_path / "ols0.5" / "model.json").read_bytes() == (
-            tmp_path / "ols0" / "model.json"
-        ).read_bytes()
 
     def test_generator_datasets_in_config(self, tmp_path):
         config = {
@@ -247,6 +239,35 @@ class TestTrain:
         lines = (tmp_path / "trace.csv").read_text().splitlines()
         assert lines[0] == "iteration,j_d,j_s_legacy,j_sd,wall_time_ms,model_evaluations"
         assert len(lines) == 1 + 2 + 1  # header, initial row, one per generation
+
+    def test_seed_reaches_the_ga(self, tmp_path):
+        # --seed sets init_seed, which seeds the GA's generator as well
+        config = {
+            "structure": {"builtin": "example1"},
+            "datasets": {"generator": "example1", "seed": 0},
+            "lambda": 0.5,
+            "algorithm": "ga_legacy",
+            "ga": {"population_size": 4, "generations": 1},
+            "fixed_point": {"fixed_horizon": 5},
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        models = []
+        for seed in ("0", "1"):
+            out = tmp_path / f"seed{seed}"
+            assert main(["train", "--config", str(path), "--seed", seed, "--out", str(out)]) == 0
+            assert load_json(out / "manifest.json")["train"]["init_seed"] == int(seed)
+            models.append((out / "model.json").read_bytes())
+        assert models[0] != models[1]
+
+    def test_removed_ols_algorithm_exits_2(self, trained, tmp_path):
+        # the black box is wls at lambda 0 without zs; ols is no longer a choice
+        proc = run_cli(
+            "train", "--config", str(trained / "config.json"), "--algorithm", "ols",
+            "--out", str(tmp_path),
+        )
+        assert proc.returncode == 2
+        assert "invalid choice: 'ols'" in proc.stderr
 
 
 class TestEval:
@@ -390,13 +411,13 @@ class TestSweep:
         assert trained["error"] == "" and float(trained["j_d"]) > 0.0
 
     def test_sweep_without_statics_exits_2(self, datadir, tmp_path):
-        # every point is scored on j_s_hat, even ols's, which trains without zs
-        for algorithm in ("wls", "ols"):
+        # every point is scored on j_s_hat, even lambda 0's, which trains without zs
+        for grid in ([0.0], [0.2]):
             config = {
                 "structure": {"builtin": "example1"},
                 "datasets": {"zd": str(datadir / "zd.csv")},
-                "algorithm": algorithm,
-                "grid": [0.2],
+                "algorithm": "wls",
+                "grid": grid,
             }
             path = tmp_path / "config.json"
             path.write_text(json.dumps(config))
@@ -408,7 +429,7 @@ class TestSweep:
 @pytest.mark.parametrize("command", ["train", "sweep"])
 @pytest.mark.parametrize(
     "algorithm,example",
-    [("weighted_lm", "example1"), ("wls", "example2"), ("ols", "example2")],
+    [("weighted_lm", "example1"), ("wls", "example2")],
 )
 def test_structure_algorithm_mismatch_exits_2(command, algorithm, example, tmp_path):
     config = {
@@ -583,7 +604,7 @@ def test_unreadable_csv_exits_2(content, named, datadir, trained, tmp_path, caps
     path.write_bytes(content)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(
-        {"structure": {"builtin": "example1"}, "datasets": {"zd": str(path)}, "algorithm": "ols"}
+        {"structure": {"builtin": "example1"}, "datasets": {"zd": str(path)}, "algorithm": "wls"}
     ))
     out = str(tmp_path / "out")
     for argv in (
@@ -745,7 +766,7 @@ def test_free_run_of_an_input_free_record_exits_0(tmp_path):
     }
     config = tmp_path / "config.json"
     config.write_text(json.dumps(
-        {"structure": structure, "datasets": {"zd": str(zd)}, "algorithm": "ols"}
+        {"structure": structure, "datasets": {"zd": str(zd)}, "algorithm": "wls"}
     ))
     assert main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
     evaluate = ["eval", "--model", str(tmp_path / "run" / "model.json"), "--data", str(zd),
@@ -879,7 +900,7 @@ def test_readme_config_trains(tmp_path):
         "algorithm": "wls",
         "fixed_point": {"divergence_bound": 1000000.0, "fixed_horizon": 15,
                         "max_iterations": 500, "tolerance": 1e-10},
-        "ga": {"generations": 21, "init_spread": None, "population_size": 40, "seed": 0},
+        "ga": {"generations": 21, "init_spread": None, "population_size": 40},
         "init_seed": 0,
         "lm": {"max_iterations": 60, "n_starts": 3},
     }
@@ -1156,7 +1177,7 @@ VALID_ENTRIES = {
     ),
     "ga": st.fixed_dictionaries(
         {"population_size": st.integers(2, 3), "generations": st.integers(0, 2)},
-        optional={"init_spread": st.floats(0.0, 1.0), "seed": st.integers(0, 3)},
+        optional={"init_spread": st.floats(0.0, 1.0)},
     ),
     "fixed_point": st.fixed_dictionaries(
         {"max_iterations": st.integers(1, 3)},
@@ -1176,7 +1197,7 @@ FUZZED_ENTRIES = {
     ),
     "ga": st.fixed_dictionaries(
         {"population_size": any_counts, "generations": any_counts},
-        optional={"init_spread": any_numbers, "seed": any_counts},
+        optional={"init_spread": any_numbers},
     ),
     "fixed_point": st.fixed_dictionaries(
         {"max_iterations": any_counts},
@@ -1211,7 +1232,6 @@ SOLVER_KEY_RULES = {
         "generations": lambda v: is_count(v, 0),
         "init_spread": lambda v: v is None or is_real(v, -math.inf, math.inf)
         and math.isfinite(v),
-        "seed": lambda v: is_count(v, 0, math.inf),
     },
     "fixed_point": {
         "max_iterations": lambda v: is_count(v, 1),
@@ -1241,7 +1261,7 @@ def config_entries(draw):
 
 @given(
     command=st.sampled_from(["train", "sweep"]),
-    # out of the set: a misspelt name, null and a list
+    # out of the set: a removed name, a misspelt one, null and a list
     algorithm=st.sampled_from(["wls", "ols", "ga_legacy", "weighted_lm", "lm", None, ["wls"]]),
     entries=config_entries(),
 )

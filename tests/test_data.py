@@ -4,6 +4,7 @@ import csv
 import hashlib
 import math
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -174,6 +175,44 @@ class TestContainers:
         zs = gb.SteadyDataset(u_bar=np.zeros((4, 2)), y_bar=np.zeros(4))
         assert zs.n_pairs == 4
         assert zs.n_inputs == 2
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda _: gb.DynDataset(inputs=(), output=np.zeros((2, 2))), ValueError,
+         "output must be one-dimensional"),
+        (lambda _: gb.DynDataset(inputs=(), output=np.zeros(0)), ValueError,
+         "at least one sample"),
+        (lambda _: gb.SteadyDataset(u_bar=np.zeros((1, 1, 1)), y_bar=[0.0]), ValueError,
+         "u_bar must be 1-D or 2-D"),
+        (lambda _: gb.SteadyDataset(u_bar=np.zeros((0, 1)), y_bar=[]), ValueError,
+         "at least one pair"),
+        (lambda _: gb.SteadyDataset(u_bar=[0.0, 1.0], y_bar=[0.0]), ValueError,
+         "u_bar has 2 rows, y_bar has 1 entries"),
+        (lambda _: gb.SteadyDataset(u_bar=np.zeros((1, 0)), y_bar=[0.0]), ValueError,
+         "at least one input channel"),
+        (lambda _: simulate_system(EXAMPLE1, [0.0, 0.0]), ValueError,
+         "need more than 2 samples, got 2"),
+        (lambda _: simulate_system(EXAMPLE1, np.zeros(5), init=[0.0]), ValueError,
+         "init must supply 2 values, got 1"),
+        (lambda _: steady_curve_of_system(EXAMPLE1, []), ValueError,
+         "at least one level"),
+        (lambda _: steady_curve_of_system(EXAMPLE1, [0.0, np.inf]), ValueError,
+         "u_bar_grid must be finite"),
+        (lambda d: write_table(d / "t.csv", ["a", "b"], [[1.0]]), ValueError,
+         "2 header names for 1 columns"),
+        (lambda d: gb.write_csv(d / "t.csv", [1.0, 2.0]), TypeError,
+         "cannot serialize list"),
+    ],
+    ids=["dyn-2d-output", "dyn-empty", "steady-3d-u_bar", "steady-empty", "steady-row-count",
+         "steady-no-channel", "simulate-short", "simulate-bad-init", "curve-empty",
+         "curve-non-finite", "table-header", "csv-not-a-dataset"],
+)
+def test_data_refusals_name_the_problem(call, error, message, tmp_path):
+    with pytest.raises(error, match=re.escape(message)):
+        call(tmp_path)
+    assert not (tmp_path / "t.csv").exists()
 
 
 class TestGenerators:

@@ -62,13 +62,20 @@ class TestLeastSquares:
 
     def test_wls_lambda_zero_matches_ols(self, ex1_structure, ex1_data):
         zd, _, zs, _ = ex1_data
+        # the black box: wls at lambda 0 on the dynamical record alone
         ols_count, wls_count = gb.EvalCounter(), gb.EvalCounter()
-        a, _ = gb.fit(ex1_structure, zd, zs, gb.TrainConfig(algorithm="ols"), counter=ols_count)
+        a, _ = gb.fit(ex1_structure, zd, None, gb.TrainConfig(), counter=ols_count)
         b = fit_wls(ex1_structure, zd, zs, 0.0, counter=wls_count)
         assert np.max(np.abs(a.theta - b.theta)) < 1e-12
-        # one evaluation per solved row; ols ignores the static pseudo-samples
+        # one evaluation per solved row; without zs there are no static pseudo-samples
         assert ols_count.count == zd.sample_count - ex1_structure.spec.max_lag
         assert wls_count.count == ols_count.count + zs.n_pairs
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    def test_wls_refuses_an_mlp(self, ex2_structure, ex2_data, lam):
+        zd, _, zs, _ = ex2_data
+        with pytest.raises(TypeError, match="needs a linear-in-parameters model"):
+            fit_wls(ex2_structure, zd, zs, lam)
 
     def test_wls_without_statics_requires_lambda_zero(self, ex1_structure, ex1_data):
         zd, _, _, _ = ex1_data
@@ -371,6 +378,26 @@ class TestWeightedLm:
                 fit_weighted_lm(ex2_structure, zd, zs, 0.3, theta0=theta0)
         assert exc.value.index == 0
 
+    def test_start_whose_cost_overflows_raises_at_index_zero(self, ex2_structure):
+        # outputs of +-1e200 saturate the hidden layer on both sides, so the
+        # output layer is solved, but e^T e overflows to inf
+        rng = np.random.default_rng(0)
+        zd = gb.DynDataset(
+            inputs=(rng.uniform(-1.0, 1.0, 40),), output=1e200 * rng.choice([-1.0, 1.0], 40)
+        )
+        zs = gb.SteadyDataset(u_bar=[0.0, 0.5], y_bar=[0.0, 0.1])
+        train = gb.TrainConfig(lam=0.3, algorithm="weighted_lm", lm=gb.LmConfig(5, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(gb.DivergenceError, match="non-finite cost at the initial") as exc:
+                gb.fit(ex2_structure, zd, zs, train)
+            points = gb.run_sweep(ex2_structure, zd, None, zs, gb.LambdaGrid((0.0, 0.5)), train)
+        assert exc.value.index == 0
+        assert [p.lam for p in points] == [0.0, 0.5]
+        for point in points:
+            assert point.model is None and point.j_d is None
+            assert point.error == "DivergenceError: non-finite cost at the initial parameters"
+
     def test_multistart_skips_a_start_with_a_dead_node(self, ex2_structure, ex2_data, monkeypatch):
         zd, _, zs, _ = ex2_data
         config = gb.LmConfig(max_iterations=10, n_starts=3)
@@ -608,16 +635,18 @@ class TestGaLegacy:
     def test_deterministic_given_seed(self, ex1_data, ex1_structure):
         zd, _, zs, _ = ex1_data
         seed_model = fit_wls(ex1_structure, zd, None, 0.0)
-        config = gb.GaConfig(population_size=8, generations=3, seed=5)
-        a, _ = fit_ga_legacy(seed_model, zd, zs, 0.3, config)
-        b, _ = fit_ga_legacy(seed_model, zd, zs, 0.3, config)
+        config = gb.GaConfig(population_size=8, generations=3)
+        a, _ = fit_ga_legacy(seed_model, zd, zs, 0.3, config, seed=5)
+        b, _ = fit_ga_legacy(seed_model, zd, zs, 0.3, config, seed=5)
         assert np.array_equal(a.theta, b.theta)
+        c, _ = fit_ga_legacy(seed_model, zd, zs, 0.3, config, seed=6)
+        assert not np.array_equal(a.theta, c.theta)
 
     def test_elitism_makes_trace_monotone(self, ex1_data, ex1_structure):
         zd, _, zs, _ = ex1_data
         seed_model = fit_wls(ex1_structure, zd, None, 0.0)
-        config = gb.GaConfig(population_size=10, generations=5, seed=2)
-        _, trace = fit_ga_legacy(seed_model, zd, zs, 0.3, config)
+        config = gb.GaConfig(population_size=10, generations=5)
+        _, trace = fit_ga_legacy(seed_model, zd, zs, 0.3, config, seed=2)
         assert len(trace) == 6  # initial scoring plus one record per generation
         costs = [record.cost for record in trace]
         assert all(b <= a for a, b in zip(costs, costs[1:]))
@@ -626,7 +655,7 @@ class TestGaLegacy:
         zd, _, zs, _ = ex1_data
         seed_model = fit_wls(ex1_structure, zd, None, 0.0)
         counter = gb.EvalCounter()
-        config = gb.GaConfig(population_size=4, generations=1, seed=0)
+        config = gb.GaConfig(population_size=4, generations=1)
         horizon = gb.FixedPointConfig(fixed_horizon=15)
         fit_ga_legacy(
             seed_model, zd, zs, 0.3, config, fp_config=horizon, counter=counter
@@ -686,12 +715,13 @@ class TestFitDispatch:
 
     @pytest.mark.parametrize("lam", [0.0, 0.4])
     def test_ols_and_wls_are_fit_wls(self, ex1_structure, ex1_data, lam):
+        # the black box (lambda 0 without zs, ordinary least squares) and wls
         zd, _, zs, _ = ex1_data
-        for algorithm, direct in (("ols", (None, 0.0)), ("wls", (zs, lam))):
-            train = gb.TrainConfig(lam=lam, algorithm=algorithm)
-            via_fit = counted(lambda c: gb.fit(ex1_structure, zd, zs, train, counter=c))
-            alone = counted(lambda c: (fit_wls(ex1_structure, zd, *direct, counter=c), None))
-            assert via_fit == alone, algorithm
+        for data in ((None, 0.0), (zs, lam)):
+            train = gb.TrainConfig(lam=data[1])
+            via_fit = counted(lambda c: gb.fit(ex1_structure, zd, data[0], train, counter=c))
+            alone = counted(lambda c: (fit_wls(ex1_structure, zd, *data, counter=c), None))
+            assert via_fit == alone, data[1]
 
     def test_weighted_lm_from_a_seed_model_is_one_start_from_its_theta(
         self, ex2_structure, ex2_data
@@ -723,13 +753,15 @@ class TestFitDispatch:
     def test_ga_legacy_from_a_seed_model(self, ex1_structure, ex1_data, fixed_point):
         zd, _, zs, _ = ex1_data
         seed_model = fit_wls(ex1_structure, zd, None, 0.0)
-        ga = gb.GaConfig(population_size=6, generations=2, seed=1)
-        train = gb.TrainConfig(lam=0.3, algorithm="ga_legacy", ga=ga, fixed_point=fixed_point)
+        ga = gb.GaConfig(population_size=6, generations=2)
+        train = gb.TrainConfig(
+            lam=0.3, algorithm="ga_legacy", ga=ga, init_seed=1, fixed_point=fixed_point
+        )
         via_fit = counted(
             lambda c: gb.fit(ex1_structure, zd, zs, train, counter=c, seed_model=seed_model)
         )
         alone = counted(
-            lambda c: fit_ga_legacy(seed_model, zd, zs, 0.3, ga, fixed_point, counter=c)
+            lambda c: fit_ga_legacy(seed_model, zd, zs, 0.3, ga, fixed_point, counter=c, seed=1)
         )
         assert via_fit == alone
 

@@ -1085,6 +1085,13 @@ class TestPersistence:
         with pytest.raises(gb.ConfigError, match="packing version"):
             gb.model_from_json(doc)
 
+    @pytest.mark.parametrize("theta", [0.75, "0.75", {"0": 0.75}, None])
+    def test_theta_that_is_not_a_list_rejected(self, ex1_true_model, theta):
+        doc = gb.model_to_json(ex1_true_model)
+        doc["theta"] = theta
+        with pytest.raises(gb.ConfigError, match="theta must be a list of numbers"):
+            gb.model_from_json(doc)
+
     def test_builtin_structures(self):
         ex1 = gb.example_structure("example1")
         assert isinstance(ex1, gb.PolynomialModel)

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -329,6 +330,20 @@ class TestModelStaticCurve:
         assert len(lines) == 6
         assert lines[1].endswith("true")
 
+    @pytest.mark.parametrize(
+        "grid,message",
+        [
+            (np.zeros((1, 1, 1)), "grid must be (n_points, n_inputs), got shape (1, 1, 1)"),
+            (np.zeros((0, 1)), "grid must be (n_points, n_inputs), got shape (0, 1)"),
+            ([], "grid must be (n_points, n_inputs), got shape (0, 1)"),
+            (np.zeros((3, 2)), "u_bar has 2 channels, spec needs 1"),
+            (np.zeros((3, 0)), "u_bar has 0 channels, spec needs 1"),
+        ],
+    )
+    def test_bad_grid_names_its_shape(self, true_model, grid, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            gb.model_static_curve(true_model, grid)
+
 
 def test_init_at_target_config_exits_2(tmp_path, capsys):
     # removed settings, and counts or seeds that are not nonnegative
@@ -343,7 +358,8 @@ def test_init_at_target_config_exits_2(tmp_path, capsys):
         ("lm", {"max_iterations": 2.5}, "max_iterations"),
         ("lm", {"n_starts": True}, "n_starts"),
         ("ga", {"population_size": 4.5}, "population_size"),
-        ("ga", {"seed": -1}, "seed"),
+        ("ga", {"seed": 0}, "seed"),
+        ("algorithm", "ols", "ols"),
         ("fixed_point", {"fixed_horizon": 15.0}, "fixed_horizon"),
         # NaN and Infinity are not JSON: the reader refuses the constant
         ("fixed_point", {"tolerance": float("nan")}, "NaN is not a JSON number"),
