@@ -342,16 +342,16 @@ def cmd_eval(args) -> int:
         if not isinstance(data, DynDataset):
             raise ConfigError("one-step evaluation needs a dynamical record")
         psi, target = build_regression_matrix(model.spec, data)
-        # as in cost_jd: a prediction that overflows, or an inf * 0 in it, is not finite
+        # cost_jd's arithmetic: an overflow, or an inf * 0 in a prediction, is not finite
         with np.errstate(over="ignore", invalid="ignore"):
             predicted = model.predict(psi)
+            residual = target - predicted
+            j_d = float(np.mean(residual**2))
         write_table(
-            out / "predictions.csv",
-            ["y", "y_hat", "residual"],
-            [target, predicted, target - predicted],
+            out / "predictions.csv", ["y", "y_hat", "residual"], [target, predicted, residual]
         )
         outputs["predictions"] = "predictions.csv"
-        metrics["j_d"] = _finite_or_none(cost_jd(model, data))
+        metrics["j_d"] = _finite_or_none(j_d)
         metrics["rmse_one_step"] = rmse(predicted, target)
     elif args.mode == "free-run":
         if not isinstance(data, DynDataset):

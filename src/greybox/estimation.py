@@ -24,7 +24,6 @@ optima (zero residuals are zero under either convention).
 from __future__ import annotations
 
 import math
-import sys
 import time
 from dataclasses import dataclass, field, fields
 
@@ -79,13 +78,15 @@ _LM_STEP_TOLERANCE = 1e-12
 _LM_FTOL = 1e-12
 _LM_MAX_OUTPUT_CONDITION = 1e4
 
-# GA operators: per-gene mutation scale relative to the population spread
-# (also the initial spread when GaConfig.init_spread is None), the share of
-# children bred by blend crossover, tournament size, and the blend margin.
+# GA operators: per-gene mutation scale relative to the population spread (and
+# the initial spread, relative to the seed's genes), the share of children bred
+# by blend crossover, tournament size, and the blend margin.
 _GA_MUTATION_SCALE = 0.1
 _GA_CROSSOVER_RATE = 0.9
 _GA_TOURNAMENT_SIZE = 3
 _GA_BLEND_ALPHA = 0.5
+_GA_FIXED_POINT = FixedPointConfig(fixed_horizon=15)  # the GA's static cost unless set
+
 
 @dataclass(frozen=True)
 class LmConfig:
@@ -99,16 +100,14 @@ class LmConfig:
 
 @dataclass(frozen=True)
 class GaConfig:
+    """The GA's size; its operators and its initial spread are fixed."""
+
     population_size: int = 40
     generations: int = 21
-    init_spread: float | None = None
 
     def __post_init__(self):
         _require_count(self.population_size, "population_size", 2, _MAX_HELD_COUNT)
         _require_count(self.generations, "generations", 0)
-        if self.init_spread is not None:
-            finite = sys.float_info.max
-            _require_number(self.init_spread, "init_spread", -finite, finite)
 
 
 @dataclass(frozen=True)
@@ -118,7 +117,7 @@ class TrainConfig:
     The weighting, the algorithm, the seed of every random draw (LM starts
     and GA), and each solver's settings: ``lm`` for ``weighted_lm``, ``ga``
     and ``fixed_point`` for ``ga_legacy``, whose iterated static cost runs
-    ``fixed_point`` (None keeps :func:`fit_ga_legacy`'s 15-step horizon).
+    ``fixed_point`` (by default :func:`fit_ga_legacy`'s 15-step horizon).
     """
 
     lam: float = 0.0
@@ -126,7 +125,7 @@ class TrainConfig:
     lm: LmConfig = field(default_factory=LmConfig)
     ga: GaConfig = field(default_factory=GaConfig)
     init_seed: int = 0
-    fixed_point: FixedPointConfig | None = None
+    fixed_point: FixedPointConfig = _GA_FIXED_POINT
 
     def __post_init__(self):
         # + 0.0 turns a -0.0 into 0.0, which the artefacts would write signed
@@ -560,20 +559,20 @@ def fit_ga_legacy(
     zs: SteadyDataset,
     lam: float,
     config: GaConfig | None = None,
-    fp_config: FixedPointConfig | None = None,
+    fp_config: FixedPointConfig = _GA_FIXED_POINT,
     counter: EvalCounter | None = None,
     seed: int = 0,
 ) -> tuple[Model, list[TraceRecord]]:
     """Real-coded GA minimizing (1-lam) J_d + lam J_s with iterated statics.
 
     The seed model's parameters join the initial population unchanged; the
-    rest are Gaussian perturbations of them.  Every draw comes from one
-    generator seeded with ``seed``.  Selection is by tournament,
-    recombination by blend crossover, mutation Gaussian with a per-gene
-    scale of a tenth of the population spread, and the best
-    individual is carried over unchanged each generation.  The static cost
-    runs a fixed-horizon fixed-point iteration per operating point (default
-    15 steps), which is what makes this baseline expensive.
+    rest are Gaussian perturbations of them, a tenth of max(|gene|, 1) in
+    scale.  Every draw comes from one generator seeded with ``seed``.
+    Selection is by tournament, recombination by blend crossover, mutation
+    Gaussian with a per-gene scale of a tenth of the population spread, and
+    the best individual is carried over unchanged each generation.  The
+    static cost runs ``fp_config``'s fixed-point iteration per operating
+    point (by default 15 steps), which is what makes this baseline expensive.
 
     Returns the best individual and one trace record per generation
     (including generation zero, the evaluated initial population).  A
@@ -582,7 +581,6 @@ def fit_ga_legacy(
     """
     _require_number(lam, "lambda", 0, 1)
     config = config or GaConfig()
-    fp_config = fp_config or FixedPointConfig(fixed_horizon=15)
     rng = np.random.default_rng(seed)
     psi_d, y_d = build_regression_matrix(seed_model.spec, zd)
     counter = counter if counter is not None else EvalCounter()
@@ -597,7 +595,6 @@ def fit_ga_legacy(
 
     q = seed_model.n_params
     base_theta = np.asarray(seed_model.theta, dtype=float)
-    spread = config.init_spread if config.init_spread is not None else _GA_MUTATION_SCALE
     scale = np.maximum(np.abs(base_theta), 1.0)
 
     def best_index():
@@ -617,7 +614,7 @@ def fit_ga_legacy(
         pop = np.empty((config.population_size, q))
         pop[0] = base_theta
         draws = rng.standard_normal((config.population_size - 1, q))
-        pop[1:] = base_theta + spread * scale * draws
+        pop[1:] = base_theta + _GA_MUTATION_SCALE * scale * draws
         scores = np.array([objective(ind) for ind in pop])
         trace = [trace_record(0)]
         for gen in range(1, config.generations + 1):

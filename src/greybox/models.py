@@ -39,6 +39,7 @@ from .data import DynDataset, SteadyDataset, read_json, write_json
 from .errors import _MAX_HELD_COUNT, ConfigError, _check_keys, _require_count, _require_number
 
 MODEL_PACKING_VERSION = 1
+DIVERGENCE_BOUND = 1e6  # past it a run has diverged; rmse and cost_js_legacy cap at it
 
 _CHUNK = 32  # operands in one generated sum or product
 _BLOCK = 4096  # samples whose parts a free run holds at once
@@ -399,16 +400,16 @@ class FreeRunResult:
         return self.diverged_at is not None
 
 
-def free_run_on_dataset(model: Model, data: DynDataset, bound: float = 1e6) -> FreeRunResult:
+def free_run_on_dataset(model: Model, data: DynDataset) -> FreeRunResult:
     """Simulate the model on its own past predictions over a record.
 
     The run takes the record's inputs and its length, and is seeded with
     its first ``max_lag`` outputs; later outputs are not read.  A run whose
-    prediction leaves ``[-bound, bound]`` or goes non-finite is flagged
-    instead of raising, with NaN from that sample on.  The loop runs the
-    whole record and the first such sample is found afterwards: Python's
-    float arithmetic and ``math.tanh`` overflow to inf and NaN without
-    raising, so every value before it keeps its bits.
+    prediction leaves ``[-DIVERGENCE_BOUND, DIVERGENCE_BOUND]`` or goes
+    non-finite is flagged instead of raising, with NaN from that sample on.
+    The loop runs the whole record and the first such sample is found
+    afterwards: Python's float arithmetic and ``math.tanh`` overflow to inf
+    and NaN without raising, so every value before it keeps its bits.
     """
     model.spec.check(data)
     k0 = model.spec.max_lag
@@ -416,7 +417,7 @@ def free_run_on_dataset(model: Model, data: DynDataset, bound: float = 1e6) -> F
     y = data.output[:k0].tolist()
     model._loops.free_run(model.theta.tolist(), y, n, *data.inputs)
     y = np.fromiter(y, float, n)
-    outside = ~(np.abs(y[k0:]) <= bound)  # also catches NaN
+    outside = ~(np.abs(y[k0:]) <= DIVERGENCE_BOUND)  # also catches NaN
     first = int(outside.argmax())
     if not outside[first]:
         return FreeRunResult(y=y)

@@ -37,9 +37,9 @@ import numpy as np
 
 from .data import DynDataset, SteadyDataset, write_table
 from .errors import _require_count, _require_number
-from .models import EvalCounter, Model, build_regression_matrix, build_static_regressors
-
-_MAX_DIVERGENCE_BOUND = 1e150  # its square, the legacy cost's cap, stays finite
+from .models import (
+    DIVERGENCE_BOUND, EvalCounter, Model, build_regression_matrix, build_static_regressors,
+)
 
 
 @dataclass(frozen=True)
@@ -48,16 +48,16 @@ class FixedPointConfig:
 
     The run converges once the last ``len(output_lags)`` successive
     differences fall below ``tolerance``, fails after ``max_iterations``
-    steps, and diverges as soon as a value leaves ``[-divergence_bound,
-    divergence_bound]``.  With ``fixed_horizon`` set it takes exactly that
-    many steps, ignoring the tolerance as schemes that budget a constant
-    number of steps per operating point do, and converges unless it diverged.
+    steps, and diverges as soon as a value leaves ``[-DIVERGENCE_BOUND,
+    DIVERGENCE_BOUND]``, the bound of a free run.  With ``fixed_horizon``
+    set it takes exactly that many steps, ignoring the tolerance as schemes
+    that budget a constant number of steps per operating point do, and
+    converges unless it diverged.
     """
 
     max_iterations: int = 500
     fixed_horizon: int | None = None
     tolerance: float = 1e-10
-    divergence_bound: float = 1e6
 
     def __post_init__(self):
         _require_count(self.max_iterations, "max_iterations", 1)
@@ -65,9 +65,6 @@ class FixedPointConfig:
             _require_count(self.fixed_horizon, "fixed_horizon", 1)
         positive = math.ulp(0.0)  # the smallest positive float, so 0 is excluded
         _require_number(self.tolerance, "tolerance", positive, sys.float_info.max)
-        _require_number(
-            self.divergence_bound, "divergence_bound", positive, _MAX_DIVERGENCE_BOUND
-        )
 
 
 def cost_jd(model: Model, zd: DynDataset, counter: EvalCounter | None = None) -> float:
@@ -109,7 +106,7 @@ def cost_js_legacy(
 
     The model's static curve at the pairs' inputs, each point costing as
     many model evaluations as its iteration takes.  Non-converged or
-    diverged points contribute the divergence bound squared; converged
+    diverged points contribute ``DIVERGENCE_BOUND`` squared; converged
     residuals are capped at the same value.  A step that overflows fails
     its point without a floating-point warning.
     """
@@ -118,7 +115,7 @@ def cost_js_legacy(
     loop = functools.partial(model.spec._legacy_loops.fixed_point, (model._predict_psi,))
     with np.errstate(over="ignore", invalid="ignore"):
         curve = _static_curve(model.spec, loop, zs.u_bar, config, counter)
-    bound = config.divergence_bound
+    bound = DIVERGENCE_BOUND
     terms = [  # clipped before squaring, so a huge measured value cannot overflow
         min(abs(y_meas - y_fp), bound) ** 2 if ok else bound**2
         for y_meas, y_fp, ok in zip(
@@ -178,9 +175,7 @@ def _static_curve(spec, loop, u_bar_grid, config: FixedPointConfig, counter) -> 
     flags = np.zeros(grid.shape[0], dtype=bool)
     steps = 0
     for j, u in enumerate(grid.tolist()):
-        y_bar, iterations, converged = loop(
-            *u, budget, settle, config.tolerance, config.divergence_bound
-        )
+        y_bar, iterations, converged = loop(*u, budget, settle, config.tolerance, DIVERGENCE_BOUND)
         steps += iterations
         if converged:
             y[j] = y_bar

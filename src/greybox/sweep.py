@@ -27,6 +27,7 @@ from .estimation import (
     fit_wls,
 )
 from .models import (
+    DIVERGENCE_BOUND,
     EvalCounter,
     MlpModel,
     Model,
@@ -35,8 +36,6 @@ from .models import (
     free_run_on_dataset,
 )
 from .steady_state import cost_jd, cost_js_hat
-
-RMSE_CAP = 1e6
 
 
 @dataclass(frozen=True)
@@ -77,15 +76,15 @@ class ParetoPoint:
 
     ``model`` is the fitted model, None exactly when training failed, and
     then the failure text lands in ``error`` and every score stays None.  A
-    free run that diverged reads ``RMSE_CAP`` in its RMSE field, None in
-    ``corr_dm``, and sets its ``diverged_*`` flag; the RMSE fields stay None
-    when their record was not given.  A run that did not diverge but whose
-    error against the record overflows, e.g. a measured output of 1e200,
-    also reads ``RMSE_CAP`` in its RMSE field, without the flag, and None in
-    ``corr_dm`` when the correlation is not finite: an empty cell, which
-    :func:`decide_min_corr` skips.  ``warm_from`` is the lambda whose
-    fitted parameters started this fit, None for a seeded start or an
-    algorithm that does not warm-start.
+    free run that diverged reads ``DIVERGENCE_BOUND`` in its RMSE field,
+    None in ``corr_dm``, and sets its ``diverged_*`` flag; the RMSE fields
+    stay None when their record was not given.  A run that did not diverge
+    but whose error against the record overflows, e.g. a measured output of
+    1e200, also reads ``DIVERGENCE_BOUND`` in its RMSE field, without the
+    flag, and None in ``corr_dm`` when the correlation is not finite: an
+    empty cell, which :func:`decide_min_corr` skips.  ``warm_from`` is the
+    lambda whose fitted parameters started this fit, None for a seeded
+    start or an algorithm that does not warm-start.
     """
 
     lam: float
@@ -105,7 +104,7 @@ class ParetoPoint:
 
 
 def rmse(predicted, actual) -> float:
-    """Root mean squared error, clipped to ``RMSE_CAP`` and on non-finite input."""
+    """Root mean squared error, clipped to ``DIVERGENCE_BOUND`` and on non-finite input."""
     predicted = np.asarray(predicted, dtype=float)
     actual = np.asarray(actual, dtype=float)
     if predicted.shape != actual.shape:
@@ -119,8 +118,8 @@ def rmse(predicted, actual) -> float:
 def _root_mean_square(diff: np.ndarray) -> float:
     # np.mean's arithmetic: one pairwise sum over all elements, then / size
     if not np.isfinite(diff).all():
-        return RMSE_CAP
-    return min(math.sqrt(np.add.reduce(diff * diff, axis=None) / diff.size), RMSE_CAP)
+        return DIVERGENCE_BOUND
+    return min(math.sqrt(np.add.reduce(diff * diff, axis=None) / diff.size), DIVERGENCE_BOUND)
 
 
 def abs_error_correlation(residual, reference) -> float:
@@ -149,7 +148,7 @@ def abs_error_correlation(residual, reference) -> float:
 def _free_run_error(model: Model, data: DynDataset):
     """``(error, measured)`` over the free run's predicted region, the error
     being measured minus predicted, or None when the run diverged."""
-    result = free_run_on_dataset(model, data, bound=RMSE_CAP)
+    result = free_run_on_dataset(model, data)
     if result.diverged:
         return None
     k0 = model.spec.max_lag
@@ -159,10 +158,10 @@ def _free_run_error(model: Model, data: DynDataset):
 
 def _free_run_rmse(model: Model, data: DynDataset):
     """The free-run RMSE over the predicted region and the divergence flag,
-    ``RMSE_CAP`` when the run diverged."""
+    ``DIVERGENCE_BOUND`` when the run diverged."""
     scored = _free_run_error(model, data)
     # squaring -error gives the bits of squaring error, so this is rmse(predicted, measured)
-    return (RMSE_CAP, True) if scored is None else (_root_mean_square(scored[0]), False)
+    return (DIVERGENCE_BOUND, True) if scored is None else (_root_mean_square(scored[0]), False)
 
 
 # structure kind each closed-form or gradient algorithm needs; the GA takes any
@@ -250,20 +249,26 @@ def run_sweep(
     shares one black-box seed model, and lambda number i seeds its GA from
     ``SeedSequence((train.init_seed, i))``.
 
-    A per-lambda SingularityError or DivergenceError is recorded on the
-    point instead of aborting the sweep; a structure or dataset the
-    algorithm cannot use, or missing steady-state data, which scores every
-    point, raises ConfigError before any fit.
+    A per-lambda SingularityError or DivergenceError, and a failed GA seed
+    fit on every point, is recorded instead of aborting the sweep; a
+    structure or dataset the algorithm cannot use, or missing steady-state
+    data, which scores every point, raises ConfigError before any fit.
     """
     if zs is None:
         raise ConfigError("sweeping needs steady-state data 'zs'")
     _check_trainable(structure, train.algorithm, max(grid), zd=zd, zs=zs, zt=zt, zv=zv)
-    seed_model = None
+    seed_model = seed_error = None
     if train.algorithm == "ga_legacy":
-        seed_model = _ga_seed_model(structure, zd, train)
+        try:
+            seed_model = _ga_seed_model(structure, zd, train)
+        except GreyboxError as exc:
+            seed_error = f"{type(exc).__name__}: {exc}"
     points = []
     for i, lam in enumerate(grid):
-        point = ParetoPoint(lam=lam)
+        point = ParetoPoint(lam=lam, error=seed_error)
+        points.append(point)
+        if seed_error is not None:
+            continue
         if train.algorithm == "weighted_lm":
             last = next((p for p in reversed(points) if p.model is not None), None)
             if last is not None:
@@ -281,7 +286,6 @@ def run_sweep(
             point.error = f"{type(exc).__name__}: {exc}"
         point.train_time_ms = int(round((time.perf_counter() - start) * 1e3))
         point.eval_count = counter.count
-        points.append(point)
         if point.model is None:
             continue
         point.j_d = cost_jd(point.model, zd)

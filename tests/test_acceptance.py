@@ -26,7 +26,7 @@ def report(num: int, ok: bool, detail: str) -> None:
 
 def free_run_rmse(model, data):
     """The free-run RMSE as ``greybox eval --mode free-run`` computes it;
-    a diverged run reads ``RMSE_CAP``."""
+    a diverged run reads ``DIVERGENCE_BOUND``."""
     run = gb.free_run_on_dataset(model, data)
     k0 = model.spec.max_lag
     return gb.rmse(run.y[k0:], data.output[k0:])

@@ -1,6 +1,7 @@
 """Estimators: weighted least squares, damped Gauss-Newton, the GA baseline."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -624,13 +625,20 @@ class TestWeightedLm:
 
 
 class TestGaLegacy:
-    def test_zero_spread_zero_generations_returns_seed(self, ex1_data, ex1_structure):
+    def test_zero_generations_cost_no_more_than_the_seed(self, ex1_data, ex1_structure):
+        # the seed joins the initial population unchanged, so its best
+        # individual, all that zero generations return, costs no more
         zd, _, zs, _ = ex1_data
         seed_model = fit_wls(ex1_structure, zd, None, 0.0)
-        config = gb.GaConfig(population_size=6, generations=0, init_spread=0.0)
+        config = gb.GaConfig(population_size=6, generations=0)
         out, trace = fit_ga_legacy(seed_model, zd, zs, 0.3, config)
-        assert np.array_equal(out.theta, seed_model.theta)
         assert len(trace) == 1
+
+        def ga_cost(model):
+            j_s = gb.cost_js_legacy(model, zs, gb.FixedPointConfig(fixed_horizon=15))
+            return (1.0 - 0.3) * gb.cost_jd(model, zd) + 0.3 * j_s
+
+        assert trace[0].cost == ga_cost(out) <= ga_cost(seed_model)
 
     def test_deterministic_given_seed(self, ex1_data, ex1_structure):
         zd, _, zs, _ = ex1_data
@@ -656,32 +664,40 @@ class TestGaLegacy:
         seed_model = fit_wls(ex1_structure, zd, None, 0.0)
         counter = gb.EvalCounter()
         config = gb.GaConfig(population_size=4, generations=1)
-        horizon = gb.FixedPointConfig(fixed_horizon=15)
-        fit_ga_legacy(
-            seed_model, zd, zs, 0.3, config, fp_config=horizon, counter=counter
-        )
+        fit_ga_legacy(seed_model, zd, zs, 0.3, config, counter=counter)
+        # by default each steady state costs the 15-step horizon
         per_call = (zd.sample_count - 2) + zs.n_pairs * 15
         # initial population of 4 plus 3 fresh children (elite carried over)
         assert counter.count == (4 + 3) * per_call
 
-    def test_nan_cost_never_wins(self, ex1_data, ex1_structure):
-        # at lambda 1 an overflowing candidate scores 0 * inf = NaN; the
-        # finite seed stays the elite instead
-        zd, _, zs, _ = ex1_data
-        seed_model = fit_wls(ex1_structure, zd, None, 0.0)
-        config = gb.GaConfig(population_size=3, generations=1, init_spread=1e300)
-        fp = gb.FixedPointConfig(max_iterations=3)
-        out, trace = fit_ga_legacy(seed_model, zd, zs, 1.0, config, fp)
+    def test_nan_cost_never_wins(self):
+        # the largest float on an input that is always 0: the seed predicts
+        # finitely, but every upward perturbation of that gene overflows to
+        # inf, and inf * 0 = NaN; at lambda 1 such a candidate scores
+        # 0 * NaN = NaN, and the finite seed stays the elite instead
+        spec = gb.RegressorSpec(output_lags=(1,), input_lags=((1,),))
+        seed_model = gb.PolynomialModel(spec, ((1,), (2,)), np.array([0.5, sys.float_info.max]))
+        zd = gb.DynDataset(inputs=(np.zeros(20),), output=0.5 ** np.arange(20))
+        zs = gb.SteadyDataset(u_bar=np.zeros((2, 1)), y_bar=np.zeros(2))
+        config = gb.GaConfig(population_size=8, generations=0)
+        out, trace = fit_ga_legacy(seed_model, zd, zs, 1.0, config)
         assert np.array_equal(out.theta, seed_model.theta)
         assert all(math.isfinite(record.cost) for record in trace)
 
-    def test_overflowing_population_diverges(self, ex1_data, ex1_structure):
-        zd, _, zs, _ = ex1_data
-        seed_model = fit_wls(ex1_structure, zd, None, 0.0)
-        config = gb.GaConfig(population_size=3, generations=3, init_spread=1e300)
+    def test_overflowing_population_diverges(self):
+        # a seed of 1.5e308 in every gene, of either structure: its
+        # perturbations overflow, and breeding from them raises, without a
+        # floating-point warning
+        config = gb.GaConfig(population_size=3, generations=3)
         fp = gb.FixedPointConfig(max_iterations=3)
-        with pytest.raises(gb.DivergenceError, match="overflowed"):
-            fit_ga_legacy(seed_model, zd, zs, 0.5, config, fp)
+        for example in ("example1", "example2"):
+            zd, _, zs, _ = gb.make_datasets(example, 0)
+            structure = gb.example_structure(example)
+            seed_model = structure.with_theta(np.full(structure.n_params, 1.5e308))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(gb.DivergenceError, match="GA overflowed"):
+                    fit_ga_legacy(seed_model, zd, zs, 0.5, config, fp)
 
 
 class TestTraceCsv:
@@ -751,17 +767,18 @@ class TestFitDispatch:
 
     @pytest.mark.parametrize("fixed_point", [None, gb.FixedPointConfig(fixed_horizon=5)])
     def test_ga_legacy_from_a_seed_model(self, ex1_structure, ex1_data, fixed_point):
+        # None leaves both defaults, which are the one 15-step horizon
         zd, _, zs, _ = ex1_data
         seed_model = fit_wls(ex1_structure, zd, None, 0.0)
         ga = gb.GaConfig(population_size=6, generations=2)
-        train = gb.TrainConfig(
-            lam=0.3, algorithm="ga_legacy", ga=ga, init_seed=1, fixed_point=fixed_point
-        )
+        fp = {} if fixed_point is None else {"fixed_point": fixed_point}
+        train = gb.TrainConfig(lam=0.3, algorithm="ga_legacy", ga=ga, init_seed=1, **fp)
         via_fit = counted(
             lambda c: gb.fit(ex1_structure, zd, zs, train, counter=c, seed_model=seed_model)
         )
+        fp = {} if fixed_point is None else {"fp_config": fixed_point}
         alone = counted(
-            lambda c: fit_ga_legacy(seed_model, zd, zs, 0.3, ga, fixed_point, counter=c, seed=1)
+            lambda c: fit_ga_legacy(seed_model, zd, zs, 0.3, ga, counter=c, seed=1, **fp)
         )
         assert via_fit == alone
 

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 import greybox as gb
 from greybox.cli import main
 from greybox.data import EXAMPLE1, simulate_system
-from greybox.models import _BLOCK, EXAMPLE1_TRUE_THETA
-from greybox.sweep import RMSE_CAP, abs_error_correlation, rmse
+from greybox.models import _BLOCK, DIVERGENCE_BOUND, EXAMPLE1_TRUE_THETA
+from greybox.sweep import abs_error_correlation, rmse
 
 
 class TestRegressorSpec:
@@ -386,7 +386,7 @@ def reference_fixed_point(model, u_bar, config, step=None):
     y = [0.0] * (k0 + min(budget, 1024))
     channels = [[level] * len(y) for level in np.atleast_1d(u_bar).tolist()]
     n_lags = max(1, len(spec.output_lags))
-    bound = config.divergence_bound
+    bound = DIVERGENCE_BOUND
     psi = [1.0] * len(spec)
     settled = iterations = 0
     while True:
@@ -422,7 +422,7 @@ def check_fixed_points(model, levels, config):
             assert got.converged[index] == kept
             assert same_bits(got.y_bar[index], y_bar if kept else np.nan), (got, y_bar)
     legacy = [reference_fixed_point(model, level, config, model._predict_psi) for level in levels]
-    bound = config.divergence_bound
+    bound = DIVERGENCE_BOUND
     total = 0.0
     for y_bar, _, converged in legacy:  # every pair measured at y_bar = 0
         total += min(abs(y_bar), bound) ** 2 if converged and math.isfinite(y_bar) else bound**2
@@ -477,14 +477,14 @@ def faithful_free_run(model, inputs, init, bound, step=None):
     return y, None
 
 
-def run_on_record(model, inputs, init=(), bound=1e6):
+def run_on_record(model, inputs, init=()):
     """:func:`greybox.free_run_on_dataset` over a record with ``inputs``,
     whose first ``max_lag`` outputs are ``init`` right-aligned over zeros."""
     k0 = model.spec.max_lag
     output = np.zeros(len(inputs[0]))
     output[k0 - len(init) : k0] = init
     data = gb.DynDataset(inputs=tuple(inputs), output=output)
-    return gb.free_run_on_dataset(model, data, bound=bound)
+    return gb.free_run_on_dataset(model, data)
 
 
 # fixed cases with weights that round at every operation, so that a step
@@ -546,24 +546,41 @@ class TestFreeRun:
     def test_divergence_flag_and_nan_tail(self):
         spec = gb.RegressorSpec(output_lags=(1,), input_lags=((1,),))
         doubling = gb.PolynomialModel(spec, ((1,),), np.array([2.0]))
-        result = run_on_record(doubling, [np.zeros(10)], init=[1.0], bound=100.0)
-        assert result.diverged and result.diverged_at == 7
-        assert np.array_equal(result.y[:7], [1, 2, 4, 8, 16, 32, 64])
-        assert np.all(np.isnan(result.y[7:]))
-        # y^2 - y from 3 leaves 1e30 at sample 7, overflows to inf at 10 and
+        result = run_on_record(doubling, [np.zeros(25)], init=[1.0])
+        assert result.diverged and result.diverged_at == 20  # 2**20 > 1e6
+        assert np.array_equal(result.y[:20], 2.0 ** np.arange(20))
+        assert np.all(np.isnan(result.y[20:]))
+        # y^2 - y from 3 leaves 1e6 at sample 5, overflows to inf at 10 and
         # reads inf - inf = NaN from 11 on: the loop runs the whole record
-        # in inf and NaN without a warning, and the exit is still sample 7
+        # in inf and NaN without a warning, and the exit is still sample 5
         square = gb.PolynomialModel(spec, ((1, 1), (1,)), np.array([1.0, -1.0]))
-        result = run_on_record(square, [np.zeros(100_000)], init=[3.0], bound=1e30)
-        assert result.diverged and result.diverged_at == 7
-        assert np.array_equal(result.y[:4], [3, 6, 30, 870])
-        assert np.all(np.isfinite(result.y[:7])) and np.all(np.isnan(result.y[7:]))
-        # 3 - y from 0 leaves [-2, 2] at sample 1 and comes back at 2: the
-        # run is flagged at its first exit and NaN from there on
-        flip = gb.PolynomialModel(spec, ((), (1,)), np.array([3.0, -1.0]))
-        result = run_on_record(flip, [np.zeros(10)], init=[0.0], bound=2.0)
+        result = run_on_record(square, [np.zeros(100_000)], init=[3.0])
+        assert result.diverged and result.diverged_at == 5
+        assert np.array_equal(result.y[:5], [3, 6, 30, 870, 756_030])
+        assert np.all(np.isnan(result.y[5:]))
+        # 3e6 - y from 0 leaves [-1e6, 1e6] at sample 1 and comes back at 2:
+        # the run is flagged at its first exit and NaN from there on
+        flip = gb.PolynomialModel(spec, ((), (1,)), np.array([3e6, -1.0]))
+        result = run_on_record(flip, [np.zeros(10)], init=[0.0])
         assert result.diverged and result.diverged_at == 1
         assert result.y[0] == 0.0 and np.all(np.isnan(result.y[1:]))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_a_value_at_the_bound_is_kept(self, sign):
+        # y = c: a free run and a one-level static curve keep c = +-1e6 and
+        # diverge at its first value one ulp further out; rmse reads the bound
+        spec = gb.RegressorSpec(output_lags=(1,), input_lags=((1,),))
+        edge = sign * DIVERGENCE_BOUND
+        for c, diverged_at in ((edge, None), (np.nextafter(edge, sign * np.inf), 1)):
+            model = gb.PolynomialModel(spec, ((),), np.array([c]))
+            result = run_on_record(model, [np.zeros(6)], init=[0.0])
+            assert result.diverged_at == diverged_at
+            if diverged_at is None:
+                assert np.array_equal(result.y, [0.0, *[edge] * 5])
+            curve = gb.model_static_curve(model, [[0.0]])
+            assert curve.converged[0] == (diverged_at is None)
+            assert same_bits(curve.y_bar[0], edge if diverged_at is None else np.nan)
+            assert rmse([c], [0.0]) == DIVERGENCE_BOUND
 
     def test_only_the_first_max_lag_outputs_seed_the_run(self):
         spec = gb.RegressorSpec(output_lags=(1, 2), input_lags=((1,),))
@@ -643,7 +660,7 @@ class TestFreeRun:
         spec = gb.RegressorSpec(output_lags=(1,), input_lags=((1,),))
         # y - y^2 escapes to -inf from y0=2: 2 -> -2 -> -6 -> -42 ...
         quad = gb.PolynomialModel(spec, ((1,), (1, 1)), np.array([1.0, -1.0]))
-        result = run_on_record(quad, [np.zeros(50)], init=[2.0], bound=1e6)
+        result = run_on_record(quad, [np.zeros(50)], init=[2.0])
         assert result.diverged
         assert np.all(np.isnan(result.y[result.diverged_at :]))
 
@@ -812,16 +829,19 @@ class TestFreeRun:
         check_step(model, psi, generated_step(model, psi))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @given(case=free_run_cases(), bound=st.sampled_from([1e6, 2.0, 1e300]))
-    @example(case=(POLY_EXAMPLE, EXAMPLE_INPUT, [0.2, -0.1]), bound=1e6)
-    @example(case=(POLY_CONSTANT_SLOT, EXAMPLE_INPUT, [0.2, -0.1]), bound=1e6)
-    @example(case=(POLY_SHARED, EXAMPLE_INPUT, [0.2, -0.1]), bound=1e6)
-    @example(case=(POLY_NO_INPUT, EXAMPLE_INPUT, [0.2, -0.1]), bound=1e6)
-    @example(case=(POLY_TWO_INPUTS, TWO_INPUT, [0.2, -0.1, 0.3]), bound=1e6)
-    @example(case=(MLP_EXAMPLE, EXAMPLE_INPUT, [0.5]), bound=1e6)
-    @example(case=(MLP1_EXAMPLE, EXAMPLE_INPUT, [0.4, 0.3]), bound=1e6)
-    @example(case=(MLP3_EXAMPLE, MLP3_INPUT, [0.4, 0.3, -0.2]), bound=1e6)
-    def test_free_run_is_bitwise_the_faithful_loop(self, case, bound):
+    @given(case=free_run_cases())
+    @example(case=(POLY_EXAMPLE, EXAMPLE_INPUT, [0.2, -0.1]))
+    @example(case=(POLY_CONSTANT_SLOT, EXAMPLE_INPUT, [0.2, -0.1]))
+    @example(case=(POLY_SHARED, EXAMPLE_INPUT, [0.2, -0.1]))
+    @example(case=(POLY_NO_INPUT, EXAMPLE_INPUT, [0.2, -0.1]))
+    @example(case=(POLY_TWO_INPUTS, TWO_INPUT, [0.2, -0.1, 0.3]))
+    @example(case=(MLP_EXAMPLE, EXAMPLE_INPUT, [0.5]))
+    @example(case=(MLP1_EXAMPLE, EXAMPLE_INPUT, [0.4, 0.3]))
+    @example(case=(MLP3_EXAMPLE, MLP3_INPUT, [0.4, 0.3, -0.2]))
+    @example(case=(  # 2 y(k-1) from 1 leaves 1e6 at sample 21
+        gb.PolynomialModel(EXAMPLE_SPEC, ((1,),), np.array([2.0])), EXAMPLE_INPUT, [0.0, 1.0]
+    ))
+    def test_free_run_is_bitwise_the_faithful_loop(self, case):
         # the faithful loop steps with the reference step, each value checked
         # against _predict_psi, so a polynomial run is bitwise the
         # _predict_psi loop and an MLP run moves by the step's bound only
@@ -833,8 +853,8 @@ class TestFreeRun:
             check_step(model, psi, value)
             return value
 
-        result = run_on_record(model, inputs, init=init, bound=bound)
-        want, diverged_at = faithful_free_run(model, inputs, init, bound, step=checked)
+        result = run_on_record(model, inputs, init=init)
+        want, diverged_at = faithful_free_run(model, inputs, init, DIVERGENCE_BOUND, step=checked)
         assert result.y.tobytes() == want.tobytes()
         assert result.diverged_at == diverged_at
         assert result.diverged == (diverged_at is not None)
@@ -852,7 +872,6 @@ def fixed_point_cases(draw):
         max_iterations=draw(steps),
         fixed_horizon=draw(st.one_of(st.none(), steps)),
         tolerance=draw(st.sampled_from([1e-10, 1e-3, 1.0])),
-        divergence_bound=draw(st.sampled_from([1e6, 2.0, 1e150])),
     )
     return model, draw(st.lists(row, min_size=1, max_size=3)), config
 
@@ -964,7 +983,7 @@ class TestGeneratedLoops:
         check_fixed_points(model, levels, config)
 
     @pytest.mark.parametrize("name", sorted(LARGE_STRUCTURES))
-    def test_large_structures_step_bitwise(self, name):
+    def test_large_structures_step_bitwise(self, name, monkeypatch):
         # the generated expressions compile at any size and gather each lag
         model, level, amplitude = LARGE_STRUCTURES[name]
         step = reference_step(model)
@@ -972,13 +991,15 @@ class TestGeneratedLoops:
         init = [0.1] * model.spec.max_lag
         result = run_on_record(model, inputs, init=init)
         want, diverged_at = faithful_free_run(
-            model, inputs, init, 1e6, step=lambda psi: step(psi.tolist())
+            model, inputs, init, DIVERGENCE_BOUND, step=lambda psi: step(psi.tolist())
         )
         assert diverged_at is None
         assert result.y.tobytes() == want.tobytes()
         # a bound the run crosses midway stops both loops at the same sample
         bound = float(np.median(np.abs(want[model.spec.max_lag :])))
-        result = run_on_record(model, inputs, init=init, bound=bound)
+        monkeypatch.setattr("greybox.models.DIVERGENCE_BOUND", bound)
+        result = run_on_record(model, inputs, init=init)
+        monkeypatch.undo()
         want, diverged_at = faithful_free_run(
             model, inputs, init, bound, step=lambda psi: step(psi.tolist())
         )
@@ -1029,9 +1050,11 @@ def numpy_step_scores(point, zd, zt, zv):
     k0 = model.spec.max_lag
 
     def score(data):
-        y, diverged_at = faithful_free_run(model, data.inputs, data.output[:k0].tolist(), RMSE_CAP)
+        y, diverged_at = faithful_free_run(
+            model, data.inputs, data.output[:k0].tolist(), DIVERGENCE_BOUND
+        )
         if diverged_at is not None:
-            return RMSE_CAP, True, None
+            return DIVERGENCE_BOUND, True, None
         measured = data.output[k0:]
         error = measured - y[k0:]
         return rmse(y[k0:], measured), False, abs_error_correlation(error, measured)

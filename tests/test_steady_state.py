@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import greybox as gb
 from greybox.data import EXAMPLE1, steady_curve_of_system
 from greybox.estimation import init_mlp_theta
-from greybox.models import EXAMPLE1_TRUE_THETA
+from greybox.models import DIVERGENCE_BOUND, EXAMPLE1_TRUE_THETA
 
 
 def scalar_affine(a, b):
@@ -74,11 +74,10 @@ class TestFixedPointIterate:
         assert steps == 40
 
     def test_divergence_stops_early(self):
-        _, steps, converged = fixed_point(
-            scalar_affine(2.0, 1.0), (0.0,), gb.FixedPointConfig(divergence_bound=50.0)
-        )
-        assert not converged
-        assert steps < 50
+        # 2 y + 1 from 0 reads 2**k - 1 at step k, past 1e6 at step 20
+        y_bar, steps, converged = fixed_point(scalar_affine(2.0, 1.0), (0.0,))
+        assert not converged and math.isnan(y_bar)
+        assert steps == 20
 
     def test_fixed_horizon_runs_exactly_n_steps(self):
         model = scalar_affine(0.0, 2.0)
@@ -122,7 +121,7 @@ class TestFixedPointIterate:
         y_bar, steps, converged = fixed_point(model, (u_bar,), config)
         n = 2 + horizon
         record = gb.DynDataset(inputs=(np.full(n, u_bar),), output=np.zeros(n))
-        run = gb.free_run_on_dataset(model, record, bound=config.divergence_bound)
+        run = gb.free_run_on_dataset(model, record)
         if run.diverged:
             assert not converged
             assert steps == run.diverged_at - 1
@@ -157,18 +156,16 @@ class TestStaticCosts:
         assert gb.cost_jd(model, flat) == 0.0
 
     def test_legacy_cost_caps_divergent_pairs(self):
-        # iteration 0 -> 1 -> 3 -> 7 ... never settles; contribution is bound^2
+        # iteration 0 -> 1 -> 3 -> 7 ... leaves 1e6; contribution is bound^2
         model = scalar_affine(2.0, 1.0)
         zs = gb.SteadyDataset(u_bar=np.array([[0.5]]), y_bar=np.array([0.0]))
-        cost = gb.cost_js_legacy(model, zs, gb.FixedPointConfig(divergence_bound=1e3))
-        assert cost == 1e6
+        assert gb.cost_js_legacy(model, zs) == 1e12
 
     def test_legacy_cost_caps_large_residuals(self):
-        # converged far from the target: residual^2 would be 25, cap is 4
-        model = scalar_affine(0.0, 5.0)
-        zs = gb.SteadyDataset(u_bar=np.array([[0.5]]), y_bar=np.array([0.0]))
-        cost = gb.cost_js_legacy(model, zs, gb.FixedPointConfig(divergence_bound=2.0))
-        assert cost == 4.0
+        # converged at -9e5 against 5e5: residual^2 would be 1.96e12, cap is 1e12
+        model = scalar_affine(0.0, -9e5)
+        zs = gb.SteadyDataset(u_bar=np.array([[0.5]]), y_bar=np.array([5e5]))
+        assert gb.cost_js_legacy(model, zs) == 1e12
         # under the default bound a residual of 2 at both pairs stays uncapped
         two_pairs = gb.SteadyDataset(u_bar=np.array([[0.0], [1.0]]), y_bar=np.zeros(2))
         assert gb.cost_js_legacy(scalar_affine(0.0, 2.0), two_pairs) == 4.0
@@ -196,27 +193,29 @@ class TestStaticCosts:
         # the per-pair loop cost_js_legacy ran before it was folded onto
         # model_static_curve, kept as the bit-level reference
         def reference(model, zs, config):
-            cap = config.divergence_bound**2
+            cap = DIVERGENCE_BOUND**2
             total = 0.0
             for u_row, y_meas in zip(zs.u_bar, zs.y_bar.tolist()):
                 y_bar, _, converged = fixed_point(model, u_row, config)
                 total += min((y_meas - y_bar) ** 2, cap) if converged else cap
             return total / zs.n_pairs
 
-        zs = ex1_data[2]
+        measured = ex1_data[2]
+        # the same pairs measured 2e6 higher, so that every residual is capped
+        far = gb.SteadyDataset(u_bar=measured.u_bar, y_bar=measured.y_bar + 2e6)
         structure = gb.example_structure("example1")
         # the third model is unstable at the upper end of the input range
         thetas = [EXAMPLE1_TRUE_THETA, [0.7, 0.3, -0.1, 0.05, 0.0], [0.9, 0.25, 0.2, 0.0, 0.0]]
         outcomes = set()
-        for theta, horizon, bound in itertools.product(thetas, [None, 15], [1e6, 2.0, 1e-3]):
+        for theta, horizon, zs in itertools.product(thetas, [None, 15], [measured, far]):
             model = structure.with_theta(theta)
-            config = gb.FixedPointConfig(fixed_horizon=horizon, divergence_bound=bound)
+            config = gb.FixedPointConfig(fixed_horizon=horizon)
             cost = gb.cost_js_legacy(model, zs, config)
             assert same_bits(cost, reference(model, zs, config))
             curve = gb.model_static_curve(model, zs.u_bar, config)
             residual = (zs.y_bar - curve.y_bar)[curve.converged] ** 2
             outcomes |= {"diverged"} if not curve.converged.all() else set()
-            outcomes |= {"capped"} if np.any(residual > bound**2) else set()
+            outcomes |= {"capped"} if np.any(residual > DIVERGENCE_BOUND**2) else set()
         assert outcomes == {"diverged", "capped"}
 
     def test_substitution_equals_naive_reimplementation(self, true_model):
@@ -363,8 +362,8 @@ def test_init_at_target_config_exits_2(tmp_path, capsys):
         ("fixed_point", {"fixed_horizon": 15.0}, "fixed_horizon"),
         # NaN and Infinity are not JSON: the reader refuses the constant
         ("fixed_point", {"tolerance": float("nan")}, "NaN is not a JSON number"),
-        ("fixed_point", {"divergence_bound": 1e200}, "divergence_bound"),
-        ("ga", {"init_spread": "wide"}, "init_spread"),
+        ("fixed_point", {"divergence_bound": 1e6}, "divergence_bound"),
+        ("ga", {"init_spread": 0.1}, "init_spread"),
         ("ga", {"init_spread": float("inf")}, "Infinity is not a JSON number"),
         ("datasets", {"generator": "example1", "seed": "x"}, "seed"),
         ("datasets", {"generator": "example1", "seed": -3}, "seed"),

@@ -1,5 +1,6 @@
 """Lambda sweeps, scoring, decision makers, dominance filtering."""
 
+import csv
 import json
 import math
 from dataclasses import replace
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 import greybox as gb
 import greybox.sweep as sweep_module
 from greybox.cli import main
-from greybox.sweep import RMSE_CAP, abs_error_correlation, write_sweep_csv
+from greybox.models import DIVERGENCE_BOUND
+from greybox.sweep import abs_error_correlation, write_sweep_csv
 
 
 def make_point(lam, j_d, j_s, **kw):
@@ -27,11 +29,11 @@ class TestScores:
         assert value == pytest.approx(math.sqrt(12.5), abs=1e-14)
 
     def test_rmse_caps_non_finite(self):
-        assert gb.rmse(np.array([np.nan, 1.0]), np.zeros(2)) == RMSE_CAP
+        assert gb.rmse(np.array([np.nan, 1.0]), np.zeros(2)) == DIVERGENCE_BOUND
         with np.errstate(over="ignore"):
             value = gb.rmse(np.array([1e300, 0.0]), np.array([-1e300, 0.0]))
-        assert value == RMSE_CAP
-        assert gb.rmse(np.array([2e6]), np.zeros(1)) == RMSE_CAP
+        assert value == DIVERGENCE_BOUND
+        assert gb.rmse(np.array([2e6]), np.zeros(1)) == DIVERGENCE_BOUND
 
     def test_rmse_validates_shapes(self):
         with pytest.raises(ValueError):
@@ -56,10 +58,10 @@ class TestScores:
         _, _, _, zv = ex1_data
         spec = gb.RegressorSpec(output_lags=(1, 2), input_lags=((1, 2),))
         unstable = gb.PolynomialModel(spec, ((1,), (0,)), np.array([2.0, 1.0]))
-        assert reference_scores(unstable, zv) == (RMSE_CAP, True, None)
+        assert reference_scores(unstable, zv) == (DIVERGENCE_BOUND, True, None)
         # the helpers a sweep scores its points with read the same
         assert sweep_module._free_run_error(unstable, zv) is None
-        assert sweep_module._free_run_rmse(unstable, zv) == (RMSE_CAP, True)
+        assert sweep_module._free_run_rmse(unstable, zv) == (DIVERGENCE_BOUND, True)
 
     @pytest.mark.parametrize("example, algorithm", [("example1", "wls"),
                                                     ("example2", "weighted_lm")])
@@ -87,9 +89,9 @@ def reference_scores(model, data):
     """A free run's RMSE, divergence flag and absolute error correlation
     (None when diverged), from the public ``free_run_on_dataset``, ``rmse``
     and ``abs_error_correlation``."""
-    run = gb.free_run_on_dataset(model, data, bound=RMSE_CAP)
+    run = gb.free_run_on_dataset(model, data)
     if run.diverged:
-        return RMSE_CAP, True, None
+        return DIVERGENCE_BOUND, True, None
     k0 = model.spec.max_lag
     measured = data.output[k0:]
     error = measured - run.y[k0:]
@@ -151,7 +153,7 @@ class TestOnePassScores:
         k0 = model.spec.max_lag
         for data in (zt, zv):
             value, diverged = sweep_module._free_run_rmse(model, data)
-            result = gb.free_run_on_dataset(model, data, bound=RMSE_CAP)
+            result = gb.free_run_on_dataset(model, data)
             assert diverged == result.diverged
             if diverged:
                 continue
@@ -230,6 +232,33 @@ class TestRunSweep:
         assert good.error is None
         assert bad.error is not None and "rank deficient" in bad.error
         assert bad.model is None
+
+    def test_failed_ga_seed_fit_fails_every_point(self, ex1_data, tmp_path):
+        # an all-zero input leaves the lambda = 0 seed fit rank deficient:
+        # every point records that failure and the sweep writes its artefacts
+        zd, _, zs, _ = ex1_data
+        silent = gb.DynDataset(inputs=(np.zeros(zd.sample_count),), output=zd.output)
+        train = gb.TrainConfig(algorithm="ga_legacy", ga=gb.GaConfig(3, 1))
+        points = gb.run_sweep(
+            gb.example_structure("example1"), silent, None, zs, gb.LambdaGrid((0.3, 0.6)), train
+        )
+        want = "SingularityError: weighted normal equations are rank deficient (1 < 5)"
+        assert [(p.lam, p.model, p.error, p.eval_count) for p in points] == [
+            (0.3, None, want, 0), (0.6, None, want, 0)]
+        gb.write_csv(tmp_path / "zd.csv", silent)
+        gb.write_csv(tmp_path / "zs.csv", zs)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "structure": {"builtin": "example1"}, "algorithm": "ga_legacy",
+            "datasets": {"zd": str(tmp_path / "zd.csv"), "zs": str(tmp_path / "zs.csv")},
+            "ga": {"population_size": 3, "generations": 1},
+        }))
+        out = tmp_path / "out"
+        argv = ["sweep", "--config", str(config), "--grid", "0.3,0.6", "--out", str(out)]
+        assert main(argv) == 3  # nothing to select
+        rows = list(csv.DictReader((out / "sweep.csv").read_text().splitlines()))
+        assert [(r["lambda"], r["error"]) for r in rows] == [("0.3", want), ("0.6", want)]
+        assert json.loads((out / "manifest.json").read_text())["selections"] == {}
 
     @given(
         lams=st.lists(
