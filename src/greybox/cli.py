@@ -61,6 +61,7 @@ from .sweep import (
     pareto_front,
     rmse,
     run_sweep,
+    sweep_csv_rows,
     write_sweep_csv,
 )
 
@@ -291,8 +292,11 @@ def cmd_sweep(args) -> int:
     grid = _parse_grid(cfg, args)
     train = _train_config(cfg, args)
     points = run_sweep(structure, zd, zt, zs, grid, train, zv=zv)
-    write_sweep_csv(out / "sweep.csv", points)
-    write_sweep_csv(out / "pareto.csv", pareto_front(points))
+    rows = sweep_csv_rows(points)
+    write_sweep_csv(out / "sweep.csv", rows)
+    # the front's rows are the sweep's own, formatted once
+    row_of = {id(p): row for p, row in zip(points, rows)}
+    write_sweep_csv(out / "pareto.csv", [row_of[id(p)] for p in pareto_front(points)])
     outputs = {"sweep": "sweep.csv", "pareto": "pareto.csv"}
     selections = {}
     failures = []

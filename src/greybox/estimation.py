@@ -2,7 +2,8 @@
 
 Three fitting routes, one per algorithm; the first two share
 :func:`build_stacked_system`, which stacks the dynamic rows and one static
-pseudo-sample row per steady-state pair:
+pseudo-sample row per steady-state pair, and which a lambda sweep builds
+once, since only the weights move with lambda:
 
 - :func:`fit_wls` solves linear-in-parameter models in closed form under the
   diagonal weighting W = diag[(1-lam) I_Nd, lam I_Ns] (lam = 0: the black box);
@@ -29,14 +30,18 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-# The LAPACK gesv gufuncs that np.linalg.solve (for a vector right-hand side)
-# and np.linalg.inv call, without those wrappers' per-call argument checks,
-# which cost several times the solve at the LM's sizes.  Called with the
-# wrappers' signature they return the same bits.  They do not raise on a
-# singular matrix: they fill the whole result with NaN and set the invalid
-# flag, which the LM's errstate ignores.  This import is private to numpy;
-# tests/test_estimation.py::TestLapackGufuncs fails if it moves or changes.
+# The LAPACK gufuncs that np.linalg.solve (for a vector right-hand side),
+# np.linalg.inv and np.linalg.lstsq call, without those wrappers' per-call
+# argument checks, which cost several times the solve at the LM's sizes and
+# about a third of the WLS solve.  Called with the wrappers' signature (and,
+# for lstsq, its rcond and a one-column right-hand side) they return the same
+# bits.  They do not raise: a factorisation that fails sets the invalid flag,
+# gesv's filling its whole result with NaN, which the LM's errstate ignores;
+# _lstsq sets lstsq's own errstate, which turns the flag into an error.  This
+# import is private to numpy; tests/test_estimation.py::TestLapackGufuncs
+# fails if it moves or changes.
 from numpy.linalg._umath_linalg import inv as _lapack_inv
+from numpy.linalg._umath_linalg import lstsq as _lapack_lstsq
 from numpy.linalg._umath_linalg import solve1 as _lapack_solve
 
 from .data import DynDataset, SteadyDataset, write_table
@@ -61,6 +66,8 @@ from .models import (
 from .steady_state import FixedPointConfig, _mean_squared_residual, cost_js_legacy
 
 ALGORITHMS = ("wls", "weighted_lm", "ga_legacy")
+
+_EPS = float(np.finfo(float).eps)
 
 
 # Levenberg-Marquardt damping: the first trial's damping, the factor a
@@ -137,52 +144,81 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class StackedSystem:
-    """Regressor rows, targets, and diagonal weights of the stacked system.
+    """Regressor rows and targets of the stacked system, which no lambda
+    changes; each fit takes its weights from :meth:`weights`.
 
-    Dynamic rows come first with weight (1-lam), then the static
-    pseudo-samples with weight lam: one per steady-state pair, every output
-    slot at y_bar and every input slot at u_bar.  ``weights`` is the
-    diagonal of W.  Without steady-state data there are no static rows.
+    Dynamic rows come first, then the static pseudo-samples: one per
+    steady-state pair, every output slot at y_bar and every input slot at
+    u_bar.  Without steady-state data there are no static rows.
+    ``features`` is the model's expansion of the rows, which depends on its
+    structure and not on its parameters: a polynomial's design matrix, one
+    column per term, or an MLP's non-constant slots transposed, one
+    contiguous row per slot.  The fits of a sweep share the arrays, and no
+    fit writes to them.
     """
 
     psi: np.ndarray
     y: np.ndarray
-    weights: np.ndarray
+    features: np.ndarray
     n_dynamic: int
     n_static: int
 
+    def weights(self, lam: float) -> np.ndarray:
+        """The diagonal of W = diag[(1-lam) I_Nd, lam I_Ns]."""
+        _require_number(lam, "lambda", 0, 1)
+        if lam != 0.0 and not self.n_static:
+            raise ValueError("a nonzero lambda needs steady-state data")
+        return np.concatenate([np.full(self.n_dynamic, 1.0 - lam), np.full(self.n_static, lam)])
 
-def build_stacked_system(
-    model: Model, zd: DynDataset, zs: SteadyDataset | None, lam: float
-) -> StackedSystem:
-    """Stack the dynamic rows and the static pseudo-samples of either model kind."""
-    _require_number(lam, "lambda", 0, 1)
+
+def build_stacked_system(model: Model, zd: DynDataset, zs: SteadyDataset | None) -> StackedSystem:
+    """Stack the dynamic rows and the static pseudo-samples of either model
+    kind, and expand them for its structure."""
     psi_d, y_d = build_regression_matrix(model.spec, zd)
     if zs is None:
-        if lam != 0.0:
-            raise ValueError("a nonzero lambda needs steady-state data")
         psi, y, n_s = psi_d, y_d, 0
     else:
         psi = np.vstack([psi_d, build_static_regressors(model.spec, zs)])
         y = np.concatenate([y_d, zs.y_bar])
         n_s = zs.n_pairs
-    n_d = psi_d.shape[0]
-    weights = np.concatenate([np.full(n_d, 1.0 - lam), np.full(n_s, lam)])
-    return StackedSystem(psi=psi, y=y, weights=weights, n_dynamic=n_d, n_static=n_s)
+    if isinstance(model, PolynomialModel):
+        # a design matrix that overflows is not finite, which the solve reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            features = model.design_matrix(psi)
+    else:
+        features = np.ascontiguousarray(model._features(psi).T)
+    return StackedSystem(psi=psi, y=y, features=features, n_dynamic=psi_d.shape[0], n_static=n_s)
+
+
+def _lstsq_failed(err, flag):
+    # np.linalg.lstsq's own text for this failure
+    raise SingularityError(
+        "least squares failed: SVD did not converge in Linear Least Squares", cond=math.inf
+    )
+
+
+def _lstsq(a: np.ndarray, b: np.ndarray):
+    """``(x, rank, singular values)`` of ``np.linalg.lstsq(a, b, rcond=None)``
+    for a vector ``b``, with its bits, from the gufunc it calls.  Raises
+    SingularityError where lstsq raises LinAlgError, when the SVD does not
+    converge."""
+    with np.errstate(call=_lstsq_failed, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        x, _, rank, sv = _lapack_lstsq(a, b[:, None], _EPS * max(a.shape), signature="ddd->ddid")
+    return x[:, 0], rank, sv
 
 
 def _solve_weighted(phi: np.ndarray, y: np.ndarray, weights: np.ndarray) -> np.ndarray:
     sw = np.sqrt(weights)
-    a = phi * sw[:, None]
-    b = y * sw
-    # e.g. a design matrix overflowed to inf; LAPACK would print illegal-value
-    # complaints to stderr before failing on it
+    # e.g. a design matrix that overflowed to inf, which a zero weight turns
+    # into NaN; LAPACK would print illegal-value complaints to stderr before
+    # failing on it
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = phi * sw[:, None]
+        b = y * sw
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise SingularityError("least squares system is not finite", cond=math.inf)
-    try:
-        theta, _, rank, sv = np.linalg.lstsq(a, b, rcond=None)
-    except np.linalg.LinAlgError as exc:  # e.g. the SVD does not converge
-        raise SingularityError(f"least squares failed: {exc}", cond=math.inf) from None
+    theta, rank, sv = _lstsq(a, b)
     q = phi.shape[1]
     if rank < q:
         if sv.size and sv[-1] > 0:
@@ -201,6 +237,7 @@ def fit_wls(
     zs: SteadyDataset | None,
     lam: float,
     counter: EvalCounter | None = None,
+    stacked: StackedSystem | None = None,
 ) -> PolynomialModel:
     """Weighted least squares over dynamic rows and static pseudo-samples.
 
@@ -208,19 +245,20 @@ def fit_wls(
     stacked rows and W = diag[(1-lam) I, lam I], equivalently an ordinary LS
     fit on rows scaled by the square roots of the weights.  Without
     steady-state data (``zs`` None, ``lam`` 0) this is ordinary least
-    squares on the dynamic record.  Raises SingularityError (with the
-    condition number) when the weighted system is numerically rank
-    deficient, e.g. at lam = 1 for structures whose static columns collapse,
-    and with an infinite one when the system is not finite or the solve
-    itself fails.  ``counter`` gets one model evaluation per row, dynamic
-    and static, once the solve succeeds.
+    squares on the dynamic record.  ``stacked``, when given, is
+    :func:`build_stacked_system` of ``model``, ``zd`` and ``zs``, built once
+    for several lambdas.  Raises SingularityError (with the condition
+    number) when the weighted system is numerically rank deficient, e.g. at
+    lam = 1 for structures whose static columns collapse, and with an
+    infinite one when the system is not finite or the solve itself fails.
+    ``counter`` gets one model evaluation per row, dynamic and static, once
+    the solve succeeds.
     """
     if not isinstance(model, PolynomialModel):
         raise TypeError("closed-form least squares needs a linear-in-parameters model")
-    stacked = build_stacked_system(model, zd, zs, lam)
-    # a design matrix that overflows is not finite, which the solve reports
-    with np.errstate(over="ignore", invalid="ignore"):
-        theta = _solve_weighted(model.design_matrix(stacked.psi), stacked.y, stacked.weights)
+    if stacked is None:
+        stacked = build_stacked_system(model, zd, zs)
+    theta = _solve_weighted(stacked.features, stacked.y, stacked.weights(lam))
     if counter is not None:
         counter.add(stacked.y.size)
     return model.with_theta(theta)
@@ -328,6 +366,7 @@ def fit_weighted_lm(
     init_seed: int = 0,
     theta0: np.ndarray | None = None,
     counter: EvalCounter | None = None,
+    stacked: StackedSystem | None = None,
 ) -> tuple[MlpModel, list[TraceRecord]]:
     """Damped least squares on the stacked error vector E = weights * r,
     separated into the hidden layer, which LM iterates, and the output layer,
@@ -335,7 +374,9 @@ def fit_weighted_lm(
 
     r is the one-step residual over the whole stack of
     :func:`build_stacked_system`, dynamic rows and static pseudo-samples
-    alike.  The network output b0 + sum_i w_out_i tanh(.) is linear in the
+    alike; ``stacked``, when given, is that system of ``model``, ``zd`` and
+    ``zs``, built once for several lambdas.  The network output
+    b0 + sum_i w_out_i tanh(.) is linear in the
     output layer c = (b0, w_out), so for hidden parameters p (the node
     blocks, theta[1 + n_hidden:]) the best c is a weighted linear least
     squares solution (variable projection; Golub and Pereyra, 1973).  LM runs
@@ -418,12 +459,13 @@ def fit_weighted_lm(
     else:
         seeds = np.random.SeedSequence(init_seed).generate_state(config.n_starts, np.uint64)
         starts = [init_mlp_theta(model, int(s)) for s in seeds]
-    stacked = build_stacked_system(model, zd, zs, lam)
-    y, weights = stacked.y, stacked.weights
+    if stacked is None:
+        stacked = build_stacked_system(model, zd, zs)
+    y, weights, x_t = stacked.y, stacked.weights(lam), stacked.features
     n_d, n_s = stacked.n_dynamic, stacked.n_static
     counter = counter if counter is not None else EvalCounter()
     trace_record = _trace_recorder(counter)
-    nh, x_t = model.n_hidden, np.ascontiguousarray(model._features(stacked.psi).T)
+    nh = model.n_hidden
     nc = 1 + nh  # the output layer's values lead theta
     neg_w = -weights
     # A = w [1, tanh] transposed, one row per output-layer value, above w y,

@@ -17,11 +17,13 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .data import DynDataset, SteadyDataset, write_table
+from .data import DynDataset, SteadyDataset, _cell, write_table
 from .errors import ConfigError, GreyboxError, SelectionError, _require_count, _require_number
 from .estimation import (
+    StackedSystem,
     TraceRecord,
     TrainConfig,
+    build_stacked_system,
     fit_ga_legacy,
     fit_weighted_lm,
     fit_wls,
@@ -196,6 +198,7 @@ def fit(
     train: TrainConfig,
     counter: EvalCounter | None = None,
     seed_model: Model | None = None,
+    stacked: StackedSystem | None = None,
 ) -> tuple[Model, list[TraceRecord] | None]:
     """Train one model at ``train.lam`` with ``train.algorithm``, under the
     solver settings ``train`` holds.
@@ -203,6 +206,10 @@ def fit(
     Returns the fitted model and the solver trace (None for the closed-form
     ``wls``, which at lambda 0 with ``zs`` None is the black box).
     ``counter`` receives every model evaluation of the fit itself.
+    ``stacked``, read by ``wls`` and ``weighted_lm``, is
+    :func:`~greybox.estimation.build_stacked_system` of ``structure``,
+    ``zd`` and ``zs``, built once for several lambdas; without it the fit
+    builds its own.
     ``weighted_lm`` runs ``train.lm``: a single start from ``seed_model``'s
     parameters when given, else its multi-start seeded with ``init_seed``.
     ``ga_legacy`` runs ``train.ga``, seeded with ``init_seed``, from
@@ -213,11 +220,12 @@ def fit(
     """
     _check_trainable(structure, train.algorithm, train.lam, zd=zd, zs=zs)
     if train.algorithm == "wls":
-        return fit_wls(structure, zd, zs, train.lam, counter=counter), None
+        return fit_wls(structure, zd, zs, train.lam, counter=counter, stacked=stacked), None
     if train.algorithm == "weighted_lm":
         return fit_weighted_lm(
             structure, zd, zs, train.lam, train.lm, init_seed=train.init_seed,
             theta0=None if seed_model is None else seed_model.theta, counter=counter,
+            stacked=stacked,
         )
     if seed_model is None:
         seed_model = _ga_seed_model(structure, zd, train)
@@ -249,6 +257,11 @@ def run_sweep(
     shares one black-box seed model, and lambda number i seeds its GA from
     ``SeedSequence((train.init_seed, i))``.
 
+    What no lambda changes is made once, before the first fit: the stacked
+    system, rows, targets and the structure's expansion of the rows, which
+    every ``wls`` or ``weighted_lm`` fit weights by its own lambda; and the
+    structure's free-run loops, which every fitted copy carries.
+
     A per-lambda SingularityError or DivergenceError, and a failed GA seed
     fit on every point, is recorded instead of aborting the sweep; a
     structure or dataset the algorithm cannot use, or missing steady-state
@@ -257,6 +270,8 @@ def run_sweep(
     if zs is None:
         raise ConfigError("sweeping needs steady-state data 'zs'")
     _check_trainable(structure, train.algorithm, max(grid), zd=zd, zs=zs, zt=zt, zv=zv)
+    structure._loops  # resolved here, with_theta carries it into every fitted copy
+    stacked = build_stacked_system(structure, zd, zs)
     seed_model = seed_error = None
     if train.algorithm == "ga_legacy":
         try:
@@ -281,7 +296,7 @@ def run_sweep(
         start = time.perf_counter()
         try:
             point.model, _ = fit(structure, zd, zs, point_train, counter=counter,
-                                 seed_model=seed_model)
+                                 seed_model=seed_model, stacked=stacked)
         except GreyboxError as exc:
             point.error = f"{type(exc).__name__}: {exc}"
         point.train_time_ms = int(round((time.perf_counter() - start) * 1e3))
@@ -365,9 +380,19 @@ def pareto_front(points: list[ParetoPoint]) -> list[ParetoPoint]:
     return sorted(front, key=lambda p: p.lam)
 
 
-def write_sweep_csv(path, points: list[ParetoPoint]) -> None:
-    """One row per point, one column per :class:`ParetoPoint` field in
-    order, ``model`` left out and ``lam`` headed ``lambda``."""
-    names = [f.name for f in fields(ParetoPoint) if f.name != "model"]
-    header = ["lambda" if name == "lam" else name for name in names]
-    write_table(path, header, [[getattr(p, name) for p in points] for name in names])
+# sweep.csv's columns: every ParetoPoint field in order but the model
+_SWEEP_FIELDS = tuple(f.name for f in fields(ParetoPoint) if f.name != "model")
+_SWEEP_HEADER = ["lambda" if name == "lam" else name for name in _SWEEP_FIELDS]
+
+
+def sweep_csv_rows(points: list[ParetoPoint]) -> list[list[str]]:
+    """Each point's row of a sweep CSV: one cell per :class:`ParetoPoint`
+    field in order, ``model`` left out, formatted as
+    :func:`~greybox.data.write_table` formats it."""
+    return [[_cell(getattr(p, name)) for name in _SWEEP_FIELDS] for p in points]
+
+
+def write_sweep_csv(path, rows: list[list[str]]) -> None:
+    """A sweep CSV of :func:`sweep_csv_rows`' ``rows``, under a header of
+    the field names with ``lam`` headed ``lambda``."""
+    write_table(path, _SWEEP_HEADER, list(zip(*rows)) or [()] * len(_SWEEP_HEADER))

@@ -226,11 +226,12 @@ def test_criterion_5_weighting_equals_pseudo_sample_appending():
     worst = 0.0
     for _ in range(50):
         structure, zd, zs, lam = _random_linear_problem(rng)
-        stacked = build_stacked_system(structure, zd, zs, lam)
+        stacked = build_stacked_system(structure, zd, zs)
+        weights = stacked.weights(lam)
         phi = structure.design_matrix(stacked.psi)
-        gram = phi.T @ (stacked.weights[:, None] * phi)
-        moment = phi.T @ (stacked.weights * stacked.y)
-        scale = np.sqrt(stacked.weights)
+        gram = phi.T @ (weights[:, None] * phi)
+        moment = phi.T @ (weights * stacked.y)
+        scale = np.sqrt(weights)
         appended_psi = scale[:, None] * phi
         appended_y = scale * stacked.y
         gram2 = appended_psi.T @ appended_psi

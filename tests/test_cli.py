@@ -410,6 +410,24 @@ class TestSweep:
         assert failed["j_d"] == "" and failed["j_s_hat"] == ""
         assert trained["error"] == "" and float(trained["j_d"]) > 0.0
 
+    def test_pareto_rows_are_the_sweep_rows(self, datadir, tmp_path):
+        config = {
+            "structure": {"builtin": "example1"},
+            "datasets": {"zd": str(datadir / "zd.csv"), "zs": str(datadir / "zs.csv")},
+            "algorithm": "wls",
+        }
+        path, out = tmp_path / "config.json", tmp_path / "out"
+        path.write_text(json.dumps(config))
+        assert main(["sweep", "--config", str(path), "--grid", "0.1,0.3,0.5,0.7,0.9,1.0",
+                     "--out", str(out)]) == 0
+        sweep_rows = (out / "sweep.csv").read_bytes().splitlines()
+        pareto_rows = (out / "pareto.csv").read_bytes().splitlines()
+        by_lambda = {row.split(b",")[0]: row for row in sweep_rows[1:]}
+        assert pareto_rows[0] == sweep_rows[0]
+        assert len(pareto_rows) > 2
+        for row in pareto_rows[1:]:
+            assert row == by_lambda[row.split(b",")[0]]
+
     def test_sweep_without_statics_exits_2(self, datadir, tmp_path):
         # every point is scored on j_s_hat, even lambda 0's, which trains without zs
         for grid in ([0.0], [0.2]):
@@ -864,6 +882,9 @@ def test_overflow_keeps_the_exit_code_without_a_warning(command, code, tmp_path)
     if command == "sweep":
         rows = list(csv.DictReader((out / "sweep.csv").read_text().splitlines()))
         assert [row["error"].split(":")[0] for row in rows] == ["SingularityError"] * 2
+        # no point trained, so the front is empty: its file holds the header alone
+        header = (out / "sweep.csv").read_bytes().splitlines()[0]
+        assert (out / "pareto.csv").read_bytes() == header + b"\r\n"
     if command == "eval":
         metrics = load_json(out / "metrics.json")
         assert metrics["j_d"] is None and metrics["rmse_one_step"] == 1e6

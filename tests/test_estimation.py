@@ -89,19 +89,19 @@ class TestLeastSquares:
         zd, _, zs, _ = ex1_data
         lam = 0.3
         fit = fit_wls(ex1_structure, zd, zs, lam)
-        stacked = build_stacked_system(fit, zd, zs, lam)
+        stacked = build_stacked_system(fit, zd, zs)
         phi = fit.design_matrix(stacked.psi)
         residual = stacked.y - phi @ fit.theta
-        gradient = phi.T @ (stacked.weights * residual)
+        gradient = phi.T @ (stacked.weights(lam) * residual)
         assert np.max(np.abs(gradient)) < 1e-10
 
     def test_stacked_block_sizes_and_weights(self, ex1_structure, ex1_data):
         zd, _, zs, _ = ex1_data
-        stacked = build_stacked_system(ex1_structure, zd, zs, 0.25)
+        stacked = build_stacked_system(ex1_structure, zd, zs)
         assert stacked.n_dynamic == zd.sample_count - 2
         assert stacked.n_static == zs.n_pairs
-        assert np.all(stacked.weights[: stacked.n_dynamic] == 0.75)
-        assert np.all(stacked.weights[stacked.n_dynamic :] == 0.25)
+        assert np.all(stacked.weights(0.25)[: stacked.n_dynamic] == 0.75)
+        assert np.all(stacked.weights(0.25)[stacked.n_dynamic :] == 0.25)
 
     def test_static_only_system_is_rank_deficient(self, ex1_structure, ex1_data):
         # the three cross-term columns collapse to u_bar*y_bar at steady state
@@ -131,12 +131,12 @@ class TestLeastSquares:
         rng = np.random.default_rng(int(lam * 1e6) + 1)
         model, zd, zs = random_poly_problem(rng)
         fit = fit_wls(model, zd, zs, lam)
-        stacked = build_stacked_system(fit, zd, zs, lam)
+        stacked = build_stacked_system(fit, zd, zs)
         phi = fit.design_matrix(stacked.psi)
 
         def weighted_cost(theta):
             r = stacked.y - phi @ theta
-            return float(np.sum(stacked.weights * r * r))
+            return float(np.sum(stacked.weights(lam) * r * r))
 
         best = weighted_cost(fit.theta)
         for _ in range(10):
@@ -225,8 +225,8 @@ class TestJacobians:
         start, _ = fit_weighted_lm(
             model, zd, zs, lam, gb.LmConfig(max_iterations=0), theta0=model.theta
         )
-        stacked = build_stacked_system(model, zd, zs, lam)
-        w2, y = stacked.weights**2, stacked.y
+        stacked = build_stacked_system(model, zd, zs)
+        w2, y = stacked.weights(lam) ** 2, stacked.y
         g = mlp_jacobian(start, stacked.psi)
         r = y - start.predict(stacked.psi)
         h = g.T @ (w2[:, None] * g)
@@ -253,21 +253,22 @@ class TestJacobians:
             model, zd, zs, lam, gb.LmConfig(max_iterations=3), theta0=model.theta
         )
         nc = 1 + model.n_hidden
-        stacked = build_stacked_system(model, zd, zs, lam)
+        stacked = build_stacked_system(model, zd, zs)
         x_t = fitted._features(stacked.psi).T
         _, blocks = _mlp_split(fitted.theta, model.n_hidden)
         basis = np.vstack([np.ones(stacked.y.size), _mlp_hidden(blocks, x_t)])
-        a = (stacked.weights * basis).T
+        a = (stacked.weights(lam) * basis).T
         # the solver's normal equations lose up to cond(a)^2 eps against
         # lstsq's SVD; about 1 draw in 170 is conditioned worse than 1e4
         assume(np.linalg.cond(a) <= 1e4)
-        expected = np.linalg.lstsq(a, stacked.weights * stacked.y, rcond=None)[0]
+        expected = np.linalg.lstsq(a, stacked.weights(lam) * stacked.y, rcond=None)[0]
         np.testing.assert_allclose(fitted.theta[:nc], expected, rtol=1e-8)
 
 
 class TestLapackGufuncs:
-    # the LM calls numpy's private gesv gufuncs directly; these tests fail if
-    # a numpy release moves them or changes what they return
+    # the LM calls numpy's private gesv gufuncs, and the WLS solve its gelsd
+    # gufunc, directly; these tests fail if a numpy release moves them or
+    # changes what they return
 
     @given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
     def test_same_bits_as_numpy_solve_and_inv(self, n, seed):
@@ -289,6 +290,43 @@ class TestLapackGufuncs:
                 inverse = estimation._lapack_inv(a, signature="d->d")
         assert np.isnan(x).all()
         assert np.isnan(inverse).all()
+
+    @given(n=st.integers(1, 6), extra=st.integers(0, 30), rank=st.integers(0, 6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_lstsq_has_the_bits_of_numpy_lstsq(self, n, extra, rank, seed):
+        # tall systems, full rank or of a lower rank
+        rng = np.random.default_rng(seed)
+        m, rank = n + extra, min(rank, n)
+        a = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+        b = rng.standard_normal(m)
+        x, got_rank, sv = estimation._lstsq(a, b)
+        want_x, _, want_rank, want_sv = np.linalg.lstsq(a, b, rcond=None)
+        assert x.tobytes() == want_x.tobytes()
+        assert got_rank == want_rank
+        assert sv.tobytes() == want_sv.tobytes()
+
+    def test_rank_deficient_solve_reports_numpys_rank_and_condition(self, ex1_structure,
+                                                                     ex1_data):
+        # lambda = 1: example1's three cross-term columns collapse at steady state
+        zd, _, zs, _ = ex1_data
+        stacked = build_stacked_system(ex1_structure, zd, zs)
+        weights = stacked.weights(1.0)
+        with pytest.raises(gb.SingularityError) as exc:
+            estimation._solve_weighted(stacked.features, stacked.y, weights)
+        sw = np.sqrt(weights)
+        _, _, rank, sv = np.linalg.lstsq(stacked.features * sw[:, None], stacked.y * sw,
+                                         rcond=None)
+        assert str(exc.value) == f"weighted normal equations are rank deficient ({rank} < 5)"
+        assert exc.value.cond == float(sv[0] / sv[-1])
+
+    def test_failed_svd_reads_as_numpys_error(self):
+        # the gufunc flags a failed SVD, which lstsq turns into this LinAlgError
+        with pytest.raises(np.linalg.LinAlgError) as numpy_error:
+            np.linalg._linalg._raise_linalgerror_lstsq("invalid value", 8)
+        with pytest.raises(gb.SingularityError) as exc:
+            estimation._lstsq_failed("invalid value", 8)
+        assert str(exc.value) == f"least squares failed: {numpy_error.value}"
+        assert exc.value.cond == math.inf
 
 
 class TestInitTheta:
@@ -341,8 +379,8 @@ class TestWeightedLm:
             ex2_structure, zd, zs, 0.3, config, theta0=theta0
         )
         assert np.array_equal(model.theta[2:], theta0[2:])
-        stacked = build_stacked_system(model, zd, zs, 0.3)
-        w = stacked.weights
+        stacked = build_stacked_system(model, zd, zs)
+        w = stacked.weights(0.3)
         hidden = np.tanh(model._features(stacked.psi) @ theta0[3:] + theta0[2])
         expected = np.linalg.lstsq(
             np.column_stack([w, w * hidden]), w * stacked.y, rcond=None
@@ -611,9 +649,9 @@ class TestWeightedLm:
         # (to |w_out| ~ 1600 and cond ~ 5e6 without the bound)
         zd, _, zs, _ = ex2_data
         model, _ = fit_weighted_lm(ex2_structure, zd, zs, 0.9, gb.LmConfig(60, 3))
-        stacked = build_stacked_system(model, zd, zs, 0.9)
+        stacked = build_stacked_system(model, zd, zs)
         hidden = _mlp_hidden(_mlp_split(model.theta, 1)[1], model._features(stacked.psi).T)
-        a = stacked.weights * np.vstack([np.ones(stacked.y.size), hidden])
+        a = stacked.weights(0.9) * np.vstack([np.ones(stacked.y.size), hidden])
         assert np.linalg.cond(a @ a.T, 1) <= estimation._LM_MAX_OUTPUT_CONDITION * (1 + 1e-9)
 
     def test_nonzero_lambda_needs_statics(self, ex2_structure, ex2_data):

@@ -14,7 +14,7 @@ import greybox as gb
 import greybox.sweep as sweep_module
 from greybox.cli import main
 from greybox.models import DIVERGENCE_BOUND
-from greybox.sweep import abs_error_correlation, write_sweep_csv
+from greybox.sweep import abs_error_correlation, sweep_csv_rows, write_sweep_csv
 
 
 def make_point(lam, j_d, j_s, **kw):
@@ -233,6 +233,39 @@ class TestRunSweep:
         assert bad.error is not None and "rank deficient" in bad.error
         assert bad.model is None
 
+    def test_wls_points_equal_independent_fits(self, ex1_data):
+        # the sweep fits every lambda on one stacked system; each point still
+        # has the bits, the count and the failure of a fit made on its own
+        zd, zt, zs, _ = ex1_data
+        structure = gb.example_structure("example1")
+        grid = gb.LambdaGrid(values=(0.0, 0.1, 0.5, 0.9, 1.0))
+        points = gb.run_sweep(structure, zd, zt, zs, grid, gb.TrainConfig(algorithm="wls"))
+        for p in points:
+            counter = gb.EvalCounter()
+            try:
+                model, _ = gb.fit(structure, zd, zs, gb.TrainConfig(lam=p.lam), counter=counter)
+            except gb.SingularityError as exc:
+                assert p.model is None and p.error == f"SingularityError: {exc}"
+                continue
+            assert p.model.theta.tobytes() == model.theta.tobytes()
+            assert p.eval_count == counter.count
+            assert p.j_d == gb.cost_jd(model, zd)
+            assert p.j_s_hat == gb.cost_js_hat(model, zs)
+        assert [p.error is None for p in points] == [True] * 4 + [False]
+
+    def test_overflowing_design_fails_every_lambda(self):
+        # outputs of 1e200 overflow y(k-1)^2 in the design matrix, built once
+        # for the sweep: no weight, zero included, makes it finite
+        spec = gb.RegressorSpec(output_lags=(1,), input_lags=((1,),))
+        structure = gb.PolynomialModel(spec, ((1, 1), (2,)), np.zeros(2))
+        zd = gb.DynDataset(inputs=(np.arange(20) / 10,), output=np.full(20, 1e200))
+        zs = gb.SteadyDataset(u_bar=np.array([[0.0], [1.0]]), y_bar=np.array([0.0, 0.5]))
+        grid = gb.LambdaGrid(values=(0.0, 0.5, 1.0))
+        points = gb.run_sweep(structure, zd, None, zs, grid, gb.TrainConfig(algorithm="wls"))
+        assert [p.error for p in points] == (
+            ["SingularityError: least squares system is not finite"] * 3
+        )
+
     def test_failed_ga_seed_fit_fails_every_point(self, ex1_data, tmp_path):
         # an all-zero input leaves the lambda = 0 seed fit rank deficient:
         # every point records that failure and the sweep writes its artefacts
@@ -350,6 +383,17 @@ class TestLmContinuation:
         assert gb.model_to_json(first.model) == gb.model_to_json(model)
         assert first.eval_count == counter.count
         assert [p.warm_from for p in lm_points[1:]] == [p.lam for p in lm_points[:-1]]
+
+    def test_later_lambdas_equal_fits_from_the_point_before(self, ex2_data, lm_points):
+        zd, _, zs, _ = ex2_data
+        for prev, p in zip(lm_points, lm_points[1:]):
+            counter = gb.EvalCounter()
+            model, _ = gb.fit(
+                gb.example_structure("example2"), zd, zs, replace(LM_TRAIN, lam=p.lam),
+                counter=counter, seed_model=prev.model,
+            )
+            assert p.model.theta.tobytes() == model.theta.tobytes()
+            assert p.eval_count == counter.count
 
     def test_fewer_evaluations_than_independent_fits(self, ex2_data, lm_points):
         zd, _, zs, _ = ex2_data
@@ -541,7 +585,7 @@ class TestSweepCsv:
             gb.TrainConfig(algorithm="wls"), zv=zv,
         )
         path = tmp_path / "sweep.csv"
-        write_sweep_csv(path, points)
+        write_sweep_csv(path, sweep_csv_rows(points))
         lines = path.read_text().splitlines()
         assert lines[0] == (
             "lambda,j_d,j_s_hat,rmse_zt,diverged_zt,rmse_zv,diverged_zv,"
